@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,16 +108,46 @@ class ModeChannel:
     """Per-mode equivalent channel after the full transform chain.
 
     lambda_coeffs[p, l] is the effective complex gain of mode pair (p, l) in
-    DFT-index order; approx_blocks[p, q] is the diagonal Bessel-route
-    approximation of the q-th sub-channel summand; gap[p] is the relative
-    squared Frobenius gap between the exact transform and the summed diagonal
-    approximation; exact_matrices[p] is the exact K x K transform.
+    DFT-index order; exact_matrices[p] is the exact K x K transform.  The
+    Bessel-route study is computed on first access only: approx_blocks[p, q]
+    is the diagonal Bessel-route approximation of the q-th sub-channel
+    summand, and gap[p] is the relative squared Frobenius gap between the
+    exact transform and the summed diagonal approximation.
     """
 
     lambda_coeffs: np.ndarray
-    approx_blocks: np.ndarray
-    gap: np.ndarray
     exact_matrices: np.ndarray
+    tx: Layout
+    rx: Layout
+    params: PropagationParams
+    sharing: SharingMatrix
+    j_order: str
+    correction: bool
+
+    @cached_property
+    def approx_blocks(self) -> np.ndarray:
+        """(N, N, K, K) diagonal blocks.  p enters the Bessel route only
+        through e^{j phi_q p}, so only the N offset blocks at p = 0 are
+        evaluated and blocks[p, q] = e^{j 2 pi p q / N} blocks[0, q]."""
+        n = self.tx.n_cells
+        base = np.stack([diag_approx_block(self.tx, self.rx, self.params,
+                                           self.sharing, 0, q, self.j_order,
+                                           self.correction)
+                         for q in range(n)])
+        phi = 2 * np.pi * np.arange(n) / n
+        phase = np.exp(1j * phi[None, :] * np.arange(n)[:, None])
+        return phase[:, :, None, None] * base[None]
+
+    @cached_property
+    def gap(self) -> np.ndarray:
+        """Per-p full-superposition gap; inf where the exact transform is null."""
+        out = np.zeros(self.tx.n_cells)
+        for p, (exact, blocks) in enumerate(zip(self.exact_matrices,
+                                                self.approx_blocks)):
+            denom = np.linalg.norm(exact, "fro") ** 2
+            out[p] = np.inf if denom == 0 else \
+                float(np.linalg.norm(exact - blocks.sum(axis=0), "fro") ** 2 / denom)
+        return out
 
 
 def _check_indices(tx: Layout, rx: Layout, q: int, v: int, k: int):
@@ -398,33 +429,25 @@ def approx_gap(tx: Layout, rx: Layout, params: PropagationParams,
 def detection_coeffs(tx: Layout, rx: Layout, params: PropagationParams,
                      sharing: SharingMatrix | None = None,
                      j_order: str = "matched",
-                     correction: bool = True) -> ModeChannel:
-    """Mode channel with both coefficient variants.
+                     correction: bool = True,
+                     channel: BlockChannel | None = None) -> ModeChannel:
+    """Mode channel from the exact per-p transforms of a block channel
+    (built here when not given).
 
     lambda_coeffs holds the exact per-mode gains (diagonals of the exact
-    transforms); approx_blocks the per-offset Bessel diagonals whose sum over
-    offsets is the approximate variant; gap the per-p full-superposition gap.
+    transforms).  The Bessel-route blocks and the per-p gap, with the given
+    j_order and correction, are evaluated only when first read.
     """
     if sharing is None:
         sharing = sharing_matrix(rx)
-    n = tx.n_cells
-    kc = tx.elems_per_cell
-    channel = build_block_channel(tx, rx, params, sharing)
-    exact = np.zeros((n, kc, kc), dtype=complex)
-    blocks = np.zeros((n, n, kc, kc), dtype=complex)
-    gap = np.zeros(n)
-    for p in range(n):
-        exact[p] = exact_mode_matrix(tx, rx, params, sharing, p, channel)
-        for q in range(n):
-            blocks[p, q] = diag_approx_block(tx, rx, params, sharing, p, q,
-                                             j_order, correction)
-        approx = blocks[p].sum(axis=0)
-        denom = np.linalg.norm(exact[p], "fro") ** 2
-        gap[p] = np.inf if denom == 0 else \
-            float(np.linalg.norm(exact[p] - approx, "fro") ** 2 / denom)
+    if channel is None:
+        channel = build_block_channel(tx, rx, params, sharing)
+    exact = np.stack([exact_mode_matrix(tx, rx, params, sharing, p, channel)
+                      for p in range(tx.n_cells)])
     lam_exact = np.einsum("pll->pl", exact).copy()
-    return ModeChannel(lambda_coeffs=lam_exact, approx_blocks=blocks,
-                       gap=gap, exact_matrices=exact)
+    return ModeChannel(lambda_coeffs=lam_exact, exact_matrices=exact,
+                       tx=tx, rx=rx, params=params, sharing=sharing,
+                       j_order=j_order, correction=correction)
 
 
 def bessel_lambda(mode: ModeChannel) -> np.ndarray:

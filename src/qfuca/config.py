@@ -20,8 +20,9 @@ _BESSEL_ORDERS = ("matched", "first")
 class Scenario:
     """One end-to-end link configuration.
 
-    Both antennas share the cell count (aligned operation) and the antenna
-    radius; per-end element counts and cell-radius ratios may differ.
+    Both antennas share the cell count (aligned operation), the per-cell
+    element count (the mode transform needs V = K) and the antenna radius;
+    the per-end cell-radius ratios may differ.
     """
 
     n_cells: int = 4
@@ -47,6 +48,9 @@ class Scenario:
         for name in ("tx_elems", "rx_elems"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.tx_elems != self.rx_elems:
+            raise ConfigError(f"tx_elems ({self.tx_elems}) and rx_elems ({self.rx_elems}) "
+                              "must be equal: the mode transform needs V = K")
         for name in ("tx_ratio", "rx_ratio", "qf_radius_m", "distance_m",
                      "freq_hz", "beta", "total_power"):
             if getattr(self, name) <= 0:

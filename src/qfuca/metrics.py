@@ -4,7 +4,7 @@ SNR convention: snr = total_power * (beta lambda / 4 pi D)^2 / sigma^2, so an
 n-fold single-antenna reference at SNR x reaches exactly n log2(1 + x).  For
 distance sweeps the noise variance is anchored once at the scenario's base
 distance, so every system's efficiency falls with distance; SNR-axis sweeps
-recompute the variance per point.
+recompute the variance per point and reuse one QF-UCA link for all points.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from . import channel as chan
 from .config import Scenario
 from .errors import DegenerateChannelError
 from .geometry import single_ring_layout, sharing_matrix
-from .txrx import build_link, noise_mode_scale
+from .txrx import Link, build_link, noise_mode_scale
 
 SWEEP_AXES = ("snr_db", "distance_m", "freq_hz")
 SYSTEMS = ("qf_uca", "uca_n", "uca_bigger", "siso_xN")
@@ -90,10 +90,12 @@ def se_qf_scenario(scenario: Scenario, distance_m: float | None = None,
     """QF-UCA spectrum efficiency for a scenario, optionally at an overridden
     distance and noise variance (used by sweeps)."""
     work = scenario if distance_m is None else replace(scenario, distance_m=distance_m)
-    link = build_link(work)
     s2 = _sigma2(scenario) if sigma2 is None else sigma2
-    noise = s2 * link.noise_scale
-    return se_qf(link.lambda_coeffs, link.power_alloc, noise)
+    return _se_qf_link(build_link(work), s2)
+
+
+def _se_qf_link(link: Link, sigma2: float) -> float:
+    return se_qf(link.lambda_coeffs, link.power_alloc, sigma2 * link.noise_scale)
 
 
 def se_gain(se_a: float, se_b: float) -> float:
@@ -146,6 +148,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     n_modes = base.n_cells * base.tx_elems
     rows = []
     anchor_sigma2 = _sigma2(base)
+    qf_link = None
     for value in spec.axis_values:
         if spec.axis == "snr_db":
             scen = replace(base, snr_db=value)
@@ -157,7 +160,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             d, s2 = scen.distance_m, _sigma2(scen)
         for system in sorted(spec.systems):
             if system == "qf_uca":
-                se = se_qf_scenario(scen, distance_m=d, sigma2=s2)
+                # SNR enters only through s2, so one link serves the SNR axis
+                if qf_link is None or spec.axis != "snr_db":
+                    qf_link = build_link(replace(scen, distance_m=d))
+                se = _se_qf_link(qf_link, s2)
             elif system == "uca_n":
                 se = se_single_loop_uca(n_elements, scen, distance_m=d, sigma2=s2)
             elif system == "uca_bigger":

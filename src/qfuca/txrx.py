@@ -298,21 +298,18 @@ def noise_mode_scale(rx: Layout, n_inter: int) -> np.ndarray:
     physical element noise vector to s~_p(l) through split, compensation,
     post-decoding, and the inner DFT."""
     v = rx.elems_per_cell
-    counts = np.bincount(rx.slot_group.ravel(), minlength=rx.n_physical)
-    wh = dft_matrix(v)
-    out = np.zeros((n_inter, v))
-    for p in range(n_inter):
-        a = np.zeros((v, rx.n_physical), dtype=complex)
-        for m in range(rx.n_cells):
-            for vv in range(v):
-                g = rx.slot_group[m, vv]
-                # the split's 1/L_v and the post-decoding L_v cancel, leaving
-                # only the coherent accumulation of each element's duplicates
-                a[vv, g] += np.exp(-2j * np.pi * m * p / n_inter) / np.sqrt(n_inter) \
-                    * (counts[rx.slot_group[0, vv]] / counts[g])
-        b = wh @ a
-        out[p] = np.sum(np.abs(b) ** 2, axis=1)
-    return out
+    groups = rx.slot_group
+    counts = np.bincount(groups.ravel(), minlength=rx.n_physical)
+    phase = np.array([[np.exp(-2j * np.pi * m * p / n_inter) / np.sqrt(n_inter)
+                       for m in range(rx.n_cells)] for p in range(n_inter)])
+    # the split's 1/L_v and the post-decoding L_v cancel, leaving only the
+    # coherent accumulation of each element's duplicates
+    weight = counts[groups[0]][None, :] / counts[groups]
+    a = np.zeros((n_inter, v, rx.n_physical), dtype=complex)
+    np.add.at(a, (np.arange(n_inter)[:, None, None], np.arange(v), groups),
+              phase[:, :, None] * weight)
+    b = dft_matrix(v) @ a
+    return np.sum(np.abs(b) ** 2, axis=2)
 
 
 @dataclass(frozen=True)
@@ -360,12 +357,13 @@ def build_link(scenario, lambda_path: str | None = None) -> Link:
     params = chan.PropagationParams.from_frequency(
         scenario.distance_m, scenario.freq_hz, scenario.beta)
     sharing = sharing_matrix(rx)
+    block_channel = chan.build_block_channel(tx, rx, params, sharing)
     mode = chan.detection_coeffs(tx, rx, params, sharing,
                                  j_order=scenario.bessel_order,
-                                 correction=scenario.bessel_correction)
+                                 correction=scenario.bessel_correction,
+                                 channel=block_channel)
     path = lambda_path or scenario.lambda_path
     lam = mode.lambda_coeffs if path == "exact" else chan.bessel_lambda(mode)
-    block_channel = chan.build_block_channel(tx, rx, params, sharing)
     grid = SymbolGrid.uniform(scenario.n_cells, scenario.tx_elems,
                               total_power=scenario.total_power)
     sigma2 = scenario.total_power * params.reference_gain ** 2 / scenario.snr_linear

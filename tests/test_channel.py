@@ -444,6 +444,38 @@ class TestDetectionCoeffs:
         assert np.max(np.abs(lam_b - summed)) == 0.0
 
 
+def direct_approx_blocks(lay, sharing, params):
+    """In-test oracle: every (p, q) block evaluated by its own call."""
+    n = lay.n_cells
+    return np.array([[chan.diag_approx_block(lay, lay, params, sharing, p, q)
+                      for q in range(n)] for p in range(n)])
+
+
+class TestLazyBesselBlocks:
+    @pytest.mark.parametrize("n, k", [(4, 4), (8, 16)])
+    def test_hoisted_p_matches_direct_blocks(self, n, k, params100):
+        lay = build_layout(n, k, 1.0, 1.0)
+        sharing = sharing_matrix(lay)
+        blocks = chan.detection_coeffs(lay, lay, params100, sharing).approx_blocks
+        direct = direct_approx_blocks(lay, sharing, params100)
+        assert blocks.shape == (n, n, k, k)
+        assert np.max(np.abs(blocks - direct)) <= 1e-12 * np.max(np.abs(direct))
+        off_diag = ~np.eye(k, dtype=bool)
+        assert np.all(blocks[:, :, off_diag] == 0)
+
+    def test_bessel_link_matches_direct_evaluation(self, qf9, params100):
+        from qfuca.config import Scenario
+        from qfuca.txrx import build_link
+        lay, sharing = qf9
+        link = build_link(Scenario(lambda_path="bessel"))
+        direct = np.einsum("pqll->pl", direct_approx_blocks(lay, sharing, params100))
+        assert np.max(np.abs(link.lambda_coeffs - direct)) \
+            <= 1e-12 * np.max(np.abs(direct))
+        for p in range(4):
+            assert link.mode.gap[p] == pytest.approx(
+                chan.approx_gap(lay, lay, params100, sharing, p), rel=1e-12)
+
+
 def test_channel_csv_header(qf9, params100):
     lay, sharing = qf9
     bc = chan.build_block_channel(lay, lay, params100, sharing)

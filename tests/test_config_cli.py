@@ -66,6 +66,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("constellation = morse")
 
+    def test_unequal_element_counts_rejected(self):
+        with pytest.raises(ConfigError, match="tx_elems .8. and rx_elems .4."):
+            parse_config("tx_elems = 8\nrx_elems = 4\n")
+
 
 class TestCli:
     def test_geometry_writes_element_tables(self, tmp_path, capsys):
@@ -103,6 +107,14 @@ class TestCli:
         cfg.write_text("distance_m = -1\n")
         assert main(["geometry", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_unequal_element_counts_exit_nonzero(self, tmp_path, capsys):
+        cfg = tmp_path / "unequal.cfg"
+        cfg.write_text("tx_elems = 8\nrx_elems = 4\n")
+        assert main(["loopback", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: tx_elems (8) and rx_elems (4) must be equal")
+        assert not (tmp_path / "loopback.csv").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "scenario.cfg"

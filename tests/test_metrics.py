@@ -138,6 +138,23 @@ class TestSweeps:
         assert [(r[0], r[1]) for r in rows] == [
             (0.0, "qf_uca"), (0.0, "uca_n"), (10.0, "qf_uca"), (10.0, "uca_n")]
 
+    @pytest.mark.parametrize("axis, values, builds", [
+        ("snr_db", (0.0, 10.0, 20.0), 1),
+        ("distance_m", (50.0, 100.0, 200.0), 3),
+        ("freq_hz", (2.4e9, 5.8e9), 2)])
+    def test_qf_link_builds_per_axis(self, scen, count_calls, axis, values, builds):
+        calls = count_calls(metrics, "build_link")
+        spec = metrics.SweepSpec(axis=axis, axis_values=values, fixed=scen)
+        metrics.run_sweep(spec)
+        assert len(calls) == builds
+
+    def test_snr_sweep_matches_per_point_links(self, scen):
+        values = (0.0, 10.0, 20.0)
+        spec = metrics.SweepSpec(axis="snr_db", axis_values=values, fixed=scen,
+                                 systems=("qf_uca",))
+        per_point = [metrics.se_qf_scenario(replace(scen, snr_db=v)) for v in values]
+        assert [row[2] for row in metrics.run_sweep(spec).rows] == per_point
+
     def test_csv_header_and_shape(self, scen):
         spec = metrics.SweepSpec(axis="snr_db", axis_values=(), fixed=scen)
         text = metrics.sweep_csv(metrics.run_sweep(spec))

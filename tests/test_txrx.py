@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qfuca import channel as chan
 from qfuca import txrx
 from qfuca.config import Scenario
 from qfuca.errors import DimensionError
 from qfuca.geometry import build_layout, sharing_matrix, single_ring_layout
-from qfuca.linalg import idft_matrix
+from qfuca.linalg import dft_matrix, idft_matrix
 
 FREQ = 5.8e9
 LAM = 299792458.0 / FREQ
@@ -26,6 +27,22 @@ def params100():
 @pytest.fixture(scope="module")
 def link9():
     return txrx.build_link(Scenario())
+
+
+def noise_mode_scale_loops(rx, n_inter):
+    """In-test oracle: the noise map accumulated entry by entry."""
+    v = rx.elems_per_cell
+    counts = np.bincount(rx.slot_group.ravel(), minlength=rx.n_physical)
+    out = np.zeros((n_inter, v))
+    for p in range(n_inter):
+        a = np.zeros((v, rx.n_physical), dtype=complex)
+        for m in range(rx.n_cells):
+            for vv in range(v):
+                g = rx.slot_group[m, vv]
+                a[vv, g] += np.exp(-2j * np.pi * m * p / n_inter) / np.sqrt(n_inter) \
+                    * (counts[rx.slot_group[0, vv]] / counts[g])
+        out[p] = np.sum(np.abs(dft_matrix(v) @ a) ** 2, axis=1)
+    return out
 
 
 def random_grid(rng, n, k, power=1.0):
@@ -255,6 +272,51 @@ class TestNoiseModeScale:
         expect = probe.sum(axis=2)
         scale = txrx.noise_mode_scale(lay, 4)
         assert np.max(np.abs(scale - expect)) < 1e-12
+
+    @pytest.mark.parametrize("n, k", [(4, 4), (8, 16), (16, 32)])
+    def test_bit_identical_to_loops_at_ratio_one(self, n, k):
+        lay = build_layout(n, k, 1.0, 1.0)
+        assert np.array_equal(txrx.noise_mode_scale(lay, n),
+                              noise_mode_scale_loops(lay, n))
+
+    @pytest.mark.parametrize("n_elements", [1, 9, 128])
+    def test_bit_identical_to_loops_on_single_rings(self, n_elements):
+        ring = single_ring_layout(n_elements, 1.0)
+        assert np.array_equal(txrx.noise_mode_scale(ring, 1),
+                              noise_mode_scale_loops(ring, 1))
+
+    def test_matches_loops_with_overlaps(self):
+        lay = build_layout(6, 12, 0.5, 1.0)
+        expect = noise_mode_scale_loops(lay, 6)
+        assert np.max(np.abs(txrx.noise_mode_scale(lay, 6) - expect) / expect) <= 1e-15
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=3, max_value=8),
+           st.integers(min_value=1, max_value=12),
+           st.floats(min_value=0.05, max_value=1.0))
+    def test_unit_scale_without_shared_elements(self, n, k, ratio):
+        lay = build_layout(n, k, ratio, 1.0)
+        assume(np.all(sharing_matrix(lay).diag_values == 1))
+        assert np.max(np.abs(txrx.noise_mode_scale(lay, n) - 1.0)) <= 1e-14
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=1, max_value=64))
+    def test_unit_scale_on_single_rings(self, n_elements):
+        ring = single_ring_layout(n_elements, 1.0)
+        assert np.max(np.abs(txrx.noise_mode_scale(ring, 1) - 1.0)) <= 1e-14
+
+
+class TestBuildLink:
+    def test_exact_path_builds_one_block_channel_and_no_bessel_blocks(self, count_calls):
+        diag_calls = count_calls(chan, "diag_approx_block")
+        channel_calls = count_calls(chan, "build_block_channel")
+        link = txrx.build_link(Scenario())
+        assert len(diag_calls) == 0
+        assert len(channel_calls) == 1
+        assert link.mode.gap.shape == (link.n_inter,)
+        assert link.mode.approx_blocks.shape == (4, 4, 4, 4)
+        assert len(diag_calls) == link.n_inter
+        assert all(args[4] == 0 for args in diag_calls)
 
 
 class TestEndToEnd:
