@@ -51,10 +51,6 @@ def mode_values(n: int) -> np.ndarray:
     return np.where(idx <= n // 2, idx, idx - n)
 
 
-def index_of_mode(mode: int, n: int) -> int:
-    return int(mode) % n
-
-
 @dataclass(frozen=True)
 class PropagationParams:
     """Link geometry and path-loss constants."""

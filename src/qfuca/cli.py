@@ -18,8 +18,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import channel as chan
 from . import metrics
 from .config import Scenario, parse_config
@@ -109,18 +107,15 @@ def cmd_loopback(args) -> int:
     mode_lines = ["p,l,lambda_re,lambda_im,sigma2,signal_power,interference_power,noise_power"]
     p_modes = chan.mode_values(link.n_inter)
     l_modes = chan.mode_values(link.n_inner)
-    noise_power = link.noise_power
-    gmats = link.mode.exact_matrices
+    diags = report.diagnostics
     for pi in range(link.n_inter):
-        row_gain = np.abs(gmats[pi]) ** 2
         for li in range(link.n_inner):
             lam = link.lambda_coeffs[pi, li]
-            sig = abs(lam) ** 2 * link.power_alloc[pi, li]
-            interf = float(row_gain[li] @ link.power_alloc[pi]
-                           - row_gain[li, li] * link.power_alloc[pi, li])
+            noise = float(diags.noise_power[pi, li])
             mode_lines.append(
                 f"{int(p_modes[pi])},{int(l_modes[li])},{float(lam.real)!r},{float(lam.imag)!r},"
-                f"{float(noise_power[pi, li])!r},{float(sig)!r},{float(interf)!r},{float(noise_power[pi, li])!r}")
+                f"{noise!r},{float(diags.signal_power[pi, li])!r},"
+                f"{float(diags.interference_power[pi, li])!r},{noise!r}")
     _write(out, "modes.csv", "\n".join(mode_lines) + "\n")
     _write(out, "channel.csv", chan.channel_csv(link.block_channel))
 
@@ -128,6 +123,7 @@ def cmd_loopback(args) -> int:
           f"/{report.symbols_counted}  SER: {report.ser!r}")
     print(f"degenerate modes: {report.degenerate_modes}  "
           f"max interference-to-signal: {report.max_interference_to_signal!r}")
+    print(f"ML near-ties: {report.near_ties}")
     return 0
 
 

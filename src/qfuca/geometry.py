@@ -70,9 +70,6 @@ class SharingMatrix:
             raise GeometryError("sharing frequencies must be positive integers")
         object.__setattr__(self, "diag_values", v)
 
-    def as_matrix(self) -> np.ndarray:
-        return np.diag(self.diag_values.astype(float))
-
 
 @dataclass(frozen=True)
 class SuperposeOperator:
@@ -278,21 +275,27 @@ def superpose_operators(layout: Layout) -> tuple[SuperposeOperator, SuperposeOpe
 
 
 def slot_group_sum(layout: Layout, logical: np.ndarray) -> np.ndarray:
-    """Collapse per-slot values to per-physical-element sums (transmit feed)."""
-    flat = np.asarray(logical, dtype=complex).reshape(-1)
-    if flat.size != layout.n_cells * layout.elems_per_cell:
+    """Collapse per-slot values to per-physical-element sums (transmit feed).
+
+    `logical` is one frame (a flat N*K vector or the (N, K) slot grid) or a
+    stack of (N, K) grids; the result has one row of n_physical per frame."""
+    x = np.asarray(logical, dtype=complex)
+    n_slots = layout.n_cells * layout.elems_per_cell
+    flat = x.reshape(x.shape[:-2] + (-1,)) if x.ndim > 2 else x.reshape(-1)
+    if flat.shape[-1] != n_slots:
         raise DimensionError("logical vector does not match layout slot count")
-    out = np.zeros(layout.n_physical, dtype=complex)
-    np.add.at(out, layout.slot_group.reshape(-1), flat)
+    out = np.zeros(flat.shape[:-1] + (layout.n_physical,), dtype=complex)
+    np.add.at(out, (..., layout.slot_group.reshape(-1)), flat)
     return out
 
 
 def duplicate_to_slots(layout: Layout, physical: np.ndarray) -> np.ndarray:
-    """Expand per-physical-element values to the (n_cells, elems) slot grid."""
+    """Expand per-physical-element values (last axis) to the (n_cells, elems)
+    slot grid; leading axes index frames."""
     phys = np.asarray(physical, dtype=complex)
-    if phys.size != layout.n_physical:
+    if phys.shape[-1:] != (layout.n_physical,):
         raise DimensionError("physical vector does not match layout element count")
-    return phys[layout.slot_group]
+    return phys[..., layout.slot_group]
 
 
 def rotation_shift(q: int, n_cells: int, qf_radius: float) -> tuple[float, float, float]:

@@ -1,9 +1,20 @@
-"""Transceiver chain: two-dimension OAM modulation, physical propagation,
-two-dimension demodulation, and mode-wise ML detection.
+"""Transceiver chain: two-dimension OAM modulation (TOM), physical
+propagation, two-dimension demodulation (TOD), and mode-wise ML detection.
 
-Every stage keeps a direct-summation path and a matrix path side by side;
-the two must agree to machine precision, and the physical propagation path
-must match the logical block-circulant path, which the test suite enforces.
+Frames travel through one batched engine, `FrameChain`, built once per link:
+a stack of (N, K) symbol grids is modulated by idft_matrix(N) @ S @
+idft_matrix(K), summed onto the shared elements, propagated by one product
+with the physical gain matrix, split back to the logical slots, compensated
+by dft_matrix(N), inner-demodulated by L and dft_matrix(K), and detected by
+one tie-stable argmin over the constellation.  `run_loopback` sends its
+frames through it FRAME_BLOCK at a time; `end_to_end` is the one-frame case.
+
+The per-frame stage functions (`tom_modulate`, `propagate`,
+`tod_split_compensate`, `tod_inner_demodulate`, `ml_detect`) keep the
+paper's block-matrix forms.  The tests hold each against its
+direct-summation form, the physical path against the logical
+block-circulant path, and the engine against a frame-by-frame loop over the
+stage functions.
 """
 
 from __future__ import annotations
@@ -18,8 +29,19 @@ from .geometry import Layout, SharingMatrix, duplicate_to_slots, sharing_matrix,
     slot_group_sum
 from .linalg import BlockMatrix, block_matmul, dft_matrix, idft_matrix
 
+# Frames go through the engine in blocks of this many, so its temporaries
+# (the largest is the (frames, N, K, alphabet) distance tensor) keep one size
+# however many frames a run sends.
+FRAME_BLOCK = 32
+
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2)
 _BPSK = np.array([1 + 0j, -1 + 0j])
+
+# ML candidates within this relative distance of the nearest one are ties and
+# resolve to the lowest constellation index.  Ties in the noiseless default
+# chain sit at or below 1e-14 relative; noisy decision margins of the 8x16
+# perfbench loopback are 9e-9 and above.
+TIE_RTOL = 1e-12
 
 
 def _qam16_points() -> np.ndarray:
@@ -188,9 +210,10 @@ def propagate_logical(grid: SymbolGrid, block_channel: chan.BlockChannel) -> np.
 def split_received(rx_signals: np.ndarray, rx: Layout) -> np.ndarray:
     """Split each physical element's observation into its logical slots: the
     shared element's value is divided equally among the co-using cells (the
-    1/L_v of the gain definition), which the inner demodulation's L undoes."""
+    1/L_v of the gain definition), which the inner demodulation's L undoes.
+    Leading axes of `rx_signals` index frames."""
     y = np.asarray(rx_signals, dtype=complex)
-    if y.size != rx.n_physical:
+    if y.shape[-1:] != (rx.n_physical,):
         raise DimensionError("receive vector does not match the physical element count")
     counts = np.bincount(rx.slot_group.ravel(), minlength=rx.n_physical)
     return duplicate_to_slots(rx, y / counts)
@@ -228,15 +251,26 @@ def tod_inner_demodulate(x_tilde_p: np.ndarray, sharing: SharingMatrix) -> np.nd
     return dft_matrix(x.size) @ (sharing.diag_values * x)
 
 
+def _nearest(s_tilde: np.ndarray, candidates: np.ndarray):
+    """Tie-stable ML decision for every mode: the lowest index among the
+    candidates (last axis: Lambda times the scaled alphabet) whose distance
+    to s~ is within TIE_RTOL of the nearest one, and whether there was more
+    than one such candidate (a near-tie)."""
+    dist = np.abs(s_tilde[..., None] - candidates)
+    within = dist <= dist.min(axis=-1, keepdims=True) * (1 + TIE_RTOL)
+    return np.argmax(within, axis=-1), np.count_nonzero(within, axis=-1) > 1
+
+
 def ml_detect(s_tilde_p: np.ndarray, lambda_row: np.ndarray,
               constellation: Constellation,
               amplitudes: np.ndarray | None = None):
     """Mode-wise ML detection of one branch.
 
     Per inner mode l independently, picks argmin over the (amplitude-scaled)
-    alphabet of |s~_p(l) - Lambda_{p,l} s|; exact ties resolve to the lowest
-    constellation index.  Modes with Lambda exactly zero are undetectable and
-    flagged; they return the tie-break symbol.
+    alphabet of |s~_p(l) - Lambda_{p,l} s|; candidates within TIE_RTOL of the
+    nearest resolve to the lowest constellation index.  Modes with Lambda
+    exactly zero are undetectable and flagged; they return the tie-break
+    symbol.
 
     Returns (detected values, detected indices, degenerate flags).
     """
@@ -246,20 +280,11 @@ def ml_detect(s_tilde_p: np.ndarray, lambda_row: np.ndarray,
         raise DimensionError("branch and coefficient lengths differ")
     if not np.all(np.isfinite(lam.view(float))):
         raise ValueError("detection coefficients must be finite")
-    k = s_tilde.size
     if amplitudes is None:
-        amplitudes = np.ones(k)
-    detected = np.zeros(k, dtype=complex)
-    indices = np.zeros(k, dtype=int)
-    degenerate = np.zeros(k, dtype=bool)
-    for l in range(k):
-        candidates = amplitudes[l] * constellation.points
-        dist = np.abs(s_tilde[l] - lam[l] * candidates)
-        idx = int(np.argmin(dist))
-        indices[l] = idx
-        detected[l] = candidates[idx]
-        degenerate[l] = lam[l] == 0
-    return detected, indices, degenerate
+        amplitudes = np.ones(s_tilde.size)
+    scaled = np.asarray(amplitudes)[:, None] * constellation.points
+    indices, _ = _nearest(s_tilde, lam[:, None] * scaled)
+    return scaled[np.arange(s_tilde.size), indices], indices, lam == 0
 
 
 @dataclass(frozen=True)
@@ -271,7 +296,9 @@ class Diagnostics:
     noise_power: np.ndarray
 
     @property
-    def sinr(self) -> np.ndarray:
+    def snr(self) -> np.ndarray:
+        """Signal over noise power per mode (interference not counted); 0
+        where a mode carries no signal."""
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(self.signal_power > 0,
                            self.signal_power / self.noise_power, 0.0)
@@ -282,6 +309,13 @@ class Diagnostics:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(self.signal_power > 0,
                             self.interference_power / self.signal_power, np.inf)
+
+    @property
+    def max_interference_to_signal(self) -> float:
+        """Largest finite interference-to-signal ratio over the modes (0 if
+        none is finite)."""
+        isr = self.interference_to_signal
+        return float(np.max(isr[np.isfinite(isr)], initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -379,37 +413,68 @@ def build_link(scenario, lambda_path: str | None = None) -> Link:
                 seed=scenario.seed)
 
 
+def mode_diagnostics(link: Link, power_alloc: np.ndarray | None = None) -> Diagnostics:
+    """Per-mode signal, interference and noise powers of a link under a power
+    allocation (the link's own by default).  They do not depend on the
+    frame, so one table serves every frame, the loopback report and
+    modes.csv."""
+    pa = link.power_alloc if power_alloc is None else np.asarray(power_alloc, dtype=float)
+    lam = link.lambda_coeffs
+    row_gain = np.abs(link.mode.exact_matrices) ** 2
+    # hypot and one dot product per mode row: the rounding modes.csv is
+    # recorded with (np.abs of a complex array rounds differently)
+    coupling = np.array([[row @ pa_p for row in gain_p]
+                         for gain_p, pa_p in zip(row_gain, pa)])
+    return Diagnostics(signal_power=np.hypot(lam.real, lam.imag) ** 2 * pa,
+                       interference_power=coupling - np.einsum("pll->pl", row_gain) * pa,
+                       noise_power=link.noise_power)
+
+
+class FrameChain:
+    """A link's frame chain as operators built once, applied to stacks of
+    frames.  Symbols are (F, N, K) in DFT-index order; `amplitudes` is the
+    (N, K) symbol scale the ML alphabet is matched to."""
+
+    def __init__(self, link: Link, amplitudes: np.ndarray):
+        n, k = link.n_inter, link.n_inner
+        self.tx, self.rx = link.tx, link.rx
+        self.gain_t = chan.physical_gain_matrix(link.tx, link.rx, link.params).T
+        self.idft_n, self.idft_k = idft_matrix(n), idft_matrix(k)
+        self.dft_n = dft_matrix(n)
+        # s~_p = W^H L x~_p for every branch, acting on x~ as row vectors
+        self.inner = link.sharing.diag_values[:, None] * dft_matrix(k).T
+        self.amplitudes, self.points = amplitudes, link.constellation.points
+        self.candidates = link.lambda_coeffs[..., None] * (amplitudes[..., None] * self.points)
+
+    def detect(self, symbols: np.ndarray, noise: NoiseModel, frames):
+        """Modulate, propagate (frame f draws noise.sample(.., f)), split,
+        compensate, inner-demodulate and ML-detect a stack of frames.
+
+        Returns (detected indices, detected values, near-tie flags), each
+        (F, N, K)."""
+        feed = slot_group_sum(self.tx, self.idft_n @ symbols @ self.idft_k)
+        received = feed @ self.gain_t \
+            + np.stack([noise.sample(self.rx.n_physical, f) for f in frames])
+        x_tilde = self.dft_n @ split_received(received, self.rx)
+        indices, near_ties = _nearest(x_tilde @ self.inner, self.candidates)
+        return indices, self.amplitudes * self.points[indices], near_ties
+
+
 def end_to_end(grid: SymbolGrid, link: Link, noise: NoiseModel,
                frame: int = 0) -> EndToEndResult:
-    """Full chain: modulate, propagate, split/compensate, inner demodulate,
-    detect.  Symbol errors are counted per mode over non-degenerate modes
-    against the transmitted grid."""
-    n, k = grid.n_inter, grid.n_inner
-    feed = tom_modulate(grid, link.tx)
-    received = propagate(feed, link.tx, link.rx, link.params, noise, frame)
-    x_tilde = tod_split_compensate(received, link.rx)
-    amplitudes = np.sqrt(grid.power_alloc)
-    detected = np.zeros((n, k), dtype=complex)
-    detected_idx = np.zeros((n, k), dtype=int)
-    degenerate = np.zeros((n, k), dtype=bool)
-    for p in range(n):
-        s_tilde = tod_inner_demodulate(x_tilde[p], link.sharing)
-        det, idx, deg = ml_detect(s_tilde, link.lambda_coeffs[p],
-                                  link.constellation, amplitudes[p])
-        detected[p], detected_idx[p], degenerate[p] = det, idx, deg
-    mode_errors = (detected != grid.symbols) & ~degenerate
-
-    gmats = link.mode.exact_matrices
-    sig = np.abs(link.lambda_coeffs) ** 2 * grid.power_alloc
-    interf = np.zeros((n, k))
-    for p in range(n):
-        coupling = np.abs(gmats[p]) ** 2 @ grid.power_alloc[p]
-        interf[p] = coupling - np.abs(np.diag(gmats[p])) ** 2 * grid.power_alloc[p]
-    diags = Diagnostics(signal_power=sig, interference_power=interf,
-                        noise_power=link.noise_power)
-    return EndToEndResult(detected=detected, detected_idx=detected_idx,
-                          degenerate=degenerate, mode_errors=mode_errors,
-                          diagnostics=diags)
+    """Full chain for one frame (the one-frame case of the loopback engine):
+    modulate, propagate, split/compensate, inner demodulate, detect.  Symbol
+    errors are counted per mode over non-degenerate modes against the
+    transmitted grid; the diagnostics use the grid's power allocation."""
+    if (grid.n_inter, grid.n_inner) != (link.n_inter, link.n_inner):
+        raise ValueError("symbol grid does not match the transmit layout")
+    chain = FrameChain(link, np.sqrt(grid.power_alloc))
+    indices, detected, _ = chain.detect(grid.symbols[None], noise, [frame])
+    degenerate = link.lambda_coeffs == 0
+    return EndToEndResult(detected=detected[0], detected_idx=indices[0],
+                          degenerate=degenerate,
+                          mode_errors=(detected[0] != grid.symbols) & ~degenerate,
+                          diagnostics=mode_diagnostics(link, grid.power_alloc))
 
 
 @dataclass(frozen=True)
@@ -418,41 +483,50 @@ class LoopbackReport:
     symbol_errors: int
     symbols_counted: int
     degenerate_modes: int
-    max_interference_to_signal: float
+    near_ties: int
     per_mode_errors: np.ndarray
+    diagnostics: Diagnostics
     per_frame_errors: list = field(default_factory=list)
 
     @property
     def ser(self) -> float:
         return self.symbol_errors / self.symbols_counted if self.symbols_counted else 0.0
 
+    @property
+    def max_interference_to_signal(self) -> float:
+        return self.diagnostics.max_interference_to_signal
+
 
 def run_loopback(link: Link, n_frames: int, noise_variance: float = 0.0) -> LoopbackReport:
-    """Transmit n_frames random constellation grids through the chain and
-    count symbol errors, in total, per frame and per mode (an (N, K) count);
-    deterministic from the link seed."""
+    """Transmit n_frames random constellation grids through the link's
+    chain, FRAME_BLOCK frames at a time.  Counts symbol errors in total, per
+    frame and per mode (an (N, K) count), and ML near-ties, all over the
+    non-degenerate modes.  Deterministic from the link seed: frame f takes
+    the next grid of the seed's symbol stream and the noise of
+    NoiseModel(noise_variance, seed) at frame f."""
     n, k = link.n_inter, link.n_inner
     noise = NoiseModel(element_variance=noise_variance, seed=link.seed)
     sym_rng = np.random.default_rng(np.random.SeedSequence((link.seed, 0xA11CE)))
+    points = link.constellation.points
     amplitudes = link.amplitudes()
-    counted = 0
-    degenerate = 0
+    chain = FrameChain(link, amplitudes)
+    counted = link.lambda_coeffs != 0
     per_frame = []
     per_mode = np.zeros((n, k), dtype=int)
-    max_isr = 0.0
-    for frame in range(n_frames):
-        idx = sym_rng.integers(0, link.constellation.points.size, size=(n, k))
-        symbols = amplitudes * link.constellation.points[idx]
-        grid = SymbolGrid(n_inter=n, n_inner=k, symbols=symbols,
-                          power_alloc=link.power_alloc)
-        result = end_to_end(grid, link, noise, frame)
-        counted += int(np.sum(~result.degenerate))
-        degenerate += int(np.sum(result.degenerate))
-        per_frame.append(result.symbol_errors)
-        per_mode += result.mode_errors
-        isr = result.diagnostics.interference_to_signal
-        max_isr = max(max_isr, float(np.max(isr[np.isfinite(isr)], initial=0.0)))
+    near_ties = 0
+    for start in range(0, n_frames, FRAME_BLOCK):
+        frames = range(start, min(start + FRAME_BLOCK, n_frames))
+        idx = np.stack([sym_rng.integers(0, points.size, size=(n, k)) for _ in frames])
+        symbols = amplitudes * points[idx]
+        _, detected, ties = chain.detect(symbols, noise, frames)
+        errors = (detected != symbols) & counted
+        per_frame += errors.sum(axis=(1, 2)).tolist()
+        per_mode += errors.sum(axis=0)
+        near_ties += int(np.count_nonzero(ties & counted))
+    n_counted = int(counted.sum())
     return LoopbackReport(frames=n_frames, symbol_errors=int(per_mode.sum()),
-                          symbols_counted=counted, degenerate_modes=degenerate,
-                          max_interference_to_signal=max_isr,
-                          per_frame_errors=per_frame, per_mode_errors=per_mode)
+                          symbols_counted=n_frames * n_counted,
+                          degenerate_modes=n_frames * (n * k - n_counted),
+                          near_ties=near_ties, per_mode_errors=per_mode,
+                          diagnostics=mode_diagnostics(link),
+                          per_frame_errors=per_frame)

@@ -50,7 +50,7 @@ GOLDEN = {
         'channel.csv':
             'c75a9af55340b72fa0911bc450517d200155b460bcd9fce447f9303c08d447a3',
         'loopback.csv':
-            '518b7f8185d1c5aaefee578a43721a10819e0062d5224755345b2d119531ced1',
+            '7d93e5467d234bc5436ac5ee137a47ce2f32b8c0269df800e1f3edd636721665',
         'modes.csv':
             '956caeb6a860e2c3ab85517a3e02cd9b2101f149b4adce8de68361ea9ca7acce',
     },

@@ -45,6 +45,37 @@ def noise_mode_scale_loops(rx, n_inter):
     return out
 
 
+def run_loopback_per_frame(link, n_frames, noise_variance=0.0):
+    """In-test reference for the batched engine: the loopback one frame at a
+    time through the stage functions, detected branch by branch with
+    ml_detect, with the interference table recomputed from the exact
+    transforms.  Returns (per-frame errors, per-mode errors, max ISR)."""
+    n, k = link.n_inter, link.n_inner
+    noise = txrx.NoiseModel(noise_variance, seed=link.seed)
+    sym_rng = np.random.default_rng(np.random.SeedSequence((link.seed, 0xA11CE)))
+    amp = link.amplitudes()
+    points = link.constellation.points
+    per_frame, per_mode = [], np.zeros((n, k), dtype=int)
+    for frame in range(n_frames):
+        symbols = amp * points[sym_rng.integers(0, points.size, size=(n, k))]
+        grid = txrx.SymbolGrid(n, k, symbols, link.power_alloc)
+        feed = txrx.tom_modulate(grid, link.tx)
+        received = txrx.propagate(feed, link.tx, link.rx, link.params, noise, frame)
+        x_tilde = txrx.tod_split_compensate(received, link.rx)
+        errors = np.zeros((n, k), dtype=bool)
+        for p in range(n):
+            s_tilde = txrx.tod_inner_demodulate(x_tilde[p], link.sharing)
+            detected, _, degenerate = txrx.ml_detect(
+                s_tilde, link.lambda_coeffs[p], link.constellation, amp[p])
+            errors[p] = (detected != symbols[p]) & ~degenerate
+        per_frame.append(int(errors.sum()))
+        per_mode += errors
+    signal = np.abs(link.lambda_coeffs) ** 2 * link.power_alloc
+    interference = np.stack([np.abs(g) ** 2 @ pa - np.abs(np.diag(g)) ** 2 * pa
+                             for g, pa in zip(link.mode.exact_matrices, link.power_alloc)])
+    return per_frame, per_mode, float(np.max(interference / signal))
+
+
 def random_grid(rng, n, k, power=1.0):
     sym = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
     return txrx.SymbolGrid(n, k, sym, np.full((n, k), power / (n * k)))
@@ -236,6 +267,16 @@ class TestMlDetect:
         detected, idx, _ = txrx.ml_detect(np.array([0j]), np.array([1.0 + 0j]), c)
         assert idx[0] == 0
 
+    def test_near_tie_resolves_to_lowest_index(self):
+        # -1e-14 is nearer to -1 (index 1), but the two distances differ by
+        # 2e-14 relative, inside TIE_RTOL; -1e-9 is outside it
+        c = txrx.Constellation.from_name("bpsk")
+        lam = np.array([1.0 + 0j])
+        _, near, _ = txrx.ml_detect(np.array([-1e-14 + 0j]), lam, c)
+        _, far, _ = txrx.ml_detect(np.array([-1e-9 + 0j]), lam, c)
+        assert near[0] == 0
+        assert far[0] == 1
+
 
 class TestNoiseModel:
     def test_negative_variance_rejected(self):
@@ -330,7 +371,7 @@ class TestEndToEnd:
         result = txrx.end_to_end(grid, link9, txrx.NoiseModel(0.0, 0))
         expect = np.abs(link9.lambda_coeffs) ** 2 * link9.power_alloc \
             / (link9.sigma2 * link9.noise_scale)
-        assert np.max(np.abs(result.diagnostics.sinr - expect)
+        assert np.max(np.abs(result.diagnostics.snr - expect)
                       / np.maximum(expect, 1e-30)) < 1e-9
 
     def test_zero_signal_gives_tiebreak_and_zero_sinr(self, link9):
@@ -338,7 +379,7 @@ class TestEndToEnd:
                                np.zeros((4, 4)))
         result = txrx.end_to_end(grid, link9, txrx.NoiseModel(0.0, 0))
         assert np.all(result.detected_idx == 0)
-        assert np.all(result.diagnostics.sinr == 0)
+        assert np.all(result.diagnostics.snr == 0)
 
     def test_loopback_deterministic(self, link9):
         a = txrx.run_loopback(link9, 3)
@@ -377,3 +418,59 @@ class TestEndToEnd:
         report = txrx.run_loopback(link, 20)
         assert report.symbol_errors == 0
         assert report.max_interference_to_signal < 1e-20
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("seed", [1, 11])
+    def test_noiseless_4x4_matches_per_frame_reference(self, seed):
+        link = txrx.build_link(Scenario(seed=seed))
+        report = txrx.run_loopback(link, 100)
+        per_frame, per_mode, max_isr = run_loopback_per_frame(link, 100)
+        assert report.per_frame_errors == per_frame
+        assert np.array_equal(report.per_mode_errors, per_mode)
+        assert report.max_interference_to_signal == pytest.approx(max_isr, rel=1e-12)
+
+    def test_noisy_8x16_matches_per_frame_reference(self):
+        link = txrx.build_link(Scenario(n_cells=8, tx_elems=16, rx_elems=16, seed=7))
+        report = txrx.run_loopback(link, 40, noise_variance=link.sigma2)
+        per_frame, per_mode, max_isr = run_loopback_per_frame(link, 40, link.sigma2)
+        assert report.per_frame_errors == per_frame
+        assert np.array_equal(report.per_mode_errors, per_mode)
+        assert report.max_interference_to_signal == pytest.approx(max_isr, rel=1e-12)
+        assert report.near_ties == 0
+
+    def test_block_boundaries_keep_frame_prefixes(self, link9):
+        sizes = (0, 1, txrx.FRAME_BLOCK - 1, txrx.FRAME_BLOCK, txrx.FRAME_BLOCK + 1,
+                 2 * txrx.FRAME_BLOCK + 1)
+        reports = {f: txrx.run_loopback(link9, f, noise_variance=link9.sigma2)
+                   for f in sizes}
+        longest = reports[sizes[-1]].per_frame_errors
+        assert longest == run_loopback_per_frame(link9, sizes[-1], link9.sigma2)[0]
+        for f, report in reports.items():
+            assert report.per_frame_errors == longest[:f]
+            assert report.symbol_errors == sum(longest[:f])
+            assert report.symbols_counted == 16 * f
+            assert report.max_interference_to_signal \
+                == reports[sizes[-1]].max_interference_to_signal
+
+    def test_gain_matrix_built_once_per_run(self, link9, count_calls):
+        calls = count_calls(chan, "physical_gain_matrix")
+        txrx.run_loopback(link9, 2 * txrx.FRAME_BLOCK + 1, noise_variance=link9.sigma2)
+        assert len(calls) == 1
+
+    def test_noiseless_ties_are_counted(self, link9):
+        # the default link's rank-deficient branches put noiseless ML
+        # decisions on exact ties; noise moves them off
+        assert txrx.run_loopback(link9, 20).near_ties > 0
+        assert txrx.run_loopback(link9, 20, noise_variance=link9.sigma2).near_ties == 0
+
+    def test_end_to_end_is_one_frame_of_the_loopback(self, link9):
+        report = txrx.run_loopback(link9, 1, noise_variance=link9.sigma2)
+        sym_rng = np.random.default_rng(np.random.SeedSequence((link9.seed, 0xA11CE)))
+        points = link9.constellation.points
+        symbols = link9.amplitudes() * points[sym_rng.integers(0, points.size, size=(4, 4))]
+        grid = txrx.SymbolGrid(4, 4, symbols, link9.power_alloc)
+        result = txrx.end_to_end(grid, link9, txrx.NoiseModel(link9.sigma2, link9.seed))
+        assert np.array_equal(result.mode_errors, report.per_mode_errors)
+        assert result.diagnostics.max_interference_to_signal \
+            == report.max_interference_to_signal
