@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DegenerateChannelError, DimensionError, GeometryError
 from .geometry import Layout, SharingMatrix, sharing_matrix
-from .linalg import BlockMatrix, bessel_j, dft_matrix, idft_matrix
+from .linalg import BlockMatrix, bessel_j, idft_matrix
 
 C_LIGHT = 299792458.0
 
@@ -37,6 +37,13 @@ _AZ_SHIFT = np.pi / 2
 _J_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 _QUAD_NODES = 4096
+
+# A per-p exact transform whose Frobenius norm is at most this fraction of
+# the rms norm of all N transforms is numerically null: the offsets' phases
+# cancelled it down to rounding, which reaches 2e-14 at N = 64, K = 1, while
+# real transforms go down to 1.5e-11 (16x32 grid at 2 km).  Its relative gap
+# is undefined.
+NULL_RTOL = 1e-12
 
 
 def j_power(l: int) -> complex:
@@ -136,13 +143,15 @@ class ModeChannel:
 
     @cached_property
     def gap(self) -> np.ndarray:
-        """Per-p full-superposition gap; inf where the exact transform is null."""
-        out = np.zeros(self.tx.n_cells)
-        for p, (exact, blocks) in enumerate(zip(self.exact_matrices,
-                                                self.approx_blocks)):
-            denom = np.linalg.norm(exact, "fro") ** 2
-            out[p] = np.inf if denom == 0 else \
-                float(np.linalg.norm(exact - blocks.sum(axis=0), "fro") ** 2 / denom)
+        """Per-p full-superposition gap; inf where the exact transform is
+        numerically null (see NULL_RTOL)."""
+        denom = np.array([np.linalg.norm(exact, "fro") ** 2
+                          for exact in self.exact_matrices])
+        out = np.full(self.tx.n_cells, np.inf)
+        for p in np.flatnonzero(denom > NULL_RTOL ** 2 * denom.mean()):
+            approx = self.approx_blocks[p].sum(axis=0)
+            out[p] = float(np.linalg.norm(self.exact_matrices[p] - approx, "fro") ** 2
+                           / denom[p])
         return out
 
 
@@ -275,9 +284,10 @@ def exact_mode_matrix(tx: Layout, rx: Layout, params: PropagationParams,
         raise DimensionError("mode transform requires V = K")
     if channel is None:
         channel = build_block_channel(tx, rx, params, sharing)
-    k = tx.elems_per_cell
-    hp = superposed_subchannel(channel, p)
-    return dft_matrix(k) @ (sharing.diag_values[:, None] * hp) @ idft_matrix(k)
+    w = idft_matrix(tx.elems_per_cell)
+    lhp = sharing.diag_values[:, None] * superposed_subchannel(channel, p)
+    # w.conj().T is dft_matrix(K), bit for bit and in the same memory layout
+    return w.conj().T @ lhp @ w
 
 
 def equivalent_mode_gain(tx: Layout, rx: Layout, params: PropagationParams,
@@ -397,12 +407,12 @@ def approx_gap(tx: Layout, rx: Layout, params: PropagationParams,
 
     With q given, the comparison is against the single aligned sub-channel
     summand (W^H L H_q W with the p-th phase); with q=None it is against the
-    full superposition over offsets.
+    full superposition over offsets.  A null exact transform, or with q=None
+    a numerically null one (see NULL_RTOL), raises DegenerateChannelError.
     """
     if channel is None:
         channel = build_block_channel(tx, rx, params, sharing)
     kc = tx.elems_per_cell
-    w, wh = idft_matrix(kc), dft_matrix(kc)
     lv = sharing.diag_values[:, None]
     n = tx.n_cells
     if q is None:
@@ -411,13 +421,18 @@ def approx_gap(tx: Layout, rx: Layout, params: PropagationParams,
         for qq in range(n):
             approx += diag_approx_block(tx, rx, params, sharing, p, qq,
                                         j_order, correction)
+        # the mean squared norm of the N transforms, by Parseval over q
+        floor = NULL_RTOL ** 2 * sum(np.linalg.norm(lv * h, "fro") ** 2
+                                     for h in channel.subchannels)
     else:
+        w = idft_matrix(kc)
         exact = np.exp(2j * np.pi * p * q / n) \
-            * (wh @ (lv * channel.subchannels[q]) @ w)
+            * (w.conj().T @ (lv * channel.subchannels[q]) @ w)
         approx = diag_approx_block(tx, rx, params, sharing, p, q,
                                    j_order, correction)
+        floor = 0.0
     denom = np.linalg.norm(exact, "fro") ** 2
-    if denom == 0.0:
+    if denom <= floor:
         raise DegenerateChannelError("null channel has no relative gap")
     return float(np.linalg.norm(exact - approx, "fro") ** 2 / denom)
 

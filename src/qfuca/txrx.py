@@ -9,6 +9,11 @@ by dft_matrix(N), inner-demodulated by L and dft_matrix(K), and detected by
 one tie-stable argmin over the constellation.  `run_loopback` sends its
 frames through it FRAME_BLOCK at a time; `end_to_end` is the one-frame case.
 
+A link is built in two halves: `build_antenna` (or `ring_antenna` for a
+single-loop baseline) makes the part that depends on neither distance,
+carrier nor SNR, and `link_at` adds the propagation part.  `build_link` is
+their composition; sweeps keep the antenna and call `link_at` per point.
+
 The per-frame stage functions (`tom_modulate`, `propagate`,
 `tod_split_compensate`, `tod_inner_demodulate`, `ml_detect`) keep the
 paper's block-matrix forms.  The tests hold each against its
@@ -25,8 +30,8 @@ import numpy as np
 
 from . import channel as chan
 from .errors import DimensionError
-from .geometry import Layout, SharingMatrix, duplicate_to_slots, sharing_matrix, \
-    slot_group_sum
+from .geometry import Layout, SharingMatrix, build_layout, duplicate_to_slots, \
+    sharing_matrix, single_ring_layout, slot_group_sum
 from .linalg import BlockMatrix, block_matmul, dft_matrix, idft_matrix
 
 # Frames go through the engine in blocks of this many, so its temporaries
@@ -351,6 +356,36 @@ def noise_mode_scale(rx: Layout, n_inter: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Antenna:
+    """The half of a link that depends on neither distance, carrier nor SNR:
+    both layouts, the receive sharing matrix and sigma^2_{p,l} / sigma^2.
+    A sweep builds each of its antennas once and reuses it at every point."""
+
+    tx: Layout
+    rx: Layout
+    sharing: SharingMatrix
+    noise_scale: np.ndarray
+
+
+def build_antenna(scenario) -> Antenna:
+    """The QF-UCA antenna pair of a scenario (see qfuca.config.Scenario)."""
+    tx = build_layout(scenario.n_cells, scenario.tx_elems, scenario.tx_ratio,
+                      scenario.qf_radius_m)
+    rx = build_layout(scenario.n_cells, scenario.rx_elems, scenario.rx_ratio,
+                      scenario.qf_radius_m)
+    return Antenna(tx=tx, rx=rx, sharing=sharing_matrix(rx),
+                   noise_scale=noise_mode_scale(rx, scenario.n_cells))
+
+
+def ring_antenna(n_elements: int, radius: float) -> Antenna:
+    """Single-loop UCA baseline: a ring of n elements facing an identical
+    ring, the one-cell antenna (no sharing, L = I)."""
+    ring = single_ring_layout(n_elements, radius)
+    return Antenna(tx=ring, rx=ring, sharing=sharing_matrix(ring),
+                   noise_scale=noise_mode_scale(ring, 1))
+
+
+@dataclass(frozen=True)
 class Link:
     """Everything derived from a scenario that the pipeline needs."""
 
@@ -383,18 +418,14 @@ class Link:
         return np.sqrt(self.power_alloc)
 
 
-def build_link(scenario, lambda_path: str | None = None) -> Link:
-    """Assemble layouts, channel, detection coefficients, and noise figures
-    for one scenario (see qfuca.config.Scenario)."""
-    from .geometry import build_layout
-
-    tx = build_layout(scenario.n_cells, scenario.tx_elems, scenario.tx_ratio,
-                      scenario.qf_radius_m)
-    rx = build_layout(scenario.n_cells, scenario.rx_elems, scenario.rx_ratio,
-                      scenario.qf_radius_m)
+def link_at(antenna: Antenna, scenario, lambda_path: str | None = None) -> Link:
+    """The propagation half of a link: the antenna at the scenario's
+    distance, carrier, beta and SNR.  Builds the block channel, the exact
+    transforms and the detection coefficients; the symbol grid takes the
+    antenna's shape."""
+    tx, rx, sharing = antenna.tx, antenna.rx, antenna.sharing
     params = chan.PropagationParams.from_frequency(
         scenario.distance_m, scenario.freq_hz, scenario.beta)
-    sharing = sharing_matrix(rx)
     block_channel = chan.build_block_channel(tx, rx, params, sharing)
     mode = chan.detection_coeffs(tx, rx, params, sharing,
                                  j_order=scenario.bessel_order,
@@ -402,15 +433,21 @@ def build_link(scenario, lambda_path: str | None = None) -> Link:
                                  channel=block_channel)
     path = lambda_path or scenario.lambda_path
     lam = mode.lambda_coeffs if path == "exact" else chan.bessel_lambda(mode)
-    grid = SymbolGrid.uniform(scenario.n_cells, scenario.tx_elems,
+    grid = SymbolGrid.uniform(tx.n_cells, tx.elems_per_cell,
                               total_power=scenario.total_power)
     sigma2 = scenario.total_power * params.reference_gain ** 2 / scenario.snr_linear
     return Link(tx=tx, rx=rx, params=params, sharing=sharing, mode=mode,
                 block_channel=block_channel, lambda_coeffs=lam,
                 constellation=Constellation.from_name(scenario.constellation),
                 power_alloc=grid.power_alloc, sigma2=sigma2,
-                noise_scale=noise_mode_scale(rx, scenario.n_cells),
-                seed=scenario.seed)
+                noise_scale=antenna.noise_scale, seed=scenario.seed)
+
+
+def build_link(scenario, lambda_path: str | None = None) -> Link:
+    """Assemble layouts, channel, detection coefficients, and noise figures
+    for one scenario (see qfuca.config.Scenario): its antenna, then the
+    link at its distance, carrier and SNR."""
+    return link_at(build_antenna(scenario), scenario, lambda_path)
 
 
 def mode_diagnostics(link: Link, power_alloc: np.ndarray | None = None) -> Diagnostics:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qfuca import channel as chan
+from qfuca import linalg
 from qfuca.errors import DegenerateChannelError, DimensionError
 from qfuca.geometry import build_layout, sharing_matrix, single_ring_layout
 from qfuca.linalg import diagonalize_circulant, dft_matrix, idft_matrix
@@ -406,6 +407,61 @@ class TestApproxGap:
         for p in range(4):
             eps = chan.approx_gap(lay, lay, params100, sharing, p)
             assert eps == pytest.approx(mode.gap[p], rel=1e-12)
+
+
+class TestNullTransforms:
+    """One element per cell at ratio 1 puts every element at the center, so
+    every transform but p = 0 cancels down to rounding."""
+
+    @pytest.fixture(scope="class")
+    def center(self):
+        lay = build_layout(4, 1, 1.0, 1.0)
+        return lay, sharing_matrix(lay)
+
+    def test_mode_channel_reports_inf(self, center, params100):
+        lay, sharing = center
+        gap = chan.detection_coeffs(lay, lay, params100, sharing).gap
+        assert np.isfinite(gap[0])
+        assert np.all(np.isinf(gap[1:]))
+
+    def test_full_superposition_gap_raises(self, center, params100):
+        lay, sharing = center
+        assert chan.approx_gap(lay, lay, params100, sharing, 0) == pytest.approx(
+            chan.detection_coeffs(lay, lay, params100, sharing).gap[0], rel=1e-12)
+        for p in range(1, 4):
+            with pytest.raises(DegenerateChannelError):
+                chan.approx_gap(lay, lay, params100, sharing, p)
+
+    def test_small_but_real_transforms_keep_their_gap(self):
+        # 8x16 at 2 km: the weakest transform is 1e-5 of the rms norm
+        lay = build_layout(8, 16, 1.0, 1.0)
+        params = chan.PropagationParams.from_frequency(2000.0, FREQ, 1.0)
+        mode = chan.detection_coeffs(lay, lay, params, sharing_matrix(lay))
+        assert np.all(np.isfinite(mode.gap))
+
+
+class TestExactModeMatrix:
+    def test_one_idft_per_transform(self, qf9, params100, count_calls):
+        lay, sharing = qf9
+        # dft_matrix would call linalg's own idft_matrix
+        idft_calls = (count_calls(chan, "idft_matrix"), count_calls(linalg, "idft_matrix"))
+        exact_calls = count_calls(chan, "exact_mode_matrix")
+        chan.detection_coeffs(lay, lay, params100, sharing)
+        assert len(exact_calls) == 4
+        assert sum(map(len, idft_calls)) == len(exact_calls)
+
+    # one cell is the single ring of a baseline: 97 elements is the uca_n
+    # ring of the 8x16 sweeps, 385 and 512 are the rings of the 16x32 ones
+    @pytest.mark.parametrize("n, k", [(4, 4), (16, 32), (1, 97), (1, 385), (1, 512)])
+    def test_bit_identical_to_dft_form(self, params100, n, k):
+        lay = single_ring_layout(k, 1.0) if n == 1 else build_layout(n, k, 1.0, 1.0)
+        sharing = sharing_matrix(lay)
+        bc = chan.build_block_channel(lay, lay, params100, sharing)
+        p = n // 2
+        hp = sharing.diag_values[:, None] * chan.superposed_subchannel(bc, p)
+        expect = dft_matrix(k) @ hp @ idft_matrix(k)
+        assert np.array_equal(chan.exact_mode_matrix(lay, lay, params100, sharing, p, bc),
+                              expect)
 
 
 class TestDetectionCoeffs:

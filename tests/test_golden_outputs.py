@@ -3,8 +3,11 @@ command set.
 
 The set is the criterion-10 commands plus a distance sweep, a frequency
 sweep, a noisy loopback and the default gap study, all on the criterion-10
-scenario.  A change that alters any output byte on purpose must say so in
-CHANGES.md and re-record the hashes with `python tests/test_golden_outputs.py`.
+scenario, and a distance and a frequency sweep at the 8x16 grid, where the
+single-ring baselines have 97 and 128 elements (the rounding of their dense
+products depends on the matrix size through BLAS blocking).  A change that
+alters any output byte on purpose must say so in CHANGES.md and re-record
+the hashes with `python tests/test_golden_outputs.py`.
 """
 
 import contextlib
@@ -19,6 +22,7 @@ import pytest
 from qfuca.cli import main as cli_main
 
 SCENARIO = "snr_db = 15\nseed = 11\nqf_radius_m = 1.0\n"
+GRID_8X16 = SCENARIO + "n_cells = 8\ntx_elems = 16\nrx_elems = 16\n"
 
 COMMANDS = {
     "geometry": ("geometry",),
@@ -29,7 +33,12 @@ COMMANDS = {
     "sweep_freq": ("sweep", "--axis", "freq_hz", "--values", "2.4e9,5.8e9"),
     "loopback_noisy": ("loopback", "--frames", "20", "--noise-variance", "1e-12"),
     "gap_default": ("gap",),
+    "sweep_distance_8x16": ("sweep", "--axis", "distance_m", "--values", "25,100,400"),
+    "sweep_freq_8x16": ("sweep", "--axis", "freq_hz", "--values", "2.4e9,5.8e9,28e9"),
 }
+
+# commands run on another scenario than SCENARIO
+SCENARIOS = {"sweep_distance_8x16": GRID_8X16, "sweep_freq_8x16": GRID_8X16}
 
 GOLDEN = {
     'gap_criterion_10': {
@@ -66,9 +75,17 @@ GOLDEN = {
         'sweep.csv':
             '0385f18576b2d6ce1c82dff7c6433f6e43748936020c6ee0bcf9d30283ed6ac6',
     },
+    'sweep_distance_8x16': {
+        'sweep.csv':
+            '3b680e9359a91f23a79409c59e3c6c2f6b9389a04796e8320d47a6f256ce6ebc',
+    },
     'sweep_freq': {
         'sweep.csv':
             '9629009a806deef5bceb8efa09cf832fc9ab11d8ea24a6a30ce4f5385da5247a',
+    },
+    'sweep_freq_8x16': {
+        'sweep.csv':
+            'e6cb68a95ca8993ea2a515671db2e9d9daba005104162aa47ba034c1d4df9d8b',
     },
     'sweep_snr_criterion_10': {
         'sweep.csv':
@@ -80,7 +97,7 @@ GOLDEN = {
 def run_hashes(name: str, work: Path) -> dict:
     """Run one command of the set under `work`; sha256 of each CSV written."""
     cfg = work / "scenario.cfg"
-    cfg.write_text(SCENARIO, encoding="utf-8")
+    cfg.write_text(SCENARIOS.get(name, SCENARIO), encoding="utf-8")
     out = work / name
     command, *rest = COMMANDS[name]
     assert cli_main([command, "--config", str(cfg), "--out", str(out), *rest]) == 0

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qfuca import metrics
+import qfuca
+from qfuca import geometry, metrics, txrx
 from qfuca.config import Scenario
 from qfuca.errors import DegenerateChannelError
 
@@ -143,10 +149,14 @@ class TestSweeps:
         ("distance_m", (50.0, 100.0, 200.0), 3),
         ("freq_hz", (2.4e9, 5.8e9), 2)])
     def test_qf_link_builds_per_axis(self, scen, count_calls, axis, values, builds):
-        calls = count_calls(metrics, "build_link")
+        # every point's links come from link_at; the two ring links are
+        # rebuilt at every point, SNR points included
+        calls = count_calls(metrics, "link_at")
         spec = metrics.SweepSpec(axis=axis, axis_values=values, fixed=scen)
         metrics.run_sweep(spec)
-        assert len(calls) == builds
+        qf_links = [args for args in calls if args[0].tx.n_cells == scen.n_cells]
+        assert len(qf_links) == builds
+        assert len(calls) - len(qf_links) == 2 * len(values)
 
     def test_snr_sweep_matches_per_point_links(self, scen):
         values = (0.0, 10.0, 20.0)
@@ -166,3 +176,139 @@ class TestSweeps:
         assert lines[0] == "axis,system,se_bps_hz,aux"
         assert len(lines) == 2
         assert lines[1].startswith("15.0,siso_xN,")
+
+
+class TestSweepReuse:
+    """A sweep builds its three antennas once; every point builds only its
+    links, and no product of size n^2 outlives its point."""
+
+    @pytest.mark.parametrize("values", [(100.0,), (25.0, 50.0, 100.0, 200.0)])
+    def test_antennas_built_once_per_distance_sweep(self, scen, count_calls, values):
+        noise_calls = count_calls(txrx, "noise_mode_scale")
+        layout_calls = (count_calls(txrx, "build_layout"),
+                        count_calls(geometry, "build_layout"))
+        spec = metrics.SweepSpec(axis="distance_m", axis_values=values, fixed=scen)
+        metrics.run_sweep(spec)
+        # the QF receive antenna and the two rings
+        assert [args[1] for args in noise_calls] == [scen.n_cells, 1, 1]
+        assert sum(map(len, layout_calls)) <= 2
+
+    def test_peak_memory_of_costliest_point(self):
+        # a fresh interpreter, so that nothing an earlier test left allocated
+        # (a cache, say) hides from the trace; the sweep runs first
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(qfuca.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", MEMORY_PROBE], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        sweep, single = map(int, out.split())
+        assert sweep <= 1.10 * single
+
+
+# tracemalloc peaks of a 4-point distance sweep at the 16x32 grid and of its
+# costliest point alone, the 512-element ring
+MEMORY_PROBE = """
+import tracemalloc
+from qfuca import metrics
+from qfuca.config import Scenario
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+base = Scenario(n_cells=16, tx_elems=32, rx_elems=32)
+spec = metrics.SweepSpec(axis="distance_m", axis_values=(25.0, 50.0, 100.0, 200.0),
+                         fixed=base)
+sweep = traced_peak(lambda: metrics.run_sweep(spec))
+single = traced_peak(lambda: metrics.se_single_loop_uca(base.n_cells * base.tx_elems, base))
+print(sweep, single)
+"""
+
+
+def admissible_layouts(max_cells: int = 6, max_elems: int = 12) -> list:
+    """Every (n_cells, elems_per_cell, ratio) of the three geometric cases
+    with at most max_cells cells of max_elems elements."""
+    out = []
+    for n in range(3, max_cells + 1):
+        for case in geometry.ADMISSIBILITY_CASES:
+            for v in geometry.admissible_elem_counts(n, case, max_elems):
+                if case == "tangent":
+                    ratios = (float(np.sin(np.pi / n)),)
+                elif case == "through-center":
+                    ratios = (1.0,)
+                else:
+                    ratios = geometry.overlapped_ratios(n, v)
+                out += [(n, v, r) for r in ratios]
+    return out
+
+
+LAYOUTS = st.sampled_from(admissible_layouts())
+AXIS_VALUES = {
+    "snr_db": st.floats(min_value=-20.0, max_value=40.0),
+    "distance_m": st.floats(min_value=10.0, max_value=1000.0),
+    "freq_hz": st.floats(min_value=1e9, max_value=6e10),
+}
+
+
+def layout_scenario(layout) -> Scenario:
+    n, v, ratio = layout
+    return Scenario(n_cells=n, tx_elems=v, rx_elems=v, tx_ratio=ratio, rx_ratio=ratio)
+
+
+def rows_by_system(rows) -> dict:
+    out = {}
+    for value, system, se, _ in rows:
+        out.setdefault(system, []).append((value, se))
+    return out
+
+
+class TestSweepProperties:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(LAYOUTS, st.sampled_from(metrics.SWEEP_AXES), st.data())
+    def test_rows_equal_fresh_per_point_evaluations(self, layout, axis, data):
+        base = layout_scenario(layout)
+        values = sorted(data.draw(st.sets(AXIS_VALUES[axis], min_size=1, max_size=3)))
+        rows = metrics.run_sweep(metrics.SweepSpec(axis=axis, axis_values=values,
+                                                   fixed=base)).rows
+        n_physical = geometry.build_layout(*layout, base.qf_radius_m).n_physical
+        expect = []
+        for x in values:
+            # the distance axis keeps the noise variance of the base distance
+            if axis == "distance_m":
+                scen, d = base, x
+            else:
+                scen, d = replace(base, **{axis: x}), None
+            per_system = {
+                "qf_uca": metrics.se_qf_scenario(scen, distance_m=d),
+                "siso_xN": metrics.se_siso_times(n_physical, scen, distance_m=d),
+                "uca_bigger": metrics.se_single_loop_uca(base.n_cells * base.tx_elems,
+                                                         scen, distance_m=d),
+                "uca_n": metrics.se_single_loop_uca(n_physical, scen, distance_m=d),
+            }
+            expect += [(x, system, per_system[system], "") for system in sorted(per_system)]
+        assert list(rows) == expect
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(LAYOUTS, st.sets(AXIS_VALUES["snr_db"], min_size=2, max_size=4))
+    def test_se_nondecreasing_in_snr(self, layout, snrs):
+        spec = metrics.SweepSpec(axis="snr_db", axis_values=sorted(snrs),
+                                 fixed=layout_scenario(layout))
+        for system, series in rows_by_system(metrics.run_sweep(spec).rows).items():
+            se = [value for _, value in series]
+            assert all(b >= a for a, b in zip(se, se[1:])), system
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(LAYOUTS, st.sets(AXIS_VALUES["snr_db"], min_size=1, max_size=4))
+    def test_siso_reference_is_n_log2_one_plus_snr(self, layout, snrs):
+        base = layout_scenario(layout)
+        spec = metrics.SweepSpec(axis="snr_db", axis_values=sorted(snrs), fixed=base,
+                                 systems=("siso_xN",))
+        n = geometry.build_layout(*layout, base.qf_radius_m).n_physical
+        eps = np.finfo(float).eps
+        for snr_db, se in rows_by_system(metrics.run_sweep(spec).rows)["siso_xN"]:
+            # exact up to the rounding of the SNR's round trip through sigma^2
+            expect = n * math.log2(1 + 10 ** (snr_db / 10))
+            assert math.isclose(se, expect, rel_tol=1e-14, abs_tol=4 * n * eps)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -348,6 +350,18 @@ class TestNoiseModeScale:
 
 
 class TestBuildLink:
+    def test_composition_of_antenna_and_link_at(self):
+        # one antenna serves every distance and carrier
+        base = Scenario(n_cells=6, tx_elems=12, rx_elems=12)
+        antenna = txrx.build_antenna(base)
+        for scen in (replace(base, distance_m=30.0), replace(base, freq_hz=28e9),
+                     replace(base, snr_db=0.0)):
+            link, fresh = txrx.link_at(antenna, scen), txrx.build_link(scen)
+            assert np.array_equal(link.lambda_coeffs, fresh.lambda_coeffs)
+            assert np.array_equal(link.noise_scale, fresh.noise_scale)
+            assert link.sigma2 == fresh.sigma2
+            assert link.params == fresh.params
+
     def test_exact_path_builds_one_block_channel_and_no_bessel_blocks(self, count_calls):
         diag_calls = count_calls(chan, "diag_approx_block")
         channel_calls = count_calls(chan, "build_block_channel")
