@@ -7,6 +7,7 @@ Unknown keys are rejected; missing keys fall back to the evaluation defaults
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -43,6 +44,12 @@ class Scenario:
     bessel_correction: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # nan passes every range check below, and inf fails only deep in
+            # the metrics
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.n_cells < 3:
             raise ConfigError(f"n_cells must be >= 3, got {self.n_cells}")
         for name in ("tx_elems", "rx_elems"):

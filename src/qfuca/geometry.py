@@ -112,7 +112,7 @@ def _aligning_offset(n_cells: int, elems_per_cell: int, ratio: float) -> float:
         return sum(1 for g in gammas
                    if min((g - offset) % step, step - (g - offset) % step) < 1e-9)
 
-    candidates = sorted({0.0} | {round(g % step, 12) for g in gammas})
+    candidates = sorted({0.0} | {g % step for g in gammas})
     best, best_score = 0.0, -1
     for cand in candidates:
         score = aligned(cand)
@@ -253,7 +253,7 @@ def overlapped_ratios(n_cells: int, elems_per_cell: int) -> tuple[float, ...]:
         freqs = layout.sharing_freqs
         # exactly four doubly-shared slots per cell, nothing deeper
         if np.sum(freqs == 2) == 4 and np.sum(freqs == 1) == v - 4:
-            out.append(round(float(ratio), 12))
+            out.append(float(ratio))
     return tuple(sorted(set(out)))
 
 

@@ -55,19 +55,20 @@ def circulant_from_first_row(row) -> np.ndarray:
 
 
 def diagonalize_circulant(c: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a circulant matrix, i.e. the diagonal of W^H C W.
+    """The diagonal of W^H C W for any square C, W = idft_matrix(n), in O(n^2).
 
-    Uses the closed form: sqrt(n) times the DFT of the column-reversed first
-    row [c0, c_{n-1}, ..., c1].  The caller asserts that C is circulant; only
-    squareness is checked.
+    Entry k is (1/n) sum_{a,b} C[a, b] e^{j 2 pi (b - a) k / n}, which
+    depends on C only through its wrapped-diagonal sums
+    s_d = sum_j C[j, (j + d) mod n]: the diagonal is ifft(s).  For a
+    circulant C these are its eigenvalues; for any other C, the gains the
+    similarity transform leaves on its diagonal.
     """
     c = np.asarray(c, dtype=complex)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise DimensionError(f"circulant diagonalization needs a square matrix, got {c.shape}")
-    first = c[0]
-    reversed_row = np.concatenate([first[:1], first[:0:-1]])
-    n = first.size
-    return np.sqrt(n) * (dft_matrix(n) @ reversed_row)
+    idx = np.arange(c.shape[0])
+    wrapped = c[idx[:, None], (idx[:, None] + idx) % idx.size]
+    return np.fft.ifft(wrapped.sum(axis=0))
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,16 @@ recompute the variance per point.
 A sweep builds its antennas once (`txrx.build_antenna` for the QF-UCA pair,
 `txrx.ring_antenna` for the two single-loop baselines): layouts, sharing
 matrices and noise scales depend on neither distance, carrier nor SNR.  Each
-point builds only its links (`txrx.link_at`).  The SNR axis reuses one
-QF-UCA link for all points, but rebuilds the ring links at every point:
-reusing them would bring a 30-point 8x16 SNR sweep down to ~30 ms, shorter
-than one work unit of the benchmark's host-speed calibrator, so the
-benchmark could no longer time it (ROADMAP item 2).  No matrix of size n^2
+point builds only what depends on it: the QF-UCA link (`txrx.link_at`) and
+each ring's n x n channel.  A ring's efficiency reads only the diagonal of
+its one exact transform, which the channel's wrapped-diagonal sums and one
+FFT give in O(n^2) (`linalg.diagonalize_circulant`), where the full
+transform took two n^3 products; the channel build is now most of a ring
+point.
+The SNR axis reuses one QF-UCA link for all points but rebuilds the ring
+channels at every point: reusing them would bring a 30-point 8x16 SNR sweep
+below one work unit of the benchmark's host-speed calibrator, so the
+benchmark could no longer time it (ROADMAP item 6).  No matrix of size n^2
 outlives its point.
 """
 
@@ -24,9 +29,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import channel as chan
 from .config import Scenario
 from .errors import DegenerateChannelError
-from .txrx import Antenna, Link, build_antenna, build_link, link_at, ring_antenna
+from .linalg import diagonalize_circulant
+from .txrx import Antenna, Link, SymbolGrid, build_antenna, build_link, link_at, \
+    ring_antenna
 
 SWEEP_AXES = ("snr_db", "distance_m", "freq_hz")
 SYSTEMS = ("qf_uca", "uca_n", "uca_bigger", "siso_xN")
@@ -61,7 +69,8 @@ def se_single_loop_uca(n_elements: int, scenario: Scenario,
                        distance_m: float | None = None,
                        sigma2: float | None = None) -> float:
     """Single-loop UCA baseline: one ring of n elements at the antenna radius,
-    evaluated as the single-cell reduction of the QF efficiency."""
+    evaluated as the single-cell reduction of the QF efficiency, with the
+    exact per-mode gains taken in O(n^2) (see `_se_ring`)."""
     if n_elements < 1:
         raise ValueError("n_elements must be >= 1")
     work = scenario if distance_m is None else replace(scenario, distance_m=distance_m)
@@ -70,8 +79,18 @@ def se_single_loop_uca(n_elements: int, scenario: Scenario,
 
 
 def _se_ring(ring: Antenna, scenario: Scenario, sigma2: float) -> float:
-    # the baseline's per-mode gains are always the exact ones
-    return _se_qf_link(link_at(ring, scenario, "exact"), sigma2)
+    """Efficiency of a ring antenna at the scenario's distance and carrier.
+
+    A one-cell ring has L = I and one exact transform, W^H H W, of which the
+    efficiency reads only the diagonal: the wrapped-diagonal sums of H and
+    one FFT give it in O(n^2) (`linalg.diagonalize_circulant`).  The gains
+    are the exact ones, whatever the scenario's lambda_path."""
+    params = chan.PropagationParams.from_frequency(
+        scenario.distance_m, scenario.freq_hz, scenario.beta)
+    h = chan.build_block_channel(ring.tx, ring.rx, params, ring.sharing).subchannels[0]
+    lam = diagonalize_circulant(h)[None, :]
+    grid = SymbolGrid.uniform(1, ring.tx.elems_per_cell, total_power=scenario.total_power)
+    return se_qf(lam, grid.power_alloc, sigma2 * ring.noise_scale)
 
 
 def se_siso_times(n: int, scenario: Scenario, distance_m: float | None = None,
@@ -120,6 +139,8 @@ class SweepSpec:
         if self.axis not in SWEEP_AXES:
             raise ValueError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
         vals = tuple(float(v) for v in self.axis_values)
+        if not all(np.isfinite(vals)):
+            raise ValueError(f"axis values must be finite, got {vals}")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("axis values must be strictly increasing")
         object.__setattr__(self, "axis_values", vals)

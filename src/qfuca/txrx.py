@@ -379,10 +379,13 @@ def build_antenna(scenario) -> Antenna:
 
 def ring_antenna(n_elements: int, radius: float) -> Antenna:
     """Single-loop UCA baseline: a ring of n elements facing an identical
-    ring, the one-cell antenna (no sharing, L = I)."""
+    ring, the one-cell antenna (no sharing, L = I).  With no split, no phase
+    compensation and a unitary inner DFT, every mode sees exactly sigma^2:
+    its noise scale is ones (`noise_mode_scale(ring, 1)` computes them to
+    within an ulp)."""
     ring = single_ring_layout(n_elements, radius)
     return Antenna(tx=ring, rx=ring, sharing=sharing_matrix(ring),
-                   noise_scale=noise_mode_scale(ring, 1))
+                   noise_scale=np.ones((1, n_elements)))
 
 
 @dataclass(frozen=True)

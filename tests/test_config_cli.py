@@ -1,4 +1,5 @@
 import filecmp
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from qfuca.cli import main
 from qfuca.config import Scenario, parse_config, serialize_scenario
 from qfuca.errors import ConfigError
+
+FLOAT_KEYS = [f.name for f in fields(Scenario) if isinstance(getattr(Scenario(), f.name), float)]
 
 
 class TestParseConfig:
@@ -70,6 +73,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="tx_elems .8. and rx_elems .4."):
             parse_config("tx_elems = 8\nrx_elems = 4\n")
 
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, key, raw):
+        # nan slips through every range check; inf fails late in the metrics
+        with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+            parse_config(f"{key} = {raw}\n")
+
 
 class TestCli:
     def test_geometry_writes_element_tables(self, tmp_path, capsys):
@@ -115,6 +125,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: tx_elems (8) and rx_elems (4) must be equal")
         assert not (tmp_path / "loopback.csv").exists()
+
+    @pytest.mark.parametrize("line", ["distance_m = nan", "snr_db = nan", "snr_db = inf"])
+    def test_non_finite_config_sweep_exits_nonzero(self, tmp_path, capsys, line):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path),
+                     "--axis", "distance_m", "--values", "50,100"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {line.split()[0]} must be finite")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_nan_axis_value_exits_nonzero(self, tmp_path, capsys):
+        assert main(["sweep", "--out", str(tmp_path), "--axis", "snr_db",
+                     "--values", "10,nan,20"]) == 1
+        assert "axis values must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "scenario.cfg"

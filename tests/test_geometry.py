@@ -9,6 +9,8 @@ from qfuca.geometry import (admissible_elem_counts, build_layout, layout_csv,
                             single_ring_layout, slot_group_sum,
                             superpose_operators)
 
+from layouts import admissible_layouts
+
 
 def circulant_shift_equal(a, b):
     a, b = list(a), list(b)
@@ -135,6 +137,14 @@ class TestAdmissibility:
 
     def test_overlapped_n4(self):
         assert admissible_elem_counts(4, "overlapped", 16) == (12, 16)
+
+    def test_shared_slots_coincide_to_rounding(self):
+        # a ratio or grid offset cut to 12 digits left shared slots up to
+        # 7e-13 R_Q apart, enough to split the physical and logical paths
+        for layout in admissible_layouts(max_cells=6, max_elems=16):
+            lay = build_layout(*layout, 1.0)
+            apart = lay.group_positions()[lay.slot_group] - lay.positions
+            assert np.max(np.abs(apart)) <= 1e-14, layout
 
     def test_overlapped_layout_structure(self):
         for v in (12, 16):

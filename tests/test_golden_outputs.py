@@ -4,8 +4,8 @@ command set.
 The set is the criterion-10 commands plus a distance sweep, a frequency
 sweep, a noisy loopback and the default gap study, all on the criterion-10
 scenario, and a distance and a frequency sweep at the 8x16 grid, where the
-single-ring baselines have 97 and 128 elements (the rounding of their dense
-products depends on the matrix size through BLAS blocking).  A change that
+single-ring baselines have 97 and 128 elements (the rounding of their
+wrapped-diagonal sums and FFTs depends on the ring size).  A change that
 alters any output byte on purpose must say so in CHANGES.md and re-record
 the hashes with `python tests/test_golden_outputs.py`.
 """
@@ -73,23 +73,23 @@ GOLDEN = {
     },
     'sweep_distance': {
         'sweep.csv':
-            '0385f18576b2d6ce1c82dff7c6433f6e43748936020c6ee0bcf9d30283ed6ac6',
+            'ca603d2389e62b83bee1eb63161080ce334f139bc903b79b269bdf180338a378',
     },
     'sweep_distance_8x16': {
         'sweep.csv':
-            '3b680e9359a91f23a79409c59e3c6c2f6b9389a04796e8320d47a6f256ce6ebc',
+            '9b17779248e97eabe0f171707d5e12bc0189c2c44b1444b42485665565fd8742',
     },
     'sweep_freq': {
         'sweep.csv':
-            '9629009a806deef5bceb8efa09cf832fc9ab11d8ea24a6a30ce4f5385da5247a',
+            'fbc1e3cc546380d2609156a2cdd3e38f4f92c7dd2b12e1b33341a4c414b74301',
     },
     'sweep_freq_8x16': {
         'sweep.csv':
-            'e6cb68a95ca8993ea2a515671db2e9d9daba005104162aa47ba034c1d4df9d8b',
+            'bb0d4692f6435a552fc7bbf53f0ec5bf15184dd0471ae5bc520884931926a673',
     },
     'sweep_snr_criterion_10': {
         'sweep.csv':
-            '259b552e0cfeb246431ab522c429a7a0f89abebcccf76b2bd9b37cee73334236',
+            'e534fce91125d5acb8eaca8305c96ba758d07dbd3723607edef1eab0e04c1dc0',
     },
 }
 

@@ -94,6 +94,17 @@ class TestCirculant:
         scale = max(1.0, np.max(np.abs(direct)))
         assert np.max(np.abs(diagonalize_circulant(c) - direct)) < 1e-10 * scale
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 97, 128])
+    def test_any_square_matrix_against_direct_product(self, n):
+        # the wrapped-diagonal form holds for every square matrix, not only
+        # for circulant ones
+        rng = np.random.default_rng(n)
+        c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        w = idft_matrix(n)
+        direct = np.diag(w.conj().T @ c @ w)
+        assert np.max(np.abs(diagonalize_circulant(c) - direct)) \
+            <= 1e-12 * np.max(np.abs(c))
+
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             diagonalize_circulant(np.ones((2, 3)))

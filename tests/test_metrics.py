@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qfuca
+from qfuca import channel as chan
 from qfuca import geometry, metrics, txrx
 from qfuca.config import Scenario
 from qfuca.errors import DegenerateChannelError
+
+from layouts import admissible_layouts
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +73,28 @@ class TestSingleLoopUca:
                                sigma2 * noise_mode_scale(ring, 1))
         assert metrics.se_single_loop_uca(9, scen) == pytest.approx(manual, rel=1e-12)
 
+    @pytest.mark.parametrize("n_elements", [97, 128, 385, 512])
+    def test_ring_gains_match_link_oracle(self, scen, monkeypatch, n_elements):
+        # link_at on the ring antenna, with its full exact transform, is the
+        # oracle for the gains _se_ring takes from the wrapped-diagonal sums
+        seen = []
+        real = metrics.diagonalize_circulant
+
+        def recording(c):
+            seen.append(real(c))
+            return seen[-1]
+
+        monkeypatch.setattr(metrics, "diagonalize_circulant", recording)
+        ring = txrx.ring_antenna(n_elements, scen.qf_radius_m)
+        sigma2 = metrics._sigma2(scen)
+        for d in (25.0, 400.0):
+            work = replace(scen, distance_m=d)
+            se = metrics._se_ring(ring, work, sigma2)
+            link = txrx.link_at(ring, work, "exact")
+            lam = link.lambda_coeffs[0]
+            assert np.max(np.abs(seen[-1] - lam)) <= 1e-14 * np.max(np.abs(lam))
+            assert se == pytest.approx(metrics._se_qf_link(link, sigma2), rel=1e-14)
+
     def test_nondecreasing_in_snr(self, scen):
         values = [metrics.se_single_loop_uca(9, replace(scen, snr_db=s))
                   for s in (0.0, 5.0, 10.0, 15.0, 20.0, 30.0)]
@@ -119,6 +144,12 @@ class TestSweeps:
         with pytest.raises(ValueError):
             metrics.SweepSpec(axis="snr_db", axis_values=(3.0, 1.0), fixed=scen)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_axis_values_must_be_finite(self, scen, bad):
+        # a nan breaks no strict-increase comparison, so it is checked first
+        with pytest.raises(ValueError, match="finite"):
+            metrics.SweepSpec(axis="snr_db", axis_values=(10.0, bad, 20.0), fixed=scen)
+
     def test_unknown_axis_and_system(self, scen):
         with pytest.raises(ValueError):
             metrics.SweepSpec(axis="phase", axis_values=(1.0,), fixed=scen)
@@ -149,14 +180,20 @@ class TestSweeps:
         ("distance_m", (50.0, 100.0, 200.0), 3),
         ("freq_hz", (2.4e9, 5.8e9), 2)])
     def test_qf_link_builds_per_axis(self, scen, count_calls, axis, values, builds):
-        # every point's links come from link_at; the two ring links are
-        # rebuilt at every point, SNR points included
+        # only QF-UCA links come from link_at; each ring builds one block
+        # channel per point, SNR points included, and no exact transform
         calls = count_calls(metrics, "link_at")
+        exact_calls = count_calls(chan, "exact_mode_matrix")
+        channel_calls = count_calls(chan, "build_block_channel")
         spec = metrics.SweepSpec(axis=axis, axis_values=values, fixed=scen)
         metrics.run_sweep(spec)
-        qf_links = [args for args in calls if args[0].tx.n_cells == scen.n_cells]
-        assert len(qf_links) == builds
-        assert len(calls) - len(qf_links) == 2 * len(values)
+        assert all(args[0].tx.n_cells == scen.n_cells for args in calls)
+        assert len(calls) == builds
+        assert all(args[0].n_cells == scen.n_cells for args in exact_calls)
+        assert len(exact_calls) == builds * scen.n_cells
+        ring_channels = [args for args in channel_calls if args[0].n_cells == 1]
+        assert len(ring_channels) == 2 * len(values)
+        assert len(channel_calls) - len(ring_channels) == builds
 
     def test_snr_sweep_matches_per_point_links(self, scen):
         values = (0.0, 10.0, 20.0)
@@ -189,8 +226,8 @@ class TestSweepReuse:
                         count_calls(geometry, "build_layout"))
         spec = metrics.SweepSpec(axis="distance_m", axis_values=values, fixed=scen)
         metrics.run_sweep(spec)
-        # the QF receive antenna and the two rings
-        assert [args[1] for args in noise_calls] == [scen.n_cells, 1, 1]
+        # the QF receive antenna only: a ring's noise scale is exactly ones
+        assert [args[1] for args in noise_calls] == [scen.n_cells]
         assert sum(map(len, layout_calls)) <= 2
 
     def test_peak_memory_of_costliest_point(self):
@@ -226,23 +263,6 @@ sweep = traced_peak(lambda: metrics.run_sweep(spec))
 single = traced_peak(lambda: metrics.se_single_loop_uca(base.n_cells * base.tx_elems, base))
 print(sweep, single)
 """
-
-
-def admissible_layouts(max_cells: int = 6, max_elems: int = 12) -> list:
-    """Every (n_cells, elems_per_cell, ratio) of the three geometric cases
-    with at most max_cells cells of max_elems elements."""
-    out = []
-    for n in range(3, max_cells + 1):
-        for case in geometry.ADMISSIBILITY_CASES:
-            for v in geometry.admissible_elem_counts(n, case, max_elems):
-                if case == "tangent":
-                    ratios = (float(np.sin(np.pi / n)),)
-                elif case == "through-center":
-                    ratios = (1.0,)
-                else:
-                    ratios = geometry.overlapped_ratios(n, v)
-                out += [(n, v, r) for r in ratios]
-    return out
 
 
 LAYOUTS = st.sampled_from(admissible_layouts())

@@ -11,6 +11,8 @@ from qfuca.errors import DimensionError
 from qfuca.geometry import build_layout, sharing_matrix, single_ring_layout
 from qfuca.linalg import dft_matrix, idft_matrix
 
+from layouts import admissible_layouts
+
 FREQ = 5.8e9
 LAM = 299792458.0 / FREQ
 
@@ -193,6 +195,22 @@ class TestPropagation:
         scale = np.max(np.abs(r_log))
         assert np.max(np.abs(r_phys - r_log)) < 1e-12 * scale
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.sampled_from(admissible_layouts()),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_physical_path_equals_logical_path_on_admissible_layouts(
+            self, params100, layout, seed):
+        # shared elements superpose on the physical path; the logical path
+        # carries them as separate slots with the 1/L_v split factor.  Both
+        # see the same element distances: a 1-ulp change of one distance
+        # would move its phase by 2 pi D eps / lambda, about 3e-12 here
+        lay = build_layout(*layout, 1.0)
+        g = random_grid(np.random.default_rng(seed), lay.n_cells, lay.elems_per_cell)
+        feed = txrx.slot_group_sum(lay, txrx.logical_modulated(g))
+        y = chan.physical_gain_matrix(lay, lay, params100) @ feed
+        r_phys = txrx.split_received(y, lay)
+        r_log = txrx.propagate_logical(g, chan.build_block_channel(lay, lay, params100))
+        assert np.max(np.abs(r_phys - r_log)) <= 1e-12 * np.max(np.abs(r_log))
 
 class TestDemodulation:
     def test_single_cell_compensation_is_identity(self):
@@ -347,6 +365,14 @@ class TestNoiseModeScale:
     def test_unit_scale_on_single_rings(self, n_elements):
         ring = single_ring_layout(n_elements, 1.0)
         assert np.max(np.abs(txrx.noise_mode_scale(ring, 1) - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("n_elements", [1, 9, 385, 512])
+    def test_ring_antenna_scale_is_exactly_one(self, n_elements):
+        # one cell: no split, no compensation and a unitary inner DFT
+        ring = txrx.ring_antenna(n_elements, 1.0)
+        assert np.array_equal(ring.noise_scale, np.ones((1, n_elements)))
+        computed = txrx.noise_mode_scale(ring.rx, 1)
+        assert np.max(np.abs(computed - ring.noise_scale)) <= 4 * np.finfo(float).eps
 
 
 class TestBuildLink:
