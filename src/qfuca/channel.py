@@ -231,16 +231,23 @@ def element_gain(tx: Layout, rx: Layout, params: PropagationParams,
         * np.exp(-2j * np.pi * d_phase / lam) / d_amp
 
 
+def free_space_gain(offsets: np.ndarray, params: PropagationParams) -> np.ndarray:
+    """Free-space gain (beta lambda / 4 pi) e^{-j 2 pi d / lambda} / d between
+    elements whose in-plane offsets (receive minus transmit position, last
+    axis x, y) are `offsets`, with d the 3-D distance across the boresight
+    gap D.  The one per-entry expression behind every exact channel."""
+    d = np.sqrt(params.distance_m**2 + np.sum(offsets**2, axis=-1))
+    lam = params.wavelength_m
+    return (params.beta * lam / (4 * np.pi)) * np.exp(-2j * np.pi * d / lam) / d
+
+
 def physical_gain_matrix(tx: Layout, rx: Layout,
                          params: PropagationParams) -> np.ndarray:
     """Free-space gain matrix between physical elements (N_r x N_t), without
     any sharing factors; this is what actually propagates."""
     tp = tx.group_positions()
     rp = rx.group_positions()
-    diff = rp[:, None, :] - tp[None, :, :]
-    d = np.sqrt(params.distance_m**2 + np.sum(diff**2, axis=2))
-    lam = params.wavelength_m
-    return (params.beta * lam / (4 * np.pi)) * np.exp(-2j * np.pi * d / lam) / d
+    return free_space_gain(rp[:, None, :] - tp[None, :, :], params)
 
 
 def build_block_channel(tx: Layout, rx: Layout, params: PropagationParams,
@@ -255,13 +262,10 @@ def build_block_channel(tx: Layout, rx: Layout, params: PropagationParams,
     if sharing is None:
         sharing = sharing_matrix(rx)
     n = tx.n_cells
-    lam = params.wavelength_m
     lv = sharing.diag_values.astype(float)
     subs = []
     for q in range(n):
-        diff = rx.positions[0][:, None, :] - tx.positions[q][None, :, :]
-        d = np.sqrt(params.distance_m**2 + np.sum(diff**2, axis=2))
-        h = (params.beta * lam / (4 * np.pi)) * np.exp(-2j * np.pi * d / lam) / d
+        h = free_space_gain(rx.positions[0][:, None, :] - tx.positions[q][None, :, :], params)
         subs.append(h / lv[:, None])
     return BlockChannel(n_cells=n, subchannels=tuple(subs))
 

@@ -54,21 +54,47 @@ def circulant_from_first_row(row) -> np.ndarray:
     return row[idx]
 
 
-def diagonalize_circulant(c: np.ndarray) -> np.ndarray:
-    """The diagonal of W^H C W for any square C, W = idft_matrix(n), in O(n^2).
+def diagonalize_row_blocks(blocks) -> np.ndarray:
+    """The diagonal of W^H C W, W = idft_matrix(n), for a square C given as
+    its consecutive row blocks, each (rows, n), in O(n^2) time.
 
     Entry k is (1/n) sum_{a,b} C[a, b] e^{j 2 pi (b - a) k / n}, which
     depends on C only through its wrapped-diagonal sums
     s_d = sum_j C[j, (j + d) mod n]: the diagonal is ifft(s).  For a
     circulant C these are its eigenvalues; for any other C, the gains the
     similarity transform leaves on its diagonal.
+
+    Only one block is held at a time, so `blocks` may be a generator and C
+    need never exist whole.  Each block's wrapped rows are added to the
+    running sums in one reduction whose first row is those sums; numpy adds
+    axis 0 one row at a time, so the result is bit for bit the same however
+    C is cut (adding per-block partial sums would round differently).
     """
+    acc, start = None, 0
+    for block in blocks:
+        block = np.asarray(block, dtype=complex)
+        n = acc.size if acc is not None else block.shape[1] if block.ndim == 2 else 0
+        if block.ndim != 2 or block.shape[1] != n or start + block.shape[0] > n:
+            raise DimensionError(f"row block of shape {block.shape} does not continue "
+                                 f"a square {n}-column matrix at row {start}")
+        idx = np.arange(n)
+        rows = np.arange(block.shape[0])
+        wrapped = block[rows[:, None], (start + rows[:, None] + idx) % n]
+        acc = np.add.reduce(wrapped if acc is None else np.concatenate([acc[None], wrapped]),
+                            axis=0)
+        start += block.shape[0]
+    if acc is None or start != acc.size:
+        raise DimensionError(f"row blocks cover {start} rows of a square matrix, not all")
+    return np.fft.ifft(acc)
+
+
+def diagonalize_circulant(c: np.ndarray) -> np.ndarray:
+    """The diagonal of W^H C W for any square C, W = idft_matrix(n), in O(n^2):
+    the one-block case of `diagonalize_row_blocks`."""
     c = np.asarray(c, dtype=complex)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise DimensionError(f"circulant diagonalization needs a square matrix, got {c.shape}")
-    idx = np.arange(c.shape[0])
-    wrapped = c[idx[:, None], (idx[:, None] + idx) % idx.size]
-    return np.fft.ifft(wrapped.sum(axis=0))
+    return diagonalize_row_blocks([c])
 
 
 @dataclass(frozen=True)

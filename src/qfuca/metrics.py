@@ -10,16 +10,16 @@ A sweep builds its antennas once (`txrx.build_antenna` for the QF-UCA pair,
 `txrx.ring_antenna` for the two single-loop baselines): layouts, sharing
 matrices and noise scales depend on neither distance, carrier nor SNR.  Each
 point builds only what depends on it: the QF-UCA link (`txrx.link_at`) and
-each ring's n x n channel.  A ring's efficiency reads only the diagonal of
-its one exact transform, which the channel's wrapped-diagonal sums and one
-FFT give in O(n^2) (`linalg.diagonalize_circulant`), where the full
-transform took two n^3 products; the channel build is now most of a ring
-point.
-The SNR axis reuses one QF-UCA link for all points but rebuilds the ring
-channels at every point: reusing them would bring a 30-point 8x16 SNR sweep
+each ring's gains.  A ring's efficiency reads only the diagonal of its one
+exact transform, which the channel's wrapped-diagonal sums and one FFT give
+in O(n^2) (`linalg.diagonalize_row_blocks`).  The ring allocates no n x n
+array: its gains are computed and folded into those sums RING_ROW_BLOCK rows
+at a time, so a ring point's working memory is O(RING_ROW_BLOCK n); computing
+the gains is most of a ring point.
+The SNR axis reuses one QF-UCA link for all points but recomputes the ring
+gains at every point: reusing them would bring a 30-point 8x16 SNR sweep
 below one work unit of the benchmark's host-speed calibrator, so the
-benchmark could no longer time it (ROADMAP item 6).  No matrix of size n^2
-outlives its point.
+benchmark could no longer time it (ROADMAP item 6).
 """
 
 from __future__ import annotations
@@ -32,12 +32,16 @@ import numpy as np
 from . import channel as chan
 from .config import Scenario
 from .errors import DegenerateChannelError
-from .linalg import diagonalize_circulant
+from .linalg import diagonalize_row_blocks
 from .txrx import Antenna, Link, SymbolGrid, build_antenna, build_link, link_at, \
     ring_antenna
 
 SWEEP_AXES = ("snr_db", "distance_m", "freq_hz")
 SYSTEMS = ("qf_uca", "uca_n", "uca_bigger", "siso_xN")
+
+# A ring's gains are computed this many rows at a time, so a ring point's
+# temporaries are O(RING_ROW_BLOCK n), not O(n^2), however large the ring.
+RING_ROW_BLOCK = 64
 
 
 def se_qf(lambda_coeffs: np.ndarray, power_alloc: np.ndarray,
@@ -81,14 +85,20 @@ def se_single_loop_uca(n_elements: int, scenario: Scenario,
 def _se_ring(ring: Antenna, scenario: Scenario, sigma2: float) -> float:
     """Efficiency of a ring antenna at the scenario's distance and carrier.
 
-    A one-cell ring has L = I and one exact transform, W^H H W, of which the
-    efficiency reads only the diagonal: the wrapped-diagonal sums of H and
-    one FFT give it in O(n^2) (`linalg.diagonalize_circulant`).  The gains
-    are the exact ones, whatever the scenario's lambda_path."""
+    A one-cell ring has L = I (no split factor) and one exact transform,
+    W^H H W, of which the efficiency reads only the diagonal: the
+    wrapped-diagonal sums of H and one FFT give it in O(n^2)
+    (`linalg.diagonalize_row_blocks`).  H is never held whole: its gains
+    are computed RING_ROW_BLOCK rows at a time, each by the same per-entry
+    expression as `channel.build_block_channel`, so the gains, and the
+    efficiency, are bit for bit those of the full channel.  The gains are
+    the exact ones, whatever the scenario's lambda_path."""
     params = chan.PropagationParams.from_frequency(
         scenario.distance_m, scenario.freq_hz, scenario.beta)
-    h = chan.build_block_channel(ring.tx, ring.rx, params, ring.sharing).subchannels[0]
-    lam = diagonalize_circulant(h)[None, :]
+    tp, rp = ring.tx.positions[0], ring.rx.positions[0]
+    blocks = (chan.free_space_gain(rp[r:r + RING_ROW_BLOCK, None, :] - tp[None, :, :], params)
+              for r in range(0, rp.shape[0], RING_ROW_BLOCK))
+    lam = diagonalize_row_blocks(blocks)[None, :]
     grid = SymbolGrid.uniform(1, ring.tx.elems_per_cell, total_power=scenario.total_power)
     return se_qf(lam, grid.power_alloc, sigma2 * ring.noise_scale)
 

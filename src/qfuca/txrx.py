@@ -127,6 +127,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
+        if not np.isfinite(self.element_variance):
+            raise ValueError(f"noise variance must be finite, got {self.element_variance!r}")
         if self.element_variance < 0:
             raise ValueError("noise variance must be nonnegative")
 
@@ -339,7 +341,10 @@ class EndToEndResult:
 def noise_mode_scale(rx: Layout, n_inter: int) -> np.ndarray:
     """sigma^2_{p,l} / sigma^2: row power of the linear map taking the
     physical element noise vector to s~_p(l) through split, compensation,
-    post-decoding, and the inner DFT."""
+    post-decoding, and the inner DFT.
+
+    The map is built one branch p at a time, a (V, n_physical) slice, so
+    the working memory does not grow with N."""
     v = rx.elems_per_cell
     groups = rx.slot_group
     counts = np.bincount(groups.ravel(), minlength=rx.n_physical)
@@ -348,11 +353,13 @@ def noise_mode_scale(rx: Layout, n_inter: int) -> np.ndarray:
     # the split's 1/L_v and the post-decoding L_v cancel, leaving only the
     # coherent accumulation of each element's duplicates
     weight = counts[groups[0]][None, :] / counts[groups]
-    a = np.zeros((n_inter, v, rx.n_physical), dtype=complex)
-    np.add.at(a, (np.arange(n_inter)[:, None, None], np.arange(v), groups),
-              phase[:, :, None] * weight)
-    b = dft_matrix(v) @ a
-    return np.sum(np.abs(b) ** 2, axis=2)
+    dft = dft_matrix(v)
+    out = np.empty((n_inter, v))
+    for p in range(n_inter):
+        a = np.zeros((v, rx.n_physical), dtype=complex)
+        np.add.at(a, (np.arange(v), groups), phase[p][:, None] * weight)
+        out[p] = np.sum(np.abs(dft @ a) ** 2, axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -543,7 +550,10 @@ def run_loopback(link: Link, n_frames: int, noise_variance: float = 0.0) -> Loop
     frame and per mode (an (N, K) count), and ML near-ties, all over the
     non-degenerate modes.  Deterministic from the link seed: frame f takes
     the next grid of the seed's symbol stream and the noise of
-    NoiseModel(noise_variance, seed) at frame f."""
+    NoiseModel(noise_variance, seed) at frame f.  Zero frames are a valid
+    (empty) run; a negative count is rejected."""
+    if n_frames < 0:
+        raise ValueError(f"frame count must be nonnegative, got {n_frames}")
     n, k = link.n_inter, link.n_inner
     noise = NoiseModel(element_variance=noise_variance, seed=link.seed)
     sym_rng = np.random.default_rng(np.random.SeedSequence((link.seed, 0xA11CE)))

@@ -141,6 +141,24 @@ class TestCli:
         assert "axis values must be finite" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_noise_variance_exits_nonzero(self, tmp_path, capsys, value):
+        assert main(["loopback", "--out", str(tmp_path), "--frames", "2",
+                     "--noise-variance", value]) == 1
+        assert capsys.readouterr().err.startswith("error: noise variance must be finite")
+        assert not (tmp_path / "loopback.csv").exists()
+
+    def test_negative_frame_count_exits_nonzero(self, tmp_path, capsys):
+        assert main(["loopback", "--out", str(tmp_path), "--frames", "-5"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: frame count must be nonnegative, got -5")
+        assert not (tmp_path / "loopback.csv").exists()
+
+    def test_zero_frames_is_an_empty_run(self, tmp_path, capsys):
+        assert main(["loopback", "--out", str(tmp_path), "--frames", "0"]) == 0
+        assert (tmp_path / "loopback.csv").read_text() == "frame,symbol_errors,symbols\n"
+        assert "symbol errors: 0/0  SER: 0.0" in capsys.readouterr().out
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text("snr_db = 12\nseed = 7\n")

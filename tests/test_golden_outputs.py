@@ -3,9 +3,11 @@ command set.
 
 The set is the criterion-10 commands plus a distance sweep, a frequency
 sweep, a noisy loopback and the default gap study, all on the criterion-10
-scenario, and a distance and a frequency sweep at the 8x16 grid, where the
+scenario, a distance and a frequency sweep at the 8x16 grid, where the
 single-ring baselines have 97 and 128 elements (the rounding of their
-wrapped-diagonal sums and FFTs depends on the ring size).  A change that
+wrapped-diagonal sums and FFTs depends on the ring size), and a one-point
+distance sweep at the 16x32 grid, whose 385- and 512-element rings are
+streamed in 7 and 8 row blocks.  A change that
 alters any output byte on purpose must say so in CHANGES.md and re-record
 the hashes with `python tests/test_golden_outputs.py`.
 """
@@ -23,6 +25,7 @@ from qfuca.cli import main as cli_main
 
 SCENARIO = "snr_db = 15\nseed = 11\nqf_radius_m = 1.0\n"
 GRID_8X16 = SCENARIO + "n_cells = 8\ntx_elems = 16\nrx_elems = 16\n"
+GRID_16X32 = SCENARIO + "n_cells = 16\ntx_elems = 32\nrx_elems = 32\n"
 
 COMMANDS = {
     "geometry": ("geometry",),
@@ -35,10 +38,12 @@ COMMANDS = {
     "gap_default": ("gap",),
     "sweep_distance_8x16": ("sweep", "--axis", "distance_m", "--values", "25,100,400"),
     "sweep_freq_8x16": ("sweep", "--axis", "freq_hz", "--values", "2.4e9,5.8e9,28e9"),
+    "sweep_distance_16x32": ("sweep", "--axis", "distance_m", "--values", "100"),
 }
 
 # commands run on another scenario than SCENARIO
-SCENARIOS = {"sweep_distance_8x16": GRID_8X16, "sweep_freq_8x16": GRID_8X16}
+SCENARIOS = {"sweep_distance_8x16": GRID_8X16, "sweep_freq_8x16": GRID_8X16,
+             "sweep_distance_16x32": GRID_16X32}
 
 GOLDEN = {
     'gap_criterion_10': {
@@ -74,6 +79,10 @@ GOLDEN = {
     'sweep_distance': {
         'sweep.csv':
             'ca603d2389e62b83bee1eb63161080ce334f139bc903b79b269bdf180338a378',
+    },
+    'sweep_distance_16x32': {
+        'sweep.csv':
+            '03ca75d52ed5c7f5a7df786ec4371ba9f66886297be711a03712dfdb9ab5a9b1',
     },
     'sweep_distance_8x16': {
         'sweep.csv':

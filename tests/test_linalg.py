@@ -6,7 +6,7 @@ from scipy import special
 from qfuca.errors import DimensionError, DomainError
 from qfuca.linalg import (BlockMatrix, bessel_j, block_matmul,
                           circulant_from_first_row, diagonalize_circulant,
-                          dft_matrix, idft_matrix)
+                          diagonalize_row_blocks, dft_matrix, idft_matrix)
 from qfuca.linalg import _bessel_quadrature, _bessel_series
 
 
@@ -108,6 +108,30 @@ class TestCirculant:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             diagonalize_circulant(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("n", [1, 2, 97, 130, 512])
+    def test_row_blocks_bit_identical_to_one_block(self, n):
+        # the running sums enter each block's reduction as its first row, so
+        # the cut into blocks changes no bit; the one-block case is the
+        # full-matrix sum of the wrapped diagonals
+        rng = np.random.default_rng(n)
+        c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        idx = np.arange(n)
+        full = np.fft.ifft(c[idx[:, None], (idx[:, None] + idx) % n].sum(axis=0))
+        assert np.array_equal(diagonalize_circulant(c), full)
+        for rows in (1, 3, 64, n):
+            blocks = (c[r:r + rows] for r in range(0, n, rows))
+            assert np.array_equal(diagonalize_row_blocks(blocks), full)
+
+    @pytest.mark.parametrize("blocks", [
+        [],                                   # no rows
+        [np.ones((2, 4))],                    # rows missing
+        [np.ones((2, 4)), np.ones((3, 4))],   # rows past the square
+        [np.ones((2, 4)), np.ones((2, 3))],   # column count changes
+        [np.ones(4)]])                        # not a row block
+    def test_row_blocks_must_tile_a_square(self, blocks):
+        with pytest.raises(DimensionError):
+            diagonalize_row_blocks(blocks)
 
 
 class TestBessel:

@@ -14,6 +14,7 @@ from qfuca import channel as chan
 from qfuca import geometry, metrics, txrx
 from qfuca.config import Scenario
 from qfuca.errors import DegenerateChannelError
+from qfuca.linalg import diagonalize_circulant
 
 from layouts import admissible_layouts
 
@@ -73,18 +74,24 @@ class TestSingleLoopUca:
                                sigma2 * noise_mode_scale(ring, 1))
         assert metrics.se_single_loop_uca(9, scen) == pytest.approx(manual, rel=1e-12)
 
-    @pytest.mark.parametrize("n_elements", [97, 128, 385, 512])
-    def test_ring_gains_match_link_oracle(self, scen, monkeypatch, n_elements):
-        # link_at on the ring antenna, with its full exact transform, is the
-        # oracle for the gains _se_ring takes from the wrapped-diagonal sums
+    @pytest.fixture
+    def ring_gains(self, monkeypatch):
+        """The list of the gains _se_ring takes from the streamed
+        wrapped-diagonal sums, one entry per call."""
         seen = []
-        real = metrics.diagonalize_circulant
+        real = metrics.diagonalize_row_blocks
 
-        def recording(c):
-            seen.append(real(c))
+        def recording(blocks):
+            seen.append(real(blocks))
             return seen[-1]
 
-        monkeypatch.setattr(metrics, "diagonalize_circulant", recording)
+        monkeypatch.setattr(metrics, "diagonalize_row_blocks", recording)
+        return seen
+
+    @pytest.mark.parametrize("n_elements", [97, 128, 385, 512])
+    def test_ring_gains_match_link_oracle(self, scen, ring_gains, n_elements):
+        # link_at on the ring antenna, with its full exact transform, is the
+        # oracle for the streamed gains
         ring = txrx.ring_antenna(n_elements, scen.qf_radius_m)
         sigma2 = metrics._sigma2(scen)
         for d in (25.0, 400.0):
@@ -92,8 +99,21 @@ class TestSingleLoopUca:
             se = metrics._se_ring(ring, work, sigma2)
             link = txrx.link_at(ring, work, "exact")
             lam = link.lambda_coeffs[0]
-            assert np.max(np.abs(seen[-1] - lam)) <= 1e-14 * np.max(np.abs(lam))
+            assert np.max(np.abs(ring_gains[-1] - lam)) <= 1e-14 * np.max(np.abs(lam))
             assert se == pytest.approx(metrics._se_qf_link(link, sigma2), rel=1e-14)
+
+    @pytest.mark.parametrize("n_elements", [97, 128, 385, 512])
+    def test_streamed_ring_gains_bit_identical_to_full_channel(self, scen, ring_gains,
+                                                               n_elements):
+        # the ring's row blocks (7 and 8 of them at 385 and 512) give the
+        # very bits of the full channel's one-block diagonalization
+        ring = txrx.ring_antenna(n_elements, scen.qf_radius_m)
+        for d in (25.0, 400.0):
+            work = replace(scen, distance_m=d)
+            metrics._se_ring(ring, work, metrics._sigma2(scen))
+            params = chan.PropagationParams.from_frequency(d, work.freq_hz, work.beta)
+            h = chan.build_block_channel(ring.tx, ring.rx, params, ring.sharing).subchannels[0]
+            assert np.array_equal(ring_gains[-1], diagonalize_circulant(h))
 
     def test_nondecreasing_in_snr(self, scen):
         values = [metrics.se_single_loop_uca(9, replace(scen, snr_db=s))
@@ -180,20 +200,22 @@ class TestSweeps:
         ("distance_m", (50.0, 100.0, 200.0), 3),
         ("freq_hz", (2.4e9, 5.8e9), 2)])
     def test_qf_link_builds_per_axis(self, scen, count_calls, axis, values, builds):
-        # only QF-UCA links come from link_at; each ring builds one block
-        # channel per point, SNR points included, and no exact transform
+        # only QF-UCA links come from link_at and build block channels; each
+        # ring streams its gains once per point, SNR points included, and
+        # builds no block channel and no exact transform
         calls = count_calls(metrics, "link_at")
         exact_calls = count_calls(chan, "exact_mode_matrix")
         channel_calls = count_calls(chan, "build_block_channel")
+        ring_calls = count_calls(metrics, "_se_ring")
         spec = metrics.SweepSpec(axis=axis, axis_values=values, fixed=scen)
         metrics.run_sweep(spec)
         assert all(args[0].tx.n_cells == scen.n_cells for args in calls)
         assert len(calls) == builds
         assert all(args[0].n_cells == scen.n_cells for args in exact_calls)
         assert len(exact_calls) == builds * scen.n_cells
-        ring_channels = [args for args in channel_calls if args[0].n_cells == 1]
-        assert len(ring_channels) == 2 * len(values)
-        assert len(channel_calls) - len(ring_channels) == builds
+        assert all(args[0].n_cells == scen.n_cells for args in channel_calls)
+        assert len(channel_calls) == builds
+        assert len(ring_calls) == 2 * len(values)
 
     def test_snr_sweep_matches_per_point_links(self, scen):
         values = (0.0, 10.0, 20.0)
@@ -230,22 +252,31 @@ class TestSweepReuse:
         assert [args[1] for args in noise_calls] == [scen.n_cells]
         assert sum(map(len, layout_calls)) <= 2
 
-    def test_peak_memory_of_costliest_point(self):
+    @pytest.fixture(scope="class")
+    def traced_peaks(self):
         # a fresh interpreter, so that nothing an earlier test left allocated
         # (a cache, say) hides from the trace; the sweep runs first
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(qfuca.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run([sys.executable, "-c", MEMORY_PROBE], env=env,
                              capture_output=True, text=True, check=True).stdout
-        sweep, single = map(int, out.split())
-        assert sweep <= 1.10 * single
+        return dict(zip(("sweep", "ring", "link"), map(int, out.split())))
+
+    def test_peak_memory_of_costliest_point(self, traced_peaks):
+        assert traced_peaks["sweep"] <= 1.10 * (traced_peaks["ring"] + traced_peaks["link"])
+
+    def test_ring_point_peak_memory_below_one_channel(self, traced_peaks):
+        # a 512-ring point holds one row block of gains at a time, never the
+        # n x n channel (4.19 MB of complex entries)
+        assert traced_peaks["ring"] < 512 ** 2 * np.dtype(complex).itemsize
 
 
 # tracemalloc peaks of a 4-point distance sweep at the 16x32 grid and of its
-# costliest point alone, the 512-element ring
+# costliest point alone: the 512-element ring, and the QF-UCA link that the
+# sweep holds while it evaluates the rings
 MEMORY_PROBE = """
 import tracemalloc
-from qfuca import metrics
+from qfuca import metrics, txrx
 from qfuca.config import Scenario
 
 def traced_peak(fn):
@@ -260,8 +291,10 @@ base = Scenario(n_cells=16, tx_elems=32, rx_elems=32)
 spec = metrics.SweepSpec(axis="distance_m", axis_values=(25.0, 50.0, 100.0, 200.0),
                          fixed=base)
 sweep = traced_peak(lambda: metrics.run_sweep(spec))
-single = traced_peak(lambda: metrics.se_single_loop_uca(base.n_cells * base.tx_elems, base))
-print(sweep, single)
+ring = traced_peak(lambda: metrics.se_single_loop_uca(base.n_cells * base.tx_elems, base))
+qf = txrx.build_antenna(base)
+link = traced_peak(lambda: txrx.link_at(qf, base))
+print(sweep, ring, link)
 """
 
 

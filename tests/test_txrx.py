@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -47,6 +48,21 @@ def noise_mode_scale_loops(rx, n_inter):
                     * (counts[rx.slot_group[0, vv]] / counts[g])
         out[p] = np.sum(np.abs(dft_matrix(v) @ a) ** 2, axis=1)
     return out
+
+
+def noise_mode_scale_dense(rx, n_inter):
+    """In-test oracle: the noise map of every branch accumulated at once
+    into one dense (n_inter, V, n_physical) tensor."""
+    v = rx.elems_per_cell
+    groups = rx.slot_group
+    counts = np.bincount(groups.ravel(), minlength=rx.n_physical)
+    phase = np.array([[np.exp(-2j * np.pi * m * p / n_inter) / np.sqrt(n_inter)
+                       for m in range(rx.n_cells)] for p in range(n_inter)])
+    weight = counts[groups[0]][None, :] / counts[groups]
+    a = np.zeros((n_inter, v, rx.n_physical), dtype=complex)
+    np.add.at(a, (np.arange(n_inter)[:, None, None], np.arange(v), groups),
+              phase[:, :, None] * weight)
+    return np.sum(np.abs(dft_matrix(v) @ a) ** 2, axis=2)
 
 
 def run_loopback_per_frame(link, n_frames, noise_variance=0.0):
@@ -303,6 +319,11 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             txrx.NoiseModel(element_variance=-1.0)
 
+    @pytest.mark.parametrize("variance", [np.nan, np.inf, -np.inf])
+    def test_non_finite_variance_rejected(self, variance):
+        with pytest.raises(ValueError, match="finite"):
+            txrx.NoiseModel(element_variance=variance)
+
     def test_zero_variance_samples_zero(self):
         assert np.all(txrx.NoiseModel(0.0, 5).sample(4) == 0)
 
@@ -345,6 +366,25 @@ class TestNoiseModeScale:
         ring = single_ring_layout(n_elements, 1.0)
         assert np.array_equal(txrx.noise_mode_scale(ring, 1),
                               noise_mode_scale_loops(ring, 1))
+
+    @pytest.mark.parametrize("layout", admissible_layouts() + [(8, 16, 1.0), (16, 32, 1.0)])
+    def test_bit_identical_to_dense_form(self, layout):
+        n, v, ratio = layout
+        lay = build_layout(n, v, ratio, 1.0)
+        assert np.array_equal(txrx.noise_mode_scale(lay, n), noise_mode_scale_dense(lay, n))
+
+    def test_peak_memory_below_one_dense_tensor(self):
+        # branch by branch, the working set stays below the one complex
+        # (N, V, n_physical) tensor the dense form fills (3.15 MB at 16x32)
+        lay = build_layout(16, 32, 1.0, 1.0)
+        dense_bytes = 16 * 32 * lay.n_physical * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            txrx.noise_mode_scale(lay, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes
 
     def test_matches_loops_with_overlaps(self):
         lay = build_layout(6, 12, 0.5, 1.0)
