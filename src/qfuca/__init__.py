@@ -2,15 +2,12 @@
 
 from .channel import (BlockChannel, ModeChannel, PropagationParams,
                       approx_gap, build_block_channel, detection_coeffs,
-                      diag_approx_block, element_gain, equivalent_mode_gain,
-                      exact_distance, approx_distance, exact_mode_matrix)
+                      diag_approx_block, exact_mode_matrix)
 from .config import Scenario, parse_config, serialize_scenario
 from .geometry import (Layout, SharingMatrix, admissible_elem_counts,
                        build_layout, rotation_shift, sharing_matrix,
-                       single_ring_layout, superpose_operators)
-from .linalg import (BlockMatrix, bessel_j, block_matmul,
-                     circulant_from_first_row, diagonalize_circulant,
-                     dft_matrix, idft_matrix)
+                       single_ring_layout)
+from .linalg import bessel_j, diagonalize_row_blocks, dft_matrix, idft_matrix
 from .metrics import (SweepResult, SweepSpec, run_sweep, se_gain, se_qf,
                       se_single_loop_uca, se_siso_times)
 from .txrx import (Constellation, NoiseModel, SymbolGrid, build_link,

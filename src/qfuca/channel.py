@@ -6,10 +6,12 @@ both antennas have the same cell count and N-fold rotational symmetry, the
 logical channel is block-circulant: sub-channel H_q depends only on the cell
 offset q = ((n + N - m)) mod N.
 
-Two routes are kept side by side everywhere: the exact route (coordinate
-distances, exact sums) is the reference; the Fresnel/Bessel closed forms
-mirror the analytical approximation chain and are used for the gap study and
-the approximate detection coefficients.
+Two routes are kept side by side: the exact route (coordinate distances,
+exact sums) is the reference; the Fresnel/Bessel closed forms mirror the
+analytical approximation chain and are used for the gap study and the
+approximate detection coefficients.  The per-entry distance, gain and
+equivalent-gain sums of both routes live with the tests (tests/reference.py),
+which hold the matrix forms here against them.
 
 Convention note: the closed forms measure element azimuths from each cell's
 tangential axis, a quarter turn ahead of the layout's radial azimuths.  The
@@ -25,14 +27,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateChannelError, DimensionError, GeometryError
+from .errors import DegenerateChannelError, DimensionError
 from .geometry import Layout, SharingMatrix, sharing_matrix
-from .linalg import BlockMatrix, bessel_j, idft_matrix
+from .linalg import bessel_j, idft_matrix
 
 C_LIGHT = 299792458.0
-
-# quarter-turn between layout azimuths and the expansion's azimuths
-_AZ_SHIFT = np.pi / 2
 
 _J_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
@@ -99,12 +98,6 @@ class BlockChannel:
         """Block (m, n) of the assembled matrix, H_{((n + N - m)) mod N}."""
         return self.subchannels[(n + self.n_cells - m) % self.n_cells]
 
-    @property
-    def assembled(self) -> BlockMatrix:
-        n = self.n_cells
-        return BlockMatrix.from_grid(
-            [[self.block(m, nn) for nn in range(n)] for m in range(n)])
-
 
 @dataclass(frozen=True)
 class ModeChannel:
@@ -153,82 +146,6 @@ class ModeChannel:
             out[p] = float(np.linalg.norm(self.exact_matrices[p] - approx, "fro") ** 2
                            / denom[p])
         return out
-
-
-def _check_indices(tx: Layout, rx: Layout, q: int, v: int, k: int):
-    if tx.n_cells != rx.n_cells:
-        raise ValueError("transmit and receive antennas must have equal cell counts")
-    if not 0 <= q < tx.n_cells:
-        raise ValueError(f"offset q out of range: {q}")
-    if not 0 <= v < rx.elems_per_cell:
-        raise ValueError(f"receive element index out of range: {v}")
-    if not 0 <= k < tx.elems_per_cell:
-        raise ValueError(f"transmit element index out of range: {k}")
-
-
-def exact_distance(tx: Layout, rx: Layout, params: PropagationParams,
-                   q: int, v: int, k: int) -> float:
-    """Exact 3-D distance between receive slot (m, v) and transmit slot (n, k)
-    for cell offset q = ((n + N - m)) mod N, from the layout coordinates."""
-    _check_indices(tx, rx, q, v, k)
-    dxy = rx.positions[0, v] - tx.positions[q, k]
-    return float(np.hypot(params.distance_m, np.hypot(dxy[0], dxy[1])))
-
-
-def fresnel_terms(tx: Layout, rx: Layout, params: PropagationParams,
-                  q: int, v: int) -> tuple[float, float, bool]:
-    """Second-order expansion terms (B_{q,v} in meters, alpha_{q,v} in radians,
-    degenerate flag).  alpha solves the sine/cosine pair with a two-argument
-    arctangent; when B vanishes the angle is reported as 0 and flagged."""
-    _check_indices(tx, rx, q, v, 0)
-    rq, rt, rr = tx.qf_radius, tx.cell_radius, rx.cell_radius
-    d = params.distance_m
-    phi_q = 2 * np.pi * q / tx.n_cells
-    s = np.sin(phi_q / 2)
-    x = (rx.elem_azimuths[v] + _AZ_SHIFT) - phi_q / 2
-    b = rt * np.sqrt(4 * rq**2 * s**2 + 4 * rq * rr * s * np.cos(x) + rr**2) / d
-    if b == 0.0:
-        return 0.0, 0.0, True
-    alpha = float(np.arctan2(2 * rq * rt * s * np.sin(x),
-                             2 * rq * rt * s * np.cos(x) + rr * rt))
-    return float(b), alpha, False
-
-
-def approx_distance(tx: Layout, rx: Layout, params: PropagationParams,
-                    q: int, v: int, k: int) -> float:
-    """Fresnel expansion of the exact distance:
-    D + Rt^2/(2D) + D B^2/(2 Rt^2) - B cos(psi_k - phi_v + phi_q + alpha)."""
-    _check_indices(tx, rx, q, v, k)
-    d = params.distance_m
-    rt = tx.cell_radius
-    phi_q = 2 * np.pi * q / tx.n_cells
-    b, alpha, _ = fresnel_terms(tx, rx, params, q, v)
-    psi = tx.elem_azimuths[k] + _AZ_SHIFT
-    phi = rx.elem_azimuths[v] + _AZ_SHIFT
-    return float(d + rt**2 / (2 * d) + d * b**2 / (2 * rt**2)
-                 - b * np.cos(psi - phi + phi_q + alpha))
-
-
-def element_gain(tx: Layout, rx: Layout, params: PropagationParams,
-                 sharing: SharingMatrix, q: int, v: int, k: int,
-                 far_field: bool = False) -> complex:
-    """Complex gain (1/L_v) (beta lambda / 4 pi) e^{-j 2 pi d / lambda} / d.
-
-    With far_field=True the phase uses the Fresnel distance and the amplitude
-    uses 1/D, the closed-form variant."""
-    _check_indices(tx, rx, q, v, k)
-    lam = params.wavelength_m
-    lv = sharing.diag_values[v]
-    if far_field:
-        d_phase = approx_distance(tx, rx, params, q, v, k)
-        d_amp = params.distance_m
-    else:
-        d_phase = exact_distance(tx, rx, params, q, v, k)
-        d_amp = d_phase
-        if d_amp == 0.0:
-            raise GeometryError("colocated transmit and receive elements")
-    return (params.beta * lam / (4 * np.pi * lv)) \
-        * np.exp(-2j * np.pi * d_phase / lam) / d_amp
 
 
 def free_space_gain(offsets: np.ndarray, params: PropagationParams) -> np.ndarray:
@@ -294,52 +211,6 @@ def exact_mode_matrix(tx: Layout, rx: Layout, params: PropagationParams,
     return w.conj().T @ lhp @ w
 
 
-def equivalent_mode_gain(tx: Layout, rx: Layout, params: PropagationParams,
-                         sharing: SharingMatrix, m: int, p: int, v: int, l: int,
-                         path: str = "exact") -> complex:
-    """Equivalent gain of mode pair (p, l) seen at receive slot (m, v).
-
-    The exact path evaluates the double sum over cell offsets and transmit
-    elements with exact gains; the bessel path evaluates the closed form with
-    the simplified (azimuth-free) Bessel argument.
-    """
-    n = tx.n_cells
-    k_count = tx.elems_per_cell
-    theta_m = 2 * np.pi * m / n
-    if path == "exact":
-        total = 0.0 + 0.0j
-        for q in range(n):
-            phi_q = 2 * np.pi * q / n
-            inner = 0.0 + 0.0j
-            for k in range(k_count):
-                inner += np.exp(2j * np.pi * k * l / k_count) \
-                    * element_gain(tx, rx, params, sharing, q, v, k)
-            total += np.exp(1j * phi_q * p) * inner
-        return complex(np.exp(1j * theta_m * p) / np.sqrt(n * k_count) * total)
-    if path != "bessel":
-        raise ValueError(f"unknown path {path!r}")
-    lam = params.wavelength_m
-    d = params.distance_m
-    rq, rt, rr = tx.qf_radius, tx.cell_radius, rx.cell_radius
-    lv = sharing.diag_values[v]
-    hbar = params.reference_gain
-    phi_v = rx.elem_azimuths[v] + _AZ_SHIFT
-    total = 0.0 + 0.0j
-    for q in range(n):
-        phi_q = 2 * np.pi * q / n
-        s = np.sin(phi_q / 2)
-        b_q = 2 * np.pi * rt * np.sqrt(4 * rq**2 * s**2 + rr**2) / (lam * d)
-        b_v, alpha, _ = fresnel_terms(tx, rx, params, q, v)
-        amp = np.exp(-2j * np.pi * (d + rt**2 / (2 * d)) / lam) \
-            * np.exp(-1j * np.pi * d * b_v**2 / (lam * rt**2)) / lv
-        total += amp * np.exp(1j * (phi_q * p - alpha * l)) \
-            * np.exp(1j * (phi_v - phi_q) * l) * bessel_j(l, b_q)
-    # converts the expansion's azimuth phases back to index-based modulation
-    grid_phase = np.exp(-1j * (tx.elem_offset + _AZ_SHIFT) * l)
-    return complex(j_power(l) * np.sqrt(k_count / n) * hbar
-                   * np.exp(1j * theta_m * p) * grid_phase * total)
-
-
 def _alpha_of_azimuth(tx: Layout, rx: Layout, q: int, phi: np.ndarray) -> np.ndarray:
     """alpha_{q, phi} as a continuous function of the receive azimuth."""
     rq, rt, rr = tx.qf_radius, tx.cell_radius, rx.cell_radius
@@ -403,40 +274,23 @@ def diag_approx_block(tx: Layout, rx: Layout, params: PropagationParams,
 
 
 def approx_gap(tx: Layout, rx: Layout, params: PropagationParams,
-               sharing: SharingMatrix, p: int, q: int | None = None,
+               sharing: SharingMatrix, p: int, q: int,
                channel: BlockChannel | None = None,
                j_order: str = "matched", correction: bool = True) -> float:
-    """Relative squared Frobenius gap between the exact transform and its
-    diagonal Bessel approximation.
-
-    With q given, the comparison is against the single aligned sub-channel
-    summand (W^H L H_q W with the p-th phase); with q=None it is against the
-    full superposition over offsets.  A null exact transform, or with q=None
-    a numerically null one (see NULL_RTOL), raises DegenerateChannelError.
+    """Relative squared Frobenius gap between the q-th aligned sub-channel
+    summand of the exact p-th transform (W^H L H_q W with the p-th phase)
+    and its diagonal Bessel approximation.  A null summand raises
+    DegenerateChannelError.  The gap against the full superposition over
+    offsets is `ModeChannel.gap`.
     """
     if channel is None:
         channel = build_block_channel(tx, rx, params, sharing)
-    kc = tx.elems_per_cell
-    lv = sharing.diag_values[:, None]
-    n = tx.n_cells
-    if q is None:
-        exact = exact_mode_matrix(tx, rx, params, sharing, p, channel)
-        approx = np.zeros((kc, kc), dtype=complex)
-        for qq in range(n):
-            approx += diag_approx_block(tx, rx, params, sharing, p, qq,
-                                        j_order, correction)
-        # the mean squared norm of the N transforms, by Parseval over q
-        floor = NULL_RTOL ** 2 * sum(np.linalg.norm(lv * h, "fro") ** 2
-                                     for h in channel.subchannels)
-    else:
-        w = idft_matrix(kc)
-        exact = np.exp(2j * np.pi * p * q / n) \
-            * (w.conj().T @ (lv * channel.subchannels[q]) @ w)
-        approx = diag_approx_block(tx, rx, params, sharing, p, q,
-                                   j_order, correction)
-        floor = 0.0
+    w = idft_matrix(tx.elems_per_cell)
+    exact = np.exp(2j * np.pi * p * q / tx.n_cells) \
+        * (w.conj().T @ (sharing.diag_values[:, None] * channel.subchannels[q]) @ w)
+    approx = diag_approx_block(tx, rx, params, sharing, p, q, j_order, correction)
     denom = np.linalg.norm(exact, "fro") ** 2
-    if denom <= floor:
+    if denom <= 0.0:
         raise DegenerateChannelError("null channel has no relative gap")
     return float(np.linalg.norm(exact - approx, "fro") ** 2 / denom)
 

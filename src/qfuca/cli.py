@@ -23,7 +23,7 @@ from . import metrics
 from .config import Scenario, parse_config
 from .errors import ConfigError
 from .geometry import build_layout, layout_csv, sharing_matrix
-from .txrx import build_link, run_loopback
+from .txrx import build_link, check_loopback, run_loopback
 
 
 def _load_scenario(args) -> Scenario:
@@ -95,6 +95,8 @@ def cmd_gap(args) -> int:
 def cmd_loopback(args) -> int:
     scenario = _load_scenario(args)
     out = Path(args.out)
+    # the link build is most of the command: reject bad flags before it
+    check_loopback(args.frames, args.noise_variance)
     link = build_link(scenario)
     report = run_loopback(link, args.frames, noise_variance=args.noise_variance)
 

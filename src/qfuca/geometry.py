@@ -4,7 +4,7 @@ A QF-UCA antenna is N uniform circular cells of radius R placed on a circle
 of radius R_Q; cells may physically share array elements wherever their
 circles intersect on the element grid.  This module builds layouts, detects
 shared elements by coordinate coincidence, and derives sharing-frequency
-matrices, superpose operators, and admissibility conditions.
+matrices, the slot-to-element superposition, and admissibility conditions.
 """
 
 from __future__ import annotations
@@ -71,16 +71,6 @@ class SharingMatrix:
         object.__setattr__(self, "diag_values", v)
 
 
-@dataclass(frozen=True)
-class SuperposeOperator:
-    """Linear operator over the N*K logical slots realizing element sharing."""
-
-    matrix: np.ndarray
-
-    def apply(self, logical: np.ndarray) -> np.ndarray:
-        return self.matrix @ logical
-
-
 def _intersection_azimuths(n_cells: int, ratio: float) -> list[float]:
     """Azimuths, seen from cell 0's center, where cell 0's circle meets the
     circle of any other cell (tangency yields a single azimuth)."""
@@ -122,30 +112,39 @@ def _aligning_offset(n_cells: int, elems_per_cell: int, ratio: float) -> float:
 
 
 def _coincidence_groups(positions: np.ndarray, tol: float) -> np.ndarray:
-    """Union-find clustering of slot positions closer than tol."""
+    """Cluster slot positions closer than tol: the connected components of
+    the pairs with distance d < tol, numbered in order of their first slot.
+
+    A pair with d < tol is less than tol apart in x, so the pairs are found
+    by a sweep over the slots sorted by x: the slots s places apart in that
+    order are compared for s = 1, 2, ... until none of them is within tol in
+    x.  That costs O(n log n + n r) for r the longest run of slots within
+    tol of one another in x, against O(n^2) for comparing every pair."""
     flat = positions.reshape(-1, 2)
-    n = flat.shape[0]
-    parent = np.arange(n)
+    order = np.argsort(flat[:, 0], kind="stable")
+    xs = flat[order, 0]
+    pairs = []
+    for s in range(1, flat.shape[0]):
+        near = np.flatnonzero(xs[s:] - xs[:-s] < tol)
+        if near.size == 0:
+            break
+        i, j = order[near], order[near + s]
+        close = np.hypot(flat[j, 0] - flat[i, 0], flat[j, 1] - flat[i, 1]) < tol
+        pairs += zip(i[close].tolist(), j[close].tolist())
+    # union-find whose roots are each component's first slot
+    root = list(range(flat.shape[0]))
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def find(a):
+        while root[a] != a:
+            a = root[a]
+        return a
 
-    for i in range(n):
-        d = np.hypot(flat[:, 0] - flat[i, 0], flat[:, 1] - flat[i, 1])
-        for j in np.nonzero(d < tol)[0]:
-            if j > i:
-                parent[find(j)] = find(i)
+    for a, b in pairs:
+        low, high = sorted((find(a), find(b)))
+        root[high] = low
     ids = {}
-    group = np.empty(n, dtype=int)
-    for i in range(n):
-        r = find(i)
-        if r not in ids:
-            ids[r] = len(ids)
-        group[i] = ids[r]
-    return group.reshape(positions.shape[:2])
+    group = [ids.setdefault(find(a), len(ids)) for a in range(flat.shape[0])]
+    return np.array(group).reshape(positions.shape[:2])
 
 
 def build_layout(n_cells: int, elems_per_cell: int, ratio: float,
@@ -255,23 +254,6 @@ def overlapped_ratios(n_cells: int, elems_per_cell: int) -> tuple[float, ...]:
         if np.sum(freqs == 2) == 4 and np.sum(freqs == 1) == v - 4:
             out.append(float(ratio))
     return tuple(sorted(set(out)))
-
-
-def superpose_operators(layout: Layout) -> tuple[SuperposeOperator, SuperposeOperator]:
-    """Transmit and receive superpose operators over the logical slots.
-
-    Transmit: each slot is replaced by the sum over its element group (the
-    shared element radiates the superposition).  Receive: each slot is
-    assigned its physical element's value; on physically consistent inputs
-    this is lossless duplication (implemented as the group average, which is
-    exactly that on consistent inputs).
-    """
-    group = layout.slot_group.reshape(-1)
-    nslots = group.size
-    same = (group[:, None] == group[None, :]).astype(float)
-    t_t = SuperposeOperator(matrix=same)
-    t_r = SuperposeOperator(matrix=same / same.sum(axis=1, keepdims=True))
-    return t_t, t_r
 
 
 def slot_group_sum(layout: Layout, logical: np.ndarray) -> np.ndarray:

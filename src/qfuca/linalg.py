@@ -1,16 +1,14 @@
 """Complex dense-matrix kernel.
 
-Unitary DFT/IDFT matrices, circulant construction and diagonalization,
-block-matrix algebra for matrices whose entries are equally-shaped matrices,
-and integer-order Bessel functions of the first kind.
+Unitary DFT/IDFT matrices, the O(n^2) diagonal of a matrix's DFT
+similarity transform (the eigenvalues of a circulant), and integer-order
+Bessel functions of the first kind.
 
 All operations are pure and deterministic and never mutate their inputs, so
 values can be shared freely between concurrent callers.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,19 +39,6 @@ def dft_matrix(n: int) -> np.ndarray:
     return idft_matrix(n).conj().T
 
 
-def circulant_from_first_row(row) -> np.ndarray:
-    """Square circulant matrix whose row r is the first row right-rotated r slots.
-
-    C[r, c] = row[(c - r) mod n].
-    """
-    row = np.asarray(row, dtype=complex)
-    if row.ndim != 1 or row.size == 0:
-        raise DimensionError("first row must be a non-empty 1-D sequence")
-    n = row.size
-    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    return row[idx]
-
-
 def diagonalize_row_blocks(blocks) -> np.ndarray:
     """The diagonal of W^H C W, W = idft_matrix(n), for a square C given as
     its consecutive row blocks, each (rows, n), in O(n^2) time.
@@ -68,7 +53,8 @@ def diagonalize_row_blocks(blocks) -> np.ndarray:
     need never exist whole.  Each block's wrapped rows are added to the
     running sums in one reduction whose first row is those sums; numpy adds
     axis 0 one row at a time, so the result is bit for bit the same however
-    C is cut (adding per-block partial sums would round differently).
+    C is cut (adding per-block partial sums would round differently).  A
+    whole matrix C is the one-block case, `diagonalize_row_blocks([C])`.
     """
     acc, start = None, 0
     for block in blocks:
@@ -86,79 +72,6 @@ def diagonalize_row_blocks(blocks) -> np.ndarray:
     if acc is None or start != acc.size:
         raise DimensionError(f"row blocks cover {start} rows of a square matrix, not all")
     return np.fft.ifft(acc)
-
-
-def diagonalize_circulant(c: np.ndarray) -> np.ndarray:
-    """The diagonal of W^H C W for any square C, W = idft_matrix(n), in O(n^2):
-    the one-block case of `diagonalize_row_blocks`."""
-    c = np.asarray(c, dtype=complex)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise DimensionError(f"circulant diagonalization needs a square matrix, got {c.shape}")
-    return diagonalize_row_blocks([c])
-
-
-@dataclass(frozen=True)
-class BlockMatrix:
-    """Rectangular grid of equally-shaped complex blocks.
-
-    Stored as a 4-D array (block_rows, block_cols, inner_rows, inner_cols).
-    """
-
-    blocks: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.blocks, dtype=complex)
-        if b.ndim != 4:
-            raise DimensionError(f"block grid must be 4-D, got shape {b.shape}")
-        object.__setattr__(self, "blocks", b)
-
-    @classmethod
-    def from_grid(cls, grid) -> "BlockMatrix":
-        """Build from a nested sequence of 2-D arrays; the grid must be
-        rectangular and all blocks equally shaped."""
-        rows = [list(r) for r in grid]
-        if not rows or not rows[0]:
-            raise DimensionError("block grid must be non-empty")
-        ncols = len(rows[0])
-        inner = np.asarray(rows[0][0]).shape
-        arr = np.empty((len(rows), ncols) + inner, dtype=complex)
-        for i, r in enumerate(rows):
-            if len(r) != ncols:
-                raise DimensionError("block grid must be rectangular")
-            for j, blk in enumerate(r):
-                blk = np.asarray(blk, dtype=complex)
-                if blk.shape != inner:
-                    raise DimensionError(
-                        f"block ({i},{j}) has shape {blk.shape}, expected {inner}")
-                arr[i, j] = blk
-        return cls(arr)
-
-    @property
-    def block_shape(self):
-        return self.blocks.shape[:2]
-
-    @property
-    def inner_shape(self):
-        return self.blocks.shape[2:]
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        return self.blocks[i, j]
-
-    def flatten(self) -> np.ndarray:
-        """The ordinary 2-D matrix this block matrix represents."""
-        br, bc, ir, ic = self.blocks.shape
-        return self.blocks.transpose(0, 2, 1, 3).reshape(br * ir, bc * ic)
-
-
-def block_matmul(a: BlockMatrix, b: BlockMatrix) -> BlockMatrix:
-    """Block-matrix product; flattening then multiplying gives the same result."""
-    if a.block_shape[1] != b.block_shape[0]:
-        raise DimensionError(
-            f"block dimensions not conformable: {a.block_shape} x {b.block_shape}")
-    if a.inner_shape[1] != b.inner_shape[0]:
-        raise DimensionError(
-            f"inner dimensions not conformable: {a.inner_shape} x {b.inner_shape}")
-    return BlockMatrix(np.einsum("ikab,kjbc->ijac", a.blocks, b.blocks))
 
 
 def _bessel_series(order: int, x: float) -> float:

@@ -15,8 +15,8 @@ carrier nor SNR, and `link_at` adds the propagation part.  `build_link` is
 their composition; sweeps keep the antenna and call `link_at` per point.
 
 The per-frame stage functions (`tom_modulate`, `propagate`,
-`tod_split_compensate`, `tod_inner_demodulate`, `ml_detect`) keep the
-paper's block-matrix forms.  The tests hold each against its
+`tod_split_compensate`, `tod_inner_demodulate`, `ml_detect`) are the
+engine's expressions for one frame.  The tests hold each against its
 direct-summation form, the physical path against the logical
 block-circulant path, and the engine against a frame-by-frame loop over the
 stage functions.
@@ -32,7 +32,7 @@ from . import channel as chan
 from .errors import DimensionError
 from .geometry import Layout, SharingMatrix, build_layout, duplicate_to_slots, \
     sharing_matrix, single_ring_layout, slot_group_sum
-from .linalg import BlockMatrix, block_matmul, dft_matrix, idft_matrix
+from .linalg import dft_matrix, idft_matrix
 
 # Frames go through the engine in blocks of this many, so its temporaries
 # (the largest is the (frames, N, K, alphabet) distance tensor) keep one size
@@ -152,44 +152,11 @@ def logical_modulated(grid: SymbolGrid) -> np.ndarray:
 
 
 def tom_modulate(grid: SymbolGrid, tx: Layout) -> np.ndarray:
-    """Physical transmit feed via the block-matrix form: the two-dimension
-    IDFT block operator applied to the stacked symbol vectors, then the
-    group-sum superposition; indexed by physical element id."""
-    n, k = grid.n_inter, grid.n_inner
-    if (n, k) != (tx.n_cells, tx.elems_per_cell):
+    """Physical transmit feed: the two-dimension IDFT of the symbol grid,
+    superposed onto the shared elements; indexed by physical element id."""
+    if (grid.n_inter, grid.n_inner) != (tx.n_cells, tx.elems_per_cell):
         raise ValueError("symbol grid does not match the transmit layout")
-    wk = idft_matrix(k)
-    wtilde = BlockMatrix.from_grid(
-        [[np.exp(2j * np.pi * nn * p / n) * wk for p in range(n)]
-         for nn in range(n)])
-    s_stack = BlockMatrix(grid.symbols.reshape(n, 1, k, 1))
-    logical = block_matmul(wtilde, s_stack).flatten().reshape(n, k) / np.sqrt(n)
-    return slot_group_sum(tx, logical)
-
-
-def tom_modulate_loops(grid: SymbolGrid, tx: Layout) -> np.ndarray:
-    """Physical transmit feed by direct double summation and explicit
-    per-element superposition of shared slots."""
-    n, k = grid.n_inter, grid.n_inner
-    if (n, k) != (tx.n_cells, tx.elems_per_cell):
-        raise ValueError("symbol grid does not match the transmit layout")
-    p_modes = chan.mode_values(n)
-    l_modes = chan.mode_values(k)
-    logical = np.zeros((n, k), dtype=complex)
-    for nn in range(n):
-        for kk in range(k):
-            acc = 0.0 + 0.0j
-            for pi, p in enumerate(p_modes):
-                for li, l in enumerate(l_modes):
-                    acc += grid.symbols[pi, li] \
-                        * np.exp(2j * np.pi * kk * l / k) \
-                        * np.exp(2j * np.pi * nn * p / n)
-            logical[nn, kk] = acc / np.sqrt(n * k)
-    feed = np.zeros(tx.n_physical, dtype=complex)
-    for nn in range(n):
-        for kk in range(k):
-            feed[tx.slot_group[nn, kk]] += logical[nn, kk]
-    return feed
+    return slot_group_sum(tx, logical_modulated(grid))
 
 
 def propagate(tx_signals: np.ndarray, tx: Layout, rx: Layout,
@@ -203,15 +170,6 @@ def propagate(tx_signals: np.ndarray, tx: Layout, rx: Layout,
         raise DimensionError("transmit vector does not match the physical element count")
     g = chan.physical_gain_matrix(tx, rx, params)
     return g @ x + noise.sample(rx.n_physical, frame)
-
-
-def propagate_logical(grid: SymbolGrid, block_channel: chan.BlockChannel) -> np.ndarray:
-    """Noise-free logical path: the assembled block-circulant channel applied
-    to the pre-superposition logical signals; returns the (M, V) grid."""
-    x = logical_modulated(grid).reshape(-1)
-    h = block_channel.assembled.flatten()
-    v = block_channel.subchannels[0].shape[0]
-    return (h @ x).reshape(block_channel.n_cells, v)
 
 
 def split_received(rx_signals: np.ndarray, rx: Layout) -> np.ndarray:
@@ -228,26 +186,9 @@ def split_received(rx_signals: np.ndarray, rx: Layout) -> np.ndarray:
 
 def tod_split_compensate(rx_signals: np.ndarray, rx: Layout) -> np.ndarray:
     """Split physical observations to logical slots, then separate the
-    inter-cell modes by the N-point phase compensation (matrix form):
-    row p of the result is x~_p."""
-    r = split_received(rx_signals, rx)
-    n, v = r.shape
-    wnh = BlockMatrix.from_grid(
-        [[np.exp(-2j * np.pi * m * p / n) / np.sqrt(n) * np.eye(v)
-          for m in range(n)] for p in range(n)])
-    r_stack = BlockMatrix(r.reshape(n, 1, v, 1))
-    return block_matmul(wnh, r_stack).flatten().reshape(n, v)
-
-
-def tod_split_compensate_loops(rx_signals: np.ndarray, rx: Layout) -> np.ndarray:
-    """Direct-summation variant: x~_{p,v} = (1/sqrt(N)) sum_m r_{m,v} e^{-j Theta_m p}."""
-    r = split_received(rx_signals, rx)
-    n, v = r.shape
-    out = np.zeros((n, v), dtype=complex)
-    for p in range(n):
-        for m in range(n):
-            out[p] += r[m] * np.exp(-2j * np.pi * m * p / n)
-    return out / np.sqrt(n)
+    inter-cell modes by the N-point phase compensation dft_matrix(N): row p
+    of the result is x~_p.  Leading axes of `rx_signals` index frames."""
+    return dft_matrix(rx.n_cells) @ split_received(rx_signals, rx)
 
 
 def tod_inner_demodulate(x_tilde_p: np.ndarray, sharing: SharingMatrix) -> np.ndarray:
@@ -487,7 +428,6 @@ class FrameChain:
         self.tx, self.rx = link.tx, link.rx
         self.gain_t = chan.physical_gain_matrix(link.tx, link.rx, link.params).T
         self.idft_n, self.idft_k = idft_matrix(n), idft_matrix(k)
-        self.dft_n = dft_matrix(n)
         # s~_p = W^H L x~_p for every branch, acting on x~ as row vectors
         self.inner = link.sharing.diag_values[:, None] * dft_matrix(k).T
         self.amplitudes, self.points = amplitudes, link.constellation.points
@@ -502,7 +442,7 @@ class FrameChain:
         feed = slot_group_sum(self.tx, self.idft_n @ symbols @ self.idft_k)
         received = feed @ self.gain_t \
             + np.stack([noise.sample(self.rx.n_physical, f) for f in frames])
-        x_tilde = self.dft_n @ split_received(received, self.rx)
+        x_tilde = tod_split_compensate(received, self.rx)
         indices, near_ties = _nearest(x_tilde @ self.inner, self.candidates)
         return indices, self.amplitudes * self.points[indices], near_ties
 
@@ -544,6 +484,14 @@ class LoopbackReport:
         return self.diagnostics.max_interference_to_signal
 
 
+def check_loopback(n_frames: int, noise_variance: float):
+    """Reject a negative frame count, or a noise variance NoiseModel
+    rejects, without building a link."""
+    if n_frames < 0:
+        raise ValueError(f"frame count must be nonnegative, got {n_frames}")
+    NoiseModel(element_variance=noise_variance)
+
+
 def run_loopback(link: Link, n_frames: int, noise_variance: float = 0.0) -> LoopbackReport:
     """Transmit n_frames random constellation grids through the link's
     chain, FRAME_BLOCK frames at a time.  Counts symbol errors in total, per
@@ -551,9 +499,8 @@ def run_loopback(link: Link, n_frames: int, noise_variance: float = 0.0) -> Loop
     non-degenerate modes.  Deterministic from the link seed: frame f takes
     the next grid of the seed's symbol stream and the noise of
     NoiseModel(noise_variance, seed) at frame f.  Zero frames are a valid
-    (empty) run; a negative count is rejected."""
-    if n_frames < 0:
-        raise ValueError(f"frame count must be nonnegative, got {n_frames}")
+    (empty) run; a negative count is rejected (`check_loopback`)."""
+    check_loopback(n_frames, noise_variance)
     n, k = link.n_inter, link.n_inner
     noise = NoiseModel(element_variance=noise_variance, seed=link.seed)
     sym_rng = np.random.default_rng(np.random.SeedSequence((link.seed, 0xA11CE)))

@@ -1,0 +1,274 @@
+"""Direct-summation and dense-matrix oracles the tests hold the package against.
+
+Each oracle computes what a production function computes, by the paper's
+per-entry sums or by a dense matrix, so that a test can compare the two
+paths.  None of it runs in the simulator.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from qfuca import channel as chan
+from qfuca import txrx
+from qfuca.errors import DegenerateChannelError, DimensionError, GeometryError
+from qfuca.geometry import Layout, SharingMatrix
+from qfuca.linalg import bessel_j
+
+# quarter-turn between layout azimuths and the expansion's azimuths
+_AZ_SHIFT = np.pi / 2
+
+
+def circulant_from_first_row(row) -> np.ndarray:
+    """Square circulant matrix whose row r is the first row right-rotated r slots.
+
+    C[r, c] = row[(c - r) mod n].
+    """
+    row = np.asarray(row, dtype=complex)
+    if row.ndim != 1 or row.size == 0:
+        raise DimensionError("first row must be a non-empty 1-D sequence")
+    n = row.size
+    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+    return row[idx]
+
+
+def coincidence_groups(positions: np.ndarray, tol: float) -> np.ndarray:
+    """Union-find clustering of slot positions closer than tol, comparing
+    every pair: the oracle of the x-sorted sweep in `geometry`."""
+    flat = positions.reshape(-1, 2)
+    n = flat.shape[0]
+    parent = np.arange(n)
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        d = np.hypot(flat[:, 0] - flat[i, 0], flat[:, 1] - flat[i, 1])
+        for j in np.nonzero(d < tol)[0]:
+            if j > i:
+                parent[find(j)] = find(i)
+    ids = {}
+    group = np.empty(n, dtype=int)
+    for i in range(n):
+        r = find(i)
+        if r not in ids:
+            ids[r] = len(ids)
+        group[i] = ids[r]
+    return group.reshape(positions.shape[:2])
+
+
+def superpose_operators(layout: Layout) -> tuple[np.ndarray, np.ndarray]:
+    """Transmit and receive superpose operators over the N*K logical slots,
+    as dense matrices.
+
+    Transmit: each slot is replaced by the sum over its element group (the
+    shared element radiates the superposition).  Receive: each slot is
+    assigned its physical element's value; on physically consistent inputs
+    this is lossless duplication (implemented as the group average, which is
+    exactly that on consistent inputs).
+    """
+    group = layout.slot_group.reshape(-1)
+    same = (group[:, None] == group[None, :]).astype(float)
+    return same, same / same.sum(axis=1, keepdims=True)
+
+
+def _check_indices(tx: Layout, rx: Layout, q: int, v: int, k: int):
+    if tx.n_cells != rx.n_cells:
+        raise ValueError("transmit and receive antennas must have equal cell counts")
+    if not 0 <= q < tx.n_cells:
+        raise ValueError(f"offset q out of range: {q}")
+    if not 0 <= v < rx.elems_per_cell:
+        raise ValueError(f"receive element index out of range: {v}")
+    if not 0 <= k < tx.elems_per_cell:
+        raise ValueError(f"transmit element index out of range: {k}")
+
+
+def exact_distance(tx: Layout, rx: Layout, params: chan.PropagationParams,
+                   q: int, v: int, k: int) -> float:
+    """Exact 3-D distance between receive slot (m, v) and transmit slot (n, k)
+    for cell offset q = ((n + N - m)) mod N, from the layout coordinates."""
+    _check_indices(tx, rx, q, v, k)
+    dxy = rx.positions[0, v] - tx.positions[q, k]
+    return float(np.hypot(params.distance_m, np.hypot(dxy[0], dxy[1])))
+
+
+def fresnel_terms(tx: Layout, rx: Layout, params: chan.PropagationParams,
+                  q: int, v: int) -> tuple[float, float, bool]:
+    """Second-order expansion terms (B_{q,v} in meters, alpha_{q,v} in radians,
+    degenerate flag).  alpha solves the sine/cosine pair with a two-argument
+    arctangent; when B vanishes the angle is reported as 0 and flagged."""
+    _check_indices(tx, rx, q, v, 0)
+    rq, rt, rr = tx.qf_radius, tx.cell_radius, rx.cell_radius
+    d = params.distance_m
+    phi_q = 2 * np.pi * q / tx.n_cells
+    s = np.sin(phi_q / 2)
+    x = (rx.elem_azimuths[v] + _AZ_SHIFT) - phi_q / 2
+    b = rt * np.sqrt(4 * rq**2 * s**2 + 4 * rq * rr * s * np.cos(x) + rr**2) / d
+    if b == 0.0:
+        return 0.0, 0.0, True
+    alpha = float(np.arctan2(2 * rq * rt * s * np.sin(x),
+                             2 * rq * rt * s * np.cos(x) + rr * rt))
+    return float(b), alpha, False
+
+
+def approx_distance(tx: Layout, rx: Layout, params: chan.PropagationParams,
+                    q: int, v: int, k: int) -> float:
+    """Fresnel expansion of the exact distance:
+    D + Rt^2/(2D) + D B^2/(2 Rt^2) - B cos(psi_k - phi_v + phi_q + alpha)."""
+    _check_indices(tx, rx, q, v, k)
+    d = params.distance_m
+    rt = tx.cell_radius
+    phi_q = 2 * np.pi * q / tx.n_cells
+    b, alpha, _ = fresnel_terms(tx, rx, params, q, v)
+    psi = tx.elem_azimuths[k] + _AZ_SHIFT
+    phi = rx.elem_azimuths[v] + _AZ_SHIFT
+    return float(d + rt**2 / (2 * d) + d * b**2 / (2 * rt**2)
+                 - b * np.cos(psi - phi + phi_q + alpha))
+
+
+def element_gain(tx: Layout, rx: Layout, params: chan.PropagationParams,
+                 sharing: SharingMatrix, q: int, v: int, k: int,
+                 far_field: bool = False) -> complex:
+    """Complex gain (1/L_v) (beta lambda / 4 pi) e^{-j 2 pi d / lambda} / d.
+
+    With far_field=True the phase uses the Fresnel distance and the amplitude
+    uses 1/D, the closed-form variant."""
+    _check_indices(tx, rx, q, v, k)
+    lam = params.wavelength_m
+    lv = sharing.diag_values[v]
+    if far_field:
+        d_phase = approx_distance(tx, rx, params, q, v, k)
+        d_amp = params.distance_m
+    else:
+        d_phase = exact_distance(tx, rx, params, q, v, k)
+        d_amp = d_phase
+        if d_amp == 0.0:
+            raise GeometryError("colocated transmit and receive elements")
+    return (params.beta * lam / (4 * np.pi * lv)) \
+        * np.exp(-2j * np.pi * d_phase / lam) / d_amp
+
+
+def equivalent_mode_gain(tx: Layout, rx: Layout, params: chan.PropagationParams,
+                         sharing: SharingMatrix, m: int, p: int, v: int, l: int,
+                         path: str = "exact") -> complex:
+    """Equivalent gain of mode pair (p, l) seen at receive slot (m, v).
+
+    The exact path evaluates the double sum over cell offsets and transmit
+    elements with exact gains; the bessel path evaluates the closed form with
+    the simplified (azimuth-free) Bessel argument.
+    """
+    n = tx.n_cells
+    k_count = tx.elems_per_cell
+    theta_m = 2 * np.pi * m / n
+    if path == "exact":
+        total = 0.0 + 0.0j
+        for q in range(n):
+            phi_q = 2 * np.pi * q / n
+            inner = 0.0 + 0.0j
+            for k in range(k_count):
+                inner += np.exp(2j * np.pi * k * l / k_count) \
+                    * element_gain(tx, rx, params, sharing, q, v, k)
+            total += np.exp(1j * phi_q * p) * inner
+        return complex(np.exp(1j * theta_m * p) / np.sqrt(n * k_count) * total)
+    if path != "bessel":
+        raise ValueError(f"unknown path {path!r}")
+    lam = params.wavelength_m
+    d = params.distance_m
+    rq, rt, rr = tx.qf_radius, tx.cell_radius, rx.cell_radius
+    lv = sharing.diag_values[v]
+    hbar = params.reference_gain
+    phi_v = rx.elem_azimuths[v] + _AZ_SHIFT
+    total = 0.0 + 0.0j
+    for q in range(n):
+        phi_q = 2 * np.pi * q / n
+        s = np.sin(phi_q / 2)
+        b_q = 2 * np.pi * rt * np.sqrt(4 * rq**2 * s**2 + rr**2) / (lam * d)
+        b_v, alpha, _ = fresnel_terms(tx, rx, params, q, v)
+        amp = np.exp(-2j * np.pi * (d + rt**2 / (2 * d)) / lam) \
+            * np.exp(-1j * np.pi * d * b_v**2 / (lam * rt**2)) / lv
+        total += amp * np.exp(1j * (phi_q * p - alpha * l)) \
+            * np.exp(1j * (phi_v - phi_q) * l) * bessel_j(l, b_q)
+    # converts the expansion's azimuth phases back to index-based modulation
+    grid_phase = np.exp(-1j * (tx.elem_offset + _AZ_SHIFT) * l)
+    return complex(chan.j_power(l) * np.sqrt(k_count / n) * hbar
+                   * np.exp(1j * theta_m * p) * grid_phase * total)
+
+
+def full_superposition_gap(tx: Layout, rx: Layout, params: chan.PropagationParams,
+                           sharing: SharingMatrix, p: int,
+                           channel: chan.BlockChannel | None = None,
+                           j_order: str = "matched", correction: bool = True) -> float:
+    """Relative squared Frobenius gap between the exact p-th transform and
+    the sum of its diagonal Bessel approximations over all offsets, one p at
+    a time: the oracle of `ModeChannel.gap`.  A numerically null transform
+    (see chan.NULL_RTOL) raises DegenerateChannelError."""
+    if channel is None:
+        channel = chan.build_block_channel(tx, rx, params, sharing)
+    kc = tx.elems_per_cell
+    lv = sharing.diag_values[:, None]
+    exact = chan.exact_mode_matrix(tx, rx, params, sharing, p, channel)
+    approx = np.zeros((kc, kc), dtype=complex)
+    for q in range(tx.n_cells):
+        approx += chan.diag_approx_block(tx, rx, params, sharing, p, q,
+                                         j_order, correction)
+    # the mean squared norm of the N transforms, by Parseval over q
+    floor = chan.NULL_RTOL ** 2 * sum(np.linalg.norm(lv * h, "fro") ** 2
+                                      for h in channel.subchannels)
+    denom = np.linalg.norm(exact, "fro") ** 2
+    if denom <= floor:
+        raise DegenerateChannelError("null channel has no relative gap")
+    return float(np.linalg.norm(exact - approx, "fro") ** 2 / denom)
+
+
+def tom_modulate_loops(grid: txrx.SymbolGrid, tx: Layout) -> np.ndarray:
+    """Physical transmit feed by direct double summation and explicit
+    per-element superposition of shared slots."""
+    n, k = grid.n_inter, grid.n_inner
+    if (n, k) != (tx.n_cells, tx.elems_per_cell):
+        raise ValueError("symbol grid does not match the transmit layout")
+    p_modes = chan.mode_values(n)
+    l_modes = chan.mode_values(k)
+    logical = np.zeros((n, k), dtype=complex)
+    for nn in range(n):
+        for kk in range(k):
+            acc = 0.0 + 0.0j
+            for pi, p in enumerate(p_modes):
+                for li, l in enumerate(l_modes):
+                    acc += grid.symbols[pi, li] \
+                        * np.exp(2j * np.pi * kk * l / k) \
+                        * np.exp(2j * np.pi * nn * p / n)
+            logical[nn, kk] = acc / np.sqrt(n * k)
+    feed = np.zeros(tx.n_physical, dtype=complex)
+    for nn in range(n):
+        for kk in range(k):
+            feed[tx.slot_group[nn, kk]] += logical[nn, kk]
+    return feed
+
+
+def assembled_channel(block_channel: chan.BlockChannel) -> np.ndarray:
+    """The block-circulant channel as one dense (N V) x (N K) matrix."""
+    n = block_channel.n_cells
+    return np.block([[block_channel.block(m, nn) for nn in range(n)] for m in range(n)])
+
+
+def propagate_logical(grid: txrx.SymbolGrid, block_channel: chan.BlockChannel) -> np.ndarray:
+    """Noise-free logical path: the assembled block-circulant channel applied
+    to the pre-superposition logical signals; returns the (M, V) grid."""
+    x = txrx.logical_modulated(grid).reshape(-1)
+    v = block_channel.subchannels[0].shape[0]
+    return (assembled_channel(block_channel) @ x).reshape(block_channel.n_cells, v)
+
+
+def tod_split_compensate_loops(rx_signals: np.ndarray, rx: Layout) -> np.ndarray:
+    """Direct-summation form of `txrx.tod_split_compensate`:
+    x~_{p,v} = (1/sqrt(N)) sum_m r_{m,v} e^{-j Theta_m p}."""
+    r = txrx.split_received(rx_signals, rx)
+    n, v = r.shape
+    out = np.zeros((n, v), dtype=complex)
+    for p in range(n):
+        for m in range(n):
+            out[p] += r[m] * np.exp(-2j * np.pi * m * p / n)
+    return out / np.sqrt(n)

@@ -4,6 +4,7 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qfuca import cli
 from qfuca.cli import main
 from qfuca.config import Scenario, parse_config, serialize_scenario
 from qfuca.errors import ConfigError
@@ -153,6 +154,20 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             "error: frame count must be nonnegative, got -5")
         assert not (tmp_path / "loopback.csv").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--frames", "-5"], "frame count must be nonnegative, got -5"),
+        (["--noise-variance", "nan"], "noise variance must be finite"),
+        (["--noise-variance", "inf"], "noise variance must be finite"),
+    ])
+    def test_bad_loopback_flags_rejected_before_the_link_build(
+            self, tmp_path, capsys, monkeypatch, flags, message):
+        def no_link(*args, **kwargs):
+            raise AssertionError("build_link ran before the flags were checked")
+
+        monkeypatch.setattr(cli, "build_link", no_link)
+        assert main(["loopback", "--out", str(tmp_path)] + flags) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_zero_frames_is_an_empty_run(self, tmp_path, capsys):
         assert main(["loopback", "--out", str(tmp_path), "--frames", "0"]) == 0

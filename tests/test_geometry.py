@@ -2,14 +2,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfuca.errors import GeometryError
-from qfuca.geometry import (admissible_elem_counts, build_layout, layout_csv,
-                            overlapped_ratios, rotation_shift, sharing_matrix,
-                            single_ring_layout, slot_group_sum,
-                            superpose_operators)
+from qfuca.geometry import (COINCIDENCE_RTOL, admissible_elem_counts, build_layout,
+                            layout_csv, overlapped_ratios, rotation_shift,
+                            sharing_matrix, single_ring_layout, slot_group_sum)
+from qfuca.geometry import _coincidence_groups
 
 from layouts import admissible_layouts
+from reference import coincidence_groups, superpose_operators
 
 
 def circulant_shift_equal(a, b):
@@ -54,6 +56,34 @@ class TestBuildLayout:
                 ang = lay.elem_azimuths[k] + lay.cell_azimuths[n]
                 pos = center + lay.cell_radius * np.array([np.cos(ang), np.sin(ang)])
                 assert np.max(np.abs(pos - lay.positions[n, k])) < 1e-12 * 2.5
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(admissible_layouts()),
+           st.floats(min_value=0.05, max_value=20.0))
+    def test_shared_elements_match_all_pairs_oracle(self, layout, qf_radius):
+        # the x-sorted sweep finds the same pairs as comparing every pair,
+        # so the partition and the physical numbering are the same
+        lay = build_layout(*layout, qf_radius)
+        expect = coincidence_groups(lay.positions, COINCIDENCE_RTOL * qf_radius)
+        assert np.array_equal(lay.slot_group, expect)
+
+    @pytest.mark.parametrize("n, v, ratio", [(16, 32, 1.0), (16, 32, np.sin(np.pi / 16)),
+                                             (32, 64, 1.0), (64, 1, 1.0)])
+    def test_shared_elements_match_all_pairs_oracle_on_large_grids(self, n, v, ratio):
+        # at ratio 1 every cell's slot at the center lies on one x: the
+        # sweep has to look N places ahead there
+        lay = build_layout(n, v, ratio, 0.5)
+        expect = coincidence_groups(lay.positions, COINCIDENCE_RTOL * 0.5)
+        assert np.array_equal(lay.slot_group, expect)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=40))
+    def test_coincidence_chains_match_all_pairs_oracle(self, points):
+        # points 0.45 tol apart on a lattice form chains whose ends are more
+        # than tol apart: the groups are the chains' connected components
+        positions = 0.45 * np.array(points, dtype=float).reshape(1, -1, 2)
+        assert np.array_equal(_coincidence_groups(positions, 1.0),
+                              coincidence_groups(positions, 1.0))
 
     def test_counting_identity_exact(self):
         # N_t = N * sum_v 1/L_v as an exact rational identity
@@ -159,8 +189,8 @@ class TestSuperpose:
     def test_identity_when_unshared(self):
         lay = build_layout(4, 4, 0.5, 1.0)
         t_t, t_r = superpose_operators(lay)
-        assert np.array_equal(t_t.matrix, np.eye(16))
-        assert np.array_equal(t_r.matrix, np.eye(16))
+        assert np.array_equal(t_t, np.eye(16))
+        assert np.array_equal(t_r, np.eye(16))
 
     def test_shared_pair_sums(self):
         lay = build_layout(4, 8, np.sin(np.pi / 4), 1.0)
@@ -171,13 +201,13 @@ class TestSuperpose:
         slots = np.nonzero(group == shared_id)[0]
         x = np.zeros(group.size, dtype=complex)
         x[slots[0]], x[slots[1]] = 2.0, 3.0 + 1j
-        out = t_t.apply(x)
+        out = t_t @ x
         assert out[slots[0]] == out[slots[1]] == 5.0 + 1j
 
     def test_transmit_on_ones_gives_sharing_freqs(self):
         lay = build_layout(4, 4, 1.0, 1.0)
         t_t, _ = superpose_operators(lay)
-        out = t_t.apply(np.ones(16)).reshape(4, 4)
+        out = (t_t @ np.ones(16)).reshape(4, 4)
         counts = np.bincount(lay.slot_group.ravel())
         for n in range(4):
             assert np.array_equal(out[n].real, counts[lay.slot_group[n]])
@@ -187,8 +217,8 @@ class TestSuperpose:
         t_t, _ = superpose_operators(lay)
         rng = np.random.default_rng(2)
         x = rng.normal(size=16) + 1j * rng.normal(size=16)
-        once = t_t.apply(x)
-        twice = t_t.apply(once)
+        once = t_t @ x
+        twice = t_t @ once
         counts = np.bincount(lay.slot_group.ravel())[lay.slot_group.reshape(-1)]
         assert np.max(np.abs(twice - counts * once)) < 1e-12
 
@@ -198,7 +228,7 @@ class TestSuperpose:
         rng = np.random.default_rng(3)
         phys = rng.normal(size=lay.n_physical) + 1j * rng.normal(size=lay.n_physical)
         consistent = phys[lay.slot_group.reshape(-1)]
-        assert np.max(np.abs(t_r.apply(consistent) - consistent)) < 1e-12
+        assert np.max(np.abs(t_r @ consistent - consistent)) < 1e-12
 
     def test_group_sum_matches_operator(self):
         lay = build_layout(4, 4, 1.0, 1.0)
@@ -206,7 +236,7 @@ class TestSuperpose:
         rng = np.random.default_rng(4)
         x = rng.normal(size=16) + 1j * rng.normal(size=16)
         physical = slot_group_sum(lay, x)
-        replicated = t_t.apply(x)
+        replicated = t_t @ x
         assert np.max(np.abs(replicated - physical[lay.slot_group.reshape(-1)])) < 1e-12
 
 

