@@ -5,11 +5,12 @@ The set is the criterion-10 commands plus a distance sweep, a frequency
 sweep, a noisy loopback and the default gap study, all on the criterion-10
 scenario, a distance and a frequency sweep at the 8x16 grid, where the
 single-ring baselines have 97 and 128 elements (the rounding of their
-wrapped-diagonal sums and FFTs depends on the ring size), and a one-point
-distance sweep at the 16x32 grid, whose 385- and 512-element rings are
-streamed in 7 and 8 row blocks.  A change that
-alters any output byte on purpose must say so in CHANGES.md and re-record
-the hashes with `python tests/test_golden_outputs.py`.
+wrapped-diagonal sums and FFTs depends on the ring size), a noisy loopback
+at the 8x16 grid, whose modes.csv holds the gains of all 8 exact transforms,
+and a one-point distance sweep at the 16x32 grid, whose 385- and 512-element
+rings are streamed in 7 and 8 row blocks.  A change that alters any output
+byte on purpose must say so in CHANGES.md and re-record the hashes with
+`python tests/test_golden_outputs.py`.
 """
 
 import contextlib
@@ -39,11 +40,12 @@ COMMANDS = {
     "sweep_distance_8x16": ("sweep", "--axis", "distance_m", "--values", "25,100,400"),
     "sweep_freq_8x16": ("sweep", "--axis", "freq_hz", "--values", "2.4e9,5.8e9,28e9"),
     "sweep_distance_16x32": ("sweep", "--axis", "distance_m", "--values", "100"),
+    "loopback_noisy_8x16": ("loopback", "--frames", "20", "--noise-variance", "1e-12"),
 }
 
 # commands run on another scenario than SCENARIO
 SCENARIOS = {"sweep_distance_8x16": GRID_8X16, "sweep_freq_8x16": GRID_8X16,
-             "sweep_distance_16x32": GRID_16X32}
+             "loopback_noisy_8x16": GRID_8X16, "sweep_distance_16x32": GRID_16X32}
 
 GOLDEN = {
     'gap_criterion_10': {
@@ -75,6 +77,14 @@ GOLDEN = {
             '0f51c8ef78ef6ab9da7c6e3dca9ca0efc3d8d73865139b23397b0153091b27de',
         'modes.csv':
             '956caeb6a860e2c3ab85517a3e02cd9b2101f149b4adce8de68361ea9ca7acce',
+    },
+    'loopback_noisy_8x16': {
+        'channel.csv':
+            '6984e37a537a6d848af9e7963f1e869a4764382b80666c671326248e9f0b37a5',
+        'loopback.csv':
+            '216cc506d52e48578d8a6ee9af16355380eb4b5f86a11e13cdfd79d5ac5ddb22',
+        'modes.csv':
+            '40e85412e24db052ce760d87df015e3c5d1fc7dd217bf05f1bdd25b72e430be8',
     },
     'sweep_distance': {
         'sweep.csv':
