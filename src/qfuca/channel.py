@@ -89,10 +89,11 @@ class PropagationParams:
 
 @dataclass(frozen=True)
 class BlockChannel:
-    """Block-circulant logical channel: N sub-channels H_q of shape V x K."""
+    """Block-circulant logical channel: subchannels is the (N, V, K) array
+    of the sub-channels H_q."""
 
     n_cells: int
-    subchannels: tuple
+    subchannels: np.ndarray
 
     def block(self, m: int, n: int) -> np.ndarray:
         """Block (m, n) of the assembled matrix, H_{((n + N - m)) mod N}."""
@@ -178,37 +179,10 @@ def build_block_channel(tx: Layout, rx: Layout, params: PropagationParams,
         raise ValueError("unsupported configuration: cell counts must match")
     if sharing is None:
         sharing = sharing_matrix(rx)
-    n = tx.n_cells
     lv = sharing.diag_values.astype(float)
-    subs = []
-    for q in range(n):
-        h = free_space_gain(rx.positions[0][:, None, :] - tx.positions[q][None, :, :], params)
-        subs.append(h / lv[:, None])
-    return BlockChannel(n_cells=n, subchannels=tuple(subs))
-
-
-def superposed_subchannel(channel: BlockChannel, p: int) -> np.ndarray:
-    """Linear superposition of the sub-channels with the p-th IDFT column's
-    phases: sum_q e^{j 2 pi p q / N} H_q."""
-    n = channel.n_cells
-    out = np.zeros_like(channel.subchannels[0])
-    for q in range(n):
-        out = out + np.exp(2j * np.pi * p * q / n) * channel.subchannels[q]
-    return out
-
-
-def exact_mode_matrix(tx: Layout, rx: Layout, params: PropagationParams,
-                      sharing: SharingMatrix, p: int,
-                      channel: BlockChannel | None = None) -> np.ndarray:
-    """Exact per-p transform W^H L (sum_q e^{j 2 pi p q / N} H_q) W."""
-    if tx.elems_per_cell != rx.elems_per_cell:
-        raise DimensionError("mode transform requires V = K")
-    if channel is None:
-        channel = build_block_channel(tx, rx, params, sharing)
-    w = idft_matrix(tx.elems_per_cell)
-    lhp = sharing.diag_values[:, None] * superposed_subchannel(channel, p)
-    # w.conj().T is dft_matrix(K), bit for bit and in the same memory layout
-    return w.conj().T @ lhp @ w
+    h = free_space_gain(rx.positions[0][None, :, None, :] - tx.positions[:, None, :, :],
+                        params)
+    return BlockChannel(n_cells=tx.n_cells, subchannels=h / lv[:, None])
 
 
 def _alpha_of_azimuth(tx: Layout, rx: Layout, q: int, phi: np.ndarray) -> np.ndarray:
@@ -274,21 +248,20 @@ def diag_approx_block(tx: Layout, rx: Layout, params: PropagationParams,
 
 
 def approx_gap(tx: Layout, rx: Layout, params: PropagationParams,
-               sharing: SharingMatrix, p: int, q: int,
-               channel: BlockChannel | None = None,
+               sharing: SharingMatrix, channel: BlockChannel | None = None,
                j_order: str = "matched", correction: bool = True) -> float:
-    """Relative squared Frobenius gap between the q-th aligned sub-channel
-    summand of the exact p-th transform (W^H L H_q W with the p-th phase)
-    and its diagonal Bessel approximation.  A null summand raises
+    """Relative squared Frobenius gap between the aligned (q = 0) summand of
+    the exact transforms, W^H L H_0 W, and its diagonal Bessel
+    approximation.  Both phase factors e^{j 2 pi p q / N} are 1 at q = 0,
+    so the gap is the same for every branch p.  A null summand raises
     DegenerateChannelError.  The gap against the full superposition over
     offsets is `ModeChannel.gap`.
     """
     if channel is None:
         channel = build_block_channel(tx, rx, params, sharing)
     w = idft_matrix(tx.elems_per_cell)
-    exact = np.exp(2j * np.pi * p * q / tx.n_cells) \
-        * (w.conj().T @ (sharing.diag_values[:, None] * channel.subchannels[q]) @ w)
-    approx = diag_approx_block(tx, rx, params, sharing, p, q, j_order, correction)
+    exact = w.conj().T @ (sharing.diag_values[:, None] * channel.subchannels[0]) @ w
+    approx = diag_approx_block(tx, rx, params, sharing, 0, 0, j_order, correction)
     denom = np.linalg.norm(exact, "fro") ** 2
     if denom <= 0.0:
         raise DegenerateChannelError("null channel has no relative gap")
@@ -301,18 +274,29 @@ def detection_coeffs(tx: Layout, rx: Layout, params: PropagationParams,
                      correction: bool = True,
                      channel: BlockChannel | None = None) -> ModeChannel:
     """Mode channel from the exact per-p transforms of a block channel
-    (built here when not given).
+    (built here when not given): W^H L (sum_q e^{j 2 pi p q / N} H_q) W for
+    every p at once.
 
     lambda_coeffs holds the exact per-mode gains (diagonals of the exact
     transforms).  The Bessel-route blocks and the per-p gap, with the given
     j_order and correction, are evaluated only when first read.
     """
+    if tx.elems_per_cell != rx.elems_per_cell:
+        raise DimensionError("mode transform requires V = K")
     if sharing is None:
         sharing = sharing_matrix(rx)
     if channel is None:
         channel = build_block_channel(tx, rx, params, sharing)
-    exact = np.stack([exact_mode_matrix(tx, rx, params, sharing, p, channel)
-                      for p in range(tx.n_cells)])
+    n = tx.n_cells
+    p = np.arange(n)
+    hp = np.zeros_like(channel.subchannels)
+    for q in range(n):
+        # the phase is exp(1j * angle), not exp(2j * pi * p * q / n): numpy's
+        # complex division by n rounds differently from a float one
+        hp = hp + np.exp(1j * (2 * np.pi * p * q / n))[:, None, None] * channel.subchannels[q]
+    w = idft_matrix(tx.elems_per_cell)
+    # w.conj().T is dft_matrix(K), bit for bit and in the same memory layout
+    exact = w.conj().T @ (sharing.diag_values[:, None] * hp) @ w
     lam_exact = np.einsum("pll->pl", exact).copy()
     return ModeChannel(lambda_coeffs=lam_exact, exact_matrices=exact,
                        tx=tx, rx=rx, params=params, sharing=sharing,

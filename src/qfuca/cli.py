@@ -79,14 +79,12 @@ def cmd_gap(args) -> int:
         for d in distances:
             params = chan.PropagationParams.from_frequency(d, scen_k.freq_hz,
                                                            scen_k.beta)
-            block = chan.build_block_channel(tx, rx, params, sharing)
-            for p_idx in range(scen_k.n_cells):
-                eps = chan.approx_gap(tx, rx, params, sharing, p_idx, q=0,
-                                      channel=block,
-                                      j_order=scen_k.bessel_order,
-                                      correction=scen_k.bessel_correction)
-                p_mode = int(chan.mode_values(scen_k.n_cells)[p_idx])
-                lines.append(f"{float(d)!r},{k},{p_mode},{float(eps)!r}")
+            # the aligned-pair gap does not depend on p: one per (K, D)
+            eps = chan.approx_gap(tx, rx, params, sharing,
+                                  j_order=scen_k.bessel_order,
+                                  correction=scen_k.bessel_correction)
+            for p_mode in chan.mode_values(scen_k.n_cells):
+                lines.append(f"{float(d)!r},{k},{int(p_mode)},{float(eps)!r}")
     _write(out, "gap.csv", "\n".join(lines) + "\n")
     print(f"wrote {out / 'gap.csv'}")
     return 0

@@ -280,15 +280,6 @@ def duplicate_to_slots(layout: Layout, physical: np.ndarray) -> np.ndarray:
     return phys[..., layout.slot_group]
 
 
-def rotation_shift(q: int, n_cells: int, qf_radius: float) -> tuple[float, float, float]:
-    """Rotation angle and center displacements between a cell pair at offset q:
-    phi_q = 2 pi q / N, a_q = -R_Q sin(phi_q), b_q = -R_Q (1 - cos(phi_q))."""
-    if not 0 <= q < n_cells:
-        raise ValueError(f"offset q must be in [0, {n_cells}), got {q}")
-    phi = 2 * np.pi * q / n_cells
-    return phi, -qf_radius * np.sin(phi), -qf_radius * (1 - np.cos(phi))
-
-
 def layout_csv(layout: Layout) -> str:
     """CSV of the layout: cell_index, elem_index, x_m, y_m, physical_id,
     sharing_freq.  One row per physical element; cell_index/elem_index name

@@ -289,8 +289,10 @@ def noise_mode_scale(rx: Layout, n_inter: int) -> np.ndarray:
     v = rx.elems_per_cell
     groups = rx.slot_group
     counts = np.bincount(groups.ravel(), minlength=rx.n_physical)
-    phase = np.array([[np.exp(-2j * np.pi * m * p / n_inter) / np.sqrt(n_inter)
-                       for m in range(rx.n_cells)] for p in range(n_inter)])
+    m, p = np.arange(rx.n_cells), np.arange(n_inter)
+    # exp(-1j * angle) keeps the bits of the scalar exp(-2j * pi * m * p / n)
+    # for every n; numpy's complex division by n rounds differently
+    phase = np.exp(-1j * (2 * np.pi * m[None, :] * p[:, None] / n_inter)) / np.sqrt(n_inter)
     # the split's 1/L_v and the post-decoding L_v cancel, leaving only the
     # coherent accumulation of each element's duplicates
     weight = counts[groups[0]][None, :] / counts[groups]

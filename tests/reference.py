@@ -13,7 +13,7 @@ from qfuca import channel as chan
 from qfuca import txrx
 from qfuca.errors import DegenerateChannelError, DimensionError, GeometryError
 from qfuca.geometry import Layout, SharingMatrix
-from qfuca.linalg import bessel_j
+from qfuca.linalg import bessel_j, dft_matrix, idft_matrix
 
 # quarter-turn between layout azimuths and the expansion's azimuths
 _AZ_SHIFT = np.pi / 2
@@ -197,6 +197,23 @@ def equivalent_mode_gain(tx: Layout, rx: Layout, params: chan.PropagationParams,
                    * np.exp(1j * theta_m * p) * grid_phase * total)
 
 
+def superposed_subchannel(channel: chan.BlockChannel, p: int) -> np.ndarray:
+    """sum_q e^{j 2 pi p q / N} H_q for one p, one offset at a time."""
+    n = channel.n_cells
+    out = np.zeros_like(channel.subchannels[0])
+    for q in range(n):
+        out = out + np.exp(2j * np.pi * p * q / n) * channel.subchannels[q]
+    return out
+
+
+def exact_transform(channel: chan.BlockChannel, sharing: SharingMatrix, p: int) -> np.ndarray:
+    """The exact p-th transform W^H L (sum_q e^{j 2 pi p q / N} H_q) W for
+    one p: the oracle of `ModeChannel.exact_matrices`."""
+    k = channel.subchannels[0].shape[1]
+    hp = sharing.diag_values[:, None] * superposed_subchannel(channel, p)
+    return dft_matrix(k) @ hp @ idft_matrix(k)
+
+
 def full_superposition_gap(tx: Layout, rx: Layout, params: chan.PropagationParams,
                            sharing: SharingMatrix, p: int,
                            channel: chan.BlockChannel | None = None,
@@ -209,7 +226,7 @@ def full_superposition_gap(tx: Layout, rx: Layout, params: chan.PropagationParam
         channel = chan.build_block_channel(tx, rx, params, sharing)
     kc = tx.elems_per_cell
     lv = sharing.diag_values[:, None]
-    exact = chan.exact_mode_matrix(tx, rx, params, sharing, p, channel)
+    exact = chan.detection_coeffs(tx, rx, params, sharing, channel=channel).exact_matrices[p]
     approx = np.zeros((kc, kc), dtype=complex)
     for q in range(tx.n_cells):
         approx += chan.diag_approx_block(tx, rx, params, sharing, p, q,

@@ -123,7 +123,7 @@ def test_criterion_4_gap_behavior():
         sharing = sharing_matrix(lay)
         for d in (20.0, 50.0, 100.0, 200.0):
             params = chan.PropagationParams.from_frequency(d, FREQ, 1.0)
-            gaps[(k, d)] = chan.approx_gap(lay, lay, params, sharing, 0, q=0)
+            gaps[(k, d)] = chan.approx_gap(lay, lay, params, sharing)
     elapsed = time.perf_counter() - start
     series8 = [gaps[(8, d)] for d in (20.0, 50.0, 100.0, 200.0)]
     decreasing = all(b < a for a, b in zip(series8, series8[1:]))

@@ -229,7 +229,7 @@ class TestBlockChannel:
         bc = chan.build_block_channel(lay, lay, params100, sharing)
         lh0 = sharing.diag_values[:, None] * bc.subchannels[0]
         eig = diagonalize_row_blocks([lh0])
-        exact = chan.exact_mode_matrix(lay, lay, params100, sharing, 0, bc)
+        exact = chan.detection_coeffs(lay, lay, params100, sharing, channel=bc).exact_matrices[0]
         # p = 0 transform minus the q != 0 summands leaves the q = 0 block
         w = idft_matrix(4)
         q0 = dft_matrix(4) @ lh0 @ w
@@ -324,13 +324,13 @@ class TestDiagApprox:
         assert np.all(offdiag == 0)
         scale = np.max(np.abs(eig))
         assert np.max(np.abs(np.diag(approx) - eig)) < 0.01 * scale
-        gap = chan.approx_gap(lay, lay, params100, sharing, 0, q=0, channel=bc)
+        gap = chan.approx_gap(lay, lay, params100, sharing, channel=bc)
         assert gap < 5e-5  # frozen: 2.87e-5 at K=8, D=100
 
     def test_aligned_gap_frozen_at_k4(self, qf9, params100):
         lay, sharing = qf9
         bc = chan.build_block_channel(lay, lay, params100, sharing)
-        gap = chan.approx_gap(lay, lay, params100, sharing, 0, q=0, channel=bc)
+        gap = chan.approx_gap(lay, lay, params100, sharing, channel=bc)
         assert gap == pytest.approx(2.894258e-2, rel=1e-3)
 
     def test_quadrature_bracket_against_independent_quadrature(self, params100):
@@ -391,17 +391,9 @@ class TestApproxGap:
     def test_gap_zero_when_approximation_is_exact(self, qf9, params100):
         # denominator structure: a null channel is degenerate
         lay, sharing = qf9
-        zero = chan.BlockChannel(n_cells=4, subchannels=tuple(
-            np.zeros((4, 4), dtype=complex) for _ in range(4)))
+        zero = chan.BlockChannel(n_cells=4, subchannels=np.zeros((4, 4, 4), dtype=complex))
         with pytest.raises(DegenerateChannelError):
-            chan.approx_gap(lay, lay, params100, sharing, 0, q=0, channel=zero)
-
-    def test_aligned_gap_independent_of_p(self, qf9, params100):
-        lay, sharing = qf9
-        bc = chan.build_block_channel(lay, lay, params100, sharing)
-        gaps = [chan.approx_gap(lay, lay, params100, sharing, p, q=0, channel=bc)
-                for p in range(4)]
-        assert max(gaps) - min(gaps) < 1e-12
+            chan.approx_gap(lay, lay, params100, sharing, channel=zero)
 
     def test_full_superposition_gap_matches_mode_channel(self, qf9, params100):
         lay, sharing = qf9
@@ -448,23 +440,28 @@ class TestExactModeMatrix:
         lay, sharing = qf9
         # dft_matrix would call linalg's own idft_matrix
         idft_calls = (count_calls(chan, "idft_matrix"), count_calls(linalg, "idft_matrix"))
-        exact_calls = count_calls(chan, "exact_mode_matrix")
         chan.detection_coeffs(lay, lay, params100, sharing)
-        assert len(exact_calls) == 4
-        assert sum(map(len, idft_calls)) == len(exact_calls)
+        chan.detection_coeffs(lay, lay, params100, sharing)
+        assert sum(map(len, idft_calls)) == 2
 
     # one cell is the single ring of a baseline: 97 elements is the uca_n
-    # ring of the 8x16 sweeps, 385 and 512 are the rings of the 16x32 ones
-    @pytest.mark.parametrize("n, k", [(4, 4), (16, 32), (1, 97), (1, 385), (1, 512)])
+    # ring of the 8x16 sweeps, 385 and 512 are the rings of the 16x32 ones;
+    # 3 and 6 cells are N that are not powers of two, where a phase computed
+    # with numpy's complex division by N would round differently
+    @pytest.mark.parametrize("n, k", [(4, 4), (16, 32), (1, 97), (1, 385), (1, 512),
+                                      (3, 12), (6, 6)])
     def test_bit_identical_to_dft_form(self, params100, n, k):
         lay = single_ring_layout(k, 1.0) if n == 1 else build_layout(n, k, 1.0, 1.0)
         sharing = sharing_matrix(lay)
         bc = chan.build_block_channel(lay, lay, params100, sharing)
-        p = n // 2
-        hp = sharing.diag_values[:, None] * chan.superposed_subchannel(bc, p)
-        expect = dft_matrix(k) @ hp @ idft_matrix(k)
-        assert np.array_equal(chan.exact_mode_matrix(lay, lay, params100, sharing, p, bc),
-                              expect)
+        exact = chan.detection_coeffs(lay, lay, params100, sharing, channel=bc).exact_matrices
+        for p in range(n):
+            assert np.array_equal(exact[p], reference.exact_transform(bc, sharing, p))
+
+    def test_unequal_element_counts_rejected(self, params100):
+        with pytest.raises(DimensionError):
+            chan.detection_coeffs(build_layout(4, 4, 1.0, 1.0), build_layout(4, 8, 1.0, 1.0),
+                                  params100)
 
 
 class TestDetectionCoeffs:
@@ -473,7 +470,8 @@ class TestDetectionCoeffs:
         params = chan.PropagationParams.from_frequency(100.0, FREQ)
         sharing = sharing_matrix(ring)
         mode = chan.detection_coeffs(ring, ring, params, sharing)
-        exact = chan.exact_mode_matrix(ring, ring, params, sharing, 0)
+        exact = reference.exact_transform(chan.build_block_channel(ring, ring, params, sharing),
+                                          sharing, 0)
         assert np.max(np.abs(mode.lambda_coeffs[0] - np.diag(exact))) < 1e-15
 
     def test_exact_lambda_matches_pipeline_probe(self, qf9, params100):

@@ -113,6 +113,19 @@ class TestCli:
         assert lines[0] == "D_m,K,p,epsilon"
         assert len(lines) == 1 + 2 * 4
 
+    def test_gap_computed_once_per_elems_and_distance(self, tmp_path, count_calls):
+        # the aligned-pair gap does not depend on p: each (K, D) is computed
+        # once and written on its N rows
+        calls = count_calls(cli.chan, "approx_gap")
+        assert main(["gap", "--out", str(tmp_path), "--values", "50,100,200",
+                     "--elems", "4,8"]) == 0
+        assert len(calls) == 2 * 3
+        rows = [line.split(",") for line in
+                (tmp_path / "gap.csv").read_text().strip().split("\n")[1:]]
+        assert len(rows) == 2 * 3 * 4
+        for i in range(0, len(rows), 4):
+            assert len({(r[0], r[1], r[3]) for r in rows[i:i + 4]}) == 1
+
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("distance_m = -1\n")

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from qfuca.errors import GeometryError
 from qfuca.geometry import (COINCIDENCE_RTOL, admissible_elem_counts, build_layout,
-                            layout_csv, overlapped_ratios, rotation_shift,
-                            sharing_matrix, single_ring_layout, slot_group_sum)
+                            layout_csv, overlapped_ratios, sharing_matrix,
+                            single_ring_layout, slot_group_sum)
 from qfuca.geometry import _coincidence_groups
 
 from layouts import admissible_layouts
@@ -238,27 +238,6 @@ class TestSuperpose:
         physical = slot_group_sum(lay, x)
         replicated = t_t @ x
         assert np.max(np.abs(replicated - physical[lay.slot_group.reshape(-1)])) < 1e-12
-
-
-class TestRotationShift:
-    def test_zero_offset(self):
-        assert rotation_shift(0, 4, 1.0) == (0.0, -0.0, -0.0)
-
-    def test_quarter_turn(self):
-        phi, a, b = rotation_shift(1, 4, 1.0)
-        assert phi == pytest.approx(np.pi / 2)
-        assert a == pytest.approx(-1.0)
-        assert b == pytest.approx(-1.0)
-
-    def test_half_turn(self):
-        phi, a, b = rotation_shift(2, 4, 1.0)
-        assert phi == pytest.approx(np.pi)
-        assert a == pytest.approx(0.0, abs=1e-15)
-        assert b == pytest.approx(-2.0)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            rotation_shift(4, 4, 1.0)
 
 
 class TestExportsAndRings:

@@ -68,7 +68,8 @@ class TestSingleLoopUca:
         params = chan.PropagationParams.from_frequency(100.0, scen.freq_hz, scen.beta)
         ring = single_ring_layout(9, scen.qf_radius_m)
         sharing = sharing_matrix(ring)
-        lam = np.diag(chan.exact_mode_matrix(ring, ring, params, sharing, 0))[None, :]
+        exact = chan.detection_coeffs(ring, ring, params, sharing).exact_matrices[0]
+        lam = np.diag(exact)[None, :]
         sigma2 = scen.total_power * params.reference_gain ** 2 / scen.snr_linear
         manual = metrics.se_qf(lam, np.full((1, 9), 1 / 9),
                                sigma2 * noise_mode_scale(ring, 1))
@@ -204,7 +205,7 @@ class TestSweeps:
         # ring streams its gains once per point, SNR points included, and
         # builds no block channel and no exact transform
         calls = count_calls(metrics, "link_at")
-        exact_calls = count_calls(chan, "exact_mode_matrix")
+        exact_calls = count_calls(chan, "detection_coeffs")
         channel_calls = count_calls(chan, "build_block_channel")
         ring_calls = count_calls(metrics, "_se_ring")
         spec = metrics.SweepSpec(axis=axis, axis_values=values, fixed=scen)
@@ -212,7 +213,7 @@ class TestSweeps:
         assert all(args[0].tx.n_cells == scen.n_cells for args in calls)
         assert len(calls) == builds
         assert all(args[0].n_cells == scen.n_cells for args in exact_calls)
-        assert len(exact_calls) == builds * scen.n_cells
+        assert len(exact_calls) == builds
         assert all(args[0].n_cells == scen.n_cells for args in channel_calls)
         assert len(channel_calls) == builds
         assert len(ring_calls) == 2 * len(values)
