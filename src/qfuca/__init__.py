@@ -4,8 +4,8 @@ from .channel import (BlockChannel, ModeChannel, PropagationParams,
                       approx_gap, build_block_channel, detection_coeffs,
                       diag_approx_block)
 from .config import Scenario, parse_config, serialize_scenario
-from .geometry import (Layout, SharingMatrix, admissible_elem_counts,
-                       build_layout, sharing_matrix, single_ring_layout)
+from .geometry import (Layout, admissible_elem_counts, build_layout,
+                       single_ring_layout)
 from .linalg import bessel_j, diagonalize_row_blocks, dft_matrix, idft_matrix
 from .metrics import (SweepResult, SweepSpec, run_sweep, se_gain, se_qf,
                       se_single_loop_uca, se_siso_times)

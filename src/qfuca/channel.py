@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateChannelError, DimensionError
-from .geometry import Layout, SharingMatrix, sharing_matrix
+from .geometry import Layout
 from .linalg import bessel_j, idft_matrix
 
 C_LIGHT = 299792458.0
@@ -67,6 +67,10 @@ class PropagationParams:
     carrier_hz: float
 
     def __post_init__(self):
+        # nan passes every comparison below
+        if not np.all(np.isfinite([self.distance_m, self.wavelength_m, self.beta,
+                                   self.carrier_hz])):
+            raise ValueError("distance, wavelength, beta, and frequency must be finite")
         if self.distance_m <= 0 or self.wavelength_m <= 0 or self.beta <= 0 \
                 or self.carrier_hz <= 0:
             raise ValueError("distance, wavelength, beta, and frequency must be positive")
@@ -117,7 +121,6 @@ class ModeChannel:
     tx: Layout
     rx: Layout
     params: PropagationParams
-    sharing: SharingMatrix
     j_order: str
     correction: bool
 
@@ -128,8 +131,7 @@ class ModeChannel:
         evaluated and blocks[p, q] = e^{j 2 pi p q / N} blocks[0, q]."""
         n = self.tx.n_cells
         base = np.stack([diag_approx_block(self.tx, self.rx, self.params,
-                                           self.sharing, 0, q, self.j_order,
-                                           self.correction)
+                                           0, q, self.j_order, self.correction)
                          for q in range(n)])
         phi = 2 * np.pi * np.arange(n) / n
         phase = np.exp(1j * phi[None, :] * np.arange(n)[:, None])
@@ -168,18 +170,17 @@ def physical_gain_matrix(tx: Layout, rx: Layout,
     return free_space_gain(rp[:, None, :] - tp[None, :, :], params)
 
 
-def build_block_channel(tx: Layout, rx: Layout, params: PropagationParams,
-                        sharing: SharingMatrix | None = None) -> BlockChannel:
+def build_block_channel(tx: Layout, rx: Layout,
+                        params: PropagationParams) -> BlockChannel:
     """Assemble the block-circulant logical channel from exact element gains.
 
     The superpose/split operators act at the pipeline level; the sub-channels
-    here carry only the 1/L_v split factor of the gain definition.
+    here carry only the 1/L_v split factor of the gain definition, with
+    cell 0's L_v standing for every receive cell's.
     """
     if tx.n_cells != rx.n_cells:
         raise ValueError("unsupported configuration: cell counts must match")
-    if sharing is None:
-        sharing = sharing_matrix(rx)
-    lv = sharing.diag_values.astype(float)
+    lv = rx.sharing_freqs.astype(float)
     h = free_space_gain(rx.positions[0][None, :, None, :] - tx.positions[:, None, :, :],
                         params)
     return BlockChannel(n_cells=tx.n_cells, subchannels=h / lv[:, None])
@@ -196,8 +197,7 @@ def _alpha_of_azimuth(tx: Layout, rx: Layout, q: int, phi: np.ndarray) -> np.nda
 
 
 def diag_approx_block(tx: Layout, rx: Layout, params: PropagationParams,
-                      sharing: SharingMatrix, p: int, q: int,
-                      j_order: str = "matched",
+                      p: int, q: int, j_order: str = "matched",
                       correction: bool = True) -> np.ndarray:
     """Diagonal K x K matrix approximating the q-th summand of the exact
     mode transform via the Bessel route; off-diagonal entries are exactly
@@ -248,7 +248,7 @@ def diag_approx_block(tx: Layout, rx: Layout, params: PropagationParams,
 
 
 def approx_gap(tx: Layout, rx: Layout, params: PropagationParams,
-               sharing: SharingMatrix, channel: BlockChannel | None = None,
+               channel: BlockChannel | None = None,
                j_order: str = "matched", correction: bool = True) -> float:
     """Relative squared Frobenius gap between the aligned (q = 0) summand of
     the exact transforms, W^H L H_0 W, and its diagonal Bessel
@@ -258,10 +258,10 @@ def approx_gap(tx: Layout, rx: Layout, params: PropagationParams,
     offsets is `ModeChannel.gap`.
     """
     if channel is None:
-        channel = build_block_channel(tx, rx, params, sharing)
+        channel = build_block_channel(tx, rx, params)
     w = idft_matrix(tx.elems_per_cell)
-    exact = w.conj().T @ (sharing.diag_values[:, None] * channel.subchannels[0]) @ w
-    approx = diag_approx_block(tx, rx, params, sharing, 0, 0, j_order, correction)
+    exact = w.conj().T @ (rx.sharing_freqs[:, None] * channel.subchannels[0]) @ w
+    approx = diag_approx_block(tx, rx, params, 0, 0, j_order, correction)
     denom = np.linalg.norm(exact, "fro") ** 2
     if denom <= 0.0:
         raise DegenerateChannelError("null channel has no relative gap")
@@ -269,7 +269,6 @@ def approx_gap(tx: Layout, rx: Layout, params: PropagationParams,
 
 
 def detection_coeffs(tx: Layout, rx: Layout, params: PropagationParams,
-                     sharing: SharingMatrix | None = None,
                      j_order: str = "matched",
                      correction: bool = True,
                      channel: BlockChannel | None = None) -> ModeChannel:
@@ -283,10 +282,8 @@ def detection_coeffs(tx: Layout, rx: Layout, params: PropagationParams,
     """
     if tx.elems_per_cell != rx.elems_per_cell:
         raise DimensionError("mode transform requires V = K")
-    if sharing is None:
-        sharing = sharing_matrix(rx)
     if channel is None:
-        channel = build_block_channel(tx, rx, params, sharing)
+        channel = build_block_channel(tx, rx, params)
     n = tx.n_cells
     p = np.arange(n)
     hp = np.zeros_like(channel.subchannels)
@@ -296,10 +293,10 @@ def detection_coeffs(tx: Layout, rx: Layout, params: PropagationParams,
         hp = hp + np.exp(1j * (2 * np.pi * p * q / n))[:, None, None] * channel.subchannels[q]
     w = idft_matrix(tx.elems_per_cell)
     # w.conj().T is dft_matrix(K), bit for bit and in the same memory layout
-    exact = w.conj().T @ (sharing.diag_values[:, None] * hp) @ w
+    exact = w.conj().T @ (rx.sharing_freqs[:, None] * hp) @ w
     lam_exact = np.einsum("pll->pl", exact).copy()
     return ModeChannel(lambda_coeffs=lam_exact, exact_matrices=exact,
-                       tx=tx, rx=rx, params=params, sharing=sharing,
+                       tx=tx, rx=rx, params=params,
                        j_order=j_order, correction=correction)
 
 

@@ -22,7 +22,7 @@ from . import channel as chan
 from . import metrics
 from .config import Scenario, parse_config
 from .errors import ConfigError
-from .geometry import build_layout, layout_csv, sharing_matrix
+from .geometry import build_layout, layout_csv
 from .txrx import build_link, check_loopback, run_loopback
 
 
@@ -60,7 +60,7 @@ def cmd_geometry(args) -> int:
     _write(out, "tx_layout.csv", layout_csv(tx))
     _write(out, "rx_layout.csv", layout_csv(rx))
     for label, lay in (("tx", tx), ("rx", rx)):
-        freqs = [int(x) for x in sharing_matrix(lay).diag_values]
+        freqs = [int(x) for x in lay.sharing_freqs]
         print(f"{label}: {lay.n_physical} physical elements, sharing {freqs}")
     return 0
 
@@ -75,13 +75,11 @@ def cmd_gap(args) -> int:
         scen_k = replace(scenario, tx_elems=k, rx_elems=k)
         tx = build_layout(scen_k.n_cells, k, scen_k.tx_ratio, scen_k.qf_radius_m)
         rx = build_layout(scen_k.n_cells, k, scen_k.rx_ratio, scen_k.qf_radius_m)
-        sharing = sharing_matrix(rx)
         for d in distances:
             params = chan.PropagationParams.from_frequency(d, scen_k.freq_hz,
                                                            scen_k.beta)
             # the aligned-pair gap does not depend on p: one per (K, D)
-            eps = chan.approx_gap(tx, rx, params, sharing,
-                                  j_order=scen_k.bessel_order,
+            eps = chan.approx_gap(tx, rx, params, j_order=scen_k.bessel_order,
                                   correction=scen_k.bessel_correction)
             for p_mode in chan.mode_values(scen_k.n_cells):
                 lines.append(f"{float(d)!r},{k},{int(p_mode)},{float(eps)!r}")

@@ -78,10 +78,6 @@ class Scenario:
     def snr_linear(self) -> float:
         return 10.0 ** (self.snr_db / 10.0)
 
-    @property
-    def wavelength_m(self) -> float:
-        return 299792458.0 / self.freq_hz
-
 
 _BOOL_WORDS = {"on": True, "off": False, "true": True, "false": False}
 
@@ -107,10 +103,7 @@ def parse_config(text: str) -> Scenario:
     Lines are UTF-8, one pair per line; '#' starts a comment; blank lines are
     ignored; unknown and duplicate keys are errors naming the line.
     """
-    spec = {f.name: f.type for f in fields(Scenario)}
-    kinds = {"n_cells": int, "tx_elems": int, "rx_elems": int, "seed": int,
-             "bessel_correction": bool, "constellation": str,
-             "lambda_path": str, "bessel_order": str}
+    kinds = {f.name: type(f.default) for f in fields(Scenario)}
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -119,11 +112,11 @@ def parse_config(text: str) -> Scenario:
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in spec:
+        if key not in kinds:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(key, raw, kinds.get(key, float), lineno)
+        values[key] = _parse_value(key, raw, kinds[key], lineno)
     return Scenario(**values)
 
 

@@ -3,8 +3,8 @@
 A QF-UCA antenna is N uniform circular cells of radius R placed on a circle
 of radius R_Q; cells may physically share array elements wherever their
 circles intersect on the element grid.  This module builds layouts, detects
-shared elements by coordinate coincidence, and derives sharing-frequency
-matrices, the slot-to-element superposition, and admissibility conditions.
+shared elements by coordinate coincidence, and derives the sharing
+frequencies, the slot-to-element superposition, and admissibility conditions.
 """
 
 from __future__ import annotations
@@ -46,29 +46,22 @@ class Layout:
     n_physical: int
 
     @property
+    def element_sharing(self) -> np.ndarray:
+        """Per-physical-element sharing frequency: how many slots, and so how
+        many cells (one cell never holds two coincident elements), use it."""
+        return np.bincount(self.slot_group.ravel(), minlength=self.n_physical)
+
+    @property
     def sharing_freqs(self) -> np.ndarray:
-        """Per-slot sharing frequency L_v of cell 0 (identical for every cell)."""
-        counts = np.bincount(self.slot_group.ravel(), minlength=self.n_physical)
-        return counts[self.slot_group[0]]
+        """diag(L): per-slot sharing frequency L_v of cell 0, identical for
+        every cell by the N-fold symmetry."""
+        return self.element_sharing[self.slot_group[0]]
 
     def group_positions(self) -> np.ndarray:
         """Physical element coordinates indexed by physical id."""
         out = np.zeros((self.n_physical, 2))
         out[self.slot_group.reshape(-1)] = self.positions.reshape(-1, 2)
         return out
-
-
-@dataclass(frozen=True)
-class SharingMatrix:
-    """Diagonal matrix L of per-slot sharing frequencies for one cell."""
-
-    diag_values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.diag_values, dtype=int)
-        if v.ndim != 1 or v.size == 0 or np.any(v < 1):
-            raise GeometryError("sharing frequencies must be positive integers")
-        object.__setattr__(self, "diag_values", v)
 
 
 def _intersection_azimuths(n_cells: int, ratio: float) -> list[float]:
@@ -202,16 +195,6 @@ def single_ring_layout(n_elements: int, radius: float) -> Layout:
                   n_physical=n_elements)
 
 
-def sharing_matrix(layout: Layout) -> SharingMatrix:
-    """Sharing-frequency matrix L of one cell: L_v is the number of cells
-    whose element set contains the physical element at slot v.  Reported in
-    element-index order of cell 0."""
-    freqs = layout.sharing_freqs
-    # one cell never holds two coincident elements, so the group size equals
-    # the number of distinct cells using the element
-    return SharingMatrix(diag_values=freqs)
-
-
 def admissible_elem_counts(n_cells: int, case: str, max_v: int) -> tuple[int, ...]:
     """Admissible per-cell element counts V <= max_v for one geometric case.
 
@@ -284,7 +267,7 @@ def layout_csv(layout: Layout) -> str:
     """CSV of the layout: cell_index, elem_index, x_m, y_m, physical_id,
     sharing_freq.  One row per physical element; cell_index/elem_index name
     its first logical slot."""
-    counts = np.bincount(layout.slot_group.ravel(), minlength=layout.n_physical)
+    counts = layout.element_sharing
     first_slot = {}
     for n in range(layout.n_cells):
         for k in range(layout.elems_per_cell):

@@ -7,15 +7,15 @@ distance, so every system's efficiency falls with distance; SNR-axis sweeps
 recompute the variance per point.
 
 A sweep builds its antennas once (`txrx.build_antenna` for the QF-UCA pair,
-`txrx.ring_antenna` for the two single-loop baselines): layouts, sharing
-matrices and noise scales depend on neither distance, carrier nor SNR.  Each
-point builds only what depends on it: the QF-UCA link (`txrx.link_at`) and
-each ring's gains.  A ring's efficiency reads only the diagonal of its one
-exact transform, which the channel's wrapped-diagonal sums and one FFT give
-in O(n^2) (`linalg.diagonalize_row_blocks`).  The ring allocates no n x n
-array: its gains are computed and folded into those sums RING_ROW_BLOCK rows
-at a time, so a ring point's working memory is O(RING_ROW_BLOCK n); computing
-the gains is most of a ring point.
+`txrx.ring_antenna` for the two single-loop baselines): layouts and noise
+scales depend on neither distance, carrier nor SNR.  Each point builds only
+what depends on it: the QF-UCA link (`txrx.link_at`) and each ring's gains.
+A ring's efficiency reads only the diagonal of its one exact transform,
+which the channel's wrapped-diagonal sums and one FFT give in O(n^2)
+(`linalg.diagonalize_row_blocks`).  The ring allocates no n x n array: its
+gains are computed and folded into those sums RING_ROW_BLOCK rows at a
+time, so a ring point's working memory is O(RING_ROW_BLOCK n); computing the
+gains is most of a ring point.
 The SNR axis reuses one QF-UCA link for all points but recomputes the ring
 gains at every point: reusing them would bring a 30-point 8x16 SNR sweep
 below one work unit of the benchmark's host-speed calibrator, so the
@@ -34,7 +34,7 @@ from .config import Scenario
 from .errors import DegenerateChannelError
 from .linalg import diagonalize_row_blocks
 from .txrx import Antenna, Link, SymbolGrid, build_antenna, build_link, link_at, \
-    ring_antenna
+    noise_variance, ring_antenna
 
 SWEEP_AXES = ("snr_db", "distance_m", "freq_hz")
 SYSTEMS = ("qf_uca", "uca_n", "uca_bigger", "siso_xN")
@@ -63,12 +63,6 @@ def se_qf(lambda_coeffs: np.ndarray, power_alloc: np.ndarray,
     return float(np.sum(np.log2(1.0 + signal[active] / nz[active])))
 
 
-def _sigma2(scenario: Scenario) -> float:
-    """Noise variance anchored at the scenario's own distance and wavelength."""
-    g0 = scenario.beta * scenario.wavelength_m / (4 * np.pi * scenario.distance_m)
-    return scenario.total_power * g0 ** 2 / scenario.snr_linear
-
-
 def se_single_loop_uca(n_elements: int, scenario: Scenario,
                        distance_m: float | None = None,
                        sigma2: float | None = None) -> float:
@@ -78,7 +72,7 @@ def se_single_loop_uca(n_elements: int, scenario: Scenario,
     if n_elements < 1:
         raise ValueError("n_elements must be >= 1")
     work = scenario if distance_m is None else replace(scenario, distance_m=distance_m)
-    s2 = _sigma2(scenario) if sigma2 is None else sigma2
+    s2 = noise_variance(scenario) if sigma2 is None else sigma2
     return _se_ring(ring_antenna(n_elements, scenario.qf_radius_m), work, s2)
 
 
@@ -109,8 +103,8 @@ def se_siso_times(n: int, scenario: Scenario, distance_m: float | None = None,
     if n < 1:
         raise ValueError("multiplier must be >= 1")
     d = scenario.distance_m if distance_m is None else distance_m
-    g = scenario.beta * scenario.wavelength_m / (4 * np.pi * d)
-    s2 = _sigma2(scenario) if sigma2 is None else sigma2
+    g = chan.PropagationParams.from_frequency(d, scenario.freq_hz, scenario.beta).reference_gain
+    s2 = noise_variance(scenario) if sigma2 is None else sigma2
     snr = scenario.total_power * g ** 2 / s2
     return float(n * np.log2(1.0 + snr))
 
@@ -120,7 +114,7 @@ def se_qf_scenario(scenario: Scenario, distance_m: float | None = None,
     """QF-UCA spectrum efficiency for a scenario, optionally at an overridden
     distance and noise variance (used by sweeps)."""
     work = scenario if distance_m is None else replace(scenario, distance_m=distance_m)
-    s2 = _sigma2(scenario) if sigma2 is None else sigma2
+    s2 = noise_variance(scenario) if sigma2 is None else sigma2
     return _se_qf_link(build_link(work), s2)
 
 
@@ -186,17 +180,17 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     if "uca_bigger" in systems:
         rings["uca_bigger"] = ring_antenna(base.n_cells * base.tx_elems, base.qf_radius_m)
     rows = []
-    anchor_sigma2 = _sigma2(base)
+    anchor_sigma2 = noise_variance(base)
     qf_link = None
     for value in spec.axis_values:
         if spec.axis == "snr_db":
             scen = replace(base, snr_db=value)
-            s2 = _sigma2(scen)
+            s2 = noise_variance(scen)
         elif spec.axis == "distance_m":
             scen, s2 = replace(base, distance_m=value), anchor_sigma2
         else:
             scen = replace(base, freq_hz=value)
-            s2 = _sigma2(scen)
+            s2 = noise_variance(scen)
         for system in systems:
             if system == "qf_uca":
                 # SNR enters only through s2, so one link serves the SNR axis

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import channel as chan
 from .errors import DimensionError
-from .geometry import Layout, SharingMatrix, build_layout, duplicate_to_slots, \
-    sharing_matrix, single_ring_layout, slot_group_sum
+from .geometry import Layout, build_layout, duplicate_to_slots, single_ring_layout, \
+    slot_group_sum
 from .linalg import dft_matrix, idft_matrix
 
 # Frames go through the engine in blocks of this many, so its temporaries
@@ -180,8 +180,7 @@ def split_received(rx_signals: np.ndarray, rx: Layout) -> np.ndarray:
     y = np.asarray(rx_signals, dtype=complex)
     if y.shape[-1:] != (rx.n_physical,):
         raise DimensionError("receive vector does not match the physical element count")
-    counts = np.bincount(rx.slot_group.ravel(), minlength=rx.n_physical)
-    return duplicate_to_slots(rx, y / counts)
+    return duplicate_to_slots(rx, y / rx.element_sharing)
 
 
 def tod_split_compensate(rx_signals: np.ndarray, rx: Layout) -> np.ndarray:
@@ -191,12 +190,13 @@ def tod_split_compensate(rx_signals: np.ndarray, rx: Layout) -> np.ndarray:
     return dft_matrix(rx.n_cells) @ split_received(rx_signals, rx)
 
 
-def tod_inner_demodulate(x_tilde_p: np.ndarray, sharing: SharingMatrix) -> np.ndarray:
-    """Inner demodulation of one branch: s~_p = W^H L x~_p."""
+def tod_inner_demodulate(x_tilde_p: np.ndarray, rx: Layout) -> np.ndarray:
+    """Inner demodulation of one branch: s~_p = W^H L x~_p, with L the
+    receive layout's sharing frequencies."""
     x = np.asarray(x_tilde_p, dtype=complex)
-    if x.size != sharing.diag_values.size:
-        raise DimensionError("branch length does not match the sharing matrix")
-    return dft_matrix(x.size) @ (sharing.diag_values * x)
+    if x.size != rx.elems_per_cell:
+        raise DimensionError("branch length does not match the receive cell")
+    return dft_matrix(x.size) @ (rx.sharing_freqs * x)
 
 
 def _nearest(s_tilde: np.ndarray, candidates: np.ndarray):
@@ -282,25 +282,24 @@ class EndToEndResult:
 def noise_mode_scale(rx: Layout, n_inter: int) -> np.ndarray:
     """sigma^2_{p,l} / sigma^2: row power of the linear map taking the
     physical element noise vector to s~_p(l) through split, compensation,
-    post-decoding, and the inner DFT.
+    post-decoding, and the inner DFT.  The split's 1/L_v and the
+    post-decoding L_v cancel, since every cell shares its elements as cell 0
+    does, leaving only the coherent accumulation of each element's
+    duplicates.
 
     The map is built one branch p at a time, a (V, n_physical) slice, so
     the working memory does not grow with N."""
     v = rx.elems_per_cell
     groups = rx.slot_group
-    counts = np.bincount(groups.ravel(), minlength=rx.n_physical)
     m, p = np.arange(rx.n_cells), np.arange(n_inter)
     # exp(-1j * angle) keeps the bits of the scalar exp(-2j * pi * m * p / n)
     # for every n; numpy's complex division by n rounds differently
     phase = np.exp(-1j * (2 * np.pi * m[None, :] * p[:, None] / n_inter)) / np.sqrt(n_inter)
-    # the split's 1/L_v and the post-decoding L_v cancel, leaving only the
-    # coherent accumulation of each element's duplicates
-    weight = counts[groups[0]][None, :] / counts[groups]
     dft = dft_matrix(v)
     out = np.empty((n_inter, v))
     for p in range(n_inter):
         a = np.zeros((v, rx.n_physical), dtype=complex)
-        np.add.at(a, (np.arange(v), groups), phase[p][:, None] * weight)
+        np.add.at(a, (np.arange(v), groups), phase[p][:, None])
         out[p] = np.sum(np.abs(dft @ a) ** 2, axis=1)
     return out
 
@@ -308,12 +307,11 @@ def noise_mode_scale(rx: Layout, n_inter: int) -> np.ndarray:
 @dataclass(frozen=True)
 class Antenna:
     """The half of a link that depends on neither distance, carrier nor SNR:
-    both layouts, the receive sharing matrix and sigma^2_{p,l} / sigma^2.
-    A sweep builds each of its antennas once and reuses it at every point."""
+    both layouts and sigma^2_{p,l} / sigma^2.  A sweep builds each of its
+    antennas once and reuses it at every point."""
 
     tx: Layout
     rx: Layout
-    sharing: SharingMatrix
     noise_scale: np.ndarray
 
 
@@ -323,8 +321,7 @@ def build_antenna(scenario) -> Antenna:
                       scenario.qf_radius_m)
     rx = build_layout(scenario.n_cells, scenario.rx_elems, scenario.rx_ratio,
                       scenario.qf_radius_m)
-    return Antenna(tx=tx, rx=rx, sharing=sharing_matrix(rx),
-                   noise_scale=noise_mode_scale(rx, scenario.n_cells))
+    return Antenna(tx=tx, rx=rx, noise_scale=noise_mode_scale(rx, scenario.n_cells))
 
 
 def ring_antenna(n_elements: int, radius: float) -> Antenna:
@@ -334,8 +331,7 @@ def ring_antenna(n_elements: int, radius: float) -> Antenna:
     its noise scale is ones (`noise_mode_scale(ring, 1)` computes them to
     within an ulp)."""
     ring = single_ring_layout(n_elements, radius)
-    return Antenna(tx=ring, rx=ring, sharing=sharing_matrix(ring),
-                   noise_scale=np.ones((1, n_elements)))
+    return Antenna(tx=ring, rx=ring, noise_scale=np.ones((1, n_elements)))
 
 
 @dataclass(frozen=True)
@@ -345,7 +341,6 @@ class Link:
     tx: Layout
     rx: Layout
     params: chan.PropagationParams
-    sharing: SharingMatrix
     mode: chan.ModeChannel
     block_channel: chan.BlockChannel
     lambda_coeffs: np.ndarray
@@ -371,36 +366,43 @@ class Link:
         return np.sqrt(self.power_alloc)
 
 
-def link_at(antenna: Antenna, scenario, lambda_path: str | None = None) -> Link:
+def noise_variance(scenario) -> float:
+    """sigma^2 of a scenario: total power times the squared boresight gain
+    at its own distance and carrier, over its linear SNR."""
+    g = chan.PropagationParams.from_frequency(
+        scenario.distance_m, scenario.freq_hz, scenario.beta).reference_gain
+    return scenario.total_power * g ** 2 / scenario.snr_linear
+
+
+def link_at(antenna: Antenna, scenario) -> Link:
     """The propagation half of a link: the antenna at the scenario's
     distance, carrier, beta and SNR.  Builds the block channel, the exact
     transforms and the detection coefficients; the symbol grid takes the
     antenna's shape."""
-    tx, rx, sharing = antenna.tx, antenna.rx, antenna.sharing
+    tx, rx = antenna.tx, antenna.rx
     params = chan.PropagationParams.from_frequency(
         scenario.distance_m, scenario.freq_hz, scenario.beta)
-    block_channel = chan.build_block_channel(tx, rx, params, sharing)
-    mode = chan.detection_coeffs(tx, rx, params, sharing,
+    block_channel = chan.build_block_channel(tx, rx, params)
+    mode = chan.detection_coeffs(tx, rx, params,
                                  j_order=scenario.bessel_order,
                                  correction=scenario.bessel_correction,
                                  channel=block_channel)
-    path = lambda_path or scenario.lambda_path
-    lam = mode.lambda_coeffs if path == "exact" else chan.bessel_lambda(mode)
+    lam = mode.lambda_coeffs if scenario.lambda_path == "exact" \
+        else chan.bessel_lambda(mode)
     grid = SymbolGrid.uniform(tx.n_cells, tx.elems_per_cell,
                               total_power=scenario.total_power)
-    sigma2 = scenario.total_power * params.reference_gain ** 2 / scenario.snr_linear
-    return Link(tx=tx, rx=rx, params=params, sharing=sharing, mode=mode,
+    return Link(tx=tx, rx=rx, params=params, mode=mode,
                 block_channel=block_channel, lambda_coeffs=lam,
                 constellation=Constellation.from_name(scenario.constellation),
-                power_alloc=grid.power_alloc, sigma2=sigma2,
+                power_alloc=grid.power_alloc, sigma2=noise_variance(scenario),
                 noise_scale=antenna.noise_scale, seed=scenario.seed)
 
 
-def build_link(scenario, lambda_path: str | None = None) -> Link:
+def build_link(scenario) -> Link:
     """Assemble layouts, channel, detection coefficients, and noise figures
     for one scenario (see qfuca.config.Scenario): its antenna, then the
     link at its distance, carrier and SNR."""
-    return link_at(build_antenna(scenario), scenario, lambda_path)
+    return link_at(build_antenna(scenario), scenario)
 
 
 def mode_diagnostics(link: Link, power_alloc: np.ndarray | None = None) -> Diagnostics:
@@ -431,7 +433,7 @@ class FrameChain:
         self.gain_t = chan.physical_gain_matrix(link.tx, link.rx, link.params).T
         self.idft_n, self.idft_k = idft_matrix(n), idft_matrix(k)
         # s~_p = W^H L x~_p for every branch, acting on x~ as row vectors
-        self.inner = link.sharing.diag_values[:, None] * dft_matrix(k).T
+        self.inner = link.rx.sharing_freqs[:, None] * dft_matrix(k).T
         self.amplitudes, self.points = amplitudes, link.constellation.points
         self.candidates = link.lambda_coeffs[..., None] * (amplitudes[..., None] * self.points)
 

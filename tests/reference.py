@@ -12,7 +12,7 @@ import numpy as np
 from qfuca import channel as chan
 from qfuca import txrx
 from qfuca.errors import DegenerateChannelError, DimensionError, GeometryError
-from qfuca.geometry import Layout, SharingMatrix
+from qfuca.geometry import Layout
 from qfuca.linalg import bessel_j, dft_matrix, idft_matrix
 
 # quarter-turn between layout azimuths and the expansion's azimuths
@@ -130,7 +130,7 @@ def approx_distance(tx: Layout, rx: Layout, params: chan.PropagationParams,
 
 
 def element_gain(tx: Layout, rx: Layout, params: chan.PropagationParams,
-                 sharing: SharingMatrix, q: int, v: int, k: int,
+                 sharing: np.ndarray, q: int, v: int, k: int,
                  far_field: bool = False) -> complex:
     """Complex gain (1/L_v) (beta lambda / 4 pi) e^{-j 2 pi d / lambda} / d.
 
@@ -138,7 +138,7 @@ def element_gain(tx: Layout, rx: Layout, params: chan.PropagationParams,
     uses 1/D, the closed-form variant."""
     _check_indices(tx, rx, q, v, k)
     lam = params.wavelength_m
-    lv = sharing.diag_values[v]
+    lv = sharing[v]
     if far_field:
         d_phase = approx_distance(tx, rx, params, q, v, k)
         d_amp = params.distance_m
@@ -152,7 +152,7 @@ def element_gain(tx: Layout, rx: Layout, params: chan.PropagationParams,
 
 
 def equivalent_mode_gain(tx: Layout, rx: Layout, params: chan.PropagationParams,
-                         sharing: SharingMatrix, m: int, p: int, v: int, l: int,
+                         sharing: np.ndarray, m: int, p: int, v: int, l: int,
                          path: str = "exact") -> complex:
     """Equivalent gain of mode pair (p, l) seen at receive slot (m, v).
 
@@ -178,7 +178,7 @@ def equivalent_mode_gain(tx: Layout, rx: Layout, params: chan.PropagationParams,
     lam = params.wavelength_m
     d = params.distance_m
     rq, rt, rr = tx.qf_radius, tx.cell_radius, rx.cell_radius
-    lv = sharing.diag_values[v]
+    lv = sharing[v]
     hbar = params.reference_gain
     phi_v = rx.elem_azimuths[v] + _AZ_SHIFT
     total = 0.0 + 0.0j
@@ -206,16 +206,16 @@ def superposed_subchannel(channel: chan.BlockChannel, p: int) -> np.ndarray:
     return out
 
 
-def exact_transform(channel: chan.BlockChannel, sharing: SharingMatrix, p: int) -> np.ndarray:
+def exact_transform(channel: chan.BlockChannel, sharing: np.ndarray, p: int) -> np.ndarray:
     """The exact p-th transform W^H L (sum_q e^{j 2 pi p q / N} H_q) W for
     one p: the oracle of `ModeChannel.exact_matrices`."""
     k = channel.subchannels[0].shape[1]
-    hp = sharing.diag_values[:, None] * superposed_subchannel(channel, p)
+    hp = sharing[:, None] * superposed_subchannel(channel, p)
     return dft_matrix(k) @ hp @ idft_matrix(k)
 
 
 def full_superposition_gap(tx: Layout, rx: Layout, params: chan.PropagationParams,
-                           sharing: SharingMatrix, p: int,
+                           p: int,
                            channel: chan.BlockChannel | None = None,
                            j_order: str = "matched", correction: bool = True) -> float:
     """Relative squared Frobenius gap between the exact p-th transform and
@@ -223,14 +223,14 @@ def full_superposition_gap(tx: Layout, rx: Layout, params: chan.PropagationParam
     a time: the oracle of `ModeChannel.gap`.  A numerically null transform
     (see chan.NULL_RTOL) raises DegenerateChannelError."""
     if channel is None:
-        channel = chan.build_block_channel(tx, rx, params, sharing)
+        channel = chan.build_block_channel(tx, rx, params)
     kc = tx.elems_per_cell
-    lv = sharing.diag_values[:, None]
-    exact = chan.detection_coeffs(tx, rx, params, sharing, channel=channel).exact_matrices[p]
+    lv = rx.sharing_freqs[:, None]
+    exact = chan.detection_coeffs(tx, rx, params, channel=channel).exact_matrices[p]
     approx = np.zeros((kc, kc), dtype=complex)
     for q in range(tx.n_cells):
-        approx += chan.diag_approx_block(tx, rx, params, sharing, p, q,
-                                         j_order, correction)
+        approx += chan.diag_approx_block(tx, rx, params, p, q, j_order,
+                                         correction)
     # the mean squared norm of the N transforms, by Parseval over q
     floor = chan.NULL_RTOL ** 2 * sum(np.linalg.norm(lv * h, "fro") ** 2
                                       for h in channel.subchannels)

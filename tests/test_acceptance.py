@@ -21,8 +21,7 @@ from qfuca import channel as chan
 from qfuca import metrics, txrx
 from qfuca.cli import main as cli_main
 from qfuca.config import Scenario
-from qfuca.geometry import (admissible_elem_counts, build_layout,
-                            overlapped_ratios, sharing_matrix)
+from qfuca.geometry import admissible_elem_counts, build_layout, overlapped_ratios
 from qfuca.linalg import bessel_j, diagonalize_row_blocks, idft_matrix
 
 import reference
@@ -70,8 +69,8 @@ def test_criterion_1_element_counts():
 
 
 def test_criterion_2_sharing_matrices():
-    d1 = [int(x) for x in sharing_matrix(build_layout(4, 4, 1.0, 1.0)).diag_values]
-    d2 = [int(x) for x in sharing_matrix(build_layout(4, 8, 1.0, 1.0)).diag_values]
+    d1 = [int(x) for x in build_layout(4, 4, 1.0, 1.0).sharing_freqs]
+    d2 = [int(x) for x in build_layout(4, 8, 1.0, 1.0).sharing_freqs]
     ok_examples = circulant_shift_equal(d1, [2, 1, 2, 4]) \
         and circulant_shift_equal(d2, [2, 1, 1, 1, 2, 1, 4, 1])
 
@@ -95,10 +94,9 @@ def test_criterion_2_sharing_matrices():
 
 def test_criterion_3_circulant_machinery():
     lay = build_layout(4, 4, 1.0, 1.0)
-    sharing = sharing_matrix(lay)
     params = chan.PropagationParams.from_frequency(100.0, FREQ, 1.0)
-    bc = chan.build_block_channel(lay, lay, params, sharing)
-    lh0 = sharing.diag_values[:, None] * bc.subchannels[0]
+    bc = chan.build_block_channel(lay, lay, params)
+    lh0 = lay.sharing_freqs[:, None] * bc.subchannels[0]
     w = idft_matrix(4)
     product = w.conj().T @ lh0 @ w
     total = np.linalg.norm(product, "fro") ** 2
@@ -120,10 +118,9 @@ def test_criterion_4_gap_behavior():
     gaps = {}
     for k in (8, 16):
         lay = build_layout(4, k, 1.0, 1.0)
-        sharing = sharing_matrix(lay)
         for d in (20.0, 50.0, 100.0, 200.0):
             params = chan.PropagationParams.from_frequency(d, FREQ, 1.0)
-            gaps[(k, d)] = chan.approx_gap(lay, lay, params, sharing)
+            gaps[(k, d)] = chan.approx_gap(lay, lay, params)
     elapsed = time.perf_counter() - start
     series8 = [gaps[(8, d)] for d in (20.0, 50.0, 100.0, 200.0)]
     decreasing = all(b < a for a, b in zip(series8, series8[1:]))
@@ -193,7 +190,7 @@ def test_criterion_5_noiseless_loopback():
         feed = txrx.tom_modulate(grid, link.tx)
         received = txrx.propagate(feed, link.tx, link.rx, link.params, noise, frame)
         x_tilde = txrx.tod_split_compensate(received, link.rx)
-        got = np.stack([txrx.tod_inner_demodulate(x_tilde[p], link.sharing)
+        got = np.stack([txrx.tod_inner_demodulate(x_tilde[p], link.rx)
                         for p in range(n)])
         expect = np.einsum("plj,pj->pl", gmats, symbols)
         chain_dev = max(chain_dev,

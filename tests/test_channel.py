@@ -4,7 +4,7 @@ import pytest
 from qfuca import channel as chan
 from qfuca import linalg
 from qfuca.errors import DegenerateChannelError, DimensionError
-from qfuca.geometry import build_layout, sharing_matrix, single_ring_layout
+from qfuca.geometry import build_layout, single_ring_layout
 from qfuca.linalg import diagonalize_row_blocks, dft_matrix, idft_matrix
 
 import reference
@@ -16,7 +16,7 @@ LAM = 299792458.0 / FREQ
 @pytest.fixture(scope="module")
 def qf9():
     lay = build_layout(4, 4, 1.0, 1.0)
-    return lay, sharing_matrix(lay)
+    return lay, lay.sharing_freqs
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +52,15 @@ class TestPropagationParams:
     def test_positivity(self):
         with pytest.raises(ValueError):
             chan.PropagationParams.from_frequency(-1.0, FREQ)
+
+    @pytest.mark.parametrize("field", ["distance_m", "wavelength_m", "beta", "carrier_hz"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        # nan passes a positivity check
+        kwargs = dict(distance_m=100.0, wavelength_m=LAM, beta=1.0, carrier_hz=FREQ)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            chan.PropagationParams(**kwargs)
 
 
 class TestDistances:
@@ -132,17 +141,16 @@ class TestElementGain:
         # colocated planar projections at D = lambda: gain is 1/(4 pi)
         ring = single_ring_layout(4, 1.0)
         params = chan.PropagationParams.from_frequency(LAM, FREQ)
-        sharing = sharing_matrix(ring)
+        sharing = ring.sharing_freqs
         g = reference.element_gain(ring, ring, params, sharing, 0, 1, 1)
         assert g == pytest.approx(1 / (4 * np.pi), rel=1e-12)
 
     def test_sharing_halves_gain(self, qf9, params100):
         lay, sharing = qf9
-        from qfuca.geometry import SharingMatrix
-        ones = SharingMatrix(diag_values=np.ones(4, dtype=int))
+        ones = np.ones(4, dtype=int)
         g_shared = reference.element_gain(lay, lay, params100, sharing, 1, 1, 3)
         g_unshared = reference.element_gain(lay, lay, params100, ones, 1, 1, 3)
-        assert g_shared == pytest.approx(g_unshared / sharing.diag_values[1], rel=1e-14)
+        assert g_shared == pytest.approx(g_unshared / sharing[1], rel=1e-14)
 
     def test_magnitude_bounds(self, qf9, params100):
         lay, sharing = qf9
@@ -151,7 +159,7 @@ class TestElementGain:
             for v in range(4):
                 for k in range(4):
                     g = abs(reference.element_gain(lay, lay, params100, sharing, q, v, k))
-                    bound = ref / sharing.diag_values[v]
+                    bound = ref / sharing[v]
                     assert 0.9 * bound <= g <= 1.1 * bound
 
     def test_far_field_variant(self, qf9, params100):
@@ -162,7 +170,7 @@ class TestElementGain:
             g = reference.element_gain(lay, lay, params100, sharing, q, v, k,
                                        far_field=True)
             d_ph = reference.approx_distance(lay, lay, params100, q, v, k)
-            expect = lam / (4 * np.pi * 100.0 * sharing.diag_values[v]) \
+            expect = lam / (4 * np.pi * 100.0 * sharing[v]) \
                 * np.exp(-2j * np.pi * d_ph / lam)
             assert g == pytest.approx(expect, rel=1e-12)
             exact = reference.element_gain(lay, lay, params100, sharing, q, v, k)
@@ -178,8 +186,8 @@ class TestBlockChannel:
         assert reference.assembled_channel(bc).shape == (5, 5)
 
     def test_block_offset_identity(self, qf9, params100):
-        lay, sharing = qf9
-        bc = chan.build_block_channel(lay, lay, params100, sharing)
+        lay, _ = qf9
+        bc = chan.build_block_channel(lay, lay, params100)
         for m in range(4):
             for n in range(4):
                 assert np.array_equal(bc.block(m, n), bc.subchannels[(n + 4 - m) % 4])
@@ -188,7 +196,7 @@ class TestBlockChannel:
         # no q shortcut: entry (m, v), (n, k) from raw coordinates; the
         # tolerance carries the unavoidable phase roundoff of 2 pi d / lambda
         lay, sharing = qf9
-        bc = chan.build_block_channel(lay, lay, params100, sharing)
+        bc = chan.build_block_channel(lay, lay, params100)
         lam = params100.wavelength_m
         eps = np.finfo(float).eps
         for m in range(4):
@@ -198,7 +206,7 @@ class TestBlockChannel:
                     for k in range(4):
                         diff = lay.positions[m, v] - lay.positions[n, k]
                         d = np.sqrt(100.0**2 + diff @ diff)
-                        h = (lam / (4 * np.pi * sharing.diag_values[v])) \
+                        h = (lam / (4 * np.pi * sharing[v])) \
                             * np.exp(-2j * np.pi * d / lam) / d
                         tol = 1e-12 + 8 * eps * 2 * np.pi * d / lam
                         assert abs(blk[v, k] - h) < tol * abs(h)
@@ -212,8 +220,8 @@ class TestBlockChannel:
     def test_aligned_block_is_circulant_after_post_decoding(self, qf9, params100):
         # W^H (L H_0) W diagonal to 1e-10 of total energy; first-row symmetry
         lay, sharing = qf9
-        bc = chan.build_block_channel(lay, lay, params100, sharing)
-        lh0 = sharing.diag_values[:, None] * bc.subchannels[0]
+        bc = chan.build_block_channel(lay, lay, params100)
+        lh0 = sharing[:, None] * bc.subchannels[0]
         w = idft_matrix(4)
         product = w.conj().T @ lh0 @ w
         total = np.linalg.norm(product, "fro") ** 2
@@ -226,10 +234,10 @@ class TestBlockChannel:
 
     def test_aligned_eigenvalues_match_closed_form(self, qf9, params100):
         lay, sharing = qf9
-        bc = chan.build_block_channel(lay, lay, params100, sharing)
-        lh0 = sharing.diag_values[:, None] * bc.subchannels[0]
+        bc = chan.build_block_channel(lay, lay, params100)
+        lh0 = sharing[:, None] * bc.subchannels[0]
         eig = diagonalize_row_blocks([lh0])
-        exact = chan.detection_coeffs(lay, lay, params100, sharing, channel=bc).exact_matrices[0]
+        exact = chan.detection_coeffs(lay, lay, params100, channel=bc).exact_matrices[0]
         # p = 0 transform minus the q != 0 summands leaves the q = 0 block
         w = idft_matrix(4)
         q0 = dft_matrix(4) @ lh0 @ w
@@ -270,7 +278,7 @@ class TestEquivalentGains:
         # closed form deviates from the exact sum within the tolerance the
         # gap study establishes at these parameters (frozen)
         lay = build_layout(4, 16, 1.0, 1.0)
-        sharing = sharing_matrix(lay)
+        sharing = lay.sharing_freqs
         exact, bessel = [], []
         for v in range(0, 16, 4):
             for l in (-2, -1, 0, 1, 2):
@@ -289,7 +297,7 @@ class TestEquivalentGains:
 
         def max_dev(n):
             ring = single_ring_layout(n, 2.0)
-            sharing = sharing_matrix(ring)
+            sharing = ring.sharing_freqs
             ex, be = [], []
             for v in range(0, n, n // 8):
                 for l in (-2, -1, 0, 1, 2):
@@ -315,30 +323,29 @@ class TestDiagApprox:
         # q=0: the closed form approximates the exact circulant eigenvalues
         # (K=8, where the edge-mode aliasing is already below one percent)
         lay = build_layout(4, 8, 1.0, 1.0)
-        sharing = sharing_matrix(lay)
-        bc = chan.build_block_channel(lay, lay, params100, sharing)
-        lh0 = sharing.diag_values[:, None] * bc.subchannels[0]
+        sharing = lay.sharing_freqs
+        bc = chan.build_block_channel(lay, lay, params100)
+        lh0 = sharing[:, None] * bc.subchannels[0]
         eig = diagonalize_row_blocks([lh0])
-        approx = chan.diag_approx_block(lay, lay, params100, sharing, 0, 0)
+        approx = chan.diag_approx_block(lay, lay, params100, 0, 0)
         offdiag = approx - np.diag(np.diag(approx))
         assert np.all(offdiag == 0)
         scale = np.max(np.abs(eig))
         assert np.max(np.abs(np.diag(approx) - eig)) < 0.01 * scale
-        gap = chan.approx_gap(lay, lay, params100, sharing, channel=bc)
+        gap = chan.approx_gap(lay, lay, params100, channel=bc)
         assert gap < 5e-5  # frozen: 2.87e-5 at K=8, D=100
 
     def test_aligned_gap_frozen_at_k4(self, qf9, params100):
-        lay, sharing = qf9
-        bc = chan.build_block_channel(lay, lay, params100, sharing)
-        gap = chan.approx_gap(lay, lay, params100, sharing, channel=bc)
+        lay, _ = qf9
+        bc = chan.build_block_channel(lay, lay, params100)
+        gap = chan.approx_gap(lay, lay, params100, channel=bc)
         assert gap == pytest.approx(2.894258e-2, rel=1e-3)
 
     def test_quadrature_bracket_against_independent_quadrature(self, params100):
         # reimplement the azimuth integral with a different rule and node count
         lay = build_layout(4, 8, 1.0, 1.0)
-        sharing = sharing_matrix(lay)
         q, p = 1, 1
-        entries = np.diag(chan.diag_approx_block(lay, lay, params100, sharing,
+        entries = np.diag(chan.diag_approx_block(lay, lay, params100,
                                                  p, q, correction=True))
         rq = lay.qf_radius
         rt = rr = lay.cell_radius
@@ -366,9 +373,9 @@ class TestDiagApprox:
             assert abs(entries[idx] - expect) < 1e-6 * max(abs(expect), 1e-30)
 
     def test_j_order_variants_differ_only_in_bessel_order(self, qf9, params100):
-        lay, sharing = qf9
-        matched = np.diag(chan.diag_approx_block(lay, lay, params100, sharing, 0, 1))
-        first = np.diag(chan.diag_approx_block(lay, lay, params100, sharing, 0, 1,
+        lay, _ = qf9
+        matched = np.diag(chan.diag_approx_block(lay, lay, params100, 0, 1))
+        first = np.diag(chan.diag_approx_block(lay, lay, params100, 0, 1,
                                                j_order="first"))
         from qfuca.linalg import bessel_j
         phi_q = np.pi / 2
@@ -384,22 +391,22 @@ class TestDiagApprox:
         a = build_layout(4, 4, 1.0, 1.0)
         b = build_layout(4, 8, 1.0, 1.0)
         with pytest.raises(DimensionError):
-            chan.diag_approx_block(a, b, params100, sharing_matrix(b), 0, 0)
+            chan.diag_approx_block(a, b, params100, 0, 0)
 
 
 class TestApproxGap:
     def test_gap_zero_when_approximation_is_exact(self, qf9, params100):
         # denominator structure: a null channel is degenerate
-        lay, sharing = qf9
+        lay, _ = qf9
         zero = chan.BlockChannel(n_cells=4, subchannels=np.zeros((4, 4, 4), dtype=complex))
         with pytest.raises(DegenerateChannelError):
-            chan.approx_gap(lay, lay, params100, sharing, channel=zero)
+            chan.approx_gap(lay, lay, params100, channel=zero)
 
     def test_full_superposition_gap_matches_mode_channel(self, qf9, params100):
-        lay, sharing = qf9
-        mode = chan.detection_coeffs(lay, lay, params100, sharing)
+        lay, _ = qf9
+        mode = chan.detection_coeffs(lay, lay, params100)
         for p in range(4):
-            eps = reference.full_superposition_gap(lay, lay, params100, sharing, p)
+            eps = reference.full_superposition_gap(lay, lay, params100, p)
             assert eps == pytest.approx(mode.gap[p], rel=1e-12)
 
 
@@ -409,39 +416,38 @@ class TestNullTransforms:
 
     @pytest.fixture(scope="class")
     def center(self):
-        lay = build_layout(4, 1, 1.0, 1.0)
-        return lay, sharing_matrix(lay)
+        return build_layout(4, 1, 1.0, 1.0)
 
     def test_mode_channel_reports_inf(self, center, params100):
-        lay, sharing = center
-        gap = chan.detection_coeffs(lay, lay, params100, sharing).gap
+        lay = center
+        gap = chan.detection_coeffs(lay, lay, params100).gap
         assert np.isfinite(gap[0])
         assert np.all(np.isinf(gap[1:]))
 
     def test_full_superposition_gap_raises(self, center, params100):
-        lay, sharing = center
-        assert reference.full_superposition_gap(lay, lay, params100, sharing, 0) \
-            == pytest.approx(chan.detection_coeffs(lay, lay, params100, sharing).gap[0],
+        lay = center
+        assert reference.full_superposition_gap(lay, lay, params100, 0) \
+            == pytest.approx(chan.detection_coeffs(lay, lay, params100).gap[0],
                              rel=1e-12)
         for p in range(1, 4):
             with pytest.raises(DegenerateChannelError):
-                reference.full_superposition_gap(lay, lay, params100, sharing, p)
+                reference.full_superposition_gap(lay, lay, params100, p)
 
     def test_small_but_real_transforms_keep_their_gap(self):
         # 8x16 at 2 km: the weakest transform is 1e-5 of the rms norm
         lay = build_layout(8, 16, 1.0, 1.0)
         params = chan.PropagationParams.from_frequency(2000.0, FREQ, 1.0)
-        mode = chan.detection_coeffs(lay, lay, params, sharing_matrix(lay))
+        mode = chan.detection_coeffs(lay, lay, params)
         assert np.all(np.isfinite(mode.gap))
 
 
 class TestExactModeMatrix:
     def test_one_idft_per_transform(self, qf9, params100, count_calls):
-        lay, sharing = qf9
+        lay, _ = qf9
         # dft_matrix would call linalg's own idft_matrix
         idft_calls = (count_calls(chan, "idft_matrix"), count_calls(linalg, "idft_matrix"))
-        chan.detection_coeffs(lay, lay, params100, sharing)
-        chan.detection_coeffs(lay, lay, params100, sharing)
+        chan.detection_coeffs(lay, lay, params100)
+        chan.detection_coeffs(lay, lay, params100)
         assert sum(map(len, idft_calls)) == 2
 
     # one cell is the single ring of a baseline: 97 elements is the uca_n
@@ -452,11 +458,11 @@ class TestExactModeMatrix:
                                       (3, 12), (6, 6)])
     def test_bit_identical_to_dft_form(self, params100, n, k):
         lay = single_ring_layout(k, 1.0) if n == 1 else build_layout(n, k, 1.0, 1.0)
-        sharing = sharing_matrix(lay)
-        bc = chan.build_block_channel(lay, lay, params100, sharing)
-        exact = chan.detection_coeffs(lay, lay, params100, sharing, channel=bc).exact_matrices
+        bc = chan.build_block_channel(lay, lay, params100)
+        exact = chan.detection_coeffs(lay, lay, params100, channel=bc).exact_matrices
         for p in range(n):
-            assert np.array_equal(exact[p], reference.exact_transform(bc, sharing, p))
+            assert np.array_equal(exact[p],
+                                  reference.exact_transform(bc, lay.sharing_freqs, p))
 
     def test_unequal_element_counts_rejected(self, params100):
         with pytest.raises(DimensionError):
@@ -468,10 +474,9 @@ class TestDetectionCoeffs:
     def test_single_cell_lambda_is_exact_diagonal(self):
         ring = single_ring_layout(6, 1.0)
         params = chan.PropagationParams.from_frequency(100.0, FREQ)
-        sharing = sharing_matrix(ring)
-        mode = chan.detection_coeffs(ring, ring, params, sharing)
-        exact = reference.exact_transform(chan.build_block_channel(ring, ring, params, sharing),
-                                          sharing, 0)
+        mode = chan.detection_coeffs(ring, ring, params)
+        exact = reference.exact_transform(chan.build_block_channel(ring, ring, params),
+                                          ring.sharing_freqs, 0)
         assert np.max(np.abs(mode.lambda_coeffs[0] - np.diag(exact))) < 1e-15
 
     def test_exact_lambda_matches_pipeline_probe(self, qf9, params100):
@@ -479,8 +484,8 @@ class TestDetectionCoeffs:
         from qfuca.txrx import (NoiseModel, SymbolGrid, propagate,
                                 tod_inner_demodulate, tod_split_compensate,
                                 tom_modulate)
-        lay, sharing = qf9
-        mode = chan.detection_coeffs(lay, lay, params100, sharing)
+        lay, _ = qf9
+        mode = chan.detection_coeffs(lay, lay, params100)
         noise = NoiseModel(0.0, 0)
         scale = params100.reference_gain
         for (p, l) in [(0, 0), (1, 1), (2, -1)]:
@@ -489,22 +494,22 @@ class TestDetectionCoeffs:
             grid = SymbolGrid(4, 4, sym, np.full((4, 4), 1 / 16))
             y = propagate(tom_modulate(grid, lay), lay, lay, params100, noise)
             x_tilde = tod_split_compensate(y, lay)
-            s_tilde = tod_inner_demodulate(x_tilde[p % 4], sharing)
+            s_tilde = tod_inner_demodulate(x_tilde[p % 4], lay)
             assert abs(s_tilde[l % 4] - mode.lambda_coeffs[p % 4, l % 4]) \
                 < 1e-12 * scale
 
     def test_bessel_lambda_sums_blocks(self, qf9, params100):
-        lay, sharing = qf9
-        mode = chan.detection_coeffs(lay, lay, params100, sharing)
+        lay, _ = qf9
+        mode = chan.detection_coeffs(lay, lay, params100)
         lam_b = chan.bessel_lambda(mode)
         summed = np.einsum("pqll->pl", mode.approx_blocks)
         assert np.max(np.abs(lam_b - summed)) == 0.0
 
 
-def direct_approx_blocks(lay, sharing, params):
+def direct_approx_blocks(lay, params):
     """In-test oracle: every (p, q) block evaluated by its own call."""
     n = lay.n_cells
-    return np.array([[chan.diag_approx_block(lay, lay, params, sharing, p, q)
+    return np.array([[chan.diag_approx_block(lay, lay, params, p, q)
                       for q in range(n)] for p in range(n)])
 
 
@@ -512,9 +517,8 @@ class TestLazyBesselBlocks:
     @pytest.mark.parametrize("n, k", [(4, 4), (8, 16)])
     def test_hoisted_p_matches_direct_blocks(self, n, k, params100):
         lay = build_layout(n, k, 1.0, 1.0)
-        sharing = sharing_matrix(lay)
-        blocks = chan.detection_coeffs(lay, lay, params100, sharing).approx_blocks
-        direct = direct_approx_blocks(lay, sharing, params100)
+        blocks = chan.detection_coeffs(lay, lay, params100).approx_blocks
+        direct = direct_approx_blocks(lay, params100)
         assert blocks.shape == (n, n, k, k)
         assert np.max(np.abs(blocks - direct)) <= 1e-12 * np.max(np.abs(direct))
         off_diag = ~np.eye(k, dtype=bool)
@@ -523,19 +527,19 @@ class TestLazyBesselBlocks:
     def test_bessel_link_matches_direct_evaluation(self, qf9, params100):
         from qfuca.config import Scenario
         from qfuca.txrx import build_link
-        lay, sharing = qf9
+        lay, _ = qf9
         link = build_link(Scenario(lambda_path="bessel"))
-        direct = np.einsum("pqll->pl", direct_approx_blocks(lay, sharing, params100))
+        direct = np.einsum("pqll->pl", direct_approx_blocks(lay, params100))
         assert np.max(np.abs(link.lambda_coeffs - direct)) \
             <= 1e-12 * np.max(np.abs(direct))
         for p in range(4):
             assert link.mode.gap[p] == pytest.approx(
-                reference.full_superposition_gap(lay, lay, params100, sharing, p), rel=1e-12)
+                reference.full_superposition_gap(lay, lay, params100, p), rel=1e-12)
 
 
 def test_channel_csv_header(qf9, params100):
-    lay, sharing = qf9
-    bc = chan.build_block_channel(lay, lay, params100, sharing)
+    lay, _ = qf9
+    bc = chan.build_block_channel(lay, lay, params100)
     text = chan.channel_csv(bc)
     lines = text.strip().split("\n")
     assert lines[0] == "m,n,v,k,re,im"

@@ -162,6 +162,14 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: noise variance must be finite")
         assert not (tmp_path / "loopback.csv").exists()
 
+    @pytest.mark.parametrize("values", ["inf", "nan", "50,1e400"])
+    def test_non_finite_gap_distance_exits_nonzero(self, tmp_path, capsys, values):
+        assert main(["gap", "--out", str(tmp_path), "--values", values,
+                     "--elems", "4"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: distance, wavelength, beta, and frequency must be finite")
+        assert not (tmp_path / "gap.csv").exists()
+
     def test_negative_frame_count_exits_nonzero(self, tmp_path, capsys):
         assert main(["loopback", "--out", str(tmp_path), "--frames", "-5"]) == 1
         assert capsys.readouterr().err.startswith(

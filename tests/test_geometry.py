@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from qfuca.errors import GeometryError
 from qfuca.geometry import (COINCIDENCE_RTOL, admissible_elem_counts, build_layout,
-                            layout_csv, overlapped_ratios, sharing_matrix,
-                            single_ring_layout, slot_group_sum)
+                            layout_csv, overlapped_ratios, single_ring_layout,
+                            slot_group_sum)
 from qfuca.geometry import _coincidence_groups
 
 from layouts import admissible_layouts
@@ -115,29 +115,29 @@ class TestBuildLayout:
 class TestSharingMatrix:
     def test_4x4_through_center(self):
         lay = build_layout(4, 4, 1.0, 1.0)
-        diag = list(sharing_matrix(lay).diag_values)
+        diag = list(lay.sharing_freqs)
         assert circulant_shift_equal(diag, [2, 1, 2, 4])
 
     def test_4x8_through_center(self):
         lay = build_layout(4, 8, 1.0, 1.0)
-        diag = list(sharing_matrix(lay).diag_values)
+        diag = list(lay.sharing_freqs)
         assert circulant_shift_equal(diag, [2, 1, 1, 1, 2, 1, 4, 1])
 
     def test_disjoint_cells_identity(self):
         for n in (3, 4, 6):
             ratio = 0.9 * np.sin(np.pi / n)
             lay = build_layout(n, 5, ratio, 1.0)
-            assert np.array_equal(sharing_matrix(lay).diag_values, np.ones(5, dtype=int))
+            assert np.array_equal(lay.sharing_freqs, np.ones(5, dtype=int))
 
     def test_tangent_case_one_shared_pattern(self):
         # two slots at frequency 2 (one per neighbor), rest unshared
         lay = build_layout(4, 8, np.sin(np.pi / 4), 1.0)
-        diag = sorted(sharing_matrix(lay).diag_values)
+        diag = sorted(lay.sharing_freqs)
         assert diag == [1, 1, 1, 1, 1, 1, 2, 2]
 
     def test_tangent_4x4_matches_closed_form_vector(self):
         lay = build_layout(4, 4, np.sin(np.pi / 4), 1.0)
-        diag = [int(x) for x in sharing_matrix(lay).diag_values]
+        diag = [int(x) for x in lay.sharing_freqs]
         assert circulant_shift_equal(diag, [2, 2, 1, 1])
 
     def test_tangent_closed_form_all_admissible(self):
@@ -146,9 +146,34 @@ class TestSharingMatrix:
         for n in range(3, 9):
             for v in admissible_elem_counts(n, "tangent", 12):
                 lay = build_layout(n, v, np.sin(np.pi / n), 1.0)
-                diag = sorted(sharing_matrix(lay).diag_values)
+                diag = sorted(lay.sharing_freqs)
                 assert diag == [1] * (v - 2) + [2, 2], (n, v)
                 assert lay.n_physical == n * v - n
+
+
+def assert_cells_share_as_cell_0(lay):
+    """Every cell's slots see the sharing frequencies of cell 0's slots, the
+    symmetry build_block_channel relies on when it divides every receive
+    cell by cell 0's L."""
+    per_slot = lay.element_sharing[lay.slot_group]
+    assert (per_slot == lay.sharing_freqs).all(), per_slot
+
+
+class TestCellSymmetry:
+    def test_admissible_layouts(self):
+        for n, v, ratio in admissible_layouts():
+            assert_cells_share_as_cell_0(build_layout(n, v, ratio, 1.0))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(3, 8), st.integers(1, 16),
+           st.floats(min_value=0.01, max_value=1.0))
+    def test_random_ratios(self, n, v, ratio):
+        assert_cells_share_as_cell_0(build_layout(n, v, ratio, 1.0))
+
+    @pytest.mark.parametrize("n, v, ratio", [(16, 32, 1.0), (16, 32, np.sin(np.pi / 16)),
+                                             (32, 64, 1.0), (32, 64, np.sin(np.pi / 32))])
+    def test_large_grids(self, n, v, ratio):
+        assert_cells_share_as_cell_0(build_layout(n, v, ratio, 1.0))
 
 
 class TestAdmissibility:
@@ -250,6 +275,6 @@ class TestExportsAndRings:
     def test_single_ring(self):
         ring = single_ring_layout(9, 0.5)
         assert ring.n_physical == 9
-        assert np.array_equal(sharing_matrix(ring).diag_values, np.ones(9, dtype=int))
+        assert np.array_equal(ring.sharing_freqs, np.ones(9, dtype=int))
         radii = np.hypot(ring.positions[0, :, 0], ring.positions[0, :, 1])
         assert np.max(np.abs(radii - 0.5)) < 1e-12

@@ -63,12 +63,11 @@ class TestSingleLoopUca:
     def test_equals_single_cell_reduction(self, scen):
         # the baseline is literally the N = 1 evaluation of the QF formula
         from qfuca import channel as chan
-        from qfuca.geometry import single_ring_layout, sharing_matrix
+        from qfuca.geometry import single_ring_layout
         from qfuca.txrx import noise_mode_scale
         params = chan.PropagationParams.from_frequency(100.0, scen.freq_hz, scen.beta)
         ring = single_ring_layout(9, scen.qf_radius_m)
-        sharing = sharing_matrix(ring)
-        exact = chan.detection_coeffs(ring, ring, params, sharing).exact_matrices[0]
+        exact = chan.detection_coeffs(ring, ring, params).exact_matrices[0]
         lam = np.diag(exact)[None, :]
         sigma2 = scen.total_power * params.reference_gain ** 2 / scen.snr_linear
         manual = metrics.se_qf(lam, np.full((1, 9), 1 / 9),
@@ -94,11 +93,11 @@ class TestSingleLoopUca:
         # link_at on the ring antenna, with its full exact transform, is the
         # oracle for the streamed gains
         ring = txrx.ring_antenna(n_elements, scen.qf_radius_m)
-        sigma2 = metrics._sigma2(scen)
+        sigma2 = txrx.noise_variance(scen)
         for d in (25.0, 400.0):
             work = replace(scen, distance_m=d)
             se = metrics._se_ring(ring, work, sigma2)
-            link = txrx.link_at(ring, work, "exact")
+            link = txrx.link_at(ring, work)  # scen takes the exact path
             lam = link.lambda_coeffs[0]
             assert np.max(np.abs(ring_gains[-1] - lam)) <= 1e-14 * np.max(np.abs(lam))
             assert se == pytest.approx(metrics._se_qf_link(link, sigma2), rel=1e-14)
@@ -111,9 +110,9 @@ class TestSingleLoopUca:
         ring = txrx.ring_antenna(n_elements, scen.qf_radius_m)
         for d in (25.0, 400.0):
             work = replace(scen, distance_m=d)
-            metrics._se_ring(ring, work, metrics._sigma2(scen))
+            metrics._se_ring(ring, work, txrx.noise_variance(scen))
             params = chan.PropagationParams.from_frequency(d, work.freq_hz, work.beta)
-            h = chan.build_block_channel(ring.tx, ring.rx, params, ring.sharing).subchannels[0]
+            h = chan.build_block_channel(ring.tx, ring.rx, params).subchannels[0]
             assert np.array_equal(ring_gains[-1], diagonalize_row_blocks([h]))
 
     def test_nondecreasing_in_snr(self, scen):

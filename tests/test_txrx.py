@@ -9,7 +9,7 @@ from qfuca import channel as chan
 from qfuca import txrx
 from qfuca.config import Scenario
 from qfuca.errors import DimensionError
-from qfuca.geometry import build_layout, sharing_matrix, single_ring_layout
+from qfuca.geometry import build_layout, single_ring_layout
 from qfuca.linalg import dft_matrix, idft_matrix
 
 import reference
@@ -22,7 +22,7 @@ LAM = 299792458.0 / FREQ
 @pytest.fixture(scope="module")
 def qf9():
     lay = build_layout(4, 4, 1.0, 1.0)
-    return lay, sharing_matrix(lay)
+    return lay, lay.sharing_freqs
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +85,7 @@ def run_loopback_per_frame(link, n_frames, noise_variance=0.0):
         x_tilde = txrx.tod_split_compensate(received, link.rx)
         errors = np.zeros((n, k), dtype=bool)
         for p in range(n):
-            s_tilde = txrx.tod_inner_demodulate(x_tilde[p], link.sharing)
+            s_tilde = txrx.tod_inner_demodulate(x_tilde[p], link.rx)
             detected, _, degenerate = txrx.ml_detect(
                 s_tilde, link.lambda_coeffs[p], link.constellation, amp[p])
             errors[p] = (detected != symbols[p]) & ~degenerate
@@ -154,7 +154,7 @@ class TestModulation:
         assert np.max(np.abs(feed - 1.0)) < 1e-12
 
     def test_dc_symbol_shared_element_superposes(self, qf9):
-        lay, sharing = qf9
+        lay, _ = qf9
         sym = np.zeros((4, 4), dtype=complex)
         sym[0, 0] = 4.0
         g = txrx.SymbolGrid(4, 4, sym, np.full((4, 4), 1 / 16))
@@ -251,23 +251,23 @@ class TestDemodulation:
         assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(a))
 
     def test_inner_demodulation_recovers_idft_column(self):
-        from qfuca.geometry import SharingMatrix
-        sharing = SharingMatrix(diag_values=np.ones(6, dtype=int))
+        # a ring shares no element: L = I
+        ring = single_ring_layout(6, 1.0)
         w = idft_matrix(6)
         for l in (0, 2, 5):
-            s = txrx.tod_inner_demodulate(3.5 * w[:, l], sharing)
+            s = txrx.tod_inner_demodulate(3.5 * w[:, l], ring)
             expect = np.zeros(6, dtype=complex)
             expect[l] = 3.5
             assert np.max(np.abs(s - expect)) < 1e-12
 
     def test_inner_demodulation_zero(self, qf9):
-        _, sharing = qf9
-        assert np.all(txrx.tod_inner_demodulate(np.zeros(4), sharing) == 0)
+        lay, _ = qf9
+        assert np.all(txrx.tod_inner_demodulate(np.zeros(4), lay) == 0)
 
     def test_inner_demodulation_length_mismatch(self, qf9):
-        _, sharing = qf9
+        lay, _ = qf9
         with pytest.raises(DimensionError):
-            txrx.tod_inner_demodulate(np.zeros(5), sharing)
+            txrx.tod_inner_demodulate(np.zeros(5), lay)
 
 
 class TestMlDetect:
@@ -343,14 +343,14 @@ class TestNoiseModeScale:
     def test_against_operator_probe(self, qf9):
         # feed unit vectors through the actual receive chain and accumulate
         # the row powers; must match the closed-form scale exactly
-        lay, sharing = qf9
+        lay, _ = qf9
         probe = np.zeros((4, 4, 9))
         for j in range(9):
             e = np.zeros(9, dtype=complex)
             e[j] = 1.0
             xt = txrx.tod_split_compensate(e, lay)
             for p in range(4):
-                s = txrx.tod_inner_demodulate(xt[p], sharing)
+                s = txrx.tod_inner_demodulate(xt[p], lay)
                 probe[p, :, j] = np.abs(s) ** 2
         expect = probe.sum(axis=2)
         scale = txrx.noise_mode_scale(lay, 4)
@@ -398,7 +398,7 @@ class TestNoiseModeScale:
            st.floats(min_value=0.05, max_value=1.0))
     def test_unit_scale_without_shared_elements(self, n, k, ratio):
         lay = build_layout(n, k, ratio, 1.0)
-        assume(np.all(sharing_matrix(lay).diag_values == 1))
+        assume(np.all(lay.sharing_freqs == 1))
         assert np.max(np.abs(txrx.noise_mode_scale(lay, n) - 1.0)) <= 1e-14
 
     @settings(max_examples=20, deadline=None)
@@ -438,7 +438,7 @@ class TestBuildLink:
         assert link.mode.gap.shape == (link.n_inter,)
         assert link.mode.approx_blocks.shape == (4, 4, 4, 4)
         assert len(diag_calls) == link.n_inter
-        assert all(args[4] == 0 for args in diag_calls)
+        assert all(args[3] == 0 for args in diag_calls)
 
 
 class TestEndToEnd:
@@ -485,13 +485,11 @@ class TestEndToEnd:
         # the single-cell channel is exactly circulant, so mode-wise
         # detection is interference-free
         ring = single_ring_layout(9, 1.0)
-        sharing = sharing_matrix(ring)
         params = chan.PropagationParams.from_frequency(100.0, FREQ, 1.0)
-        mode = chan.detection_coeffs(ring, ring, params, sharing)
+        mode = chan.detection_coeffs(ring, ring, params)
         grid = txrx.SymbolGrid.uniform(1, 9)
-        link = txrx.Link(tx=ring, rx=ring, params=params, sharing=sharing,
-                         mode=mode, block_channel=chan.build_block_channel(
-                             ring, ring, params, sharing),
+        link = txrx.Link(tx=ring, rx=ring, params=params, mode=mode,
+                         block_channel=chan.build_block_channel(ring, ring, params),
                          lambda_coeffs=mode.lambda_coeffs,
                          constellation=txrx.Constellation.from_name("qpsk"),
                          power_alloc=grid.power_alloc, sigma2=1e-12,
