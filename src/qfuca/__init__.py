@@ -9,8 +9,7 @@ from .geometry import (Layout, admissible_elem_counts, build_layout,
 from .linalg import bessel_j, diagonalize_row_blocks, dft_matrix, idft_matrix
 from .metrics import (SweepResult, SweepSpec, run_sweep, se_gain, se_qf,
                       se_single_loop_uca, se_siso_times)
-from .txrx import (Constellation, NoiseModel, SymbolGrid, build_link,
-                   end_to_end, ml_detect, propagate, run_loopback,
+from .txrx import (Constellation, NoiseModel, build_link, ml_detect, run_loopback,
                    tod_inner_demodulate, tod_split_compensate, tom_modulate)
 
 __version__ = "0.1.0"

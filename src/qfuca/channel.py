@@ -27,9 +27,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateChannelError, DimensionError
+from .errors import DegenerateChannelError, DimensionError, DomainError
 from .geometry import Layout
-from .linalg import bessel_j, idft_matrix
+from .linalg import MAX_BESSEL_ARG, bessel_j, idft_matrix
 
 C_LIGHT = 299792458.0
 
@@ -76,6 +76,12 @@ class PropagationParams:
             raise ValueError("distance, wavelength, beta, and frequency must be positive")
         if abs(self.wavelength_m * self.carrier_hz - C_LIGHT) > 1e-6 * C_LIGHT:
             raise ValueError("wavelength and carrier frequency are inconsistent with c")
+        # sigma^2 takes the squared boresight gain and every element distance
+        # the squared distance (Python float products overflow to inf silently)
+        g, d = float(self.reference_gain), float(self.distance_m)
+        if not (np.isfinite(g * g) and d * d > 0):
+            raise ValueError(f"distance {self.distance_m!r} m is too short for the channel "
+                             "model: its squared boresight gain or distance leaves the float range")
 
     @classmethod
     def from_frequency(cls, distance_m: float, freq_hz: float,
@@ -221,6 +227,11 @@ def diag_approx_block(tx: Layout, rx: Layout, params: PropagationParams,
     s = np.sin(phi_q / 2)
     b_q = 2 * np.pi * rt * np.sqrt(4 * rq**2 * s**2 + rr**2) / (lam * d)
     z_q = 4 * np.pi * rq * rr * s / (lam * d)
+    # the quadrature bracket takes z_q through exp, not through bessel_j
+    arg = b_q if correction else max(b_q, abs(z_q))
+    if arg > MAX_BESSEL_ARG:
+        raise DomainError(f"distance {d!r} m is too short for the Bessel route: its "
+                          f"Bessel argument {float(arg)!r} exceeds {MAX_BESSEL_ARG:g}")
     pref = params.beta * lam * kc / (4 * np.pi * d) \
         * np.exp(1j * phi_q * p) \
         * np.exp(-2j * np.pi * (d + rt**2 / (2 * d)) / lam) \

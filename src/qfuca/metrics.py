@@ -33,8 +33,8 @@ from . import channel as chan
 from .config import Scenario
 from .errors import DegenerateChannelError
 from .linalg import diagonalize_row_blocks
-from .txrx import Antenna, Link, SymbolGrid, build_antenna, build_link, link_at, \
-    noise_variance, ring_antenna
+from .txrx import Antenna, Link, build_antenna, build_link, link_at, noise_variance, \
+    ring_antenna
 
 SWEEP_AXES = ("snr_db", "distance_m", "freq_hz")
 SYSTEMS = ("qf_uca", "uca_n", "uca_bigger", "siso_xN")
@@ -64,16 +64,15 @@ def se_qf(lambda_coeffs: np.ndarray, power_alloc: np.ndarray,
 
 
 def se_single_loop_uca(n_elements: int, scenario: Scenario,
-                       distance_m: float | None = None,
-                       sigma2: float | None = None) -> float:
+                       distance_m: float | None = None) -> float:
     """Single-loop UCA baseline: one ring of n elements at the antenna radius,
     evaluated as the single-cell reduction of the QF efficiency, with the
     exact per-mode gains taken in O(n^2) (see `_se_ring`)."""
     if n_elements < 1:
         raise ValueError("n_elements must be >= 1")
     work = scenario if distance_m is None else replace(scenario, distance_m=distance_m)
-    s2 = noise_variance(scenario) if sigma2 is None else sigma2
-    return _se_ring(ring_antenna(n_elements, scenario.qf_radius_m), work, s2)
+    return _se_ring(ring_antenna(n_elements, scenario.qf_radius_m), work,
+                    noise_variance(scenario))
 
 
 def _se_ring(ring: Antenna, scenario: Scenario, sigma2: float) -> float:
@@ -93,8 +92,8 @@ def _se_ring(ring: Antenna, scenario: Scenario, sigma2: float) -> float:
     blocks = (chan.free_space_gain(rp[r:r + RING_ROW_BLOCK, None, :] - tp[None, :, :], params)
               for r in range(0, rp.shape[0], RING_ROW_BLOCK))
     lam = diagonalize_row_blocks(blocks)[None, :]
-    grid = SymbolGrid.uniform(1, ring.tx.elems_per_cell, total_power=scenario.total_power)
-    return se_qf(lam, grid.power_alloc, sigma2 * ring.noise_scale)
+    n = ring.tx.elems_per_cell
+    return se_qf(lam, np.full((1, n), scenario.total_power / n), sigma2 * ring.noise_scale)
 
 
 def se_siso_times(n: int, scenario: Scenario, distance_m: float | None = None,
@@ -109,13 +108,11 @@ def se_siso_times(n: int, scenario: Scenario, distance_m: float | None = None,
     return float(n * np.log2(1.0 + snr))
 
 
-def se_qf_scenario(scenario: Scenario, distance_m: float | None = None,
-                   sigma2: float | None = None) -> float:
+def se_qf_scenario(scenario: Scenario, distance_m: float | None = None) -> float:
     """QF-UCA spectrum efficiency for a scenario, optionally at an overridden
-    distance and noise variance (used by sweeps)."""
+    distance with the noise variance anchored at the scenario's own."""
     work = scenario if distance_m is None else replace(scenario, distance_m=distance_m)
-    s2 = noise_variance(scenario) if sigma2 is None else sigma2
-    return _se_qf_link(build_link(work), s2)
+    return _se_qf_link(build_link(work), noise_variance(scenario))
 
 
 def _se_qf_link(link: Link, sigma2: float) -> float:

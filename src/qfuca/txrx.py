@@ -1,25 +1,26 @@
 """Transceiver chain: two-dimension OAM modulation (TOM), physical
 propagation, two-dimension demodulation (TOD), and mode-wise ML detection.
 
-Frames travel through one batched engine, `FrameChain`, built once per link:
-a stack of (N, K) symbol grids is modulated by idft_matrix(N) @ S @
-idft_matrix(K), summed onto the shared elements, propagated by one product
-with the physical gain matrix, split back to the logical slots, compensated
-by dft_matrix(N), inner-demodulated by L and dft_matrix(K), and detected by
-one tie-stable argmin over the constellation.  `run_loopback` sends its
-frames through it FRAME_BLOCK at a time; `end_to_end` is the one-frame case.
+The chain is one set of stage functions, each taking a stack of frames
+(leading axes index frames): `tom_modulate` applies idft_matrix(N) @ S @
+idft_matrix(K) to the (N, K) symbol grids and sums the slots onto the shared
+elements; propagation is one product with the transposed physical gain
+matrix; `tod_split_compensate` splits each observation back to the logical
+slots and compensates by dft_matrix(N); `tod_inner_demodulate` applies L and
+dft_matrix(K) to every branch at once.  `run_loopback` builds the gain
+matrix and the ML candidates once per run, sends its frames through the
+stages FRAME_BLOCK at a time, and detects them by one tie-stable argmin over
+the constellation.
 
 A link is built in two halves: `build_antenna` (or `ring_antenna` for a
 single-loop baseline) makes the part that depends on neither distance,
 carrier nor SNR, and `link_at` adds the propagation part.  `build_link` is
 their composition; sweeps keep the antenna and call `link_at` per point.
 
-The per-frame stage functions (`tom_modulate`, `propagate`,
-`tod_split_compensate`, `tod_inner_demodulate`, `ml_detect`) are the
-engine's expressions for one frame.  The tests hold each against its
-direct-summation form, the physical path against the logical
-block-circulant path, and the engine against a frame-by-frame loop over the
-stage functions.
+`ml_detect` is the detector for one branch.  The tests hold each stage
+against its direct-summation form, the physical path against the logical
+block-circulant path, and `run_loopback` against a frame-by-frame loop over
+the stages and `ml_detect`.
 """
 
 from __future__ import annotations
@@ -79,47 +80,6 @@ class Constellation:
 
 
 @dataclass(frozen=True)
-class SymbolGrid:
-    """Transmit symbols s_{p,l} and their power budget.
-
-    Arrays are (n_inter, n_inner) in DFT-index order; row/column index i
-    corresponds to mode i for i <= n/2 and i - n beyond, matching the
-    centered summation ranges.
-    """
-
-    n_inter: int
-    n_inner: int
-    symbols: np.ndarray
-    power_alloc: np.ndarray
-
-    def __post_init__(self):
-        sym = np.asarray(self.symbols, dtype=complex)
-        pw = np.asarray(self.power_alloc, dtype=float)
-        if sym.shape != (self.n_inter, self.n_inner) or pw.shape != sym.shape:
-            raise DimensionError("symbol and power grids must be (n_inter, n_inner)")
-        if np.any(pw < 0):
-            raise ValueError("power allocation must be nonnegative")
-        object.__setattr__(self, "symbols", sym)
-        object.__setattr__(self, "power_alloc", pw)
-
-    @property
-    def total_power(self) -> float:
-        return float(self.power_alloc.sum())
-
-    def symbol(self, p: int, l: int) -> complex:
-        return self.symbols[p % self.n_inter, l % self.n_inner]
-
-    @classmethod
-    def uniform(cls, n_inter: int, n_inner: int, symbols=None,
-                total_power: float = 1.0) -> "SymbolGrid":
-        """Grid with power averagely allocated over all modes."""
-        if symbols is None:
-            symbols = np.zeros((n_inter, n_inner), dtype=complex)
-        pw = np.full((n_inter, n_inner), total_power / (n_inter * n_inner))
-        return cls(n_inter=n_inter, n_inner=n_inner, symbols=symbols, power_alloc=pw)
-
-
-@dataclass(frozen=True)
 class NoiseModel:
     """Circular complex white noise per physical receive element."""
 
@@ -143,33 +103,16 @@ class NoiseModel:
         return g.normal(scale=scale, size=n) + 1j * g.normal(scale=scale, size=n)
 
 
-def logical_modulated(grid: SymbolGrid) -> np.ndarray:
-    """Pre-superposition logical signals x_{n,k}: the two-dimension IDFT of
-    the symbol grid, (1/sqrt(NK)) sum_{p,l} s e^{j2pi kl/K} e^{j2pi np/N}."""
-    wn = idft_matrix(grid.n_inter)
-    wk = idft_matrix(grid.n_inner)
-    return wn @ grid.symbols @ wk
-
-
-def tom_modulate(grid: SymbolGrid, tx: Layout) -> np.ndarray:
-    """Physical transmit feed: the two-dimension IDFT of the symbol grid,
-    superposed onto the shared elements; indexed by physical element id."""
-    if (grid.n_inter, grid.n_inner) != (tx.n_cells, tx.elems_per_cell):
-        raise ValueError("symbol grid does not match the transmit layout")
-    return slot_group_sum(tx, logical_modulated(grid))
-
-
-def propagate(tx_signals: np.ndarray, tx: Layout, rx: Layout,
-              params: chan.PropagationParams, noise: NoiseModel,
-              frame: int = 0) -> np.ndarray:
-    """Physical element-to-element propagation plus receiver noise.
-
-    Deterministic given (noise.seed, frame)."""
-    x = np.asarray(tx_signals, dtype=complex)
-    if x.size != tx.n_physical:
-        raise DimensionError("transmit vector does not match the physical element count")
-    g = chan.physical_gain_matrix(tx, rx, params)
-    return g @ x + noise.sample(rx.n_physical, frame)
+def tom_modulate(symbols: np.ndarray, tx: Layout) -> np.ndarray:
+    """Physical transmit feed: the two-dimension IDFT of each (N, K) symbol
+    grid, (1/sqrt(NK)) sum_{p,l} s e^{j2pi kl/K} e^{j2pi np/N}, superposed
+    onto the shared elements; the last axis indexes physical elements and
+    leading axes index frames."""
+    sym = np.asarray(symbols, dtype=complex)
+    n, k = tx.n_cells, tx.elems_per_cell
+    if sym.shape[-2:] != (n, k):
+        raise DimensionError("symbol grid does not match the transmit layout")
+    return slot_group_sum(tx, idft_matrix(n) @ sym @ idft_matrix(k))
 
 
 def split_received(rx_signals: np.ndarray, rx: Layout) -> np.ndarray:
@@ -190,13 +133,15 @@ def tod_split_compensate(rx_signals: np.ndarray, rx: Layout) -> np.ndarray:
     return dft_matrix(rx.n_cells) @ split_received(rx_signals, rx)
 
 
-def tod_inner_demodulate(x_tilde_p: np.ndarray, rx: Layout) -> np.ndarray:
-    """Inner demodulation of one branch: s~_p = W^H L x~_p, with L the
-    receive layout's sharing frequencies."""
-    x = np.asarray(x_tilde_p, dtype=complex)
-    if x.size != rx.elems_per_cell:
+def tod_inner_demodulate(x_tilde: np.ndarray, rx: Layout) -> np.ndarray:
+    """Inner demodulation of every branch: s~_p = W^H L x~_p, with L the
+    receive layout's sharing frequencies, applied to the branches x~_p as
+    row vectors (last axis); leading axes index branches and frames."""
+    x = np.asarray(x_tilde, dtype=complex)
+    v = rx.elems_per_cell
+    if x.shape[-1:] != (v,):
         raise DimensionError("branch length does not match the receive cell")
-    return dft_matrix(x.size) @ (rx.sharing_freqs * x)
+    return x @ (rx.sharing_freqs[:, None] * dft_matrix(v).T)
 
 
 def _nearest(s_tilde: np.ndarray, candidates: np.ndarray):
@@ -266,20 +211,7 @@ class Diagnostics:
         return float(np.max(isr[np.isfinite(isr)], initial=0.0))
 
 
-@dataclass(frozen=True)
-class EndToEndResult:
-    detected: np.ndarray
-    detected_idx: np.ndarray
-    degenerate: np.ndarray
-    mode_errors: np.ndarray
-    diagnostics: Diagnostics
-
-    @property
-    def symbol_errors(self) -> int:
-        return int(self.mode_errors.sum())
-
-
-def noise_mode_scale(rx: Layout, n_inter: int) -> np.ndarray:
+def noise_mode_scale(rx: Layout) -> np.ndarray:
     """sigma^2_{p,l} / sigma^2: row power of the linear map taking the
     physical element noise vector to s~_p(l) through split, compensation,
     post-decoding, and the inner DFT.  The split's 1/L_v and the
@@ -289,9 +221,9 @@ def noise_mode_scale(rx: Layout, n_inter: int) -> np.ndarray:
 
     The map is built one branch p at a time, a (V, n_physical) slice, so
     the working memory does not grow with N."""
-    v = rx.elems_per_cell
+    n_inter, v = rx.n_cells, rx.elems_per_cell
     groups = rx.slot_group
-    m, p = np.arange(rx.n_cells), np.arange(n_inter)
+    m = p = np.arange(n_inter)
     # exp(-1j * angle) keeps the bits of the scalar exp(-2j * pi * m * p / n)
     # for every n; numpy's complex division by n rounds differently
     phase = np.exp(-1j * (2 * np.pi * m[None, :] * p[:, None] / n_inter)) / np.sqrt(n_inter)
@@ -321,14 +253,14 @@ def build_antenna(scenario) -> Antenna:
                       scenario.qf_radius_m)
     rx = build_layout(scenario.n_cells, scenario.rx_elems, scenario.rx_ratio,
                       scenario.qf_radius_m)
-    return Antenna(tx=tx, rx=rx, noise_scale=noise_mode_scale(rx, scenario.n_cells))
+    return Antenna(tx=tx, rx=rx, noise_scale=noise_mode_scale(rx))
 
 
 def ring_antenna(n_elements: int, radius: float) -> Antenna:
     """Single-loop UCA baseline: a ring of n elements facing an identical
     ring, the one-cell antenna (no sharing, L = I).  With no split, no phase
     compensation and a unitary inner DFT, every mode sees exactly sigma^2:
-    its noise scale is ones (`noise_mode_scale(ring, 1)` computes them to
+    its noise scale is ones (`noise_mode_scale(ring)` computes them to
     within an ulp)."""
     ring = single_ring_layout(n_elements, radius)
     return Antenna(tx=ring, rx=ring, noise_scale=np.ones((1, n_elements)))
@@ -377,8 +309,8 @@ def noise_variance(scenario) -> float:
 def link_at(antenna: Antenna, scenario) -> Link:
     """The propagation half of a link: the antenna at the scenario's
     distance, carrier, beta and SNR.  Builds the block channel, the exact
-    transforms and the detection coefficients; the symbol grid takes the
-    antenna's shape."""
+    transforms and the detection coefficients; the total power is
+    allocated equally over the antenna's N x K modes."""
     tx, rx = antenna.tx, antenna.rx
     params = chan.PropagationParams.from_frequency(
         scenario.distance_m, scenario.freq_hz, scenario.beta)
@@ -389,12 +321,12 @@ def link_at(antenna: Antenna, scenario) -> Link:
                                  channel=block_channel)
     lam = mode.lambda_coeffs if scenario.lambda_path == "exact" \
         else chan.bessel_lambda(mode)
-    grid = SymbolGrid.uniform(tx.n_cells, tx.elems_per_cell,
-                              total_power=scenario.total_power)
+    n, k = tx.n_cells, tx.elems_per_cell
     return Link(tx=tx, rx=rx, params=params, mode=mode,
                 block_channel=block_channel, lambda_coeffs=lam,
                 constellation=Constellation.from_name(scenario.constellation),
-                power_alloc=grid.power_alloc, sigma2=noise_variance(scenario),
+                power_alloc=np.full((n, k), scenario.total_power / (n * k)),
+                sigma2=noise_variance(scenario),
                 noise_scale=antenna.noise_scale, seed=scenario.seed)
 
 
@@ -405,12 +337,11 @@ def build_link(scenario) -> Link:
     return link_at(build_antenna(scenario), scenario)
 
 
-def mode_diagnostics(link: Link, power_alloc: np.ndarray | None = None) -> Diagnostics:
-    """Per-mode signal, interference and noise powers of a link under a power
-    allocation (the link's own by default).  They do not depend on the
-    frame, so one table serves every frame, the loopback report and
-    modes.csv."""
-    pa = link.power_alloc if power_alloc is None else np.asarray(power_alloc, dtype=float)
+def mode_diagnostics(link: Link) -> Diagnostics:
+    """Per-mode signal, interference and noise powers of a link under its
+    power allocation.  They do not depend on the frame, so one table serves
+    every frame, the loopback report and modes.csv."""
+    pa = link.power_alloc
     lam = link.lambda_coeffs
     row_gain = np.abs(link.mode.exact_matrices) ** 2
     # hypot and one dot product per mode row: the rounding modes.csv is
@@ -420,52 +351,6 @@ def mode_diagnostics(link: Link, power_alloc: np.ndarray | None = None) -> Diagn
     return Diagnostics(signal_power=np.hypot(lam.real, lam.imag) ** 2 * pa,
                        interference_power=coupling - np.einsum("pll->pl", row_gain) * pa,
                        noise_power=link.noise_power)
-
-
-class FrameChain:
-    """A link's frame chain as operators built once, applied to stacks of
-    frames.  Symbols are (F, N, K) in DFT-index order; `amplitudes` is the
-    (N, K) symbol scale the ML alphabet is matched to."""
-
-    def __init__(self, link: Link, amplitudes: np.ndarray):
-        n, k = link.n_inter, link.n_inner
-        self.tx, self.rx = link.tx, link.rx
-        self.gain_t = chan.physical_gain_matrix(link.tx, link.rx, link.params).T
-        self.idft_n, self.idft_k = idft_matrix(n), idft_matrix(k)
-        # s~_p = W^H L x~_p for every branch, acting on x~ as row vectors
-        self.inner = link.rx.sharing_freqs[:, None] * dft_matrix(k).T
-        self.amplitudes, self.points = amplitudes, link.constellation.points
-        self.candidates = link.lambda_coeffs[..., None] * (amplitudes[..., None] * self.points)
-
-    def detect(self, symbols: np.ndarray, noise: NoiseModel, frames):
-        """Modulate, propagate (frame f draws noise.sample(.., f)), split,
-        compensate, inner-demodulate and ML-detect a stack of frames.
-
-        Returns (detected indices, detected values, near-tie flags), each
-        (F, N, K)."""
-        feed = slot_group_sum(self.tx, self.idft_n @ symbols @ self.idft_k)
-        received = feed @ self.gain_t \
-            + np.stack([noise.sample(self.rx.n_physical, f) for f in frames])
-        x_tilde = tod_split_compensate(received, self.rx)
-        indices, near_ties = _nearest(x_tilde @ self.inner, self.candidates)
-        return indices, self.amplitudes * self.points[indices], near_ties
-
-
-def end_to_end(grid: SymbolGrid, link: Link, noise: NoiseModel,
-               frame: int = 0) -> EndToEndResult:
-    """Full chain for one frame (the one-frame case of the loopback engine):
-    modulate, propagate, split/compensate, inner demodulate, detect.  Symbol
-    errors are counted per mode over non-degenerate modes against the
-    transmitted grid; the diagnostics use the grid's power allocation."""
-    if (grid.n_inter, grid.n_inner) != (link.n_inter, link.n_inner):
-        raise ValueError("symbol grid does not match the transmit layout")
-    chain = FrameChain(link, np.sqrt(grid.power_alloc))
-    indices, detected, _ = chain.detect(grid.symbols[None], noise, [frame])
-    degenerate = link.lambda_coeffs == 0
-    return EndToEndResult(detected=detected[0], detected_idx=indices[0],
-                          degenerate=degenerate,
-                          mode_errors=(detected[0] != grid.symbols) & ~degenerate,
-                          diagnostics=mode_diagnostics(link, grid.power_alloc))
 
 
 @dataclass(frozen=True)
@@ -498,7 +383,8 @@ def check_loopback(n_frames: int, noise_variance: float):
 
 def run_loopback(link: Link, n_frames: int, noise_variance: float = 0.0) -> LoopbackReport:
     """Transmit n_frames random constellation grids through the link's
-    chain, FRAME_BLOCK frames at a time.  Counts symbol errors in total, per
+    chain, FRAME_BLOCK frames at a time: modulate, propagate, split and
+    compensate, inner-demodulate, detect.  Counts symbol errors in total, per
     frame and per mode (an (N, K) count), and ML near-ties, all over the
     non-degenerate modes.  Deterministic from the link seed: frame f takes
     the next grid of the seed's symbol stream and the noise of
@@ -510,7 +396,9 @@ def run_loopback(link: Link, n_frames: int, noise_variance: float = 0.0) -> Loop
     sym_rng = np.random.default_rng(np.random.SeedSequence((link.seed, 0xA11CE)))
     points = link.constellation.points
     amplitudes = link.amplitudes()
-    chain = FrameChain(link, amplitudes)
+    gain_t = chan.physical_gain_matrix(link.tx, link.rx, link.params).T
+    # the ML alphabet of every mode: Lambda times the scaled constellation
+    candidates = link.lambda_coeffs[..., None] * (amplitudes[..., None] * points)
     counted = link.lambda_coeffs != 0
     per_frame = []
     per_mode = np.zeros((n, k), dtype=int)
@@ -519,7 +407,11 @@ def run_loopback(link: Link, n_frames: int, noise_variance: float = 0.0) -> Loop
         frames = range(start, min(start + FRAME_BLOCK, n_frames))
         idx = np.stack([sym_rng.integers(0, points.size, size=(n, k)) for _ in frames])
         symbols = amplitudes * points[idx]
-        _, detected, ties = chain.detect(symbols, noise, frames)
+        received = tom_modulate(symbols, link.tx) @ gain_t \
+            + np.stack([noise.sample(link.rx.n_physical, f) for f in frames])
+        s_tilde = tod_inner_demodulate(tod_split_compensate(received, link.rx), link.rx)
+        indices, ties = _nearest(s_tilde, candidates)
+        detected = amplitudes * points[indices]
         errors = (detected != symbols) & counted
         per_frame += errors.sum(axis=(1, 2)).tolist()
         per_mode += errors.sum(axis=0)

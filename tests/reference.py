@@ -240,10 +240,10 @@ def full_superposition_gap(tx: Layout, rx: Layout, params: chan.PropagationParam
     return float(np.linalg.norm(exact - approx, "fro") ** 2 / denom)
 
 
-def tom_modulate_loops(grid: txrx.SymbolGrid, tx: Layout) -> np.ndarray:
-    """Physical transmit feed by direct double summation and explicit
-    per-element superposition of shared slots."""
-    n, k = grid.n_inter, grid.n_inner
+def tom_modulate_loops(symbols: np.ndarray, tx: Layout) -> np.ndarray:
+    """Physical transmit feed of one (N, K) symbol grid by direct double
+    summation and explicit per-element superposition of shared slots."""
+    n, k = symbols.shape
     if (n, k) != (tx.n_cells, tx.elems_per_cell):
         raise ValueError("symbol grid does not match the transmit layout")
     p_modes = chan.mode_values(n)
@@ -254,7 +254,7 @@ def tom_modulate_loops(grid: txrx.SymbolGrid, tx: Layout) -> np.ndarray:
             acc = 0.0 + 0.0j
             for pi, p in enumerate(p_modes):
                 for li, l in enumerate(l_modes):
-                    acc += grid.symbols[pi, li] \
+                    acc += symbols[pi, li] \
                         * np.exp(2j * np.pi * kk * l / k) \
                         * np.exp(2j * np.pi * nn * p / n)
             logical[nn, kk] = acc / np.sqrt(n * k)
@@ -271,10 +271,12 @@ def assembled_channel(block_channel: chan.BlockChannel) -> np.ndarray:
     return np.block([[block_channel.block(m, nn) for nn in range(n)] for m in range(n)])
 
 
-def propagate_logical(grid: txrx.SymbolGrid, block_channel: chan.BlockChannel) -> np.ndarray:
+def propagate_logical(symbols: np.ndarray, block_channel: chan.BlockChannel) -> np.ndarray:
     """Noise-free logical path: the assembled block-circulant channel applied
-    to the pre-superposition logical signals; returns the (M, V) grid."""
-    x = txrx.logical_modulated(grid).reshape(-1)
+    to the pre-superposition logical signals, the two-dimension IDFT of the
+    (N, K) symbol grid; returns the (M, V) grid."""
+    n, k = symbols.shape
+    x = (idft_matrix(n) @ symbols @ idft_matrix(k)).reshape(-1)
     v = block_channel.subchannels[0].shape[0]
     return (assembled_channel(block_channel) @ x).reshape(block_channel.n_cells, v)
 

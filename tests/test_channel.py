@@ -256,18 +256,15 @@ class TestEquivalentGains:
     def test_pipeline_probe_identity(self, qf9, params100):
         # unit symbol on one mode pair: the split received signal at (m, v)
         # is exactly the equivalent gain
-        from qfuca.txrx import NoiseModel, SymbolGrid, propagate, split_received, \
-            tom_modulate
+        from qfuca.txrx import split_received, tom_modulate
         lay, sharing = qf9
-        noise = NoiseModel(0.0, 0)
+        gain = chan.physical_gain_matrix(lay, lay, params100)
         scale = params100.reference_gain
         tol = 1e-12 + 8 * np.finfo(float).eps * 2 * np.pi * 100.0 / LAM
         for (p, l) in [(0, 0), (1, -1), (2, 2)]:
             sym = np.zeros((4, 4), dtype=complex)
             sym[p % 4, l % 4] = 1.0
-            grid = SymbolGrid(4, 4, sym, np.full((4, 4), 1 / 16))
-            r = split_received(propagate(tom_modulate(grid, lay), lay, lay,
-                                         params100, noise), lay)
+            r = split_received(gain @ tom_modulate(sym, lay), lay)
             for m in range(4):
                 for v in range(4):
                     h = reference.equivalent_mode_gain(lay, lay, params100, sharing,
@@ -481,18 +478,15 @@ class TestDetectionCoeffs:
 
     def test_exact_lambda_matches_pipeline_probe(self, qf9, params100):
         # probing the full pipeline with a unit symbol reproduces Lambda
-        from qfuca.txrx import (NoiseModel, SymbolGrid, propagate,
-                                tod_inner_demodulate, tod_split_compensate,
-                                tom_modulate)
+        from qfuca.txrx import tod_inner_demodulate, tod_split_compensate, tom_modulate
         lay, _ = qf9
         mode = chan.detection_coeffs(lay, lay, params100)
-        noise = NoiseModel(0.0, 0)
+        gain = chan.physical_gain_matrix(lay, lay, params100)
         scale = params100.reference_gain
         for (p, l) in [(0, 0), (1, 1), (2, -1)]:
             sym = np.zeros((4, 4), dtype=complex)
             sym[p % 4, l % 4] = 1.0
-            grid = SymbolGrid(4, 4, sym, np.full((4, 4), 1 / 16))
-            y = propagate(tom_modulate(grid, lay), lay, lay, params100, noise)
+            y = gain @ tom_modulate(sym, lay)
             x_tilde = tod_split_compensate(y, lay)
             s_tilde = tod_inner_demodulate(x_tilde[p % 4], lay)
             assert abs(s_tilde[l % 4] - mode.lambda_coeffs[p % 4, l % 4]) \

@@ -1,4 +1,5 @@
 import filecmp
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -169,6 +170,27 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             "error: distance, wavelength, beta, and frequency must be finite")
         assert not (tmp_path / "gap.csv").exists()
+
+    @pytest.mark.parametrize("config, argv, distance", [
+        ("distance_m = 1e-300\n", ["loopback", "--frames", "1"], "1e-300"),
+        ("", ["sweep", "--axis", "distance_m", "--values", "1e-300,1"], "1e-300"),
+        ("", ["gap", "--values", "0.01", "--elems", "4"], "0.01"),
+        ("distance_m = 0.01\nlambda_path = bessel\n", ["loopback", "--frames", "1"], "0.01"),
+    ], ids=["loopback", "sweep", "gap", "loopback_bessel"])
+    def test_distance_the_routes_cannot_evaluate_exits_nonzero(
+            self, tmp_path, capsys, config, argv, distance):
+        # a squared boresight gain past the float range, or a Bessel argument
+        # past bessel_j's: one error line naming the distance, no warning
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: distance {distance} m is too short")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.rglob("*.csv"))
 
     def test_negative_frame_count_exits_nonzero(self, tmp_path, capsys):
         assert main(["loopback", "--out", str(tmp_path), "--frames", "-5"]) == 1

@@ -7,8 +7,9 @@ scenario, a distance and a frequency sweep at the 8x16 grid, where the
 single-ring baselines have 97 and 128 elements (the rounding of their
 wrapped-diagonal sums and FFTs depends on the ring size), a noisy loopback
 at the 8x16 grid, whose modes.csv holds the gains of all 8 exact transforms,
-and a one-point distance sweep at the 16x32 grid, whose 385- and 512-element
-rings are streamed in 7 and 8 row blocks.  A change that alters any output
+a one-point distance sweep at the 16x32 grid, whose 385- and 512-element
+rings are streamed in 7 and 8 row blocks, and a loopback on the Bessel-route
+detection coefficients (lambda_path = bessel).  A change that alters any output
 byte on purpose must say so in CHANGES.md and re-record the hashes with
 `python tests/test_golden_outputs.py`.
 """
@@ -27,6 +28,7 @@ from qfuca.cli import main as cli_main
 SCENARIO = "snr_db = 15\nseed = 11\nqf_radius_m = 1.0\n"
 GRID_8X16 = SCENARIO + "n_cells = 8\ntx_elems = 16\nrx_elems = 16\n"
 GRID_16X32 = SCENARIO + "n_cells = 16\ntx_elems = 32\nrx_elems = 32\n"
+BESSEL = SCENARIO + "lambda_path = bessel\n"
 
 COMMANDS = {
     "geometry": ("geometry",),
@@ -41,11 +43,13 @@ COMMANDS = {
     "sweep_freq_8x16": ("sweep", "--axis", "freq_hz", "--values", "2.4e9,5.8e9,28e9"),
     "sweep_distance_16x32": ("sweep", "--axis", "distance_m", "--values", "100"),
     "loopback_noisy_8x16": ("loopback", "--frames", "20", "--noise-variance", "1e-12"),
+    "loopback_bessel": ("loopback", "--frames", "3"),
 }
 
 # commands run on another scenario than SCENARIO
 SCENARIOS = {"sweep_distance_8x16": GRID_8X16, "sweep_freq_8x16": GRID_8X16,
-             "loopback_noisy_8x16": GRID_8X16, "sweep_distance_16x32": GRID_16X32}
+             "loopback_noisy_8x16": GRID_8X16, "sweep_distance_16x32": GRID_16X32,
+             "loopback_bessel": BESSEL}
 
 GOLDEN = {
     'gap_criterion_10': {
@@ -61,6 +65,14 @@ GOLDEN = {
             '1279bf87d7895480290d4543cbff04bcfbd1a25cf8ab440338acc02b0fd8cb63',
         'tx_layout.csv':
             '1279bf87d7895480290d4543cbff04bcfbd1a25cf8ab440338acc02b0fd8cb63',
+    },
+    'loopback_bessel': {
+        'channel.csv':
+            'c75a9af55340b72fa0911bc450517d200155b460bcd9fce447f9303c08d447a3',
+        'loopback.csv':
+            '731b3b1c74cb5371cced627695e2c6313913e7bb8ab838907b6d38c97870e50f',
+        'modes.csv':
+            'f5633aa8dd43b337a1f5395a43dbb333b3774a5c4303c392d41916a253faef52',
     },
     'loopback_criterion_10': {
         'channel.csv':

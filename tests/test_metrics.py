@@ -71,7 +71,7 @@ class TestSingleLoopUca:
         lam = np.diag(exact)[None, :]
         sigma2 = scen.total_power * params.reference_gain ** 2 / scen.snr_linear
         manual = metrics.se_qf(lam, np.full((1, 9), 1 / 9),
-                               sigma2 * noise_mode_scale(ring, 1))
+                               sigma2 * noise_mode_scale(ring))
         assert metrics.se_single_loop_uca(9, scen) == pytest.approx(manual, rel=1e-12)
 
     @pytest.fixture
@@ -249,7 +249,7 @@ class TestSweepReuse:
         spec = metrics.SweepSpec(axis="distance_m", axis_values=values, fixed=scen)
         metrics.run_sweep(spec)
         # the QF receive antenna only: a ring's noise scale is exactly ones
-        assert [args[1] for args in noise_calls] == [scen.n_cells]
+        assert [args[0].n_cells for args in noise_calls] == [scen.n_cells]
         assert sum(map(len, layout_calls)) <= 2
 
     @pytest.fixture(scope="class")
