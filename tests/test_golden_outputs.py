@@ -8,8 +8,10 @@ single-ring baselines have 97 and 128 elements (the rounding of their
 wrapped-diagonal sums and FFTs depends on the ring size), a noisy loopback
 at the 8x16 grid, whose modes.csv holds the gains of all 8 exact transforms,
 a one-point distance sweep at the 16x32 grid, whose 385- and 512-element
-rings are streamed in 7 and 8 row blocks, and a loopback on the Bessel-route
-detection coefficients (lambda_path = bessel).  A change that alters any output
+rings are streamed in 7 and 8 row blocks, a loopback on the Bessel-route
+detection coefficients (lambda_path = bessel), and a gap study and a
+Bessel-route loopback with the first-order, uncorrected closed form
+(bessel_order = first, bessel_correction = off).  A change that alters any output
 byte on purpose must say so in CHANGES.md and re-record the hashes with
 `python tests/test_golden_outputs.py`.
 """
@@ -29,6 +31,7 @@ SCENARIO = "snr_db = 15\nseed = 11\nqf_radius_m = 1.0\n"
 GRID_8X16 = SCENARIO + "n_cells = 8\ntx_elems = 16\nrx_elems = 16\n"
 GRID_16X32 = SCENARIO + "n_cells = 16\ntx_elems = 32\nrx_elems = 32\n"
 BESSEL = SCENARIO + "lambda_path = bessel\n"
+FIRST_UNCORRECTED = SCENARIO + "bessel_order = first\nbessel_correction = off\n"
 
 COMMANDS = {
     "geometry": ("geometry",),
@@ -44,12 +47,16 @@ COMMANDS = {
     "sweep_distance_16x32": ("sweep", "--axis", "distance_m", "--values", "100"),
     "loopback_noisy_8x16": ("loopback", "--frames", "20", "--noise-variance", "1e-12"),
     "loopback_bessel": ("loopback", "--frames", "3"),
+    "gap_first_uncorrected": ("gap", "--values", "50,100", "--elems", "4,8"),
+    "loopback_bessel_first_uncorrected": ("loopback", "--frames", "3"),
 }
 
 # commands run on another scenario than SCENARIO
 SCENARIOS = {"sweep_distance_8x16": GRID_8X16, "sweep_freq_8x16": GRID_8X16,
              "loopback_noisy_8x16": GRID_8X16, "sweep_distance_16x32": GRID_16X32,
-             "loopback_bessel": BESSEL}
+             "loopback_bessel": BESSEL, "gap_first_uncorrected": FIRST_UNCORRECTED,
+             "loopback_bessel_first_uncorrected": FIRST_UNCORRECTED
+             + "lambda_path = bessel\n"}
 
 GOLDEN = {
     'gap_criterion_10': {
@@ -59,6 +66,10 @@ GOLDEN = {
     'gap_default': {
         'gap.csv':
             '5ab170cf46a44fdbbc77256d8eee1720998b069ef012a77c1b8cb74e28389695',
+    },
+    'gap_first_uncorrected': {
+        'gap.csv':
+            '4775c7e2fffd26cf57dac2e33c688b6f7086bf81156da66145e5d13291e15a51',
     },
     'geometry': {
         'rx_layout.csv':
@@ -73,6 +84,14 @@ GOLDEN = {
             '731b3b1c74cb5371cced627695e2c6313913e7bb8ab838907b6d38c97870e50f',
         'modes.csv':
             'f5633aa8dd43b337a1f5395a43dbb333b3774a5c4303c392d41916a253faef52',
+    },
+    'loopback_bessel_first_uncorrected': {
+        'channel.csv':
+            'c75a9af55340b72fa0911bc450517d200155b460bcd9fce447f9303c08d447a3',
+        'loopback.csv':
+            'f3e8c7435f9d632f9468a132dbbeeab703a21f2f42b9b2e858ee5be3f9e841a3',
+        'modes.csv':
+            'd0d5ebac83dc926742bc89cbbf137e1437dfcd078cb347d3f47b2b4bf151f00a',
     },
     'loopback_criterion_10': {
         'channel.csv':
