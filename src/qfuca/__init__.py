@@ -1,8 +1,7 @@
 """Link-level simulator for quasi-fractal UCA based OAM radio transmission."""
 
-from .channel import (BlockChannel, ModeChannel, PropagationParams,
-                      approx_gap, build_block_channel, detection_coeffs,
-                      diag_approx_block)
+from .channel import (PropagationParams, approx_gap, build_block_channel,
+                      detection_coeffs, diag_approx_block)
 from .config import Scenario, parse_config, serialize_scenario
 from .geometry import (Layout, admissible_elem_counts, build_layout,
                        single_ring_layout)

@@ -6,12 +6,14 @@ both antennas have the same cell count and N-fold rotational symmetry, the
 logical channel is block-circulant: sub-channel H_q depends only on the cell
 offset q = ((n + N - m)) mod N.
 
-Two routes are kept side by side: the exact route (coordinate distances,
-exact sums) is the reference; the Fresnel/Bessel closed forms mirror the
-analytical approximation chain and are used for the gap study and the
-approximate detection coefficients.  The per-entry distance, gain and
-equivalent-gain sums of both routes live with the tests (tests/reference.py),
-which hold the matrix forms here against them.
+A link is three plain arrays.  The exact route (coordinate distances, exact
+sums) is the reference: the (N, V, K) sub-channels (`build_block_channel`)
+and the (N, K, K) exact transforms (`detection_coeffs`).  The Fresnel/Bessel
+closed forms mirror the analytical approximation chain: the (N, N, K)
+diagonals (`bessel_diagonals`) behind the gap study and the approximate
+detection coefficients.  The per-entry distance, gain and equivalent-gain
+sums of both routes live with the tests (tests/reference.py), which hold the
+matrix forms here against them.
 
 Convention note: the closed forms measure element azimuths from each cell's
 tangential axis, a quarter turn ahead of the layout's radial azimuths.  The
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +83,9 @@ class PropagationParams:
         if not (np.isfinite(g * g) and d * d > 0):
             raise ValueError(f"distance {self.distance_m!r} m is too short for the channel "
                              "model: its squared boresight gain or distance leaves the float range")
+        if not np.isfinite(d * d):
+            raise ValueError(f"distance {self.distance_m!r} m is too long for the channel "
+                             "model: its square leaves the float range")
 
     @classmethod
     def from_frequency(cls, distance_m: float, freq_hz: float,
@@ -95,66 +99,6 @@ class PropagationParams:
     def reference_gain(self) -> float:
         """Boresight free-space amplitude beta lambda / (4 pi D)."""
         return self.beta * self.wavelength_m / (4 * np.pi * self.distance_m)
-
-
-@dataclass(frozen=True)
-class BlockChannel:
-    """Block-circulant logical channel: subchannels is the (N, V, K) array
-    of the sub-channels H_q."""
-
-    n_cells: int
-    subchannels: np.ndarray
-
-    def block(self, m: int, n: int) -> np.ndarray:
-        """Block (m, n) of the assembled matrix, H_{((n + N - m)) mod N}."""
-        return self.subchannels[(n + self.n_cells - m) % self.n_cells]
-
-
-@dataclass(frozen=True)
-class ModeChannel:
-    """Per-mode equivalent channel after the full transform chain.
-
-    lambda_coeffs[p, l] is the effective complex gain of mode pair (p, l) in
-    DFT-index order; exact_matrices[p] is the exact K x K transform.  The
-    Bessel-route study is computed on first access only: approx_blocks[p, q]
-    is the diagonal Bessel-route approximation of the q-th sub-channel
-    summand, and gap[p] is the relative squared Frobenius gap between the
-    exact transform and the summed diagonal approximation.
-    """
-
-    lambda_coeffs: np.ndarray
-    exact_matrices: np.ndarray
-    tx: Layout
-    rx: Layout
-    params: PropagationParams
-    j_order: str
-    correction: bool
-
-    @cached_property
-    def approx_blocks(self) -> np.ndarray:
-        """(N, N, K, K) diagonal blocks.  p enters the Bessel route only
-        through e^{j phi_q p}, so only the N offset blocks at p = 0 are
-        evaluated and blocks[p, q] = e^{j 2 pi p q / N} blocks[0, q]."""
-        n = self.tx.n_cells
-        base = np.stack([diag_approx_block(self.tx, self.rx, self.params,
-                                           0, q, self.j_order, self.correction)
-                         for q in range(n)])
-        phi = 2 * np.pi * np.arange(n) / n
-        phase = np.exp(1j * phi[None, :] * np.arange(n)[:, None])
-        return phase[:, :, None, None] * base[None]
-
-    @cached_property
-    def gap(self) -> np.ndarray:
-        """Per-p full-superposition gap; inf where the exact transform is
-        numerically null (see NULL_RTOL)."""
-        denom = np.array([np.linalg.norm(exact, "fro") ** 2
-                          for exact in self.exact_matrices])
-        out = np.full(self.tx.n_cells, np.inf)
-        for p in np.flatnonzero(denom > NULL_RTOL ** 2 * denom.mean()):
-            approx = self.approx_blocks[p].sum(axis=0)
-            out[p] = float(np.linalg.norm(self.exact_matrices[p] - approx, "fro") ** 2
-                           / denom[p])
-        return out
 
 
 def free_space_gain(offsets: np.ndarray, params: PropagationParams) -> np.ndarray:
@@ -177,8 +121,10 @@ def physical_gain_matrix(tx: Layout, rx: Layout,
 
 
 def build_block_channel(tx: Layout, rx: Layout,
-                        params: PropagationParams) -> BlockChannel:
-    """Assemble the block-circulant logical channel from exact element gains.
+                        params: PropagationParams) -> np.ndarray:
+    """The (N, V, K) sub-channels H_q of the block-circulant logical channel,
+    from exact element gains: block (m, n) of the assembled channel is
+    H_{((n + N - m)) mod N}.
 
     The superpose/split operators act at the pipeline level; the sub-channels
     here carry only the 1/L_v split factor of the gain definition, with
@@ -189,7 +135,7 @@ def build_block_channel(tx: Layout, rx: Layout,
     lv = rx.sharing_freqs.astype(float)
     h = free_space_gain(rx.positions[0][None, :, None, :] - tx.positions[:, None, :, :],
                         params)
-    return BlockChannel(n_cells=tx.n_cells, subchannels=h / lv[:, None])
+    return h / lv[:, None]
 
 
 def _alpha_of_azimuth(tx: Layout, rx: Layout, q: int, phi: np.ndarray) -> np.ndarray:
@@ -203,11 +149,11 @@ def _alpha_of_azimuth(tx: Layout, rx: Layout, q: int, phi: np.ndarray) -> np.nda
 
 
 def diag_approx_block(tx: Layout, rx: Layout, params: PropagationParams,
-                      p: int, q: int, j_order: str = "matched",
+                      q: int, j_order: str = "matched",
                       correction: bool = True) -> np.ndarray:
-    """Diagonal K x K matrix approximating the q-th summand of the exact
-    mode transform via the Bessel route; off-diagonal entries are exactly
-    zero, rows/columns in DFT-index order.
+    """Diagonal, in DFT-index order, of the Bessel-route approximation of
+    the q-th summand of the exact p = 0 mode transform; its off-diagonal
+    entries are zero.
 
     j_order selects the Bessel order of the leading factor: "matched" uses
     the mode order l, "first" the printed first-order variant.  With
@@ -218,12 +164,11 @@ def diag_approx_block(tx: Layout, rx: Layout, params: PropagationParams,
         raise DimensionError("diagonal approximation requires V = K")
     if j_order not in ("matched", "first"):
         raise ValueError(f"unknown j_order {j_order!r}")
-    n = tx.n_cells
     kc = tx.elems_per_cell
     lam = params.wavelength_m
     d = params.distance_m
     rq, rt, rr = tx.qf_radius, tx.cell_radius, rx.cell_radius
-    phi_q = 2 * np.pi * q / n
+    phi_q = 2 * np.pi * q / tx.n_cells
     s = np.sin(phi_q / 2)
     b_q = 2 * np.pi * rt * np.sqrt(4 * rq**2 * s**2 + rr**2) / (lam * d)
     z_q = 4 * np.pi * rq * rr * s / (lam * d)
@@ -233,7 +178,6 @@ def diag_approx_block(tx: Layout, rx: Layout, params: PropagationParams,
         raise DomainError(f"distance {d!r} m is too short for the Bessel route: its "
                           f"Bessel argument {float(arg)!r} exceeds {MAX_BESSEL_ARG:g}")
     pref = params.beta * lam * kc / (4 * np.pi * d) \
-        * np.exp(1j * phi_q * p) \
         * np.exp(-2j * np.pi * (d + rt**2 / (2 * d)) / lam) \
         * np.exp(-1j * np.pi * (4 * rq**2 * s**2 + rr**2) / (lam * d))
     if correction:
@@ -255,76 +199,83 @@ def diag_approx_block(tx: Layout, rx: Layout, params: PropagationParams,
             bracket = bessel_j(0, z_q) * np.exp(-1j * alpha0 * l)
         out[idx] = pref * j_power(l) * np.exp(-1j * phi_q * l) * jl * bracket \
             * np.exp(1j * domega * l)
-    return np.diag(out)
+    return out
+
+
+def bessel_diagonals(tx: Layout, rx: Layout, params: PropagationParams,
+                     j_order: str = "matched", correction: bool = True) -> np.ndarray:
+    """(N, N, K) Bessel-route diagonals: [p, q] approximates the q-th summand
+    of the p-th exact transform.  p enters the route only through
+    e^{j 2 pi p q / N}, so the N offsets are evaluated at p = 0 and the
+    phase is applied once."""
+    n = tx.n_cells
+    base = np.stack([diag_approx_block(tx, rx, params, q, j_order, correction)
+                     for q in range(n)])
+    phi = 2 * np.pi * np.arange(n) / n
+    phase = np.exp(1j * phi[None, :] * np.arange(n)[:, None])
+    return phase[:, :, None] * base[None]
+
+
+def superposition_gap(exact: np.ndarray, diagonals: np.ndarray) -> np.ndarray:
+    """Per-p relative squared Frobenius gap between the exact transforms and
+    the Bessel-route diagonals summed over offsets; inf where the exact
+    transform is numerically null (see NULL_RTOL)."""
+    denom = np.array([np.linalg.norm(e, "fro") ** 2 for e in exact])
+    out = np.full(len(exact), np.inf)
+    for p in np.flatnonzero(denom > NULL_RTOL ** 2 * denom.mean()):
+        approx = np.diag(diagonals[p].sum(axis=0))
+        out[p] = float(np.linalg.norm(exact[p] - approx, "fro") ** 2 / denom[p])
+    return out
 
 
 def approx_gap(tx: Layout, rx: Layout, params: PropagationParams,
-               channel: BlockChannel | None = None,
+               channel: np.ndarray | None = None,
                j_order: str = "matched", correction: bool = True) -> float:
     """Relative squared Frobenius gap between the aligned (q = 0) summand of
     the exact transforms, W^H L H_0 W, and its diagonal Bessel
     approximation.  Both phase factors e^{j 2 pi p q / N} are 1 at q = 0,
     so the gap is the same for every branch p.  A null summand raises
     DegenerateChannelError.  The gap against the full superposition over
-    offsets is `ModeChannel.gap`.
+    offsets is `superposition_gap`.
     """
     if channel is None:
         channel = build_block_channel(tx, rx, params)
     w = idft_matrix(tx.elems_per_cell)
-    exact = w.conj().T @ (rx.sharing_freqs[:, None] * channel.subchannels[0]) @ w
-    approx = diag_approx_block(tx, rx, params, 0, 0, j_order, correction)
+    exact = w.conj().T @ (rx.sharing_freqs[:, None] * channel[0]) @ w
+    approx = np.diag(diag_approx_block(tx, rx, params, 0, j_order, correction))
     denom = np.linalg.norm(exact, "fro") ** 2
     if denom <= 0.0:
         raise DegenerateChannelError("null channel has no relative gap")
     return float(np.linalg.norm(exact - approx, "fro") ** 2 / denom)
 
 
-def detection_coeffs(tx: Layout, rx: Layout, params: PropagationParams,
-                     j_order: str = "matched",
-                     correction: bool = True,
-                     channel: BlockChannel | None = None) -> ModeChannel:
-    """Mode channel from the exact per-p transforms of a block channel
-    (built here when not given): W^H L (sum_q e^{j 2 pi p q / N} H_q) W for
-    every p at once.
-
-    lambda_coeffs holds the exact per-mode gains (diagonals of the exact
-    transforms).  The Bessel-route blocks and the per-p gap, with the given
-    j_order and correction, are evaluated only when first read.
-    """
-    if tx.elems_per_cell != rx.elems_per_cell:
+def detection_coeffs(channel: np.ndarray, rx: Layout) -> np.ndarray:
+    """The (N, K, K) exact per-p transforms of the sub-channels,
+    W^H L (sum_q e^{j 2 pi p q / N} H_q) W for every p at once; their
+    diagonals are the exact per-mode gains."""
+    n, v, k = channel.shape
+    if v != k:
         raise DimensionError("mode transform requires V = K")
-    if channel is None:
-        channel = build_block_channel(tx, rx, params)
-    n = tx.n_cells
     p = np.arange(n)
-    hp = np.zeros_like(channel.subchannels)
+    hp = np.zeros_like(channel)
     for q in range(n):
         # the phase is exp(1j * angle), not exp(2j * pi * p * q / n): numpy's
         # complex division by n rounds differently from a float one
-        hp = hp + np.exp(1j * (2 * np.pi * p * q / n))[:, None, None] * channel.subchannels[q]
-    w = idft_matrix(tx.elems_per_cell)
+        hp = hp + np.exp(1j * (2 * np.pi * p * q / n))[:, None, None] * channel[q]
+    w = idft_matrix(k)
     # w.conj().T is dft_matrix(K), bit for bit and in the same memory layout
-    exact = w.conj().T @ (rx.sharing_freqs[:, None] * hp) @ w
-    lam_exact = np.einsum("pll->pl", exact).copy()
-    return ModeChannel(lambda_coeffs=lam_exact, exact_matrices=exact,
-                       tx=tx, rx=rx, params=params,
-                       j_order=j_order, correction=correction)
+    return w.conj().T @ (rx.sharing_freqs[:, None] * hp) @ w
 
 
-def bessel_lambda(mode: ModeChannel) -> np.ndarray:
-    """Approximate-variant detection coefficients: per-offset diagonal blocks
-    summed over the offset index."""
-    return np.einsum("pqll->pl", mode.approx_blocks)
-
-
-def channel_csv(channel: BlockChannel) -> str:
-    """CSV of the assembled block channel: m, n, v, k, re, im per entry."""
+def channel_csv(h: np.ndarray) -> str:
+    """CSV of the block channel assembled from its (N, V, K) sub-channels:
+    m, n, v, k, re, im per entry."""
     buf = io.StringIO()
     buf.write("m,n,v,k,re,im\n")
-    n = channel.n_cells
+    n = h.shape[0]
     for m in range(n):
         for nn in range(n):
-            blk = channel.block(m, nn)
+            blk = h[(nn + n - m) % n]
             for v in range(blk.shape[0]):
                 for k in range(blk.shape[1]):
                     buf.write(f"{m},{nn},{v},{k},{float(blk[v, k].real)!r},{float(blk[v, k].imag)!r}\n")

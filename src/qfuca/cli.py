@@ -115,7 +115,7 @@ def cmd_loopback(args) -> int:
                 f"{noise!r},{float(diags.signal_power[pi, li])!r},"
                 f"{float(diags.interference_power[pi, li])!r},{noise!r}")
     _write(out, "modes.csv", "\n".join(mode_lines) + "\n")
-    _write(out, "channel.csv", chan.channel_csv(link.block_channel))
+    _write(out, "channel.csv", chan.channel_csv(link.subchannels))
 
     print(f"frames: {report.frames}  symbol errors: {report.symbol_errors}"
           f"/{report.symbols_counted}  SER: {report.ser!r}")

@@ -171,6 +171,9 @@ def build_layout(n_cells: int, elems_per_cell: int, ratio: float,
         [np.cos(global_az), np.sin(global_az)], axis=2)
 
     group = _coincidence_groups(positions, COINCIDENCE_RTOL * qf_radius)
+    if np.any(np.diff(np.sort(group, axis=1), axis=1) == 0):
+        raise GeometryError(f"ratio {ratio!r} is too small for {elems_per_cell} elements "
+                            "per cell: a cell's own elements coincide")
     n_physical = int(group.max()) + 1
     return Layout(n_cells=n_cells, elems_per_cell=elems_per_cell,
                   cell_radius=ratio * qf_radius, qf_radius=qf_radius,

@@ -268,13 +268,16 @@ def ring_antenna(n_elements: int, radius: float) -> Antenna:
 
 @dataclass(frozen=True)
 class Link:
-    """Everything derived from a scenario that the pipeline needs."""
+    """Everything derived from a scenario that the pipeline needs:
+    subchannels are the (N, V, K) block-circulant sub-channels H_q,
+    exact_matrices the (N, K, K) exact transforms and lambda_coeffs the
+    (N, K) detection coefficients."""
 
     tx: Layout
     rx: Layout
     params: chan.PropagationParams
-    mode: chan.ModeChannel
-    block_channel: chan.BlockChannel
+    subchannels: np.ndarray
+    exact_matrices: np.ndarray
     lambda_coeffs: np.ndarray
     constellation: Constellation
     power_alloc: np.ndarray
@@ -308,22 +311,23 @@ def noise_variance(scenario) -> float:
 
 def link_at(antenna: Antenna, scenario) -> Link:
     """The propagation half of a link: the antenna at the scenario's
-    distance, carrier, beta and SNR.  Builds the block channel, the exact
-    transforms and the detection coefficients; the total power is
-    allocated equally over the antenna's N x K modes."""
+    distance, carrier, beta and SNR.  Builds the sub-channels, the exact
+    transforms and the detection coefficients: the exact transforms'
+    diagonals, or the Bessel-route diagonals summed over offsets; the total
+    power is allocated equally over the antenna's N x K modes."""
     tx, rx = antenna.tx, antenna.rx
     params = chan.PropagationParams.from_frequency(
         scenario.distance_m, scenario.freq_hz, scenario.beta)
-    block_channel = chan.build_block_channel(tx, rx, params)
-    mode = chan.detection_coeffs(tx, rx, params,
-                                 j_order=scenario.bessel_order,
-                                 correction=scenario.bessel_correction,
-                                 channel=block_channel)
-    lam = mode.lambda_coeffs if scenario.lambda_path == "exact" \
-        else chan.bessel_lambda(mode)
+    subchannels = chan.build_block_channel(tx, rx, params)
+    exact = chan.detection_coeffs(subchannels, rx)
+    if scenario.lambda_path == "exact":
+        lam = np.einsum("pll->pl", exact).copy()
+    else:
+        lam = chan.bessel_diagonals(tx, rx, params, scenario.bessel_order,
+                                    scenario.bessel_correction).sum(axis=1)
     n, k = tx.n_cells, tx.elems_per_cell
-    return Link(tx=tx, rx=rx, params=params, mode=mode,
-                block_channel=block_channel, lambda_coeffs=lam,
+    return Link(tx=tx, rx=rx, params=params, subchannels=subchannels,
+                exact_matrices=exact, lambda_coeffs=lam,
                 constellation=Constellation.from_name(scenario.constellation),
                 power_alloc=np.full((n, k), scenario.total_power / (n * k)),
                 sigma2=noise_variance(scenario),
@@ -343,7 +347,7 @@ def mode_diagnostics(link: Link) -> Diagnostics:
     every frame, the loopback report and modes.csv."""
     pa = link.power_alloc
     lam = link.lambda_coeffs
-    row_gain = np.abs(link.mode.exact_matrices) ** 2
+    row_gain = np.abs(link.exact_matrices) ** 2
     # hypot and one dot product per mode row: the rounding modes.csv is
     # recorded with (np.abs of a complex array rounds differently)
     coupling = np.array([[row @ pa_p for row in gain_p]

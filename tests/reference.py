@@ -7,6 +7,8 @@ paths.  None of it runs in the simulator.
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 
 from qfuca import channel as chan
@@ -197,43 +199,43 @@ def equivalent_mode_gain(tx: Layout, rx: Layout, params: chan.PropagationParams,
                    * np.exp(1j * theta_m * p) * grid_phase * total)
 
 
-def superposed_subchannel(channel: chan.BlockChannel, p: int) -> np.ndarray:
+def superposed_subchannel(channel: np.ndarray, p: int) -> np.ndarray:
     """sum_q e^{j 2 pi p q / N} H_q for one p, one offset at a time."""
-    n = channel.n_cells
-    out = np.zeros_like(channel.subchannels[0])
+    n = channel.shape[0]
+    out = np.zeros_like(channel[0])
     for q in range(n):
-        out = out + np.exp(2j * np.pi * p * q / n) * channel.subchannels[q]
+        out = out + np.exp(2j * np.pi * p * q / n) * channel[q]
     return out
 
 
-def exact_transform(channel: chan.BlockChannel, sharing: np.ndarray, p: int) -> np.ndarray:
+def exact_transform(channel: np.ndarray, sharing: np.ndarray, p: int) -> np.ndarray:
     """The exact p-th transform W^H L (sum_q e^{j 2 pi p q / N} H_q) W for
-    one p: the oracle of `ModeChannel.exact_matrices`."""
-    k = channel.subchannels[0].shape[1]
+    one p: the oracle of `channel.detection_coeffs`."""
+    k = channel.shape[2]
     hp = sharing[:, None] * superposed_subchannel(channel, p)
     return dft_matrix(k) @ hp @ idft_matrix(k)
 
 
 def full_superposition_gap(tx: Layout, rx: Layout, params: chan.PropagationParams,
                            p: int,
-                           channel: chan.BlockChannel | None = None,
+                           channel: np.ndarray | None = None,
                            j_order: str = "matched", correction: bool = True) -> float:
     """Relative squared Frobenius gap between the exact p-th transform and
     the sum of its diagonal Bessel approximations over all offsets, one p at
-    a time: the oracle of `ModeChannel.gap`.  A numerically null transform
-    (see chan.NULL_RTOL) raises DegenerateChannelError."""
+    a time: the oracle of `channel.superposition_gap`.  A numerically null
+    transform (see chan.NULL_RTOL) raises DegenerateChannelError."""
     if channel is None:
         channel = chan.build_block_channel(tx, rx, params)
-    kc = tx.elems_per_cell
+    n, kc = tx.n_cells, tx.elems_per_cell
     lv = rx.sharing_freqs[:, None]
-    exact = chan.detection_coeffs(tx, rx, params, channel=channel).exact_matrices[p]
+    exact = chan.detection_coeffs(channel, rx)[p]
     approx = np.zeros((kc, kc), dtype=complex)
-    for q in range(tx.n_cells):
-        approx += chan.diag_approx_block(tx, rx, params, p, q, j_order,
-                                         correction)
+    for q in range(n):
+        approx += np.exp(2j * np.pi * p * q / n) \
+            * np.diag(chan.diag_approx_block(tx, rx, params, q, j_order, correction))
     # the mean squared norm of the N transforms, by Parseval over q
     floor = chan.NULL_RTOL ** 2 * sum(np.linalg.norm(lv * h, "fro") ** 2
-                                      for h in channel.subchannels)
+                                      for h in channel)
     denom = np.linalg.norm(exact, "fro") ** 2
     if denom <= floor:
         raise DegenerateChannelError("null channel has no relative gap")
@@ -265,20 +267,30 @@ def tom_modulate_loops(symbols: np.ndarray, tx: Layout) -> np.ndarray:
     return feed
 
 
-def assembled_channel(block_channel: chan.BlockChannel) -> np.ndarray:
-    """The block-circulant channel as one dense (N V) x (N K) matrix."""
-    n = block_channel.n_cells
-    return np.block([[block_channel.block(m, nn) for nn in range(n)] for m in range(n)])
+def assembled_channel(channel: np.ndarray) -> np.ndarray:
+    """The block-circulant channel of the (N, V, K) sub-channels as one dense
+    (N V) x (N K) matrix: block (m, n) is H_{((n + N - m)) mod N}."""
+    n = channel.shape[0]
+    return np.block([[channel[(nn + n - m) % n] for nn in range(n)] for m in range(n)])
 
 
-def propagate_logical(symbols: np.ndarray, block_channel: chan.BlockChannel) -> np.ndarray:
+def channel_csv_blocks(text: str) -> np.ndarray:
+    """The (N, N, V, K) blocks of a `channel.channel_csv` table, read back
+    bit for bit: [m, n] is block (m, n) of the assembled channel."""
+    rows = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
+    idx = rows[:, :4].astype(int)
+    out = np.zeros(tuple(idx.max(axis=0) + 1), dtype=complex)
+    out[tuple(idx.T)] = rows[:, 4] + 1j * rows[:, 5]
+    return out
+
+
+def propagate_logical(symbols: np.ndarray, channel: np.ndarray) -> np.ndarray:
     """Noise-free logical path: the assembled block-circulant channel applied
     to the pre-superposition logical signals, the two-dimension IDFT of the
     (N, K) symbol grid; returns the (M, V) grid."""
     n, k = symbols.shape
     x = (idft_matrix(n) @ symbols @ idft_matrix(k)).reshape(-1)
-    v = block_channel.subchannels[0].shape[0]
-    return (assembled_channel(block_channel) @ x).reshape(block_channel.n_cells, v)
+    return (assembled_channel(channel) @ x).reshape(channel.shape[:2])
 
 
 def tod_split_compensate_loops(rx_signals: np.ndarray, rx: Layout) -> np.ndarray:

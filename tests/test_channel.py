@@ -182,26 +182,28 @@ class TestBlockChannel:
         ring = single_ring_layout(5, 1.0)
         params = chan.PropagationParams.from_frequency(100.0, FREQ)
         bc = chan.build_block_channel(ring, ring, params)
-        assert len(bc.subchannels) == 1
+        assert len(bc) == 1
         assert reference.assembled_channel(bc).shape == (5, 5)
 
     def test_block_offset_identity(self, qf9, params100):
         lay, _ = qf9
         bc = chan.build_block_channel(lay, lay, params100)
+        blocks = reference.channel_csv_blocks(chan.channel_csv(bc))
         for m in range(4):
             for n in range(4):
-                assert np.array_equal(bc.block(m, n), bc.subchannels[(n + 4 - m) % 4])
+                assert np.array_equal(blocks[m, n], bc[(n + 4 - m) % 4])
 
     def test_blocks_match_raw_index_recomputation(self, qf9, params100):
         # no q shortcut: entry (m, v), (n, k) from raw coordinates; the
         # tolerance carries the unavoidable phase roundoff of 2 pi d / lambda
         lay, sharing = qf9
         bc = chan.build_block_channel(lay, lay, params100)
+        blocks = reference.channel_csv_blocks(chan.channel_csv(bc))
         lam = params100.wavelength_m
         eps = np.finfo(float).eps
         for m in range(4):
             for n in range(4):
-                blk = bc.block(m, n)
+                blk = blocks[m, n]
                 for v in range(4):
                     for k in range(4):
                         diff = lay.positions[m, v] - lay.positions[n, k]
@@ -221,7 +223,7 @@ class TestBlockChannel:
         # W^H (L H_0) W diagonal to 1e-10 of total energy; first-row symmetry
         lay, sharing = qf9
         bc = chan.build_block_channel(lay, lay, params100)
-        lh0 = sharing[:, None] * bc.subchannels[0]
+        lh0 = sharing[:, None] * bc[0]
         w = idft_matrix(4)
         product = w.conj().T @ lh0 @ w
         total = np.linalg.norm(product, "fro") ** 2
@@ -235,9 +237,9 @@ class TestBlockChannel:
     def test_aligned_eigenvalues_match_closed_form(self, qf9, params100):
         lay, sharing = qf9
         bc = chan.build_block_channel(lay, lay, params100)
-        lh0 = sharing[:, None] * bc.subchannels[0]
+        lh0 = sharing[:, None] * bc[0]
         eig = diagonalize_row_blocks([lh0])
-        exact = chan.detection_coeffs(lay, lay, params100, channel=bc).exact_matrices[0]
+        exact = chan.detection_coeffs(bc, lay)[0]
         # p = 0 transform minus the q != 0 summands leaves the q = 0 block
         w = idft_matrix(4)
         q0 = dft_matrix(4) @ lh0 @ w
@@ -322,13 +324,11 @@ class TestDiagApprox:
         lay = build_layout(4, 8, 1.0, 1.0)
         sharing = lay.sharing_freqs
         bc = chan.build_block_channel(lay, lay, params100)
-        lh0 = sharing[:, None] * bc.subchannels[0]
+        lh0 = sharing[:, None] * bc[0]
         eig = diagonalize_row_blocks([lh0])
-        approx = chan.diag_approx_block(lay, lay, params100, 0, 0)
-        offdiag = approx - np.diag(np.diag(approx))
-        assert np.all(offdiag == 0)
+        approx = chan.diag_approx_block(lay, lay, params100, 0)
         scale = np.max(np.abs(eig))
-        assert np.max(np.abs(np.diag(approx) - eig)) < 0.01 * scale
+        assert np.max(np.abs(approx - eig)) < 0.01 * scale
         gap = chan.approx_gap(lay, lay, params100, channel=bc)
         assert gap < 5e-5  # frozen: 2.87e-5 at K=8, D=100
 
@@ -342,8 +342,7 @@ class TestDiagApprox:
         # reimplement the azimuth integral with a different rule and node count
         lay = build_layout(4, 8, 1.0, 1.0)
         q, p = 1, 1
-        entries = np.diag(chan.diag_approx_block(lay, lay, params100,
-                                                 p, q, correction=True))
+        entries = chan.bessel_diagonals(lay, lay, params100, correction=True)[p, q]
         rq = lay.qf_radius
         rt = rr = lay.cell_radius
         lam = params100.wavelength_m
@@ -371,9 +370,8 @@ class TestDiagApprox:
 
     def test_j_order_variants_differ_only_in_bessel_order(self, qf9, params100):
         lay, _ = qf9
-        matched = np.diag(chan.diag_approx_block(lay, lay, params100, 0, 1))
-        first = np.diag(chan.diag_approx_block(lay, lay, params100, 0, 1,
-                                               j_order="first"))
+        matched = chan.diag_approx_block(lay, lay, params100, 1)
+        first = chan.diag_approx_block(lay, lay, params100, 1, j_order="first")
         from qfuca.linalg import bessel_j
         phi_q = np.pi / 2
         s = np.sin(phi_q / 2)
@@ -388,23 +386,23 @@ class TestDiagApprox:
         a = build_layout(4, 4, 1.0, 1.0)
         b = build_layout(4, 8, 1.0, 1.0)
         with pytest.raises(DimensionError):
-            chan.diag_approx_block(a, b, params100, 0, 0)
+            chan.diag_approx_block(a, b, params100, 0)
 
 
 class TestApproxGap:
     def test_gap_zero_when_approximation_is_exact(self, qf9, params100):
         # denominator structure: a null channel is degenerate
         lay, _ = qf9
-        zero = chan.BlockChannel(n_cells=4, subchannels=np.zeros((4, 4, 4), dtype=complex))
+        zero = np.zeros((4, 4, 4), dtype=complex)
         with pytest.raises(DegenerateChannelError):
             chan.approx_gap(lay, lay, params100, channel=zero)
 
     def test_full_superposition_gap_matches_mode_channel(self, qf9, params100):
         lay, _ = qf9
-        mode = chan.detection_coeffs(lay, lay, params100)
+        gap = full_gap(lay, params100)
         for p in range(4):
             eps = reference.full_superposition_gap(lay, lay, params100, p)
-            assert eps == pytest.approx(mode.gap[p], rel=1e-12)
+            assert eps == pytest.approx(gap[p], rel=1e-12)
 
 
 class TestNullTransforms:
@@ -417,15 +415,14 @@ class TestNullTransforms:
 
     def test_mode_channel_reports_inf(self, center, params100):
         lay = center
-        gap = chan.detection_coeffs(lay, lay, params100).gap
+        gap = full_gap(lay, params100)
         assert np.isfinite(gap[0])
         assert np.all(np.isinf(gap[1:]))
 
     def test_full_superposition_gap_raises(self, center, params100):
         lay = center
         assert reference.full_superposition_gap(lay, lay, params100, 0) \
-            == pytest.approx(chan.detection_coeffs(lay, lay, params100).gap[0],
-                             rel=1e-12)
+            == pytest.approx(full_gap(lay, params100)[0], rel=1e-12)
         for p in range(1, 4):
             with pytest.raises(DegenerateChannelError):
                 reference.full_superposition_gap(lay, lay, params100, p)
@@ -434,17 +431,17 @@ class TestNullTransforms:
         # 8x16 at 2 km: the weakest transform is 1e-5 of the rms norm
         lay = build_layout(8, 16, 1.0, 1.0)
         params = chan.PropagationParams.from_frequency(2000.0, FREQ, 1.0)
-        mode = chan.detection_coeffs(lay, lay, params)
-        assert np.all(np.isfinite(mode.gap))
+        assert np.all(np.isfinite(full_gap(lay, params)))
 
 
 class TestExactModeMatrix:
     def test_one_idft_per_transform(self, qf9, params100, count_calls):
         lay, _ = qf9
         # dft_matrix would call linalg's own idft_matrix
+        bc = chan.build_block_channel(lay, lay, params100)
         idft_calls = (count_calls(chan, "idft_matrix"), count_calls(linalg, "idft_matrix"))
-        chan.detection_coeffs(lay, lay, params100)
-        chan.detection_coeffs(lay, lay, params100)
+        chan.detection_coeffs(bc, lay)
+        chan.detection_coeffs(bc, lay)
         assert sum(map(len, idft_calls)) == 2
 
     # one cell is the single ring of a baseline: 97 elements is the uca_n
@@ -456,31 +453,33 @@ class TestExactModeMatrix:
     def test_bit_identical_to_dft_form(self, params100, n, k):
         lay = single_ring_layout(k, 1.0) if n == 1 else build_layout(n, k, 1.0, 1.0)
         bc = chan.build_block_channel(lay, lay, params100)
-        exact = chan.detection_coeffs(lay, lay, params100, channel=bc).exact_matrices
+        exact = chan.detection_coeffs(bc, lay)
         for p in range(n):
             assert np.array_equal(exact[p],
                                   reference.exact_transform(bc, lay.sharing_freqs, p))
 
     def test_unequal_element_counts_rejected(self, params100):
+        tx, rx = build_layout(4, 4, 1.0, 1.0), build_layout(4, 8, 1.0, 1.0)
         with pytest.raises(DimensionError):
-            chan.detection_coeffs(build_layout(4, 4, 1.0, 1.0), build_layout(4, 8, 1.0, 1.0),
-                                  params100)
+            chan.detection_coeffs(chan.build_block_channel(tx, rx, params100), rx)
 
 
 class TestDetectionCoeffs:
     def test_single_cell_lambda_is_exact_diagonal(self):
         ring = single_ring_layout(6, 1.0)
         params = chan.PropagationParams.from_frequency(100.0, FREQ)
-        mode = chan.detection_coeffs(ring, ring, params)
-        exact = reference.exact_transform(chan.build_block_channel(ring, ring, params),
-                                          ring.sharing_freqs, 0)
-        assert np.max(np.abs(mode.lambda_coeffs[0] - np.diag(exact))) < 1e-15
+        bc = chan.build_block_channel(ring, ring, params)
+        lam = np.diag(chan.detection_coeffs(bc, ring)[0])
+        exact = reference.exact_transform(bc, ring.sharing_freqs, 0)
+        assert np.max(np.abs(lam - np.diag(exact))) < 1e-15
 
     def test_exact_lambda_matches_pipeline_probe(self, qf9, params100):
         # probing the full pipeline with a unit symbol reproduces Lambda
-        from qfuca.txrx import tod_inner_demodulate, tod_split_compensate, tom_modulate
+        from qfuca.config import Scenario
+        from qfuca.txrx import build_link, tod_inner_demodulate, tod_split_compensate, \
+            tom_modulate
         lay, _ = qf9
-        mode = chan.detection_coeffs(lay, lay, params100)
+        lam = build_link(Scenario()).lambda_coeffs
         gain = chan.physical_gain_matrix(lay, lay, params100)
         scale = params100.reference_gain
         for (p, l) in [(0, 0), (1, 1), (2, -1)]:
@@ -489,21 +488,29 @@ class TestDetectionCoeffs:
             y = gain @ tom_modulate(sym, lay)
             x_tilde = tod_split_compensate(y, lay)
             s_tilde = tod_inner_demodulate(x_tilde[p % 4], lay)
-            assert abs(s_tilde[l % 4] - mode.lambda_coeffs[p % 4, l % 4]) \
+            assert abs(s_tilde[l % 4] - lam[p % 4, l % 4]) \
                 < 1e-12 * scale
 
     def test_bessel_lambda_sums_blocks(self, qf9, params100):
+        from qfuca.config import Scenario
+        from qfuca.txrx import build_link
         lay, _ = qf9
-        mode = chan.detection_coeffs(lay, lay, params100)
-        lam_b = chan.bessel_lambda(mode)
-        summed = np.einsum("pqll->pl", mode.approx_blocks)
+        lam_b = build_link(Scenario(lambda_path="bessel")).lambda_coeffs
+        summed = chan.bessel_diagonals(lay, lay, params100).sum(axis=1)
         assert np.max(np.abs(lam_b - summed)) == 0.0
 
 
+def full_gap(lay, params):
+    """Per-p full-superposition gap of a layout facing itself."""
+    exact = chan.detection_coeffs(chan.build_block_channel(lay, lay, params), lay)
+    return chan.superposition_gap(exact, chan.bessel_diagonals(lay, lay, params))
+
+
 def direct_approx_blocks(lay, params):
-    """In-test oracle: every (p, q) block evaluated by its own call."""
+    """In-test oracle: every (p, q) diagonal evaluated by its own call, with
+    its phase e^{j 2 pi p q / N} applied there."""
     n = lay.n_cells
-    return np.array([[chan.diag_approx_block(lay, lay, params, p, q)
+    return np.array([[np.exp(2j * np.pi * p * q / n) * chan.diag_approx_block(lay, lay, params, q)
                       for q in range(n)] for p in range(n)])
 
 
@@ -511,23 +518,23 @@ class TestLazyBesselBlocks:
     @pytest.mark.parametrize("n, k", [(4, 4), (8, 16)])
     def test_hoisted_p_matches_direct_blocks(self, n, k, params100):
         lay = build_layout(n, k, 1.0, 1.0)
-        blocks = chan.detection_coeffs(lay, lay, params100).approx_blocks
+        blocks = chan.bessel_diagonals(lay, lay, params100)
         direct = direct_approx_blocks(lay, params100)
-        assert blocks.shape == (n, n, k, k)
+        assert blocks.shape == (n, n, k)
         assert np.max(np.abs(blocks - direct)) <= 1e-12 * np.max(np.abs(direct))
-        off_diag = ~np.eye(k, dtype=bool)
-        assert np.all(blocks[:, :, off_diag] == 0)
 
     def test_bessel_link_matches_direct_evaluation(self, qf9, params100):
         from qfuca.config import Scenario
         from qfuca.txrx import build_link
         lay, _ = qf9
         link = build_link(Scenario(lambda_path="bessel"))
-        direct = np.einsum("pqll->pl", direct_approx_blocks(lay, params100))
+        direct = direct_approx_blocks(lay, params100).sum(axis=1)
         assert np.max(np.abs(link.lambda_coeffs - direct)) \
             <= 1e-12 * np.max(np.abs(direct))
+        gap = chan.superposition_gap(link.exact_matrices,
+                                     chan.bessel_diagonals(lay, lay, params100))
         for p in range(4):
-            assert link.mode.gap[p] == pytest.approx(
+            assert gap[p] == pytest.approx(
                 reference.full_superposition_gap(lay, lay, params100, p), rel=1e-12)
 
 

@@ -133,6 +133,17 @@ class TestCli:
         assert main(["geometry", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["geometry"], ["loopback", "--frames", "2"]])
+    def test_cell_too_small_for_its_elements_exits_nonzero(self, tmp_path, capsys, command):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("tx_ratio = 1e-10\nrx_ratio = 1e-10\n")
+        assert main([command[0], "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ratio 1e-10 is too small")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_unequal_element_counts_exit_nonzero(self, tmp_path, capsys):
         cfg = tmp_path / "unequal.cfg"
         cfg.write_text("tx_elems = 8\nrx_elems = 4\n")
@@ -171,16 +182,24 @@ class TestCli:
             "error: distance, wavelength, beta, and frequency must be finite")
         assert not (tmp_path / "gap.csv").exists()
 
-    @pytest.mark.parametrize("config, argv, distance", [
-        ("distance_m = 1e-300\n", ["loopback", "--frames", "1"], "1e-300"),
-        ("", ["sweep", "--axis", "distance_m", "--values", "1e-300,1"], "1e-300"),
-        ("", ["gap", "--values", "0.01", "--elems", "4"], "0.01"),
-        ("distance_m = 0.01\nlambda_path = bessel\n", ["loopback", "--frames", "1"], "0.01"),
-    ], ids=["loopback", "sweep", "gap", "loopback_bessel"])
+    @pytest.mark.parametrize("config, argv, prefix", [
+        ("distance_m = 1e-300\n", ["loopback", "--frames", "1"], "distance 1e-300 m is too short"),
+        ("", ["sweep", "--axis", "distance_m", "--values", "1e-300,1"],
+         "distance 1e-300 m is too short"),
+        ("", ["gap", "--values", "0.01", "--elems", "4"], "distance 0.01 m is too short"),
+        ("distance_m = 0.01\nlambda_path = bessel\n", ["loopback", "--frames", "1"],
+         "distance 0.01 m is too short"),
+        ("distance_m = 1e200\n", ["loopback", "--frames", "1"], "distance 1e+200 m is too long"),
+        ("distance_m = 1e200\n", ["sweep", "--axis", "snr_db", "--values", "15"],
+         "distance 1e+200 m is too long"),
+        ("", ["gap", "--values", "1e200", "--elems", "4"], "distance 1e+200 m is too long"),
+    ], ids=["loopback", "sweep", "gap", "loopback_bessel", "loopback_overflow",
+            "sweep_overflow", "gap_overflow"])
     def test_distance_the_routes_cannot_evaluate_exits_nonzero(
-            self, tmp_path, capsys, config, argv, distance):
-        # a squared boresight gain past the float range, or a Bessel argument
-        # past bessel_j's: one error line naming the distance, no warning
+            self, tmp_path, capsys, config, argv, prefix):
+        # a squared boresight gain or distance past the float range, or a
+        # Bessel argument past bessel_j's: one error line naming the
+        # distance, no warning
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(config)
         out = tmp_path / "out"
@@ -188,7 +207,7 @@ class TestCli:
             warnings.simplefilter("error")
             assert main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: distance {distance} m is too short")
+        assert err.startswith(f"error: {prefix}")
         assert err.count("\n") == 1
         assert not list(tmp_path.rglob("*.csv"))
 

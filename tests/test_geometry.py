@@ -47,6 +47,16 @@ class TestBuildLayout:
         with pytest.raises(ValueError):
             build_layout(4, 4, 0.0, 1.0)
 
+    @pytest.mark.parametrize("elems, ratio", [(4, 1e-10), (64, 1e-8)])
+    def test_cell_whose_own_elements_coincide_rejected(self, elems, ratio):
+        # the sharing vector counts one cell per slot of an element
+        with pytest.raises(GeometryError, match=f"ratio {ratio!r} is too small"):
+            build_layout(4, elems, ratio, 1.0)
+
+    def test_smallest_cell_keeps_its_elements_apart(self):
+        lay = build_layout(16, 64, 1e-6, 1.0)
+        assert np.all(lay.element_sharing == 1)
+
     def test_position_round_trip(self):
         lay = build_layout(5, 6, 0.8, 2.5)
         for n in range(5):

@@ -67,7 +67,7 @@ class TestSingleLoopUca:
         from qfuca.txrx import noise_mode_scale
         params = chan.PropagationParams.from_frequency(100.0, scen.freq_hz, scen.beta)
         ring = single_ring_layout(9, scen.qf_radius_m)
-        exact = chan.detection_coeffs(ring, ring, params).exact_matrices[0]
+        exact = chan.detection_coeffs(chan.build_block_channel(ring, ring, params), ring)[0]
         lam = np.diag(exact)[None, :]
         sigma2 = scen.total_power * params.reference_gain ** 2 / scen.snr_linear
         manual = metrics.se_qf(lam, np.full((1, 9), 1 / 9),
@@ -112,7 +112,7 @@ class TestSingleLoopUca:
             work = replace(scen, distance_m=d)
             metrics._se_ring(ring, work, txrx.noise_variance(scen))
             params = chan.PropagationParams.from_frequency(d, work.freq_hz, work.beta)
-            h = chan.build_block_channel(ring.tx, ring.rx, params).subchannels[0]
+            h = chan.build_block_channel(ring.tx, ring.rx, params)[0]
             assert np.array_equal(ring_gains[-1], diagonalize_row_blocks([h]))
 
     def test_nondecreasing_in_snr(self, scen):
@@ -211,7 +211,7 @@ class TestSweeps:
         metrics.run_sweep(spec)
         assert all(args[0].tx.n_cells == scen.n_cells for args in calls)
         assert len(calls) == builds
-        assert all(args[0].n_cells == scen.n_cells for args in exact_calls)
+        assert all(args[1].n_cells == scen.n_cells for args in exact_calls)
         assert len(exact_calls) == builds
         assert all(args[0].n_cells == scen.n_cells for args in channel_calls)
         assert len(channel_calls) == builds

@@ -93,7 +93,7 @@ def run_loopback_per_frame(link, n_frames, noise_variance=0.0):
         per_mode += errors
     signal = np.abs(link.lambda_coeffs) ** 2 * link.power_alloc
     interference = np.stack([np.abs(g) ** 2 @ pa - np.abs(np.diag(g)) ** 2 * pa
-                             for g, pa in zip(link.mode.exact_matrices, link.power_alloc)])
+                             for g, pa in zip(link.exact_matrices, link.power_alloc)])
     return per_frame, per_mode, float(np.max(interference / signal))
 
 
@@ -423,10 +423,11 @@ class TestBuildLink:
         link = txrx.build_link(Scenario())
         assert len(diag_calls) == 0
         assert len(channel_calls) == 1
-        assert link.mode.gap.shape == (link.n_inter,)
-        assert link.mode.approx_blocks.shape == (4, 4, 4, 4)
+        diagonals = chan.bessel_diagonals(link.tx, link.rx, link.params)
+        assert chan.superposition_gap(link.exact_matrices, diagonals).shape == (link.n_inter,)
+        assert diagonals.shape == (4, 4, 4)
         assert len(diag_calls) == link.n_inter
-        assert all(args[3] == 0 for args in diag_calls)
+        assert sorted(args[3] for args in diag_calls) == list(range(link.n_inter))
 
 
 class TestEndToEnd:
@@ -471,10 +472,10 @@ class TestEndToEnd:
         # detection is interference-free
         ring = single_ring_layout(9, 1.0)
         params = chan.PropagationParams.from_frequency(100.0, FREQ, 1.0)
-        mode = chan.detection_coeffs(ring, ring, params)
-        link = txrx.Link(tx=ring, rx=ring, params=params, mode=mode,
-                         block_channel=chan.build_block_channel(ring, ring, params),
-                         lambda_coeffs=mode.lambda_coeffs,
+        bc = chan.build_block_channel(ring, ring, params)
+        exact = chan.detection_coeffs(bc, ring)
+        link = txrx.Link(tx=ring, rx=ring, params=params, subchannels=bc,
+                         exact_matrices=exact, lambda_coeffs=np.einsum("pll->pl", exact),
                          constellation=txrx.Constellation.from_name("qpsk"),
                          power_alloc=np.full((1, 9), 1 / 9), sigma2=1e-12,
                          noise_scale=txrx.noise_mode_scale(ring), seed=3)
