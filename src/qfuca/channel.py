@@ -65,18 +65,14 @@ class PropagationParams:
     distance_m: float
     wavelength_m: float
     beta: float
-    carrier_hz: float
 
     def __post_init__(self):
-        # nan passes every comparison below
-        if not np.all(np.isfinite([self.distance_m, self.wavelength_m, self.beta,
-                                   self.carrier_hz])):
+        # nan passes every comparison below; the carrier frequency is checked
+        # through its wavelength
+        if not np.all(np.isfinite([self.distance_m, self.wavelength_m, self.beta])):
             raise ValueError("distance, wavelength, beta, and frequency must be finite")
-        if self.distance_m <= 0 or self.wavelength_m <= 0 or self.beta <= 0 \
-                or self.carrier_hz <= 0:
+        if self.distance_m <= 0 or self.wavelength_m <= 0 or self.beta <= 0:
             raise ValueError("distance, wavelength, beta, and frequency must be positive")
-        if abs(self.wavelength_m * self.carrier_hz - C_LIGHT) > 1e-6 * C_LIGHT:
-            raise ValueError("wavelength and carrier frequency are inconsistent with c")
         # sigma^2 takes the squared boresight gain and every element distance
         # the squared distance (Python float products overflow to inf silently)
         g, d = float(self.reference_gain), float(self.distance_m)
@@ -92,8 +88,7 @@ class PropagationParams:
                        beta: float = 1.0) -> "PropagationParams":
         if freq_hz <= 0:
             raise ValueError(f"carrier frequency must be positive, got {freq_hz}")
-        return cls(distance_m=distance_m, wavelength_m=C_LIGHT / freq_hz,
-                   beta=beta, carrier_hz=freq_hz)
+        return cls(distance_m=distance_m, wavelength_m=C_LIGHT / freq_hz, beta=beta)
 
     @property
     def reference_gain(self) -> float:

@@ -133,9 +133,9 @@ def cmd_sweep(args) -> int:
         if args.systems else metrics.SYSTEMS
     spec = metrics.SweepSpec(axis=args.axis, axis_values=tuple(values),
                              fixed=scenario, systems=systems)
-    result = metrics.run_sweep(spec)
-    _write(out, "sweep.csv", metrics.sweep_csv(result))
-    print(f"wrote {out / 'sweep.csv'} ({len(result.rows)} rows)")
+    rows = metrics.run_sweep(spec)
+    _write(out, "sweep.csv", metrics.sweep_csv(rows))
+    print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
     return 0
 
 

@@ -73,6 +73,13 @@ class Scenario:
             raise ConfigError(f"bessel_order must be one of {_BESSEL_ORDERS}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
+        try:
+            snr = self.snr_linear
+        except OverflowError:
+            snr = math.inf
+        # the noise variance divides by the linear SNR
+        if not (math.isfinite(snr) and snr > 0):
+            raise ConfigError(f"snr_db {self.snr_db!r} leaves the float range as a linear SNR")
 
     @property
     def snr_linear(self) -> float:

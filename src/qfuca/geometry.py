@@ -29,9 +29,8 @@ class Layout:
 
     positions[n, k] is the planar coordinate (meters) of logical slot k of
     cell n; slot_group[n, k] is the physical element id the slot maps to.
-    elem_azimuths are within-cell angles (the cell's local frame rotates with
-    the cell azimuth, so the global direction of slot (n, k) is
-    cell_azimuths[n] + elem_azimuths[k]).
+    Slot (n, k) sits at azimuth 2 pi n / N + elem_offset + 2 pi k / K about
+    its cell's center (the cell's local frame rotates with the cell).
     """
 
     n_cells: int
@@ -39,8 +38,6 @@ class Layout:
     cell_radius: float
     qf_radius: float
     elem_offset: float
-    cell_azimuths: np.ndarray
-    elem_azimuths: np.ndarray
     positions: np.ndarray
     slot_group: np.ndarray
     n_physical: int
@@ -140,6 +137,17 @@ def _coincidence_groups(positions: np.ndarray, tol: float) -> np.ndarray:
     return np.array(group).reshape(positions.shape[:2])
 
 
+def _check_offsets_square(extent: float, radius: float):
+    """Reject an antenna whose elements reach `extent` from the axis if the
+    channel cannot square their offsets: two such antennas face each other
+    with elements up to 2 extent apart in plane (Python float products
+    overflow to inf silently)."""
+    span = 2.0 * float(extent)
+    if not np.isfinite(span * span):
+        raise GeometryError(f"antenna radius {float(radius)!r} m is too large for the channel "
+                            "model: the square of its element offsets leaves the float range")
+
+
 def build_layout(n_cells: int, elems_per_cell: int, ratio: float,
                  qf_radius: float) -> Layout:
     """Construct a QF-UCA layout from cell count, per-cell element count,
@@ -161,6 +169,7 @@ def build_layout(n_cells: int, elems_per_cell: int, ratio: float,
         raise ValueError(f"ratio must be positive, got {ratio}")
     if ratio > 1:
         raise GeometryError(f"ratio R/R_Q must be <= 1, got {ratio}")
+    _check_offsets_square(qf_radius + ratio * qf_radius, qf_radius)
 
     offset = _aligning_offset(n_cells, elems_per_cell, ratio)
     cell_az = 2 * np.pi * np.arange(n_cells) / n_cells
@@ -177,8 +186,7 @@ def build_layout(n_cells: int, elems_per_cell: int, ratio: float,
     n_physical = int(group.max()) + 1
     return Layout(n_cells=n_cells, elems_per_cell=elems_per_cell,
                   cell_radius=ratio * qf_radius, qf_radius=qf_radius,
-                  elem_offset=offset, cell_azimuths=cell_az,
-                  elem_azimuths=elem_az, positions=positions,
+                  elem_offset=offset, positions=positions,
                   slot_group=group, n_physical=n_physical)
 
 
@@ -189,11 +197,11 @@ def single_ring_layout(n_elements: int, radius: float) -> Layout:
         raise ValueError(f"n_elements must be >= 1, got {n_elements}")
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
+    _check_offsets_square(radius, radius)
     elem_az = 2 * np.pi * np.arange(n_elements) / n_elements
     positions = radius * np.stack([np.cos(elem_az), np.sin(elem_az)], axis=1)[None]
     return Layout(n_cells=1, elems_per_cell=n_elements, cell_radius=radius,
-                  qf_radius=0.0, elem_offset=0.0, cell_azimuths=np.zeros(1),
-                  elem_azimuths=elem_az, positions=positions,
+                  qf_radius=0.0, elem_offset=0.0, positions=positions,
                   slot_group=np.arange(n_elements)[None, :],
                   n_physical=n_elements)
 

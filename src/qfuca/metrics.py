@@ -7,9 +7,10 @@ distance, so every system's efficiency falls with distance; SNR-axis sweeps
 recompute the variance per point.
 
 A sweep builds its antennas once (`txrx.build_antenna` for the QF-UCA pair,
-`txrx.ring_antenna` for the two single-loop baselines): layouts and noise
-scales depend on neither distance, carrier nor SNR.  Each point builds only
-what depends on it: the QF-UCA link (`txrx.link_at`) and each ring's gains.
+`geometry.single_ring_layout` for the two single-loop baselines): layouts
+and noise scales depend on neither distance, carrier nor SNR.  Each point
+builds only what depends on it: the QF-UCA link (`txrx.link_at`) and each
+ring's gains.
 A ring's efficiency reads only the diagonal of its one exact transform,
 which the channel's wrapped-diagonal sums and one FFT give in O(n^2)
 (`linalg.diagonalize_row_blocks`).  The ring allocates no n x n array: its
@@ -19,7 +20,7 @@ gains is most of a ring point.
 The SNR axis reuses one QF-UCA link for all points but recomputes the ring
 gains at every point: reusing them would bring a 30-point 8x16 SNR sweep
 below one work unit of the benchmark's host-speed calibrator, so the
-benchmark could no longer time it (ROADMAP item 6).
+benchmark could no longer time it (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ import numpy as np
 from . import channel as chan
 from .config import Scenario
 from .errors import DegenerateChannelError
+from .geometry import Layout, single_ring_layout
 from .linalg import diagonalize_row_blocks
-from .txrx import Antenna, Link, build_antenna, build_link, link_at, noise_variance, \
-    ring_antenna
+from .txrx import Link, build_antenna, build_link, link_at, noise_variance
 
 SWEEP_AXES = ("snr_db", "distance_m", "freq_hz")
 SYSTEMS = ("qf_uca", "uca_n", "uca_bigger", "siso_xN")
@@ -71,15 +72,18 @@ def se_single_loop_uca(n_elements: int, scenario: Scenario,
     if n_elements < 1:
         raise ValueError("n_elements must be >= 1")
     work = scenario if distance_m is None else replace(scenario, distance_m=distance_m)
-    return _se_ring(ring_antenna(n_elements, scenario.qf_radius_m), work,
+    return _se_ring(single_ring_layout(n_elements, scenario.qf_radius_m), work,
                     noise_variance(scenario))
 
 
-def _se_ring(ring: Antenna, scenario: Scenario, sigma2: float) -> float:
-    """Efficiency of a ring antenna at the scenario's distance and carrier.
+def _se_ring(ring: Layout, scenario: Scenario, sigma2: float) -> float:
+    """Efficiency of a ring facing an identical ring at the scenario's
+    distance and carrier.
 
-    A one-cell ring has L = I (no split factor) and one exact transform,
-    W^H H W, of which the efficiency reads only the diagonal: the
+    A one-cell ring has L = I (no split factor, no phase compensation and a
+    unitary inner DFT, so every mode sees exactly sigma^2;
+    `txrx.noise_mode_scale(ring)` gives ones to within an ulp) and one exact
+    transform, W^H H W, of which the efficiency reads only the diagonal: the
     wrapped-diagonal sums of H and one FFT give it in O(n^2)
     (`linalg.diagonalize_row_blocks`).  H is never held whole: its gains
     are computed RING_ROW_BLOCK rows at a time, each by the same per-entry
@@ -88,12 +92,12 @@ def _se_ring(ring: Antenna, scenario: Scenario, sigma2: float) -> float:
     the exact ones, whatever the scenario's lambda_path."""
     params = chan.PropagationParams.from_frequency(
         scenario.distance_m, scenario.freq_hz, scenario.beta)
-    tp, rp = ring.tx.positions[0], ring.rx.positions[0]
-    blocks = (chan.free_space_gain(rp[r:r + RING_ROW_BLOCK, None, :] - tp[None, :, :], params)
-              for r in range(0, rp.shape[0], RING_ROW_BLOCK))
+    pos = ring.positions[0]
+    blocks = (chan.free_space_gain(pos[r:r + RING_ROW_BLOCK, None, :] - pos[None, :, :], params)
+              for r in range(0, pos.shape[0], RING_ROW_BLOCK))
     lam = diagonalize_row_blocks(blocks)[None, :]
-    n = ring.tx.elems_per_cell
-    return se_qf(lam, np.full((1, n), scenario.total_power / n), sigma2 * ring.noise_scale)
+    n = ring.elems_per_cell
+    return se_qf(lam, np.full((1, n), scenario.total_power / n), np.full((1, n), sigma2))
 
 
 def se_siso_times(n: int, scenario: Scenario, distance_m: float | None = None,
@@ -117,13 +121,6 @@ def se_qf_scenario(scenario: Scenario, distance_m: float | None = None) -> float
 
 def _se_qf_link(link: Link, sigma2: float) -> float:
     return se_qf(link.lambda_coeffs, link.power_alloc, sigma2 * link.noise_scale)
-
-
-def se_gain(se_a: float, se_b: float) -> float:
-    """Ratio of spectrum efficiencies at matched SNR and geometry."""
-    if se_b <= 0:
-        raise DegenerateChannelError("gain undefined against zero efficiency")
-    return se_a / se_b
 
 
 @dataclass(frozen=True)
@@ -151,19 +148,12 @@ class SweepSpec:
         object.__setattr__(self, "systems", tuple(self.systems))
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Rows of (axis_value, system, se_bits_per_s_per_hz, aux)."""
+def run_sweep(spec: SweepSpec) -> tuple:
+    """Evaluate each requested system at each axis value: a tuple of rows
+    (axis_value, system, se_bits_per_s_per_hz, aux).  Deterministic; rows
+    ordered by (axis value, system label).
 
-    axis: str
-    rows: tuple
-
-
-def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate each requested system at each axis value.  Deterministic;
-    rows ordered by (axis value, system label).
-
-    The QF antenna and the two ring antennas are built once; each point
+    The QF antenna and the two ring layouts are built once; each point
     builds only the links at its distance and carrier, and the SNR axis
     reuses one QF-UCA link for all points."""
     base = spec.fixed
@@ -173,9 +163,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     n_elements = qf.tx.n_physical if qf else None
     rings = {}
     if "uca_n" in systems:
-        rings["uca_n"] = ring_antenna(n_elements, base.qf_radius_m)
+        rings["uca_n"] = single_ring_layout(n_elements, base.qf_radius_m)
     if "uca_bigger" in systems:
-        rings["uca_bigger"] = ring_antenna(base.n_cells * base.tx_elems, base.qf_radius_m)
+        rings["uca_bigger"] = single_ring_layout(base.n_cells * base.tx_elems,
+                                                 base.qf_radius_m)
     rows = []
     anchor_sigma2 = noise_variance(base)
     qf_link = None
@@ -199,14 +190,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             else:
                 se = _se_ring(rings[system], scen, s2)
             rows.append((value, system, se, ""))
-    return SweepResult(axis=spec.axis, rows=tuple(rows))
+    return tuple(rows)
 
 
-def sweep_csv(result: SweepResult) -> str:
-    """CSV serialization: header axis,system,se_bps_hz,aux; full-precision
-    floats; LF line endings."""
+def sweep_csv(rows: tuple) -> str:
+    """CSV serialization of `run_sweep` rows: header axis,system,se_bps_hz,aux;
+    full-precision floats; LF line endings."""
     buf = io.StringIO()
     buf.write("axis,system,se_bps_hz,aux\n")
-    for value, system, se, aux in result.rows:
+    for value, system, se, aux in rows:
         buf.write(f"{float(value)!r},{system},{float(se)!r},{aux}\n")
     return buf.getvalue()

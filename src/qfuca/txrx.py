@@ -12,10 +12,10 @@ matrix and the ML candidates once per run, sends its frames through the
 stages FRAME_BLOCK at a time, and detects them by one tie-stable argmin over
 the constellation.
 
-A link is built in two halves: `build_antenna` (or `ring_antenna` for a
-single-loop baseline) makes the part that depends on neither distance,
-carrier nor SNR, and `link_at` adds the propagation part.  `build_link` is
-their composition; sweeps keep the antenna and call `link_at` per point.
+A link is built in two halves: `build_antenna` makes the part that depends
+on neither distance, carrier nor SNR, and `link_at` adds the propagation
+part.  `build_link` is their composition; sweeps keep the antenna and call
+`link_at` per point.
 
 `ml_detect` is the detector for one branch.  The tests hold each stage
 against its direct-summation form, the physical path against the logical
@@ -31,8 +31,7 @@ import numpy as np
 
 from . import channel as chan
 from .errors import DimensionError
-from .geometry import Layout, build_layout, duplicate_to_slots, single_ring_layout, \
-    slot_group_sum
+from .geometry import Layout, build_layout, duplicate_to_slots, slot_group_sum
 from .linalg import dft_matrix, idft_matrix
 
 # Frames go through the engine in blocks of this many, so its temporaries
@@ -60,7 +59,6 @@ def _qam16_points() -> np.ndarray:
 class Constellation:
     """Finite symbol alphabet with unit average energy."""
 
-    name: str
     points: np.ndarray
 
     def __post_init__(self):
@@ -76,7 +74,7 @@ class Constellation:
         table = {"qpsk": _QPSK, "bpsk": _BPSK, "16qam": _qam16_points()}
         if name not in table:
             raise ValueError(f"unknown constellation {name!r}, expected one of {sorted(table)}")
-        return cls(name=name, points=table[name])
+        return cls(points=table[name])
 
 
 @dataclass(frozen=True)
@@ -189,25 +187,12 @@ class Diagnostics:
     noise_power: np.ndarray
 
     @property
-    def snr(self) -> np.ndarray:
-        """Signal over noise power per mode (interference not counted); 0
-        where a mode carries no signal."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(self.signal_power > 0,
-                           self.signal_power / self.noise_power, 0.0)
-        return out
-
-    @property
-    def interference_to_signal(self) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(self.signal_power > 0,
-                            self.interference_power / self.signal_power, np.inf)
-
-    @property
     def max_interference_to_signal(self) -> float:
         """Largest finite interference-to-signal ratio over the modes (0 if
-        none is finite)."""
-        isr = self.interference_to_signal
+        none is finite; a mode without signal has none)."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            isr = np.where(self.signal_power > 0,
+                           self.interference_power / self.signal_power, np.inf)
         return float(np.max(isr[np.isfinite(isr)], initial=0.0))
 
 
@@ -254,16 +239,6 @@ def build_antenna(scenario) -> Antenna:
     rx = build_layout(scenario.n_cells, scenario.rx_elems, scenario.rx_ratio,
                       scenario.qf_radius_m)
     return Antenna(tx=tx, rx=rx, noise_scale=noise_mode_scale(rx))
-
-
-def ring_antenna(n_elements: int, radius: float) -> Antenna:
-    """Single-loop UCA baseline: a ring of n elements facing an identical
-    ring, the one-cell antenna (no sharing, L = I).  With no split, no phase
-    compensation and a unitary inner DFT, every mode sees exactly sigma^2:
-    its noise scale is ones (`noise_mode_scale(ring)` computes them to
-    within an ulp)."""
-    ring = single_ring_layout(n_elements, radius)
-    return Antenna(tx=ring, rx=ring, noise_scale=np.ones((1, n_elements)))
 
 
 @dataclass(frozen=True)

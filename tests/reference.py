@@ -21,6 +21,12 @@ from qfuca.linalg import bessel_j, dft_matrix, idft_matrix
 _AZ_SHIFT = np.pi / 2
 
 
+def elem_azimuths(layout: Layout) -> np.ndarray:
+    """Within-cell element azimuths, by `build_layout`'s own expression."""
+    k = layout.elems_per_cell
+    return layout.elem_offset + 2 * np.pi * np.arange(k) / k
+
+
 def circulant_from_first_row(row) -> np.ndarray:
     """Square circulant matrix whose row r is the first row right-rotated r slots.
 
@@ -107,7 +113,7 @@ def fresnel_terms(tx: Layout, rx: Layout, params: chan.PropagationParams,
     d = params.distance_m
     phi_q = 2 * np.pi * q / tx.n_cells
     s = np.sin(phi_q / 2)
-    x = (rx.elem_azimuths[v] + _AZ_SHIFT) - phi_q / 2
+    x = (elem_azimuths(rx)[v] + _AZ_SHIFT) - phi_q / 2
     b = rt * np.sqrt(4 * rq**2 * s**2 + 4 * rq * rr * s * np.cos(x) + rr**2) / d
     if b == 0.0:
         return 0.0, 0.0, True
@@ -125,8 +131,8 @@ def approx_distance(tx: Layout, rx: Layout, params: chan.PropagationParams,
     rt = tx.cell_radius
     phi_q = 2 * np.pi * q / tx.n_cells
     b, alpha, _ = fresnel_terms(tx, rx, params, q, v)
-    psi = tx.elem_azimuths[k] + _AZ_SHIFT
-    phi = rx.elem_azimuths[v] + _AZ_SHIFT
+    psi = elem_azimuths(tx)[k] + _AZ_SHIFT
+    phi = elem_azimuths(rx)[v] + _AZ_SHIFT
     return float(d + rt**2 / (2 * d) + d * b**2 / (2 * rt**2)
                  - b * np.cos(psi - phi + phi_q + alpha))
 
@@ -182,7 +188,7 @@ def equivalent_mode_gain(tx: Layout, rx: Layout, params: chan.PropagationParams,
     rq, rt, rr = tx.qf_radius, tx.cell_radius, rx.cell_radius
     lv = sharing[v]
     hbar = params.reference_gain
-    phi_v = rx.elem_azimuths[v] + _AZ_SHIFT
+    phi_v = elem_azimuths(rx)[v] + _AZ_SHIFT
     total = 0.0 + 0.0j
     for q in range(n):
         phi_q = 2 * np.pi * q / n

@@ -82,6 +82,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"^{key} must be finite"):
             parse_config(f"{key} = {raw}\n")
 
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0])
+    def test_snr_db_past_the_float_range_rejected(self, snr_db):
+        # 10^(snr_db/10) overflows (OverflowError) or underflows to 0, which
+        # the noise variance divides by
+        with pytest.raises(ConfigError, match=f"^snr_db {snr_db!r} "):
+            Scenario(snr_db=snr_db)
+
+    @pytest.mark.parametrize("snr_db", [-3000.0, 3000.0])
+    def test_snr_db_within_the_float_range_accepted(self, snr_db):
+        assert 0 < Scenario(snr_db=snr_db).snr_linear < float("inf")
+
 
 class TestCli:
     def test_geometry_writes_element_tables(self, tmp_path, capsys):
@@ -210,6 +221,42 @@ class TestCli:
         assert err.startswith(f"error: {prefix}")
         assert err.count("\n") == 1
         assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("config, argv, prefix", [
+        ("snr_db = 4000\n", ["loopback", "--frames", "1"], "snr_db 4000.0 "),
+        ("", ["sweep", "--axis", "snr_db", "--values", "0,4000"], "snr_db 4000.0 "),
+        ("snr_db = -4000\n", ["loopback", "--frames", "1"], "snr_db -4000.0 "),
+        ("snr_db = -4000\n", ["sweep", "--axis", "distance_m", "--values", "100"],
+         "snr_db -4000.0 "),
+        ("qf_radius_m = 1e160\n", ["loopback", "--frames", "1"],
+         "antenna radius 1e+160 m is too large"),
+        ("qf_radius_m = 1e160\n", ["sweep", "--axis", "snr_db", "--values", "15"],
+         "antenna radius 1e+160 m is too large"),
+    ], ids=["loopback_snr_overflow", "sweep_snr_overflow", "loopback_snr_underflow",
+            "sweep_snr_underflow", "loopback_radius", "sweep_radius"])
+    def test_value_past_the_float_range_exits_nonzero(
+            self, tmp_path, capsys, config, argv, prefix):
+        # a linear SNR, or a squared element offset, that leaves the float
+        # range: one error line naming the value, no traceback, no CSV
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {prefix}")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("argv", [["loopback", "--frames", "1"],
+                                      ["sweep", "--axis", "snr_db", "--values", "15"]])
+    def test_large_radius_within_the_float_range_runs(self, tmp_path, argv):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("qf_radius_m = 1e150\n")
+        assert main([argv[0], "--config", str(cfg), "--out", str(tmp_path), *argv[1:]]) == 0
+        for path in tmp_path.glob("*.csv"):
+            assert "nan" not in path.read_text()
 
     def test_negative_frame_count_exits_nonzero(self, tmp_path, capsys):
         assert main(["loopback", "--out", str(tmp_path), "--frames", "-5"]) == 1

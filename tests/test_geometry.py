@@ -47,6 +47,15 @@ class TestBuildLayout:
         with pytest.raises(ValueError):
             build_layout(4, 4, 0.0, 1.0)
 
+    def test_radius_whose_squared_offsets_overflow_rejected(self):
+        # two facing antennas hold elements up to 2 (R_Q + R) apart in plane
+        with pytest.raises(GeometryError, match="antenna radius 1e\\+160 m"):
+            build_layout(4, 4, 1.0, 1e160)
+        with pytest.raises(GeometryError, match="antenna radius 1e\\+160 m"):
+            single_ring_layout(9, 1e160)
+        assert build_layout(4, 4, 1.0, 1e150).n_physical == 9
+        assert single_ring_layout(9, 1e150).n_physical == 9
+
     @pytest.mark.parametrize("elems, ratio", [(4, 1e-10), (64, 1e-8)])
     def test_cell_whose_own_elements_coincide_rejected(self, elems, ratio):
         # the sharing vector counts one cell per slot of an element
@@ -59,11 +68,12 @@ class TestBuildLayout:
 
     def test_position_round_trip(self):
         lay = build_layout(5, 6, 0.8, 2.5)
+        cell_az = 2 * np.pi * np.arange(5) / 5
+        elem_az = lay.elem_offset + 2 * np.pi * np.arange(6) / 6
         for n in range(5):
-            center = 2.5 * np.array([np.cos(lay.cell_azimuths[n]),
-                                     np.sin(lay.cell_azimuths[n])])
+            center = 2.5 * np.array([np.cos(cell_az[n]), np.sin(cell_az[n])])
             for k in range(6):
-                ang = lay.elem_azimuths[k] + lay.cell_azimuths[n]
+                ang = elem_az[k] + cell_az[n]
                 pos = center + lay.cell_radius * np.array([np.cos(ang), np.sin(ang)])
                 assert np.max(np.abs(pos - lay.positions[n, k])) < 1e-12 * 2.5
 

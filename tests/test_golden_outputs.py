@@ -3,9 +3,10 @@ command set.
 
 The set is the criterion-10 commands plus a distance sweep, a frequency
 sweep, a noisy loopback and the default gap study, all on the criterion-10
-scenario, a distance and a frequency sweep at the 8x16 grid, where the
-single-ring baselines have 97 and 128 elements (the rounding of their
-wrapped-diagonal sums and FFTs depends on the ring size), a noisy loopback
+scenario, a distance, a frequency and an SNR sweep at the 8x16 grid, where
+the single-ring baselines have 97 and 128 elements (the rounding of their
+wrapped-diagonal sums and FFTs depends on the ring size; the SNR sweep reuses
+one QF-UCA link and recomputes the ring gains at each point), a noisy loopback
 at the 8x16 grid, whose modes.csv holds the gains of all 8 exact transforms,
 a one-point distance sweep at the 16x32 grid, whose 385- and 512-element
 rings are streamed in 7 and 8 row blocks, a loopback on the Bessel-route
@@ -44,6 +45,7 @@ COMMANDS = {
     "gap_default": ("gap",),
     "sweep_distance_8x16": ("sweep", "--axis", "distance_m", "--values", "25,100,400"),
     "sweep_freq_8x16": ("sweep", "--axis", "freq_hz", "--values", "2.4e9,5.8e9,28e9"),
+    "sweep_snr_8x16": ("sweep", "--axis", "snr_db", "--values", "0,15,29"),
     "sweep_distance_16x32": ("sweep", "--axis", "distance_m", "--values", "100"),
     "loopback_noisy_8x16": ("loopback", "--frames", "20", "--noise-variance", "1e-12"),
     "loopback_bessel": ("loopback", "--frames", "3"),
@@ -53,6 +55,7 @@ COMMANDS = {
 
 # commands run on another scenario than SCENARIO
 SCENARIOS = {"sweep_distance_8x16": GRID_8X16, "sweep_freq_8x16": GRID_8X16,
+             "sweep_snr_8x16": GRID_8X16,
              "loopback_noisy_8x16": GRID_8X16, "sweep_distance_16x32": GRID_16X32,
              "loopback_bessel": BESSEL, "gap_first_uncorrected": FIRST_UNCORRECTED,
              "loopback_bessel_first_uncorrected": FIRST_UNCORRECTED
@@ -136,6 +139,10 @@ GOLDEN = {
     'sweep_freq_8x16': {
         'sweep.csv':
             'bb0d4692f6435a552fc7bbf53f0ec5bf15184dd0471ae5bc520884931926a673',
+    },
+    'sweep_snr_8x16': {
+        'sweep.csv':
+            'c1b008a68b49e98cf0a15612261a035bf025a48c128995d59cd2c0cc480250a8',
     },
     'sweep_snr_criterion_10': {
         'sweep.csv':

@@ -92,12 +92,13 @@ class TestSingleLoopUca:
     def test_ring_gains_match_link_oracle(self, scen, ring_gains, n_elements):
         # link_at on the ring antenna, with its full exact transform, is the
         # oracle for the streamed gains
-        ring = txrx.ring_antenna(n_elements, scen.qf_radius_m)
+        ring = geometry.single_ring_layout(n_elements, scen.qf_radius_m)
+        antenna = txrx.Antenna(tx=ring, rx=ring, noise_scale=txrx.noise_mode_scale(ring))
         sigma2 = txrx.noise_variance(scen)
         for d in (25.0, 400.0):
             work = replace(scen, distance_m=d)
             se = metrics._se_ring(ring, work, sigma2)
-            link = txrx.link_at(ring, work)  # scen takes the exact path
+            link = txrx.link_at(antenna, work)  # scen takes the exact path
             lam = link.lambda_coeffs[0]
             assert np.max(np.abs(ring_gains[-1] - lam)) <= 1e-14 * np.max(np.abs(lam))
             assert se == pytest.approx(metrics._se_qf_link(link, sigma2), rel=1e-14)
@@ -107,12 +108,12 @@ class TestSingleLoopUca:
                                                                n_elements):
         # the ring's row blocks (7 and 8 of them at 385 and 512) give the
         # very bits of the full channel's one-block diagonalization
-        ring = txrx.ring_antenna(n_elements, scen.qf_radius_m)
+        ring = geometry.single_ring_layout(n_elements, scen.qf_radius_m)
         for d in (25.0, 400.0):
             work = replace(scen, distance_m=d)
             metrics._se_ring(ring, work, txrx.noise_variance(scen))
             params = chan.PropagationParams.from_frequency(d, work.freq_hz, work.beta)
-            h = chan.build_block_channel(ring.tx, ring.rx, params)[0]
+            h = chan.build_block_channel(ring, ring, params)[0]
             assert np.array_equal(ring_gains[-1], diagonalize_row_blocks([h]))
 
     def test_nondecreasing_in_snr(self, scen):
@@ -142,23 +143,11 @@ class TestSiso:
             metrics.se_siso_times(0, scen)
 
 
-class TestSeGain:
-    def test_equal_inputs(self):
-        assert metrics.se_gain(3.0, 3.0) == 1.0
-
-    def test_double(self):
-        assert metrics.se_gain(4.0, 2.0) == 2.0
-
-    def test_zero_denominator(self):
-        with pytest.raises(DegenerateChannelError):
-            metrics.se_gain(1.0, 0.0)
-
-
 class TestSweeps:
     def test_empty_axis(self, scen):
         spec = metrics.SweepSpec(axis="snr_db", axis_values=(), fixed=scen,
                                  systems=("siso_xN",))
-        assert metrics.run_sweep(spec).rows == ()
+        assert metrics.run_sweep(spec) == ()
 
     def test_axis_must_increase(self, scen):
         with pytest.raises(ValueError):
@@ -181,9 +170,8 @@ class TestSweeps:
         spec = metrics.SweepSpec(axis="snr_db",
                                  axis_values=(0.0, 10.0, 20.0, 30.0),
                                  fixed=scen)
-        result = metrics.run_sweep(spec)
         by_system = {}
-        for value, system, se, _ in result.rows:
+        for value, system, se, _ in metrics.run_sweep(spec):
             by_system.setdefault(system, []).append(se)
         for system, series in by_system.items():
             assert all(b >= a for a, b in zip(series, series[1:])), system
@@ -191,7 +179,7 @@ class TestSweeps:
     def test_rows_ordered(self, scen):
         spec = metrics.SweepSpec(axis="snr_db", axis_values=(0.0, 10.0),
                                  fixed=scen, systems=("uca_n", "qf_uca"))
-        rows = metrics.run_sweep(spec).rows
+        rows = metrics.run_sweep(spec)
         assert [(r[0], r[1]) for r in rows] == [
             (0.0, "qf_uca"), (0.0, "uca_n"), (10.0, "qf_uca"), (10.0, "uca_n")]
 
@@ -222,7 +210,7 @@ class TestSweeps:
         spec = metrics.SweepSpec(axis="snr_db", axis_values=values, fixed=scen,
                                  systems=("qf_uca",))
         per_point = [metrics.se_qf_scenario(replace(scen, snr_db=v)) for v in values]
-        assert [row[2] for row in metrics.run_sweep(spec).rows] == per_point
+        assert [row[2] for row in metrics.run_sweep(spec)] == per_point
 
     def test_csv_header_and_shape(self, scen):
         spec = metrics.SweepSpec(axis="snr_db", axis_values=(), fixed=scen)
@@ -325,7 +313,7 @@ class TestSweepProperties:
         base = layout_scenario(layout)
         values = sorted(data.draw(st.sets(AXIS_VALUES[axis], min_size=1, max_size=3)))
         rows = metrics.run_sweep(metrics.SweepSpec(axis=axis, axis_values=values,
-                                                   fixed=base)).rows
+                                                   fixed=base))
         n_physical = geometry.build_layout(*layout, base.qf_radius_m).n_physical
         expect = []
         for x in values:
@@ -349,7 +337,7 @@ class TestSweepProperties:
     def test_se_nondecreasing_in_snr(self, layout, snrs):
         spec = metrics.SweepSpec(axis="snr_db", axis_values=sorted(snrs),
                                  fixed=layout_scenario(layout))
-        for system, series in rows_by_system(metrics.run_sweep(spec).rows).items():
+        for system, series in rows_by_system(metrics.run_sweep(spec)).items():
             se = [value for _, value in series]
             assert all(b >= a for a, b in zip(se, se[1:])), system
 
@@ -361,7 +349,7 @@ class TestSweepProperties:
                                  systems=("siso_xN",))
         n = geometry.build_layout(*layout, base.qf_radius_m).n_physical
         eps = np.finfo(float).eps
-        for snr_db, se in rows_by_system(metrics.run_sweep(spec).rows)["siso_xN"]:
+        for snr_db, se in rows_by_system(metrics.run_sweep(spec))["siso_xN"]:
             # exact up to the rounding of the SNR's round trip through sigma^2
             expect = n * math.log2(1 + 10 ** (snr_db / 10))
             assert math.isclose(se, expect, rel_tol=1e-14, abs_tol=4 * n * eps)

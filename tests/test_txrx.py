@@ -113,7 +113,7 @@ class TestConstellation:
 
     def test_non_unit_energy_rejected(self):
         with pytest.raises(ValueError):
-            txrx.Constellation(name="bad", points=np.array([2.0 + 0j]))
+            txrx.Constellation(points=np.array([2.0 + 0j]))
 
 
 class TestSymbolGrid:
@@ -397,11 +397,10 @@ class TestNoiseModeScale:
 
     @pytest.mark.parametrize("n_elements", [1, 9, 385, 512])
     def test_ring_antenna_scale_is_exactly_one(self, n_elements):
-        # one cell: no split, no compensation and a unitary inner DFT
-        ring = txrx.ring_antenna(n_elements, 1.0)
-        assert np.array_equal(ring.noise_scale, np.ones((1, n_elements)))
-        computed = txrx.noise_mode_scale(ring.rx)
-        assert np.max(np.abs(computed - ring.noise_scale)) <= 4 * np.finfo(float).eps
+        # one cell: no split, no compensation and a unitary inner DFT, so a
+        # ring's efficiency takes sigma^2 itself as every mode's noise
+        computed = txrx.noise_mode_scale(single_ring_layout(n_elements, 1.0))
+        assert np.max(np.abs(computed - np.ones((1, n_elements)))) <= 4 * np.finfo(float).eps
 
 
 class TestBuildLink:
@@ -435,8 +434,9 @@ class TestEndToEnd:
         # |Lambda|^2 |s|^2 / sigma^2 recomputed independently
         expect = np.abs(link9.lambda_coeffs) ** 2 * link9.power_alloc \
             / (link9.sigma2 * link9.noise_scale)
-        assert np.max(np.abs(txrx.mode_diagnostics(link9).snr - expect)
-                      / np.maximum(expect, 1e-30)) < 1e-9
+        diags = txrx.mode_diagnostics(link9)
+        snr = diags.signal_power / diags.noise_power
+        assert np.max(np.abs(snr - expect) / np.maximum(expect, 1e-30)) < 1e-9
 
     def test_zero_signal_gives_tiebreak_and_zero_sinr(self, link9):
         # with no power every candidate of every mode ties at distance 0;
@@ -446,7 +446,8 @@ class TestEndToEnd:
         report = txrx.run_loopback(silent, 3)
         assert report.near_ties == report.symbols_counted
         assert report.symbol_errors == 0
-        assert np.all(txrx.mode_diagnostics(silent).snr == 0)
+        diags = txrx.mode_diagnostics(silent)
+        assert np.all(diags.signal_power / diags.noise_power == 0)
 
     def test_loopback_deterministic(self, link9):
         a = txrx.run_loopback(link9, 3)
