@@ -115,6 +115,21 @@ def physical_gain_matrix(tx: Layout, rx: Layout,
     return free_space_gain(rp[:, None, :] - tp[None, :, :], params)
 
 
+def check_element_distances(tx: Layout, rx: Layout, params: PropagationParams):
+    """Reject antennas whose element distances the channel cannot square:
+    elements reach R_Q + R from the axis (a ring's R_Q is 0), so in plane
+    they lie up to the two reaches apart, across the boresight gap D
+    (Python float sums of squares overflow to inf silently)."""
+    span = float(tx.qf_radius + tx.cell_radius + rx.qf_radius + rx.cell_radius)
+    d = float(params.distance_m)
+    if not np.isfinite(d * d + span * span):
+        # a QF antenna's radius is R_Q, a ring's is its cell radius
+        radius = max(tx.qf_radius, tx.cell_radius)
+        raise ValueError(f"distance {d!r} m and antenna radius {float(radius)!r} m are too "
+                         "large together for the channel model: the square of their "
+                         "element distances leaves the float range")
+
+
 def build_block_channel(tx: Layout, rx: Layout,
                         params: PropagationParams) -> np.ndarray:
     """The (N, V, K) sub-channels H_q of the block-circulant logical channel,
@@ -127,6 +142,7 @@ def build_block_channel(tx: Layout, rx: Layout,
     """
     if tx.n_cells != rx.n_cells:
         raise ValueError("unsupported configuration: cell counts must match")
+    check_element_distances(tx, rx, params)
     lv = rx.sharing_freqs.astype(float)
     h = free_space_gain(rx.positions[0][None, :, None, :] - tx.positions[:, None, :, :],
                         params)
@@ -224,7 +240,6 @@ def superposition_gap(exact: np.ndarray, diagonals: np.ndarray) -> np.ndarray:
 
 
 def approx_gap(tx: Layout, rx: Layout, params: PropagationParams,
-               channel: np.ndarray | None = None,
                j_order: str = "matched", correction: bool = True) -> float:
     """Relative squared Frobenius gap between the aligned (q = 0) summand of
     the exact transforms, W^H L H_0 W, and its diagonal Bessel
@@ -233,8 +248,7 @@ def approx_gap(tx: Layout, rx: Layout, params: PropagationParams,
     DegenerateChannelError.  The gap against the full superposition over
     offsets is `superposition_gap`.
     """
-    if channel is None:
-        channel = build_block_channel(tx, rx, params)
+    channel = build_block_channel(tx, rx, params)
     w = idft_matrix(tx.elems_per_cell)
     exact = w.conj().T @ (rx.sharing_freqs[:, None] * channel[0]) @ w
     approx = np.diag(diag_approx_block(tx, rx, params, 0, j_order, correction))

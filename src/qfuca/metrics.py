@@ -4,7 +4,10 @@ SNR convention: snr = total_power * (beta lambda / 4 pi D)^2 / sigma^2, so an
 n-fold single-antenna reference at SNR x reaches exactly n log2(1 + x).  For
 distance sweeps the noise variance is anchored once at the scenario's base
 distance, so every system's efficiency falls with distance; SNR-axis sweeps
-recompute the variance per point.
+recompute the variance per point.  `run_sweep` is the one place that
+chooses sigma^2; each system's efficiency takes it as an argument
+(`se_qf` on a link's arrays, `se_single_loop_uca` on a ring layout,
+`se_siso_times` on an element count).
 
 A sweep builds its antennas once (`txrx.build_antenna` for the QF-UCA pair,
 `geometry.single_ring_layout` for the two single-loop baselines): layouts
@@ -35,7 +38,9 @@ from .config import Scenario
 from .errors import DegenerateChannelError
 from .geometry import Layout, single_ring_layout
 from .linalg import diagonalize_row_blocks
-from .txrx import Link, build_antenna, build_link, link_at, noise_variance
+# build_link is imported but not called: perfbench's tracer self-test checks
+# that tracing rebinds it here as a re-exported name
+from .txrx import build_antenna, build_link, link_at, noise_variance  # noqa: F401
 
 SWEEP_AXES = ("snr_db", "distance_m", "freq_hz")
 SYSTEMS = ("qf_uca", "uca_n", "uca_bigger", "siso_xN")
@@ -64,21 +69,10 @@ def se_qf(lambda_coeffs: np.ndarray, power_alloc: np.ndarray,
     return float(np.sum(np.log2(1.0 + signal[active] / nz[active])))
 
 
-def se_single_loop_uca(n_elements: int, scenario: Scenario,
-                       distance_m: float | None = None) -> float:
-    """Single-loop UCA baseline: one ring of n elements at the antenna radius,
-    evaluated as the single-cell reduction of the QF efficiency, with the
-    exact per-mode gains taken in O(n^2) (see `_se_ring`)."""
-    if n_elements < 1:
-        raise ValueError("n_elements must be >= 1")
-    work = scenario if distance_m is None else replace(scenario, distance_m=distance_m)
-    return _se_ring(single_ring_layout(n_elements, scenario.qf_radius_m), work,
-                    noise_variance(scenario))
-
-
-def _se_ring(ring: Layout, scenario: Scenario, sigma2: float) -> float:
-    """Efficiency of a ring facing an identical ring at the scenario's
-    distance and carrier.
+def se_single_loop_uca(ring: Layout, scenario: Scenario, sigma2: float) -> float:
+    """Single-loop UCA baseline: the efficiency of a ring facing an
+    identical ring at the scenario's distance and carrier, the single-cell
+    reduction of the QF efficiency.
 
     A one-cell ring has L = I (no split factor, no phase compensation and a
     unitary inner DFT, so every mode sees exactly sigma^2;
@@ -92,6 +86,7 @@ def _se_ring(ring: Layout, scenario: Scenario, sigma2: float) -> float:
     the exact ones, whatever the scenario's lambda_path."""
     params = chan.PropagationParams.from_frequency(
         scenario.distance_m, scenario.freq_hz, scenario.beta)
+    chan.check_element_distances(ring, ring, params)
     pos = ring.positions[0]
     blocks = (chan.free_space_gain(pos[r:r + RING_ROW_BLOCK, None, :] - pos[None, :, :], params)
               for r in range(0, pos.shape[0], RING_ROW_BLOCK))
@@ -100,27 +95,14 @@ def _se_ring(ring: Layout, scenario: Scenario, sigma2: float) -> float:
     return se_qf(lam, np.full((1, n), scenario.total_power / n), np.full((1, n), sigma2))
 
 
-def se_siso_times(n: int, scenario: Scenario, distance_m: float | None = None,
-                  sigma2: float | None = None) -> float:
+def se_siso_times(n: int, scenario: Scenario, sigma2: float) -> float:
     """n-fold single-antenna reference: n log2(1 + received SNR)."""
     if n < 1:
         raise ValueError("multiplier must be >= 1")
-    d = scenario.distance_m if distance_m is None else distance_m
-    g = chan.PropagationParams.from_frequency(d, scenario.freq_hz, scenario.beta).reference_gain
-    s2 = noise_variance(scenario) if sigma2 is None else sigma2
-    snr = scenario.total_power * g ** 2 / s2
+    g = chan.PropagationParams.from_frequency(
+        scenario.distance_m, scenario.freq_hz, scenario.beta).reference_gain
+    snr = scenario.total_power * g ** 2 / sigma2
     return float(n * np.log2(1.0 + snr))
-
-
-def se_qf_scenario(scenario: Scenario, distance_m: float | None = None) -> float:
-    """QF-UCA spectrum efficiency for a scenario, optionally at an overridden
-    distance with the noise variance anchored at the scenario's own."""
-    work = scenario if distance_m is None else replace(scenario, distance_m=distance_m)
-    return _se_qf_link(build_link(work), noise_variance(scenario))
-
-
-def _se_qf_link(link: Link, sigma2: float) -> float:
-    return se_qf(link.lambda_coeffs, link.power_alloc, sigma2 * link.noise_scale)
 
 
 @dataclass(frozen=True)
@@ -171,24 +153,19 @@ def run_sweep(spec: SweepSpec) -> tuple:
     anchor_sigma2 = noise_variance(base)
     qf_link = None
     for value in spec.axis_values:
-        if spec.axis == "snr_db":
-            scen = replace(base, snr_db=value)
-            s2 = noise_variance(scen)
-        elif spec.axis == "distance_m":
-            scen, s2 = replace(base, distance_m=value), anchor_sigma2
-        else:
-            scen = replace(base, freq_hz=value)
-            s2 = noise_variance(scen)
+        scen = replace(base, **{spec.axis: value})
+        s2 = anchor_sigma2 if spec.axis == "distance_m" else noise_variance(scen)
         for system in systems:
             if system == "qf_uca":
                 # SNR enters only through s2, so one link serves the SNR axis
                 if qf_link is None or spec.axis != "snr_db":
                     qf_link = link_at(qf, scen)
-                se = _se_qf_link(qf_link, s2)
+                se = se_qf(qf_link.lambda_coeffs, qf_link.power_alloc,
+                           s2 * qf_link.noise_scale)
             elif system == "siso_xN":
-                se = se_siso_times(n_elements, scen, sigma2=s2)
+                se = se_siso_times(n_elements, scen, s2)
             else:
-                se = _se_ring(rings[system], scen, s2)
+                se = se_single_loop_uca(rings[system], scen, s2)
             rows.append((value, system, se, ""))
     return tuple(rows)
 

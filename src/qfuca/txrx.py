@@ -281,7 +281,12 @@ def noise_variance(scenario) -> float:
     at its own distance and carrier, over its linear SNR."""
     g = chan.PropagationParams.from_frequency(
         scenario.distance_m, scenario.freq_hz, scenario.beta).reference_gain
-    return scenario.total_power * g ** 2 / scenario.snr_linear
+    sigma2 = scenario.total_power * g ** 2 / scenario.snr_linear
+    if not np.isfinite(sigma2):
+        raise ValueError(f"snr_db {scenario.snr_db!r} with total_power "
+                         f"{scenario.total_power!r} puts the noise variance "
+                         "out of the float range")
+    return sigma2
 
 
 def link_at(antenna: Antenna, scenario) -> Link:

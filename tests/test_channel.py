@@ -324,13 +324,12 @@ class TestDiagApprox:
         approx = chan.diag_approx_block(lay, lay, params100, 0)
         scale = np.max(np.abs(eig))
         assert np.max(np.abs(approx - eig)) < 0.01 * scale
-        gap = chan.approx_gap(lay, lay, params100, channel=bc)
+        gap = chan.approx_gap(lay, lay, params100)
         assert gap < 5e-5  # frozen: 2.87e-5 at K=8, D=100
 
     def test_aligned_gap_frozen_at_k4(self, qf9, params100):
         lay, _ = qf9
-        bc = chan.build_block_channel(lay, lay, params100)
-        gap = chan.approx_gap(lay, lay, params100, channel=bc)
+        gap = chan.approx_gap(lay, lay, params100)
         assert gap == pytest.approx(2.894258e-2, rel=1e-3)
 
     def test_quadrature_bracket_against_independent_quadrature(self, params100):
@@ -385,12 +384,13 @@ class TestDiagApprox:
 
 
 class TestApproxGap:
-    def test_gap_zero_when_approximation_is_exact(self, qf9, params100):
+    def test_gap_zero_when_approximation_is_exact(self, qf9, params100, monkeypatch):
         # denominator structure: a null channel is degenerate
         lay, _ = qf9
         zero = np.zeros((4, 4, 4), dtype=complex)
+        monkeypatch.setattr(chan, "build_block_channel", lambda *args: zero)
         with pytest.raises(DegenerateChannelError):
-            chan.approx_gap(lay, lay, params100, channel=zero)
+            chan.approx_gap(lay, lay, params100)
 
     def test_full_superposition_gap_matches_mode_channel(self, qf9, params100):
         lay, _ = qf9

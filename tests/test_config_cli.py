@@ -12,6 +12,11 @@ from qfuca.errors import ConfigError
 
 FLOAT_KEYS = [f.name for f in fields(Scenario) if isinstance(getattr(Scenario(), f.name), float)]
 
+# each passes its own overflow check, but D^2 plus the squared element
+# span (2 (R_Q + R))^2 overflows
+FAR_AND_WIDE = "distance_m = 1.3e154\nqf_radius_m = 3e153\n"
+DISTANCE_AND_RADIUS = "distance 1.3e+154 m and antenna radius 3e+153 m are too large together"
+
 
 class TestParseConfig:
     def test_empty_text_gives_defaults(self):
@@ -232,12 +237,28 @@ class TestCli:
          "antenna radius 1e+160 m is too large"),
         ("qf_radius_m = 1e160\n", ["sweep", "--axis", "snr_db", "--values", "15"],
          "antenna radius 1e+160 m is too large"),
+        (FAR_AND_WIDE, ["loopback", "--frames", "1"], DISTANCE_AND_RADIUS),
+        (FAR_AND_WIDE, ["sweep", "--axis", "snr_db", "--values", "15"], DISTANCE_AND_RADIUS),
+        ("qf_radius_m = 3e153\n", ["sweep", "--axis", "distance_m", "--values", "1.3e154"],
+         DISTANCE_AND_RADIUS),
+        ("qf_radius_m = 3e153\n", ["gap", "--values", "1.3e154", "--elems", "4"],
+         DISTANCE_AND_RADIUS),
+        ("snr_db = -3200\n", ["loopback", "--frames", "1"],
+         "snr_db -3200.0 with total_power 1.0 "),
+        ("snr_db = -3200\n", ["sweep", "--axis", "distance_m", "--values", "100"],
+         "snr_db -3200.0 with total_power 1.0 "),
+        ("total_power = 1e300\n", ["sweep", "--axis", "snr_db", "--values", "-200"],
+         "snr_db -200.0 with total_power 1e+300 "),
     ], ids=["loopback_snr_overflow", "sweep_snr_overflow", "loopback_snr_underflow",
-            "sweep_snr_underflow", "loopback_radius", "sweep_radius"])
+            "sweep_snr_underflow", "loopback_radius", "sweep_radius",
+            "loopback_distance_and_radius", "sweep_distance_and_radius",
+            "distance_sweep_distance_and_radius", "gap_distance_and_radius",
+            "loopback_sigma2", "sweep_sigma2", "sweep_sigma2_total_power"])
     def test_value_past_the_float_range_exits_nonzero(
             self, tmp_path, capsys, config, argv, prefix):
-        # a linear SNR, or a squared element offset, that leaves the float
-        # range: one error line naming the value, no traceback, no CSV
+        # a linear SNR, a squared element offset or element distance, or a
+        # noise variance that leaves the float range: one error line naming
+        # the values, no traceback, no CSV
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(config)
         out = tmp_path / "out"
@@ -249,11 +270,16 @@ class TestCli:
         assert err.count("\n") == 1
         assert not list(tmp_path.rglob("*.csv"))
 
-    @pytest.mark.parametrize("argv", [["loopback", "--frames", "1"],
-                                      ["sweep", "--axis", "snr_db", "--values", "15"]])
-    def test_large_radius_within_the_float_range_runs(self, tmp_path, argv):
+    @pytest.mark.parametrize("config, argv", [
+        ("qf_radius_m = 1e150\n", ["loopback", "--frames", "1"]),
+        ("qf_radius_m = 1e150\n", ["sweep", "--axis", "snr_db", "--values", "15"]),
+        ("distance_m = 1e154\nqf_radius_m = 1e150\n", ["loopback", "--frames", "1"]),
+        ("distance_m = 1e154\nqf_radius_m = 1e150\n",
+         ["sweep", "--axis", "snr_db", "--values", "15"]),
+    ], ids=["argv0", "argv1", "far_loopback", "far_sweep"])
+    def test_large_radius_within_the_float_range_runs(self, tmp_path, config, argv):
         cfg = tmp_path / "scenario.cfg"
-        cfg.write_text("qf_radius_m = 1e150\n")
+        cfg.write_text(config)
         assert main([argv[0], "--config", str(cfg), "--out", str(tmp_path), *argv[1:]]) == 0
         for path in tmp_path.glob("*.csv"):
             assert "nan" not in path.read_text()

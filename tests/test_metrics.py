@@ -16,6 +16,7 @@ from qfuca.config import Scenario
 from qfuca.errors import DegenerateChannelError
 from qfuca.linalg import diagonalize_row_blocks
 
+import reference
 from layouts import admissible_layouts
 
 
@@ -56,7 +57,7 @@ class TestSeQf:
     def test_regression_9_element(self, scen):
         # frozen from the package's own exact path, cross-checked against an
         # independent recomputation outside the package
-        assert metrics.se_qf_scenario(scen) == pytest.approx(54.42570603172034, rel=1e-9)
+        assert reference.se_qf_scenario(scen) == pytest.approx(54.42570603172034, rel=1e-9)
 
 
 class TestSingleLoopUca:
@@ -72,11 +73,12 @@ class TestSingleLoopUca:
         sigma2 = scen.total_power * params.reference_gain ** 2 / scen.snr_linear
         manual = metrics.se_qf(lam, np.full((1, 9), 1 / 9),
                                sigma2 * noise_mode_scale(ring))
-        assert metrics.se_single_loop_uca(9, scen) == pytest.approx(manual, rel=1e-12)
+        assert metrics.se_single_loop_uca(ring, scen, txrx.noise_variance(scen)) \
+            == pytest.approx(manual, rel=1e-12)
 
     @pytest.fixture
     def ring_gains(self, monkeypatch):
-        """The list of the gains _se_ring takes from the streamed
+        """The list of the gains se_single_loop_uca takes from the streamed
         wrapped-diagonal sums, one entry per call."""
         seen = []
         real = metrics.diagonalize_row_blocks
@@ -97,11 +99,12 @@ class TestSingleLoopUca:
         sigma2 = txrx.noise_variance(scen)
         for d in (25.0, 400.0):
             work = replace(scen, distance_m=d)
-            se = metrics._se_ring(ring, work, sigma2)
+            se = metrics.se_single_loop_uca(ring, work, sigma2)
             link = txrx.link_at(antenna, work)  # scen takes the exact path
             lam = link.lambda_coeffs[0]
             assert np.max(np.abs(ring_gains[-1] - lam)) <= 1e-14 * np.max(np.abs(lam))
-            assert se == pytest.approx(metrics._se_qf_link(link, sigma2), rel=1e-14)
+            assert se == pytest.approx(metrics.se_qf(link.lambda_coeffs, link.power_alloc,
+                                                     sigma2 * link.noise_scale), rel=1e-14)
 
     @pytest.mark.parametrize("n_elements", [97, 128, 385, 512])
     def test_streamed_ring_gains_bit_identical_to_full_channel(self, scen, ring_gains,
@@ -111,36 +114,38 @@ class TestSingleLoopUca:
         ring = geometry.single_ring_layout(n_elements, scen.qf_radius_m)
         for d in (25.0, 400.0):
             work = replace(scen, distance_m=d)
-            metrics._se_ring(ring, work, txrx.noise_variance(scen))
+            metrics.se_single_loop_uca(ring, work, txrx.noise_variance(scen))
             params = chan.PropagationParams.from_frequency(d, work.freq_hz, work.beta)
             h = chan.build_block_channel(ring, ring, params)[0]
             assert np.array_equal(ring_gains[-1], diagonalize_row_blocks([h]))
 
     def test_nondecreasing_in_snr(self, scen):
-        values = [metrics.se_single_loop_uca(9, replace(scen, snr_db=s))
+        values = [reference.se_single_loop_uca(9, replace(scen, snr_db=s))
                   for s in (0.0, 5.0, 10.0, 15.0, 20.0, 30.0)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_regression_baselines(self, scen):
-        assert metrics.se_single_loop_uca(9, scen) == pytest.approx(
+        assert reference.se_single_loop_uca(9, scen) == pytest.approx(
             26.391306688982205, rel=1e-9)
-        assert metrics.se_single_loop_uca(16, scen) == pytest.approx(
+        assert reference.se_single_loop_uca(16, scen) == pytest.approx(
             30.895378217335114, rel=1e-9)
 
 
 class TestSiso:
     def test_unit_snr(self, scen):
         # SNR = 1 linear: n log2(2) = n
-        assert metrics.se_siso_times(9, replace(scen, snr_db=0.0)) \
+        unit = replace(scen, snr_db=0.0)
+        assert metrics.se_siso_times(9, unit, txrx.noise_variance(unit)) \
             == pytest.approx(9.0, rel=1e-12)
 
     def test_25x_at_15db(self, scen):
         expect = 25 * math.log2(1 + 10 ** 1.5)
-        assert metrics.se_siso_times(25, scen) == pytest.approx(expect, rel=1e-12)
+        assert metrics.se_siso_times(25, scen, txrx.noise_variance(scen)) \
+            == pytest.approx(expect, rel=1e-12)
 
     def test_multiplier_validation(self, scen):
         with pytest.raises(ValueError):
-            metrics.se_siso_times(0, scen)
+            metrics.se_siso_times(0, scen, txrx.noise_variance(scen))
 
 
 class TestSweeps:
@@ -194,7 +199,7 @@ class TestSweeps:
         calls = count_calls(metrics, "link_at")
         exact_calls = count_calls(chan, "detection_coeffs")
         channel_calls = count_calls(chan, "build_block_channel")
-        ring_calls = count_calls(metrics, "_se_ring")
+        ring_calls = count_calls(metrics, "se_single_loop_uca")
         spec = metrics.SweepSpec(axis=axis, axis_values=values, fixed=scen)
         metrics.run_sweep(spec)
         assert all(args[0].tx.n_cells == scen.n_cells for args in calls)
@@ -209,8 +214,23 @@ class TestSweeps:
         values = (0.0, 10.0, 20.0)
         spec = metrics.SweepSpec(axis="snr_db", axis_values=values, fixed=scen,
                                  systems=("qf_uca",))
-        per_point = [metrics.se_qf_scenario(replace(scen, snr_db=v)) for v in values]
+        per_point = [reference.se_qf_scenario(replace(scen, snr_db=v)) for v in values]
         assert [row[2] for row in metrics.run_sweep(spec)] == per_point
+
+    @pytest.mark.parametrize("axis, values", [
+        ("snr_db", (0.0, 15.0)), ("distance_m", (50.0, 200.0)), ("freq_hz", (2.4e9, 5.8e9))])
+    def test_subset_sweeps_equal_the_full_sweep_rows(self, scen, count_calls, axis, values):
+        # uca_bigger alone needs no QF antenna; every subset gives the full
+        # sweep's rows for its systems, bit for bit
+        full = metrics.run_sweep(metrics.SweepSpec(axis=axis, axis_values=values, fixed=scen))
+        antenna_calls = count_calls(metrics, "build_antenna")
+        for systems in (("uca_bigger",), ("siso_xN", "uca_n")):
+            spec = metrics.SweepSpec(axis=axis, axis_values=values, fixed=scen,
+                                     systems=systems)
+            rows = metrics.run_sweep(spec)
+            if systems == ("uca_bigger",):
+                assert antenna_calls == []
+            assert rows == tuple(row for row in full if row[1] in systems)
 
     def test_csv_header_and_shape(self, scen):
         spec = metrics.SweepSpec(axis="snr_db", axis_values=(), fixed=scen)
@@ -266,6 +286,7 @@ MEMORY_PROBE = """
 import tracemalloc
 from qfuca import metrics, txrx
 from qfuca.config import Scenario
+from qfuca.geometry import single_ring_layout
 
 def traced_peak(fn):
     tracemalloc.start()
@@ -279,7 +300,9 @@ base = Scenario(n_cells=16, tx_elems=32, rx_elems=32)
 spec = metrics.SweepSpec(axis="distance_m", axis_values=(25.0, 50.0, 100.0, 200.0),
                          fixed=base)
 sweep = traced_peak(lambda: metrics.run_sweep(spec))
-ring = traced_peak(lambda: metrics.se_single_loop_uca(base.n_cells * base.tx_elems, base))
+ring = traced_peak(lambda: metrics.se_single_loop_uca(
+    single_ring_layout(base.n_cells * base.tx_elems, base.qf_radius_m), base,
+    txrx.noise_variance(base)))
 qf = txrx.build_antenna(base)
 link = traced_peak(lambda: txrx.link_at(qf, base))
 print(sweep, ring, link)
@@ -323,11 +346,11 @@ class TestSweepProperties:
             else:
                 scen, d = replace(base, **{axis: x}), None
             per_system = {
-                "qf_uca": metrics.se_qf_scenario(scen, distance_m=d),
-                "siso_xN": metrics.se_siso_times(n_physical, scen, distance_m=d),
-                "uca_bigger": metrics.se_single_loop_uca(base.n_cells * base.tx_elems,
-                                                         scen, distance_m=d),
-                "uca_n": metrics.se_single_loop_uca(n_physical, scen, distance_m=d),
+                "qf_uca": reference.se_qf_scenario(scen, distance_m=d),
+                "siso_xN": reference.se_siso_times(n_physical, scen, distance_m=d),
+                "uca_bigger": reference.se_single_loop_uca(base.n_cells * base.tx_elems,
+                                                           scen, distance_m=d),
+                "uca_n": reference.se_single_loop_uca(n_physical, scen, distance_m=d),
             }
             expect += [(x, system, per_system[system], "") for system in sorted(per_system)]
         assert list(rows) == expect
