@@ -12,8 +12,10 @@ a one-point distance sweep at the 16x32 grid, whose 385- and 512-element
 rings are streamed in 7 and 8 row blocks, a loopback on the Bessel-route
 detection coefficients (lambda_path = bessel), and a gap study and a
 Bessel-route loopback with the first-order, uncorrected closed form
-(bessel_order = first, bessel_correction = off).  A change that alters any output
-byte on purpose must say so in CHANGES.md and re-record the hashes with
+(bessel_order = first, bessel_correction = off).  The stdout of the commands
+whose printout names no path (the loopbacks and `geometry`) is pinned as
+text.  A change that alters any output byte on purpose must say so in
+CHANGES.md and re-record the hashes and printouts with
 `python tests/test_golden_outputs.py`.
 """
 
@@ -150,6 +152,33 @@ GOLDEN = {
     },
 }
 
+# the printout of every command of the set that names no output path
+STDOUT = {
+    'geometry':
+        'tx: 9 physical elements, sharing [1, 2, 4, 2]\n'
+        'rx: 9 physical elements, sharing [1, 2, 4, 2]\n',
+    'loopback_bessel':
+        'frames: 3  symbol errors: 26/48  SER: 0.5416666666666666\n'
+        'degenerate modes: 0  max interference-to-signal: 2.7706590930745727\n'
+        'ML near-ties: 0\n',
+    'loopback_bessel_first_uncorrected':
+        'frames: 3  symbol errors: 36/48  SER: 0.75\n'
+        'degenerate modes: 0  max interference-to-signal: 12.740274388453317\n'
+        'ML near-ties: 0\n',
+    'loopback_criterion_10':
+        'frames: 3  symbol errors: 27/48  SER: 0.5625\n'
+        'degenerate modes: 0  max interference-to-signal: 3.000000000000006\n'
+        'ML near-ties: 4\n',
+    'loopback_noisy':
+        'frames: 20  symbol errors: 136/320  SER: 0.425\n'
+        'degenerate modes: 0  max interference-to-signal: 3.000000000000006\n'
+        'ML near-ties: 0\n',
+    'loopback_noisy_8x16':
+        'frames: 20  symbol errors: 1588/2560  SER: 0.6203125\n'
+        'degenerate modes: 0  max interference-to-signal: 7434.257965944499\n'
+        'ML near-ties: 0\n',
+}
+
 
 def run_hashes(name: str, work: Path) -> dict:
     """Run one command of the set under `work`; sha256 of each CSV written."""
@@ -167,14 +196,30 @@ def test_csv_bytes_match_golden_hashes(tmp_path, name):
     assert run_hashes(name, tmp_path) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(STDOUT))
+def test_stdout_matches_golden(tmp_path, capsys, name):
+    run_hashes(name, tmp_path)
+    assert capsys.readouterr().out == STDOUT[name]
+
+
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp, \
-            contextlib.redirect_stdout(io.StringIO()):
-        recorded = {name: run_hashes(name, Path(tmp)) for name in sorted(COMMANDS)}
+    recorded, printed = {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(COMMANDS):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                recorded[name] = run_hashes(name, Path(tmp))
+            printed[name] = buf.getvalue()
     sys.stdout.write("GOLDEN = {\n")
     for name, hashes in recorded.items():
         sys.stdout.write(f"    {name!r}: {{\n")
         for fname, digest in hashes.items():
             sys.stdout.write(f"        {fname!r}:\n            {digest!r},\n")
         sys.stdout.write("    },\n")
+    sys.stdout.write("}\n\nSTDOUT = {\n")
+    for name in sorted(STDOUT):
+        lines = printed[name].splitlines(keepends=True)
+        sys.stdout.write(f"    {name!r}:\n")
+        sys.stdout.write("".join(f"        {line!r}\n" for line in lines[:-1]))
+        sys.stdout.write(f"        {lines[-1]!r},\n")
     sys.stdout.write("}\n")
