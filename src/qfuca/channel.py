@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateChannelError, DimensionError, DomainError
+from .errors import DimensionError, DomainError
 from .geometry import Layout
 from .linalg import MAX_BESSEL_ARG, bessel_j, idft_matrix
 
@@ -73,15 +73,19 @@ class PropagationParams:
             raise ValueError("distance, wavelength, beta, and frequency must be finite")
         if self.distance_m <= 0 or self.wavelength_m <= 0 or self.beta <= 0:
             raise ValueError("distance, wavelength, beta, and frequency must be positive")
-        # sigma^2 takes the squared boresight gain and every element distance
-        # the squared distance (Python float products overflow to inf silently)
+        # element distances take D^2 and sigma^2 takes the squared boresight
+        # gain (Python float products overflow to inf, underflow to 0 silently)
         g, d = float(self.reference_gain), float(self.distance_m)
-        if not (np.isfinite(g * g) and d * d > 0):
+        if not d * d > 0:
             raise ValueError(f"distance {self.distance_m!r} m is too short for the channel "
-                             "model: its squared boresight gain or distance leaves the float range")
+                             "model: its square leaves the float range")
         if not np.isfinite(d * d):
             raise ValueError(f"distance {self.distance_m!r} m is too long for the channel "
                              "model: its square leaves the float range")
+        if not (np.isfinite(g * g) and g * g > 0):
+            raise ValueError(f"distance {self.distance_m!r} m, wavelength "
+                             f"{self.wavelength_m!r} m and beta {self.beta!r} put the "
+                             "squared boresight gain out of the float range")
 
     @classmethod
     def from_frequency(cls, distance_m: float, freq_hz: float,
@@ -243,19 +247,13 @@ def approx_gap(tx: Layout, rx: Layout, params: PropagationParams,
                j_order: str = "matched", correction: bool = True) -> float:
     """Relative squared Frobenius gap between the aligned (q = 0) summand of
     the exact transforms, W^H L H_0 W, and its diagonal Bessel
-    approximation.  Both phase factors e^{j 2 pi p q / N} are 1 at q = 0,
-    so the gap is the same for every branch p.  A null summand raises
-    DegenerateChannelError.  The gap against the full superposition over
-    offsets is `superposition_gap`.
+    approximation: `superposition_gap` over the one offset q = 0.  Both
+    phase factors e^{j 2 pi p q / N} are 1 at q = 0, so the gap is the same
+    for every branch p.  A null summand has gap inf.
     """
-    channel = build_block_channel(tx, rx, params)
-    w = idft_matrix(tx.elems_per_cell)
-    exact = w.conj().T @ (rx.sharing_freqs[:, None] * channel[0]) @ w
-    approx = np.diag(diag_approx_block(tx, rx, params, 0, j_order, correction))
-    denom = np.linalg.norm(exact, "fro") ** 2
-    if denom <= 0.0:
-        raise DegenerateChannelError("null channel has no relative gap")
-    return float(np.linalg.norm(exact - approx, "fro") ** 2 / denom)
+    aligned = detection_coeffs(build_block_channel(tx, rx, params)[:1], rx)
+    diagonal = diag_approx_block(tx, rx, params, 0, j_order, correction)
+    return float(superposition_gap(aligned, diagonal[None, None])[0])
 
 
 def detection_coeffs(channel: np.ndarray, rx: Layout) -> np.ndarray:

@@ -105,22 +105,23 @@ def cmd_loopback(args) -> int:
     mode_lines = ["p,l,lambda_re,lambda_im,sigma2,signal_power,interference_power,noise_power"]
     p_modes = chan.mode_values(link.n_inter)
     l_modes = chan.mode_values(link.n_inner)
-    diags = report.diagnostics
+    signal, interference, noise_power = \
+        link.signal_power, link.interference_power, link.noise_power
     for pi in range(link.n_inter):
         for li in range(link.n_inner):
             lam = link.lambda_coeffs[pi, li]
-            noise = float(diags.noise_power[pi, li])
+            noise = float(noise_power[pi, li])
             mode_lines.append(
                 f"{int(p_modes[pi])},{int(l_modes[li])},{float(lam.real)!r},{float(lam.imag)!r},"
-                f"{noise!r},{float(diags.signal_power[pi, li])!r},"
-                f"{float(diags.interference_power[pi, li])!r},{noise!r}")
+                f"{noise!r},{float(signal[pi, li])!r},"
+                f"{float(interference[pi, li])!r},{noise!r}")
     _write(out, "modes.csv", "\n".join(mode_lines) + "\n")
     _write(out, "channel.csv", chan.channel_csv(link.subchannels))
 
     print(f"frames: {report.frames}  symbol errors: {report.symbol_errors}"
           f"/{report.symbols_counted}  SER: {report.ser!r}")
     print(f"degenerate modes: {report.degenerate_modes}  "
-          f"max interference-to-signal: {report.max_interference_to_signal!r}")
+          f"max interference-to-signal: {link.max_interference_to_signal!r}")
     print(f"ML near-ties: {report.near_ties}")
     return 0
 

@@ -265,15 +265,6 @@ def slot_group_sum(layout: Layout, logical: np.ndarray) -> np.ndarray:
     return out
 
 
-def duplicate_to_slots(layout: Layout, physical: np.ndarray) -> np.ndarray:
-    """Expand per-physical-element values (last axis) to the (n_cells, elems)
-    slot grid; leading axes index frames."""
-    phys = np.asarray(physical, dtype=complex)
-    if phys.shape[-1:] != (layout.n_physical,):
-        raise DimensionError("physical vector does not match layout element count")
-    return phys[..., layout.slot_group]
-
-
 def layout_csv(layout: Layout) -> str:
     """CSV of the layout: cell_index, elem_index, x_m, y_m, physical_id,
     sharing_freq.  One row per physical element; cell_index/elem_index name

@@ -8,30 +8,29 @@ elements; propagation is one product with the transposed physical gain
 matrix; `tod_split_compensate` splits each observation back to the logical
 slots and compensates by dft_matrix(N); `tod_inner_demodulate` applies L and
 dft_matrix(K) to every branch at once.  `run_loopback` builds the gain
-matrix and the ML candidates once per run, sends its frames through the
-stages FRAME_BLOCK at a time, and detects them by one tie-stable argmin over
-the constellation.
+matrix once per run, sends its frames through the stages FRAME_BLOCK at a
+time, and detects them by one tie-stable argmin over the constellation.
 
 A link is built in two halves: `build_antenna` makes the part that depends
 on neither distance, carrier nor SNR, and `link_at` adds the propagation
 part.  `build_link` is their composition; sweeps keep the antenna and call
 `link_at` per point.
 
-`ml_detect` is the detector for one branch.  The tests hold each stage
-against its direct-summation form, the physical path against the logical
-block-circulant path, and `run_loopback` against a frame-by-frame loop over
-the stages and `ml_detect`.
+`_nearest` makes every ML decision; `ml_detect` is it for one branch.  The
+tests hold each stage against its direct-summation form, the physical path
+against the logical block-circulant path, and `run_loopback` against a
+frame-by-frame loop over the stages and `ml_detect`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import channel as chan
 from .errors import DimensionError
-from .geometry import Layout, build_layout, duplicate_to_slots, slot_group_sum
+from .geometry import Layout, build_layout, slot_group_sum
 from .linalg import dft_matrix, idft_matrix
 
 # Frames go through the engine in blocks of this many, so its temporaries
@@ -121,7 +120,7 @@ def split_received(rx_signals: np.ndarray, rx: Layout) -> np.ndarray:
     y = np.asarray(rx_signals, dtype=complex)
     if y.shape[-1:] != (rx.n_physical,):
         raise DimensionError("receive vector does not match the physical element count")
-    return duplicate_to_slots(rx, y / rx.element_sharing)
+    return (y / rx.element_sharing)[..., rx.slot_group]
 
 
 def tod_split_compensate(rx_signals: np.ndarray, rx: Layout) -> np.ndarray:
@@ -142,14 +141,18 @@ def tod_inner_demodulate(x_tilde: np.ndarray, rx: Layout) -> np.ndarray:
     return x @ (rx.sharing_freqs[:, None] * dft_matrix(v).T)
 
 
-def _nearest(s_tilde: np.ndarray, candidates: np.ndarray):
-    """Tie-stable ML decision for every mode: the lowest index among the
-    candidates (last axis: Lambda times the scaled alphabet) whose distance
-    to s~ is within TIE_RTOL of the nearest one, and whether there was more
-    than one such candidate (a near-tie)."""
-    dist = np.abs(s_tilde[..., None] - candidates)
+def _nearest(s_tilde: np.ndarray, lam: np.ndarray, amplitudes: np.ndarray,
+             points: np.ndarray):
+    """Tie-stable ML decision for every mode of s~ (extra leading axes index
+    frames) over its alphabet, Lambda times the amplitude-scaled points: the
+    lowest index within TIE_RTOL of the nearest distance wins.  Returns the
+    detected values and indices, the degenerate flags (Lambda exactly zero)
+    and the near-tie flags (more than one candidate within TIE_RTOL)."""
+    dist = np.abs(s_tilde[..., None] - lam[..., None] * (amplitudes[..., None] * points))
     within = dist <= dist.min(axis=-1, keepdims=True) * (1 + TIE_RTOL)
-    return np.argmax(within, axis=-1), np.count_nonzero(within, axis=-1) > 1
+    indices = np.argmax(within, axis=-1)
+    return (amplitudes * points[indices], indices, lam == 0,
+            np.count_nonzero(within, axis=-1) > 1)
 
 
 def ml_detect(s_tilde_p: np.ndarray, lambda_row: np.ndarray,
@@ -158,8 +161,7 @@ def ml_detect(s_tilde_p: np.ndarray, lambda_row: np.ndarray,
     """Mode-wise ML detection of one branch.
 
     Per inner mode l independently, picks argmin over the (amplitude-scaled)
-    alphabet of |s~_p(l) - Lambda_{p,l} s|; candidates within TIE_RTOL of the
-    nearest resolve to the lowest constellation index.  Modes with Lambda
+    alphabet of |s~_p(l) - Lambda_{p,l} s| by `_nearest`.  Modes with Lambda
     exactly zero are undetectable and flagged; they return the tie-break
     symbol.
 
@@ -171,29 +173,8 @@ def ml_detect(s_tilde_p: np.ndarray, lambda_row: np.ndarray,
         raise DimensionError("branch and coefficient lengths differ")
     if not np.all(np.isfinite(lam.view(float))):
         raise ValueError("detection coefficients must be finite")
-    if amplitudes is None:
-        amplitudes = np.ones(s_tilde.size)
-    scaled = np.asarray(amplitudes)[:, None] * constellation.points
-    indices, _ = _nearest(s_tilde, lam[:, None] * scaled)
-    return scaled[np.arange(s_tilde.size), indices], indices, lam == 0
-
-
-@dataclass(frozen=True)
-class Diagnostics:
-    """Per-mode link diagnostics, all (n_inter, n_inner) in DFT-index order."""
-
-    signal_power: np.ndarray
-    interference_power: np.ndarray
-    noise_power: np.ndarray
-
-    @property
-    def max_interference_to_signal(self) -> float:
-        """Largest finite interference-to-signal ratio over the modes (0 if
-        none is finite; a mode without signal has none)."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            isr = np.where(self.signal_power > 0,
-                           self.interference_power / self.signal_power, np.inf)
-        return float(np.max(isr[np.isfinite(isr)], initial=0.0))
+    amplitudes = np.ones(s_tilde.size) if amplitudes is None else np.asarray(amplitudes)
+    return _nearest(s_tilde, lam, amplitudes, constellation.points)[:3]
 
 
 def noise_mode_scale(rx: Layout) -> np.ndarray:
@@ -246,7 +227,9 @@ class Link:
     """Everything derived from a scenario that the pipeline needs:
     subchannels are the (N, V, K) block-circulant sub-channels H_q,
     exact_matrices the (N, K, K) exact transforms and lambda_coeffs the
-    (N, K) detection coefficients."""
+    (N, K) detection coefficients.  The per-mode powers under the power
+    allocation are (N, K) properties in DFT-index order; they do not depend
+    on the frame, so one table serves every frame and modes.csv."""
 
     tx: Layout
     rx: Layout
@@ -272,6 +255,30 @@ class Link:
     def noise_power(self) -> np.ndarray:
         return self.sigma2 * self.noise_scale
 
+    @property
+    def signal_power(self) -> np.ndarray:
+        lam = self.lambda_coeffs
+        # hypot here and one dot product per mode row below: the rounding
+        # modes.csv is recorded with (np.abs of complex arrays rounds otherwise)
+        return np.hypot(lam.real, lam.imag) ** 2 * self.power_alloc
+
+    @property
+    def interference_power(self) -> np.ndarray:
+        pa = self.power_alloc
+        row_gain = np.abs(self.exact_matrices) ** 2
+        coupling = np.array([[row @ pa_p for row in gain_p]
+                             for gain_p, pa_p in zip(row_gain, pa)])
+        return coupling - np.einsum("pll->pl", row_gain) * pa
+
+    @property
+    def max_interference_to_signal(self) -> float:
+        """Largest finite interference-to-signal ratio over the modes (0 if
+        none is finite; a mode without signal has none)."""
+        signal, interference = self.signal_power, self.interference_power
+        with np.errstate(divide="ignore", invalid="ignore"):
+            isr = np.where(signal > 0, interference / signal, np.inf)
+        return float(np.max(isr[np.isfinite(isr)], initial=0.0))
+
     def amplitudes(self) -> np.ndarray:
         return np.sqrt(self.power_alloc)
 
@@ -282,7 +289,7 @@ def noise_variance(scenario) -> float:
     g = chan.PropagationParams.from_frequency(
         scenario.distance_m, scenario.freq_hz, scenario.beta).reference_gain
     sigma2 = scenario.total_power * g ** 2 / scenario.snr_linear
-    if not np.isfinite(sigma2):
+    if not (np.isfinite(sigma2) and sigma2 > 0):
         raise ValueError(f"snr_db {scenario.snr_db!r} with total_power "
                          f"{scenario.total_power!r} puts the noise variance "
                          "out of the float range")
@@ -321,22 +328,6 @@ def build_link(scenario) -> Link:
     return link_at(build_antenna(scenario), scenario)
 
 
-def mode_diagnostics(link: Link) -> Diagnostics:
-    """Per-mode signal, interference and noise powers of a link under its
-    power allocation.  They do not depend on the frame, so one table serves
-    every frame, the loopback report and modes.csv."""
-    pa = link.power_alloc
-    lam = link.lambda_coeffs
-    row_gain = np.abs(link.exact_matrices) ** 2
-    # hypot and one dot product per mode row: the rounding modes.csv is
-    # recorded with (np.abs of a complex array rounds differently)
-    coupling = np.array([[row @ pa_p for row in gain_p]
-                         for gain_p, pa_p in zip(row_gain, pa)])
-    return Diagnostics(signal_power=np.hypot(lam.real, lam.imag) ** 2 * pa,
-                       interference_power=coupling - np.einsum("pll->pl", row_gain) * pa,
-                       noise_power=link.noise_power)
-
-
 @dataclass(frozen=True)
 class LoopbackReport:
     frames: int
@@ -345,16 +336,11 @@ class LoopbackReport:
     degenerate_modes: int
     near_ties: int
     per_mode_errors: np.ndarray
-    diagnostics: Diagnostics
-    per_frame_errors: list = field(default_factory=list)
+    per_frame_errors: list
 
     @property
     def ser(self) -> float:
         return self.symbol_errors / self.symbols_counted if self.symbols_counted else 0.0
-
-    @property
-    def max_interference_to_signal(self) -> float:
-        return self.diagnostics.max_interference_to_signal
 
 
 def check_loopback(n_frames: int, noise_variance: float):
@@ -381,12 +367,9 @@ def run_loopback(link: Link, n_frames: int, noise_variance: float = 0.0) -> Loop
     points = link.constellation.points
     amplitudes = link.amplitudes()
     gain_t = chan.physical_gain_matrix(link.tx, link.rx, link.params).T
-    # the ML alphabet of every mode: Lambda times the scaled constellation
-    candidates = link.lambda_coeffs[..., None] * (amplitudes[..., None] * points)
-    counted = link.lambda_coeffs != 0
     per_frame = []
     per_mode = np.zeros((n, k), dtype=int)
-    near_ties = 0
+    near_ties = degenerate_modes = 0
     for start in range(0, n_frames, FRAME_BLOCK):
         frames = range(start, min(start + FRAME_BLOCK, n_frames))
         idx = np.stack([sym_rng.integers(0, points.size, size=(n, k)) for _ in frames])
@@ -394,16 +377,15 @@ def run_loopback(link: Link, n_frames: int, noise_variance: float = 0.0) -> Loop
         received = tom_modulate(symbols, link.tx) @ gain_t \
             + np.stack([noise.sample(link.rx.n_physical, f) for f in frames])
         s_tilde = tod_inner_demodulate(tod_split_compensate(received, link.rx), link.rx)
-        indices, ties = _nearest(s_tilde, candidates)
-        detected = amplitudes * points[indices]
-        errors = (detected != symbols) & counted
+        detected, _, degenerate, ties = _nearest(s_tilde, link.lambda_coeffs,
+                                                 amplitudes, points)
+        errors = (detected != symbols) & ~degenerate
         per_frame += errors.sum(axis=(1, 2)).tolist()
         per_mode += errors.sum(axis=0)
-        near_ties += int(np.count_nonzero(ties & counted))
-    n_counted = int(counted.sum())
+        near_ties += int(np.count_nonzero(ties & ~degenerate))
+        degenerate_modes += len(frames) * int(np.count_nonzero(degenerate))
     return LoopbackReport(frames=n_frames, symbol_errors=int(per_mode.sum()),
-                          symbols_counted=n_frames * n_counted,
-                          degenerate_modes=n_frames * (n * k - n_counted),
+                          symbols_counted=n_frames * n * k - degenerate_modes,
+                          degenerate_modes=degenerate_modes,
                           near_ties=near_ties, per_mode_errors=per_mode,
-                          diagnostics=mode_diagnostics(link),
                           per_frame_errors=per_frame)

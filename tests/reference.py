@@ -250,6 +250,22 @@ def full_superposition_gap(tx: Layout, rx: Layout, params: chan.PropagationParam
     return float(np.linalg.norm(exact - approx, "fro") ** 2 / denom)
 
 
+def aligned_gap(tx: Layout, rx: Layout, params: chan.PropagationParams,
+                j_order: str = "matched", correction: bool = True) -> float:
+    """Relative squared Frobenius gap between the aligned (q = 0) summand
+    W^H L H_0 W, built directly, and its diagonal Bessel approximation: the
+    oracle of `channel.approx_gap`.  A null summand raises
+    DegenerateChannelError."""
+    channel = chan.build_block_channel(tx, rx, params)
+    w = idft_matrix(tx.elems_per_cell)
+    exact = w.conj().T @ (rx.sharing_freqs[:, None] * channel[0]) @ w
+    approx = np.diag(chan.diag_approx_block(tx, rx, params, 0, j_order, correction))
+    denom = np.linalg.norm(exact, "fro") ** 2
+    if denom <= 0.0:
+        raise DegenerateChannelError("null channel has no relative gap")
+    return float(np.linalg.norm(exact - approx, "fro") ** 2 / denom)
+
+
 def tom_modulate_loops(symbols: np.ndarray, tx: Layout) -> np.ndarray:
     """Physical transmit feed of one (N, K) symbol grid by direct double
     summation and explicit per-element superposition of shared slots."""

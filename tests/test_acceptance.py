@@ -159,7 +159,7 @@ def test_criterion_5_noiseless_loopback():
     link = txrx.build_link(Scenario())
     report_lb = txrx.run_loopback(link, 100)
     elapsed = time.perf_counter() - start
-    isr_ok = report_lb.max_interference_to_signal <= ISR_THRESHOLD
+    isr_ok = link.max_interference_to_signal <= ISR_THRESHOLD
 
     n, k = link.n_inter, link.n_inner
     gmats = link.exact_matrices
@@ -196,7 +196,7 @@ def test_criterion_5_noiseless_loopback():
 
     ok = isr_ok and rank_ok and lam_ok and safe_ok and chain_ok and elapsed < 30.0
     safe_modes = [tuple(int(i) for i in m) for m in np.argwhere(safe)]
-    report(5, ok, f"max ISR {report_lb.max_interference_to_signal:.3f} "
+    report(5, ok, f"max ISR {link.max_interference_to_signal:.3f} "
                   f"(threshold {ISR_THRESHOLD}); ranks {ranks} sum "
                   f"{sum(ranks)} <= {link.tx.n_physical} elements < {n * k} modes; "
                   f"safe modes {safe_modes} at margins "

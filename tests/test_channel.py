@@ -8,6 +8,7 @@ from qfuca.geometry import build_layout, single_ring_layout
 from qfuca.linalg import diagonalize_row_blocks, dft_matrix, idft_matrix
 
 import reference
+from layouts import admissible_layouts
 
 FREQ = 5.8e9
 LAM = 299792458.0 / FREQ
@@ -385,12 +386,23 @@ class TestDiagApprox:
 
 class TestApproxGap:
     def test_gap_zero_when_approximation_is_exact(self, qf9, params100, monkeypatch):
-        # denominator structure: a null channel is degenerate
+        # denominator structure: a null channel has no relative gap
         lay, _ = qf9
         zero = np.zeros((4, 4, 4), dtype=complex)
         monkeypatch.setattr(chan, "build_block_channel", lambda *args: zero)
-        with pytest.raises(DegenerateChannelError):
-            chan.approx_gap(lay, lay, params100)
+        assert chan.approx_gap(lay, lay, params100) == np.inf
+
+    def test_equals_the_aligned_summand_oracle_bit_for_bit(self):
+        # approx_gap is superposition_gap over the one offset q = 0, and
+        # keeps the bits of the direct W^H L H_0 W form
+        for n, v, ratio in admissible_layouts():
+            lay = build_layout(n, v, ratio, 1.0)
+            for d in (20.0, 100.0, 500.0):
+                params = chan.PropagationParams.from_frequency(d, FREQ, 1.0)
+                for j_order in ("matched", "first"):
+                    for correction in (True, False):
+                        assert chan.approx_gap(lay, lay, params, j_order, correction) \
+                            == reference.aligned_gap(lay, lay, params, j_order, correction)
 
     def test_full_superposition_gap_matches_mode_channel(self, qf9, params100):
         lay, _ = qf9

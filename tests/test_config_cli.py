@@ -249,16 +249,39 @@ class TestCli:
          "snr_db -3200.0 with total_power 1.0 "),
         ("total_power = 1e300\n", ["sweep", "--axis", "snr_db", "--values", "-200"],
          "snr_db -200.0 with total_power 1e+300 "),
+        ("", ["sweep", "--axis", "freq_hz", "--values", "1e200"],
+         "distance 100.0 m, wavelength 2.99792458e-192 m and beta 1.0 put the squared "
+         "boresight gain"),
+        ("freq_hz = 1e200\n", ["loopback", "--frames", "1"],
+         "distance 100.0 m, wavelength 2.99792458e-192 m and beta 1.0 put the squared "
+         "boresight gain"),
+        ("", ["sweep", "--axis", "freq_hz", "--values", "1e-200"],
+         "distance 100.0 m, wavelength 2.99792458e+208 m and beta 1.0 put the squared "
+         "boresight gain"),
+        ("beta = 1e-200\n", ["sweep", "--axis", "snr_db", "--values", "15"],
+         "distance 100.0 m, wavelength 0.05168835482758621 m and beta 1e-200 put"),
+        ("beta = 1e-300\n", ["gap", "--values", "100", "--elems", "4"],
+         "distance 100.0 m, wavelength 0.05168835482758621 m and beta 1e-300 put"),
+        ("beta = 1e200\n", ["loopback", "--frames", "1"],
+         "distance 100.0 m, wavelength 0.05168835482758621 m and beta 1e+200 put"),
+        ("total_power = 1e-320\n", ["sweep", "--axis", "snr_db", "--values", "15"],
+         "snr_db 15.0 with total_power 1e-320 "),
+        ("total_power = 1e-320\n", ["loopback", "--frames", "1"],
+         "snr_db 15.0 with total_power 1e-320 "),
     ], ids=["loopback_snr_overflow", "sweep_snr_overflow", "loopback_snr_underflow",
             "sweep_snr_underflow", "loopback_radius", "sweep_radius",
             "loopback_distance_and_radius", "sweep_distance_and_radius",
             "distance_sweep_distance_and_radius", "gap_distance_and_radius",
-            "loopback_sigma2", "sweep_sigma2", "sweep_sigma2_total_power"])
+            "loopback_sigma2", "sweep_sigma2", "sweep_sigma2_total_power",
+            "freq_sweep_gain_underflow", "loopback_freq_gain_underflow",
+            "freq_sweep_gain_overflow", "sweep_beta_gain_underflow",
+            "gap_beta_gain_underflow", "loopback_beta_gain_overflow",
+            "sweep_sigma2_underflow", "loopback_sigma2_underflow"])
     def test_value_past_the_float_range_exits_nonzero(
             self, tmp_path, capsys, config, argv, prefix):
-        # a linear SNR, a squared element offset or element distance, or a
-        # noise variance that leaves the float range: one error line naming
-        # the values, no traceback, no CSV
+        # a linear SNR, a squared element offset, element distance or
+        # boresight gain, or a noise variance that leaves the float range:
+        # one error line naming the values, no traceback, no CSV
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(config)
         out = tmp_path / "out"

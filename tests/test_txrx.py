@@ -434,8 +434,7 @@ class TestEndToEnd:
         # |Lambda|^2 |s|^2 / sigma^2 recomputed independently
         expect = np.abs(link9.lambda_coeffs) ** 2 * link9.power_alloc \
             / (link9.sigma2 * link9.noise_scale)
-        diags = txrx.mode_diagnostics(link9)
-        snr = diags.signal_power / diags.noise_power
+        snr = link9.signal_power / link9.noise_power
         assert np.max(np.abs(snr - expect) / np.maximum(expect, 1e-30)) < 1e-9
 
     def test_zero_signal_gives_tiebreak_and_zero_sinr(self, link9):
@@ -446,8 +445,7 @@ class TestEndToEnd:
         report = txrx.run_loopback(silent, 3)
         assert report.near_ties == report.symbols_counted
         assert report.symbol_errors == 0
-        diags = txrx.mode_diagnostics(silent)
-        assert np.all(diags.signal_power / diags.noise_power == 0)
+        assert np.all(silent.signal_power / silent.noise_power == 0)
 
     def test_loopback_deterministic(self, link9):
         a = txrx.run_loopback(link9, 3)
@@ -465,8 +463,7 @@ class TestEndToEnd:
     def test_interference_threshold_frozen(self, link9):
         # frozen by the pre-build pipeline probe: max ratio 3.0 at the
         # 9-element scenario (the rank-deficient mode rows)
-        report = txrx.run_loopback(link9, 2)
-        assert report.max_interference_to_signal <= 3.02
+        assert link9.max_interference_to_signal <= 3.02
 
     def test_single_ring_noiseless_loopback_is_error_free(self):
         # the single-cell channel is exactly circulant, so mode-wise
@@ -482,7 +479,7 @@ class TestEndToEnd:
                          noise_scale=txrx.noise_mode_scale(ring), seed=3)
         report = txrx.run_loopback(link, 20)
         assert report.symbol_errors == 0
-        assert report.max_interference_to_signal < 1e-20
+        assert link.max_interference_to_signal < 1e-20
 
 
 class TestBatchedEngine:
@@ -493,7 +490,7 @@ class TestBatchedEngine:
         per_frame, per_mode, max_isr = run_loopback_per_frame(link, 100)
         assert report.per_frame_errors == per_frame
         assert np.array_equal(report.per_mode_errors, per_mode)
-        assert report.max_interference_to_signal == pytest.approx(max_isr, rel=1e-12)
+        assert link.max_interference_to_signal == pytest.approx(max_isr, rel=1e-12)
 
     def test_noisy_8x16_matches_per_frame_reference(self):
         link = txrx.build_link(Scenario(n_cells=8, tx_elems=16, rx_elems=16, seed=7))
@@ -501,7 +498,7 @@ class TestBatchedEngine:
         per_frame, per_mode, max_isr = run_loopback_per_frame(link, 40, link.sigma2)
         assert report.per_frame_errors == per_frame
         assert np.array_equal(report.per_mode_errors, per_mode)
-        assert report.max_interference_to_signal == pytest.approx(max_isr, rel=1e-12)
+        assert link.max_interference_to_signal == pytest.approx(max_isr, rel=1e-12)
         assert report.near_ties == 0
 
     def test_block_boundaries_keep_frame_prefixes(self, link9):
@@ -515,8 +512,19 @@ class TestBatchedEngine:
             assert report.per_frame_errors == longest[:f]
             assert report.symbol_errors == sum(longest[:f])
             assert report.symbols_counted == 16 * f
-            assert report.max_interference_to_signal \
-                == reports[sizes[-1]].max_interference_to_signal
+
+    def test_degenerate_modes_are_flagged_and_not_counted(self, link9):
+        lam = link9.lambda_coeffs.copy()
+        lam[1, 2] = lam[3, 0] = 0
+        link = replace(link9, lambda_coeffs=lam)
+        report = txrx.run_loopback(link, 40, noise_variance=link.sigma2)
+        with np.errstate(divide="ignore"):
+            per_frame, per_mode, _ = run_loopback_per_frame(link, 40, link.sigma2)
+        assert report.degenerate_modes == 2 * 40
+        assert report.symbols_counted == 14 * 40
+        assert report.per_frame_errors == per_frame
+        assert np.array_equal(report.per_mode_errors, per_mode)
+        assert report.per_mode_errors[1, 2] == report.per_mode_errors[3, 0] == 0
 
     def test_gain_matrix_built_once_per_run(self, link9, count_calls):
         calls = count_calls(chan, "physical_gain_matrix")

@@ -2,8 +2,9 @@
 """Independent spectrum-efficiency recomputation.
 
 Reads the per-mode table exported by `qfuca loopback` (modes.csv) and sums
-log2(1 + |lambda|^2 P / sigma^2) with plain arithmetic, assuming power is
-averagely allocated over the modes.  Deliberately free of any simulator
+log2(1 + |lambda|^2 P / sigma^2_{p,l}) with plain arithmetic, with each
+mode's noise power sigma^2_{p,l} from the noise_power column, assuming power
+is averagely allocated over the modes.  Deliberately free of any simulator
 imports so it can serve as an external cross-check.
 
 Usage: se_oracle.py MODES_CSV [TOTAL_POWER]
@@ -23,13 +24,13 @@ def spectrum_efficiency(path: str, total_power: float = 1.0) -> float:
     total = 0.0
     for row in rows:
         lam2 = float(row["lambda_re"]) ** 2 + float(row["lambda_im"]) ** 2
-        sigma2 = float(row["sigma2"])
+        noise = float(row["noise_power"])
         signal = lam2 * per_mode_power
         if signal == 0.0:
             continue
-        if sigma2 == 0.0:
-            raise SystemExit("zero noise variance with nonzero signal")
-        total += math.log2(1.0 + signal / sigma2)
+        if noise == 0.0:
+            raise SystemExit("zero noise power with nonzero signal")
+        total += math.log2(1.0 + signal / noise)
     return total
 
 
