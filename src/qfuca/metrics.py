@@ -17,9 +17,10 @@ ring's gains.
 A ring's efficiency reads only the diagonal of its one exact transform,
 which the channel's wrapped-diagonal sums and one FFT give in O(n^2)
 (`linalg.diagonalize_row_blocks`).  The ring allocates no n x n array: its
-gains are computed and folded into those sums RING_ROW_BLOCK rows at a
-time, so a ring point's working memory is O(RING_ROW_BLOCK n); computing the
-gains is most of a ring point.
+gains are computed and folded into those sums in blocks of whole rows
+holding at most RING_BLOCK_GAINS gains each (one row once n passes it), so
+a ring point's temporaries do not grow with the ring below n = 8,192;
+computing the gains is most of a ring point.
 The SNR axis reuses one QF-UCA link for all points but recomputes the ring
 gains at every point: reusing them would bring a 30-point 8x16 SNR sweep
 below one work unit of the benchmark's host-speed calibrator, so the
@@ -45,9 +46,11 @@ from .txrx import build_antenna, build_link, link_at, noise_variance  # noqa: F4
 SWEEP_AXES = ("snr_db", "distance_m", "freq_hz")
 SYSTEMS = ("qf_uca", "uca_n", "uca_bigger", "siso_xN")
 
-# A ring's gains are computed this many rows at a time, so a ring point's
-# temporaries are O(RING_ROW_BLOCK n), not O(n^2), however large the ring.
-RING_ROW_BLOCK = 64
+# A ring's gains are computed max(1, RING_BLOCK_GAINS // n) rows at a time, so
+# each temporary holds at most 2^13 gains (128 KiB of complex128) up to
+# n = 8,192, and one row beyond.  Rings of up to 128 elements take at most
+# two blocks.
+RING_BLOCK_GAINS = 8192
 
 
 def se_qf(lambda_coeffs: np.ndarray, power_alloc: np.ndarray,
@@ -80,18 +83,21 @@ def se_single_loop_uca(ring: Layout, scenario: Scenario, sigma2: float) -> float
     transform, W^H H W, of which the efficiency reads only the diagonal: the
     wrapped-diagonal sums of H and one FFT give it in O(n^2)
     (`linalg.diagonalize_row_blocks`).  H is never held whole: its gains
-    are computed RING_ROW_BLOCK rows at a time, each by the same per-entry
-    expression as `channel.build_block_channel`, so the gains, and the
-    efficiency, are bit for bit those of the full channel.  The gains are
-    the exact ones, whatever the scenario's lambda_path."""
+    are computed max(1, RING_BLOCK_GAINS // n) rows at a time, each by the
+    same per-entry expression as `channel.build_block_channel`, so the
+    gains, and the efficiency, are bit for bit those of the full channel
+    wherever the blocks cut it, and a ring point's temporaries are
+    O(max(RING_BLOCK_GAINS, n)), not O(n^2).  The gains are the exact ones,
+    whatever the scenario's lambda_path."""
     params = chan.PropagationParams.from_frequency(
         scenario.distance_m, scenario.freq_hz, scenario.beta)
     chan.check_element_distances(ring, ring, params)
     pos = ring.positions[0]
-    blocks = (chan.free_space_gain(pos[r:r + RING_ROW_BLOCK, None, :] - pos[None, :, :], params)
-              for r in range(0, pos.shape[0], RING_ROW_BLOCK))
-    lam = diagonalize_row_blocks(blocks)[None, :]
     n = ring.elems_per_cell
+    rows = max(1, RING_BLOCK_GAINS // n)
+    blocks = (chan.free_space_gain(pos[r:r + rows, None, :] - pos[None, :, :], params)
+              for r in range(0, n, rows))
+    lam = diagonalize_row_blocks(blocks)[None, :]
     return se_qf(lam, np.full((1, n), scenario.total_power / n), np.full((1, n), sigma2))
 
 
@@ -108,7 +114,7 @@ def se_siso_times(n: int, scenario: Scenario, sigma2: float) -> float:
 @dataclass(frozen=True)
 class SweepSpec:
     """One parameter sweep: the axis, its strictly increasing values, the
-    fixed remaining scenario, and the systems to evaluate."""
+    fixed remaining scenario, and the distinct systems to evaluate."""
 
     axis: str
     axis_values: tuple
@@ -124,10 +130,14 @@ class SweepSpec:
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("axis values must be strictly increasing")
         object.__setattr__(self, "axis_values", vals)
-        unknown = set(self.systems) - set(SYSTEMS)
+        systems = tuple(self.systems)
+        unknown = set(systems) - set(SYSTEMS)
         if unknown:
             raise ValueError(f"unknown systems: {sorted(unknown)}")
-        object.__setattr__(self, "systems", tuple(self.systems))
+        repeated = {s for s in systems if systems.count(s) > 1}
+        if repeated:
+            raise ValueError(f"repeated systems: {sorted(repeated)}")
+        object.__setattr__(self, "systems", systems)
 
 
 def run_sweep(spec: SweepSpec) -> tuple:

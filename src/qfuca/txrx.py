@@ -257,6 +257,10 @@ class Link:
 
     @property
     def signal_power(self) -> np.ndarray:
+        """The detector's assumed signal per mode, |Lambda|^2 P, from
+        lambda_coeffs: on lambda_path = bessel these are the Bessel-route
+        coefficients, not the exact diagonal that the frames carry, while
+        interference_power always comes from the exact transforms."""
         lam = self.lambda_coeffs
         # hypot here and one dot product per mode row below: the rounding
         # modes.csv is recorded with (np.abs of complex arrays rounds otherwise)

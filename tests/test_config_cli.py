@@ -183,6 +183,13 @@ class TestCli:
         assert "axis values must be finite" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_repeated_system_exits_nonzero(self, tmp_path, capsys):
+        assert main(["sweep", "--out", str(tmp_path), "--axis", "snr_db",
+                     "--values", "0,10", "--systems", "qf_uca,qf_uca"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: repeated systems: ['qf_uca']\n"
+        assert not (tmp_path / "sweep.csv").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_noise_variance_exits_nonzero(self, tmp_path, capsys, value):
         assert main(["loopback", "--out", str(tmp_path), "--frames", "2",

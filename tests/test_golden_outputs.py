@@ -9,7 +9,7 @@ wrapped-diagonal sums and FFTs depends on the ring size; the SNR sweep reuses
 one QF-UCA link and recomputes the ring gains at each point), a noisy loopback
 at the 8x16 grid, whose modes.csv holds the gains of all 8 exact transforms,
 a one-point distance sweep at the 16x32 grid, whose 385- and 512-element
-rings are streamed in 7 and 8 row blocks, a loopback on the Bessel-route
+rings are streamed in 19 and 32 row blocks, a loopback on the Bessel-route
 detection coefficients (lambda_path = bessel), and a gap study and a
 Bessel-route loopback with the first-order, uncorrected closed form
 (bessel_order = first, bessel_correction = off).  The stdout of the commands

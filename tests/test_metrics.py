@@ -79,13 +79,21 @@ class TestSingleLoopUca:
     @pytest.fixture
     def ring_gains(self, monkeypatch):
         """The list of the gains se_single_loop_uca takes from the streamed
-        wrapped-diagonal sums, one entry per call."""
+        wrapped-diagonal sums, one entry per call, each with the row counts
+        of the blocks they were summed from."""
         seen = []
         real = metrics.diagonalize_row_blocks
 
         def recording(blocks):
-            seen.append(real(blocks))
-            return seen[-1]
+            rows = []
+
+            def counted():
+                for block in blocks:
+                    rows.append(block.shape[0])
+                    yield block
+
+            seen.append((real(counted()), rows))
+            return seen[-1][0]
 
         monkeypatch.setattr(metrics, "diagonalize_row_blocks", recording)
         return seen
@@ -102,22 +110,37 @@ class TestSingleLoopUca:
             se = metrics.se_single_loop_uca(ring, work, sigma2)
             link = txrx.link_at(antenna, work)  # scen takes the exact path
             lam = link.lambda_coeffs[0]
-            assert np.max(np.abs(ring_gains[-1] - lam)) <= 1e-14 * np.max(np.abs(lam))
+            assert np.max(np.abs(ring_gains[-1][0] - lam)) <= 1e-14 * np.max(np.abs(lam))
             assert se == pytest.approx(metrics.se_qf(link.lambda_coeffs, link.power_alloc,
                                                      sigma2 * link.noise_scale), rel=1e-14)
 
-    @pytest.mark.parametrize("n_elements", [97, 128, 385, 512])
-    def test_streamed_ring_gains_bit_identical_to_full_channel(self, scen, ring_gains,
-                                                               n_elements):
-        # the ring's row blocks (7 and 8 of them at 385 and 512) give the
-        # very bits of the full channel's one-block diagonalization
+    @pytest.mark.parametrize("n_elements, budget, blocks", [
+        # the default budget: 84 + 13 rows at 97, 64 + 64 at 128, and 19 and
+        # 32 blocks at 385 and 512
+        *(pytest.param(n, None, b, id=str(n))
+          for n, b in ((97, 2), (128, 2), (385, 19), (512, 32))),
+        # one-row blocks, as every ring of 8,192 elements or more takes
+        *(pytest.param(n, 1, n, id=f"{n}-one-row") for n in (97, 128)),
+        # 9 x 10 + 7 and 18 x 7 + 2 rows: a ragged last block
+        pytest.param(97, 1000, 10, id="97-ragged"),
+        pytest.param(128, 1000, 19, id="128-ragged"),
+        # the whole channel in one block
+        *(pytest.param(n, 128 * 128, 1, id=f"{n}-one-block") for n in (97, 128))])
+    def test_streamed_ring_gains_bit_identical_to_full_channel(
+            self, scen, ring_gains, monkeypatch, n_elements, budget, blocks):
+        # wherever the gain budget cuts the ring's channel, its row blocks
+        # give the very bits of the full channel's one-block diagonalization
+        if budget is not None:
+            monkeypatch.setattr(metrics, "RING_BLOCK_GAINS", budget)
         ring = geometry.single_ring_layout(n_elements, scen.qf_radius_m)
         for d in (25.0, 400.0):
             work = replace(scen, distance_m=d)
             metrics.se_single_loop_uca(ring, work, txrx.noise_variance(scen))
             params = chan.PropagationParams.from_frequency(d, work.freq_hz, work.beta)
             h = chan.build_block_channel(ring, ring, params)[0]
-            assert np.array_equal(ring_gains[-1], diagonalize_row_blocks([h]))
+            gains, rows = ring_gains[-1]
+            assert len(rows) == blocks and sum(rows) == n_elements
+            assert np.array_equal(gains, diagonalize_row_blocks([h]))
 
     def test_nondecreasing_in_snr(self, scen):
         values = [reference.se_single_loop_uca(9, replace(scen, snr_db=s))
@@ -170,6 +193,10 @@ class TestSweeps:
         with pytest.raises(ValueError):
             metrics.SweepSpec(axis="snr_db", axis_values=(1.0,), fixed=scen,
                               systems=("vaporware",))
+        # a repeated label would write each of its rows twice
+        with pytest.raises(ValueError, match=r"repeated systems: \['qf_uca'\]"):
+            metrics.SweepSpec(axis="snr_db", axis_values=(1.0,), fixed=scen,
+                              systems=("qf_uca", "siso_xN", "qf_uca"))
 
     def test_snr_sweep_monotone(self, scen):
         spec = metrics.SweepSpec(axis="snr_db",
@@ -268,20 +295,24 @@ class TestSweepReuse:
             [str(Path(qfuca.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run([sys.executable, "-c", MEMORY_PROBE], env=env,
                              capture_output=True, text=True, check=True).stdout
-        return dict(zip(("sweep", "ring", "link"), map(int, out.split())))
+        return dict(zip(("sweep", "ring", "link", "ring_2048"), map(int, out.split())))
 
     def test_peak_memory_of_costliest_point(self, traced_peaks):
         assert traced_peaks["sweep"] <= 1.10 * (traced_peaks["ring"] + traced_peaks["link"])
 
     def test_ring_point_peak_memory_below_one_channel(self, traced_peaks):
-        # a 512-ring point holds one row block of gains at a time, never the
-        # n x n channel (4.19 MB of complex entries)
-        assert traced_peaks["ring"] < 512 ** 2 * np.dtype(complex).itemsize
+        # a ring point holds one block of at most RING_BLOCK_GAINS gains at a
+        # time, never the n x n channel (4.19 MB of complex entries at 512),
+        # so its peak does not grow with n; 64-row blocks would peak at
+        # 2.8 MB at 512 elements and 11 MB at 2,048
+        assert traced_peaks["ring"] < 1.5 * 2 ** 20
+        assert traced_peaks["ring_2048"] < 1.5 * 2 ** 20
 
 
 # tracemalloc peaks of a 4-point distance sweep at the 16x32 grid and of its
 # costliest point alone: the 512-element ring, and the QF-UCA link that the
-# sweep holds while it evaluates the rings
+# sweep holds while it evaluates the rings; then of one 2,048-element ring
+# point, the uca_bigger ring of the 32x64 grid
 MEMORY_PROBE = """
 import tracemalloc
 from qfuca import metrics, txrx
@@ -305,7 +336,9 @@ ring = traced_peak(lambda: metrics.se_single_loop_uca(
     txrx.noise_variance(base)))
 qf = txrx.build_antenna(base)
 link = traced_peak(lambda: txrx.link_at(qf, base))
-print(sweep, ring, link)
+ring_2048 = traced_peak(lambda: metrics.se_single_loop_uca(
+    single_ring_layout(2048, base.qf_radius_m), base, txrx.noise_variance(base)))
+print(sweep, ring, link, ring_2048)
 """
 
 
