@@ -23,8 +23,8 @@ element-grid offset.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -249,9 +249,13 @@ def approx_gap(tx: Layout, rx: Layout, params: PropagationParams,
     the exact transforms, W^H L H_0 W, and its diagonal Bessel
     approximation: `superposition_gap` over the one offset q = 0.  Both
     phase factors e^{j 2 pi p q / N} are 1 at q = 0, so the gap is the same
-    for every branch p.  A null summand has gap inf.
+    for every branch p.  A null summand has gap inf.  Only H_0 is built:
+    receive cell 0 against transmit cell 0, by `build_block_channel`'s
+    expression, so it is bit for bit that function's block 0.
     """
-    aligned = detection_coeffs(build_block_channel(tx, rx, params)[:1], rx)
+    check_element_distances(tx, rx, params)
+    h0 = free_space_gain(rx.positions[0][:, None, :] - tx.positions[0][None, :, :], params)
+    aligned = detection_coeffs((h0 / rx.sharing_freqs.astype(float)[:, None])[None], rx)
     diagonal = diag_approx_block(tx, rx, params, 0, j_order, correction)
     return float(superposition_gap(aligned, diagonal[None, None])[0])
 
@@ -274,16 +278,16 @@ def detection_coeffs(channel: np.ndarray, rx: Layout) -> np.ndarray:
     return w.conj().T @ (rx.sharing_freqs[:, None] * hp) @ w
 
 
-def channel_csv(h: np.ndarray) -> str:
-    """CSV of the block channel assembled from its (N, V, K) sub-channels:
-    m, n, v, k, re, im per entry."""
-    buf = io.StringIO()
-    buf.write("m,n,v,k,re,im\n")
+def channel_csv(h: np.ndarray, fh: TextIO) -> None:
+    """Write the CSV of the block channel assembled from its (N, V, K)
+    sub-channels to the text stream `fh`: m, n, v, k, re, im per entry.
+    One (m, n) block is formatted at a time, so the export holds one
+    block's text, not the table's."""
+    fh.write("m,n,v,k,re,im\n")
     n = h.shape[0]
     for m in range(n):
         for nn in range(n):
             blk = h[(nn + n - m) % n]
-            for v in range(blk.shape[0]):
-                for k in range(blk.shape[1]):
-                    buf.write(f"{m},{nn},{v},{k},{float(blk[v, k].real)!r},{float(blk[v, k].imag)!r}\n")
-    return buf.getvalue()
+            fh.write("".join(
+                f"{m},{nn},{v},{k},{float(blk[v, k].real)!r},{float(blk[v, k].imag)!r}\n"
+                for v in range(blk.shape[0]) for k in range(blk.shape[1])))

@@ -8,7 +8,8 @@ Subcommands:
   sweep     spectrum-efficiency sweeps over snr_db / distance_m / freq_hz
 
 All outputs are CSV files under --out, reproducible byte-for-byte from the
-same (config, seed).
+same (config, seed) on one numpy build, BLAS kernel and SIMD level; other
+kernels and SIMD levels move the last bits of some values.
 """
 
 from __future__ import annotations
@@ -36,9 +37,15 @@ def _load_scenario(args) -> Scenario:
     return scenario
 
 
-def _write(out_dir: Path, name: str, text: str):
+def _open_output(out_dir: Path, name: str):
+    """Open output file `name` under out_dir for text writing: the one place
+    that fixes how every CSV is written (UTF-8, LF line endings)."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
+    return open(out_dir / name, "w", encoding="utf-8", newline="\n")
+
+
+def _write(out_dir: Path, name: str, text: str):
+    with _open_output(out_dir, name) as fh:
         fh.write(text)
 
 
@@ -116,7 +123,8 @@ def cmd_loopback(args) -> int:
                 f"{noise!r},{float(signal[pi, li])!r},"
                 f"{float(interference[pi, li])!r},{noise!r}")
     _write(out, "modes.csv", "\n".join(mode_lines) + "\n")
-    _write(out, "channel.csv", chan.channel_csv(link.subchannels))
+    with _open_output(out, "channel.csv") as fh:
+        chan.channel_csv(link.subchannels, fh)
 
     print(f"frames: {report.frames}  symbol errors: {report.symbol_errors}"
           f"/{report.symbols_counted}  SER: {report.ser!r}")
@@ -131,7 +139,7 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     values = _float_list(args.values) if args.values else []
     systems = tuple(tok.strip() for tok in args.systems.split(",") if tok.strip()) \
-        if args.systems else metrics.SYSTEMS
+        if args.systems is not None else metrics.SYSTEMS
     spec = metrics.SweepSpec(axis=args.axis, axis_values=tuple(values),
                              fixed=scenario, systems=systems)
     rows = metrics.run_sweep(spec)

@@ -30,13 +30,14 @@ benchmark could no longer time it (ROADMAP item 2).
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import channel as chan
 from .config import Scenario
-from .errors import DegenerateChannelError
+from .errors import DegenerateChannelError, DomainError
 from .geometry import Layout, single_ring_layout
 from .linalg import diagonalize_row_blocks
 # build_link is imported but not called: perfbench's tracer self-test checks
@@ -58,7 +59,9 @@ def se_qf(lambda_coeffs: np.ndarray, power_alloc: np.ndarray,
     """Spectrum efficiency: sum over modes of log2(1 + |Lambda|^2 P / sigma^2).
 
     Modes with zero allocated power contribute nothing; a zero noise variance
-    against nonzero signal is an error.
+    against nonzero signal is an error, and so is a mode SNR past the float
+    range (a noise variance far too small for the channel, such as a distance
+    sweep's anchored sigma^2 at a point far closer than the anchor).
     """
     lam = np.asarray(lambda_coeffs, dtype=complex)
     pw = np.asarray(power_alloc, dtype=float)
@@ -69,7 +72,12 @@ def se_qf(lambda_coeffs: np.ndarray, power_alloc: np.ndarray,
     if np.any((nz == 0) & (signal > 0)):
         raise DegenerateChannelError("zero noise variance with nonzero signal")
     active = signal > 0
-    return float(np.sum(np.log2(1.0 + signal[active] / nz[active])))
+    with np.errstate(over="ignore"):
+        se = float(np.sum(np.log2(1.0 + signal[active] / nz[active])))
+    if not math.isfinite(se):
+        raise DomainError("spectrum efficiency overflows: a mode's SNR |Lambda|^2 P / sigma^2 "
+                          f"leaves the float range at noise power {float(nz[active].min())!r}")
+    return se
 
 
 def se_single_loop_uca(ring: Layout, scenario: Scenario, sigma2: float) -> float:
@@ -108,6 +116,10 @@ def se_siso_times(n: int, scenario: Scenario, sigma2: float) -> float:
     g = chan.PropagationParams.from_frequency(
         scenario.distance_m, scenario.freq_hz, scenario.beta).reference_gain
     snr = scenario.total_power * g ** 2 / sigma2
+    if not math.isfinite(snr):
+        raise DomainError(f"spectrum efficiency overflows: the SNR at distance "
+                          f"{scenario.distance_m!r} m with noise variance {sigma2!r} "
+                          "leaves the float range")
     return float(n * np.log2(1.0 + snr))
 
 
@@ -131,6 +143,8 @@ class SweepSpec:
             raise ValueError("axis values must be strictly increasing")
         object.__setattr__(self, "axis_values", vals)
         systems = tuple(self.systems)
+        if not systems:
+            raise ValueError(f"no systems: name at least one of {SYSTEMS}")
         unknown = set(systems) - set(SYSTEMS)
         if unknown:
             raise ValueError(f"unknown systems: {sorted(unknown)}")

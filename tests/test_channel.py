@@ -1,8 +1,12 @@
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qfuca import channel as chan
-from qfuca import linalg
+from qfuca import cli, linalg, txrx
+from qfuca.config import Scenario
 from qfuca.errors import DegenerateChannelError, DimensionError
 from qfuca.geometry import build_layout, single_ring_layout
 from qfuca.linalg import diagonalize_row_blocks, dft_matrix, idft_matrix
@@ -184,7 +188,9 @@ class TestBlockChannel:
     def test_block_offset_identity(self, qf9, params100):
         lay, _ = qf9
         bc = chan.build_block_channel(lay, lay, params100)
-        blocks = reference.channel_csv_blocks(chan.channel_csv(bc))
+        buf = io.StringIO()
+        chan.channel_csv(bc, buf)
+        blocks = reference.channel_csv_blocks(buf.getvalue())
         for m in range(4):
             for n in range(4):
                 assert np.array_equal(blocks[m, n], bc[(n + 4 - m) % 4])
@@ -194,7 +200,9 @@ class TestBlockChannel:
         # tolerance carries the unavoidable phase roundoff of 2 pi d / lambda
         lay, sharing = qf9
         bc = chan.build_block_channel(lay, lay, params100)
-        blocks = reference.channel_csv_blocks(chan.channel_csv(bc))
+        buf = io.StringIO()
+        chan.channel_csv(bc, buf)
+        blocks = reference.channel_csv_blocks(buf.getvalue())
         lam = params100.wavelength_m
         eps = np.finfo(float).eps
         for m in range(4):
@@ -386,10 +394,11 @@ class TestDiagApprox:
 
 class TestApproxGap:
     def test_gap_zero_when_approximation_is_exact(self, qf9, params100, monkeypatch):
-        # denominator structure: a null channel has no relative gap
+        # denominator structure: a null channel has no relative gap; H_0 is
+        # built from free_space_gain alone
         lay, _ = qf9
-        zero = np.zeros((4, 4, 4), dtype=complex)
-        monkeypatch.setattr(chan, "build_block_channel", lambda *args: zero)
+        monkeypatch.setattr(chan, "free_space_gain",
+                            lambda offsets, params: np.zeros(offsets.shape[:-1], dtype=complex))
         assert chan.approx_gap(lay, lay, params100) == np.inf
 
     def test_equals_the_aligned_summand_oracle_bit_for_bit(self):
@@ -548,7 +557,24 @@ class TestLazyBesselBlocks:
 def test_channel_csv_header(qf9, params100):
     lay, _ = qf9
     bc = chan.build_block_channel(lay, lay, params100)
-    text = chan.channel_csv(bc)
-    lines = text.strip().split("\n")
+    buf = io.StringIO()
+    chan.channel_csv(bc, buf)
+    lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "m,n,v,k,re,im"
     assert len(lines) == 1 + 4 * 4 * 4 * 4
+
+
+def test_channel_csv_streams_in_constant_memory(tmp_path):
+    # the 16x32 table is 262,144 rows (15 MB); formatted one (m, n) block at
+    # a time, the export holds one 1,024-row block's text, never the table's
+    link = txrx.build_link(Scenario(n_cells=16, tx_elems=32, rx_elems=32))
+    with cli._open_output(tmp_path, "channel.csv") as fh:
+        tracemalloc.start()
+        try:
+            chan.channel_csv(link.subchannels, fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 ** 20
+    with open(tmp_path / "channel.csv", encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 1 + 16 * 16 * 32 * 32

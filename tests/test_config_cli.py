@@ -183,6 +183,17 @@ class TestCli:
         assert "axis values must be finite" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("systems", [",", ""])
+    def test_empty_system_list_exits_nonzero(self, tmp_path, capsys, systems):
+        # a --systems value that names no system would write a header-only
+        # sweep.csv
+        assert main(["sweep", "--out", str(tmp_path), "--axis", "snr_db",
+                     "--values", "0,10", "--systems", systems]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no systems: name at least one of")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_repeated_system_exits_nonzero(self, tmp_path, capsys):
         assert main(["sweep", "--out", str(tmp_path), "--axis", "snr_db",
                      "--values", "0,10", "--systems", "qf_uca,qf_uca"]) == 1
@@ -275,6 +286,15 @@ class TestCli:
          "snr_db 15.0 with total_power 1e-320 "),
         ("total_power = 1e-320\n", ["loopback", "--frames", "1"],
          "snr_db 15.0 with total_power 1e-320 "),
+        # sigma^2 is anchored at 1e100 m, so the 1e-100 m point's SNR overflows
+        ("distance_m = 1e100\n", ["sweep", "--axis", "distance_m", "--values", "1e-100,1.0"],
+         "spectrum efficiency overflows: a mode's SNR |Lambda|^2 P / sigma^2 leaves"),
+        ("distance_m = 1e100\n", ["sweep", "--axis", "distance_m", "--values", "1e-100,1.0",
+                                   "--systems", "siso_xN"],
+         "spectrum efficiency overflows: the SNR at distance 1e-100 m with noise variance"),
+        # a finite linear SNR whose ring array gain overflows a mode's SNR
+        ("", ["sweep", "--axis", "snr_db", "--values", "3080"],
+         "spectrum efficiency overflows: a mode's SNR |Lambda|^2 P / sigma^2 leaves"),
     ], ids=["loopback_snr_overflow", "sweep_snr_overflow", "loopback_snr_underflow",
             "sweep_snr_underflow", "loopback_radius", "sweep_radius",
             "loopback_distance_and_radius", "sweep_distance_and_radius",
@@ -283,11 +303,14 @@ class TestCli:
             "freq_sweep_gain_underflow", "loopback_freq_gain_underflow",
             "freq_sweep_gain_overflow", "sweep_beta_gain_underflow",
             "gap_beta_gain_underflow", "loopback_beta_gain_overflow",
-            "sweep_sigma2_underflow", "loopback_sigma2_underflow"])
+            "sweep_sigma2_underflow", "loopback_sigma2_underflow",
+            "distance_sweep_snr_overflow", "distance_sweep_siso_snr_overflow",
+            "snr_sweep_ring_snr_overflow"])
     def test_value_past_the_float_range_exits_nonzero(
             self, tmp_path, capsys, config, argv, prefix):
         # a linear SNR, a squared element offset, element distance or
-        # boresight gain, or a noise variance that leaves the float range:
+        # boresight gain, a noise variance or a mode's SNR that leaves the
+        # float range:
         # one error line naming the values, no traceback, no CSV
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(config)

@@ -13,7 +13,7 @@ import qfuca
 from qfuca import channel as chan
 from qfuca import geometry, metrics, txrx
 from qfuca.config import Scenario
-from qfuca.errors import DegenerateChannelError
+from qfuca.errors import DegenerateChannelError, DomainError
 from qfuca.linalg import diagonalize_row_blocks
 
 import reference
@@ -42,6 +42,12 @@ class TestSeQf:
         lam = np.ones((1, 1), dtype=complex)
         with pytest.raises(DegenerateChannelError):
             metrics.se_qf(lam, np.ones((1, 1)), np.zeros((1, 1)))
+
+    def test_snr_past_the_float_range_rejected(self):
+        # |Lambda|^2 P / sigma^2 = 1e300 / 1e-100 overflows
+        lam = np.full((1, 1), 1e150, dtype=complex)
+        with pytest.raises(DomainError, match="leaves the float range at noise power 1e-100"):
+            metrics.se_qf(lam, np.ones((1, 1)), np.full((1, 1), 1e-100))
 
     def test_removing_power_never_increases_se(self, scen):
         from qfuca.txrx import build_link
@@ -170,6 +176,10 @@ class TestSiso:
         with pytest.raises(ValueError):
             metrics.se_siso_times(0, scen, txrx.noise_variance(scen))
 
+    def test_snr_past_the_float_range_rejected(self, scen):
+        with pytest.raises(DomainError, match="at distance 100.0 m with noise variance 1e-320"):
+            metrics.se_siso_times(9, scen, 1e-320)
+
 
 class TestSweeps:
     def test_empty_axis(self, scen):
@@ -193,6 +203,9 @@ class TestSweeps:
         with pytest.raises(ValueError):
             metrics.SweepSpec(axis="snr_db", axis_values=(1.0,), fixed=scen,
                               systems=("vaporware",))
+        # no label would write a header-only table
+        with pytest.raises(ValueError, match="no systems"):
+            metrics.SweepSpec(axis="snr_db", axis_values=(1.0,), fixed=scen, systems=())
         # a repeated label would write each of its rows twice
         with pytest.raises(ValueError, match=r"repeated systems: \['qf_uca'\]"):
             metrics.SweepSpec(axis="snr_db", axis_values=(1.0,), fixed=scen,

@@ -1,8 +1,13 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
 
-SWEEP_DIFF = Path(__file__).resolve().parents[1] / "tools" / "sweep_diff.py"
+import qfuca
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+SWEEP_DIFF = TOOLS / "sweep_diff.py"
+CMD_PROBE = TOOLS / "cmd_probe.py"
 
 OLD = """axis,system,se_bps_hz,aux
 0.0,qf_uca,2.0,
@@ -43,3 +48,21 @@ class TestSweepDiff:
         out = sweep_diff(tmp_path, OLD, OLD.rsplit("15.0,uca_n", 1)[0])
         assert out.returncode == 1
         assert "row counts differ" in out.stderr
+
+
+def test_cmd_probe_reports_one_command(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(qfuca.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, str(CMD_PROBE), "geometry", "--out", str(tmp_path)],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0
+    lines = out.stdout.splitlines()
+    # the command's own output, then the probe's five figures
+    assert lines[0].startswith("tx: 9 physical elements")
+    figures = dict(line.split() for line in lines[-5:])
+    assert list(figures) == ["maxrss_before_mb", "maxrss_after_mb", "cpu_s", "minflt", "exit"]
+    assert 0 < float(figures["maxrss_before_mb"]) <= float(figures["maxrss_after_mb"])
+    assert float(figures["cpu_s"]) > 0
+    assert int(figures["minflt"]) >= 0
+    assert figures["exit"] == "0"
+    assert (tmp_path / "tx_layout.csv").is_file()
