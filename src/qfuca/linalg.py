@@ -2,7 +2,8 @@
 
 Unitary DFT/IDFT matrices, the O(n^2) diagonal of a matrix's DFT
 similarity transform (the eigenvalues of a circulant), and integer-order
-Bessel functions of the first kind.
+Bessel functions of the first kind, every order at once from one FFT of
+e^{j x sin t} (the Jacobi-Anger expansion), to about 3e-14 absolute.
 
 All operations are pure and deterministic and never mutate their inputs, so
 values can be shared freely between concurrent callers.
@@ -16,11 +17,6 @@ from .errors import DimensionError, DomainError
 
 MAX_BESSEL_ORDER = 64
 MAX_BESSEL_ARG = 1.0e4
-
-# Bessel evaluation: ascending power series below this argument, trapezoid
-# quadrature of the periodic integral form above it.
-_SERIES_CUTOFF = 12.0
-_MIN_QUAD_NODES = 2048
 
 
 def idft_matrix(n: int) -> np.ndarray:
@@ -74,56 +70,28 @@ def diagonalize_row_blocks(blocks) -> np.ndarray:
     return np.fft.ifft(acc)
 
 
-def _bessel_series(order: int, x: float) -> float:
-    # J_l(x) = sum_m (-1)^m (x/2)^{2m+l} / (m! (m+l)!), l >= 0
-    half = x / 2.0
-    term = 1.0
-    for i in range(1, order + 1):
-        term *= half / i
-    total = term
-    m = 1
-    while m <= 200:
-        term *= -(half * half) / (m * (m + order))
-        total += term
-        if abs(term) < 1e-18 * max(abs(total), 1e-30):
-            break
-        m += 1
-    return total
+def bessel_j(order, x: float):
+    """Bessel function of the first kind J_order(x) for an integer order, or
+    for an int array of orders at the one argument x.
 
-
-def _bessel_quadrature(order: int, x: float) -> float:
-    # J_l(x) = (1/2pi) int_0^{2pi} cos(l t - x sin t) dt; the integrand is
-    # 2pi-periodic, so the uniform trapezoid rule converges spectrally once
-    # the node count clears the integrand's bandwidth (~|x| + order).
-    n = max(_MIN_QUAD_NODES, int(4 * (abs(x) + order + 8)))
-    t = 2.0 * np.pi * np.arange(n) / n
-    return float(np.mean(np.cos(order * t - x * np.sin(t))))
-
-
-def bessel_j(order: int, x: float) -> float:
-    """Bessel function of the first kind J_order(x) for integer order.
-
-    Accurate to about 1e-10 absolute over |order| <= 64, |x| <= 1e4.
+    By the Jacobi-Anger expansion e^{j x sin t} = sum_l J_l(x) e^{j l t},
+    bin l mod M of the M-point FFT of e^{j x sin t} is M J_l(x) plus the
+    aliases J_{l +- M}(x), which are far below rounding at
+    M = 2 (floor|x| + MAX_BESSEL_ORDER + 32).  Negative orders read the
+    wrapped bins, and a negative x needs no reflection.  Accurate to about
+    3e-14 absolute over |order| <= 64, |x| <= 1e4.
     """
-    if int(order) != order:
+    orders = np.asarray(order)
+    if orders.dtype.kind not in "iuf" or not np.all(np.isfinite(orders)) \
+            or np.any(orders != np.round(orders)):
         raise DomainError(f"Bessel order must be an integer, got {order!r}")
-    order = int(order)
     x = float(x)
-    if abs(order) > MAX_BESSEL_ORDER:
-        raise DomainError(f"|order| must be <= {MAX_BESSEL_ORDER}, got {order}")
+    too_high = orders[(orders < -MAX_BESSEL_ORDER) | (orders > MAX_BESSEL_ORDER)]
+    if too_high.size:
+        raise DomainError(f"|order| must be <= {MAX_BESSEL_ORDER}, got {int(too_high[0])}")
     if not np.isfinite(x) or abs(x) > MAX_BESSEL_ARG:
         raise DomainError(f"|x| must be <= {MAX_BESSEL_ARG:g}, got {x!r}")
-    sign = 1.0
-    if order < 0:
-        # J_{-l}(x) = (-1)^l J_l(x)
-        order = -order
-        if order % 2:
-            sign = -sign
-    if x < 0:
-        # J_l(-x) = (-1)^l J_l(x)
-        x = -x
-        if order % 2:
-            sign = -sign
-    if x <= _SERIES_CUTOFF:
-        return sign * _bessel_series(order, x)
-    return sign * _bessel_quadrature(order, x)
+    m = 2 * (int(abs(x)) + MAX_BESSEL_ORDER + 32)
+    t = 2 * np.pi * np.arange(m) / m
+    values = np.fft.fft(np.exp(1j * x * np.sin(t))).real[orders.astype(int) % m] / m
+    return float(values) if values.ndim == 0 else values

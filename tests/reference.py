@@ -12,12 +12,13 @@ import io
 from dataclasses import replace
 
 import numpy as np
+from scipy import special
 
 from qfuca import channel as chan
 from qfuca import metrics, txrx
 from qfuca.errors import DegenerateChannelError, DimensionError, GeometryError
 from qfuca.geometry import Layout, single_ring_layout
-from qfuca.linalg import bessel_j, dft_matrix, idft_matrix
+from qfuca.linalg import dft_matrix, idft_matrix
 
 # quarter-turn between layout azimuths and the expansion's azimuths
 _AZ_SHIFT = np.pi / 2
@@ -200,11 +201,46 @@ def equivalent_mode_gain(tx: Layout, rx: Layout, params: chan.PropagationParams,
         amp = np.exp(-2j * np.pi * (d + rt**2 / (2 * d)) / lam) \
             * np.exp(-1j * np.pi * d * b_v**2 / (lam * rt**2)) / lv
         total += amp * np.exp(1j * (phi_q * p - alpha * l)) \
-            * np.exp(1j * (phi_v - phi_q) * l) * bessel_j(l, b_q)
+            * np.exp(1j * (phi_v - phi_q) * l) * special.jv(l, b_q)
     # converts the expansion's azimuth phases back to index-based modulation
     grid_phase = np.exp(-1j * (tx.elem_offset + _AZ_SHIFT) * l)
     return complex(chan.j_power(l) * np.sqrt(k_count / n) * hbar
                    * np.exp(1j * theta_m * p) * grid_phase * total)
+
+
+def diag_approx_block_loop(tx: Layout, rx: Layout, params: chan.PropagationParams,
+                           q: int, j_order: str = "matched",
+                           correction: bool = True) -> np.ndarray:
+    """The Bessel-route diagonal of the q-th summand one mode at a time, on
+    scipy's J_l and with the azimuth angle alpha_{q, phi} written out: the
+    oracle of `channel.diag_approx_block`."""
+    kc = tx.elems_per_cell
+    lam, d = params.wavelength_m, params.distance_m
+    rq, rt, rr = tx.qf_radius, tx.cell_radius, rx.cell_radius
+    phi_q = 2 * np.pi * q / tx.n_cells
+    s = np.sin(phi_q / 2)
+    b_q = 2 * np.pi * rt * np.sqrt(4 * rq**2 * s**2 + rr**2) / (lam * d)
+    z_q = 4 * np.pi * rq * rr * s / (lam * d)
+    pref = params.beta * lam * kc / (4 * np.pi * d) \
+        * np.exp(-2j * np.pi * (d + rt**2 / (2 * d)) / lam) \
+        * np.exp(-1j * np.pi * (4 * rq**2 * s**2 + rr**2) / (lam * d))
+    phi = 2 * np.pi * np.arange(chan._QUAD_NODES) / chan._QUAD_NODES
+    alpha = np.arctan2(2 * rq * rt * s * np.sin(phi - phi_q / 2),
+                       2 * rq * rt * s * np.cos(phi - phi_q / 2) + rr * rt)
+    alpha0 = float(np.arctan2(2 * rq * rt * s * np.sin(-phi_q / 2),
+                              2 * rq * rt * s * np.cos(-phi_q / 2) + rr * rt))
+    out = np.zeros(kc, dtype=complex)
+    for idx, l in enumerate(chan.mode_values(kc)):
+        l = int(l)
+        jl = special.jv(1 if j_order == "first" else l, b_q)
+        if correction:
+            bracket = complex(np.mean(np.exp(-1j * z_q * np.cos(phi - phi_q / 2))
+                                      * np.exp(-1j * alpha * l)))
+        else:
+            bracket = special.jv(0, z_q) * np.exp(-1j * alpha0 * l)
+        out[idx] = pref * chan.j_power(l) * np.exp(-1j * phi_q * l) * jl * bracket \
+            * np.exp(1j * (rx.elem_offset - tx.elem_offset) * l)
+    return out
 
 
 def superposed_subchannel(channel: np.ndarray, p: int) -> np.ndarray:

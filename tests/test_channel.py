@@ -385,6 +385,23 @@ class TestDiagApprox:
             if jl != 0:
                 assert first[idx] == pytest.approx(matched[idx] * j1 / jl, rel=1e-10)
 
+    @pytest.mark.parametrize("tx_shape,rx_shape", [
+        ((4, 4, 1.0), (4, 4, 1.0)),
+        ((4, 8, 0.5), (4, 8, 0.5)),
+        ((8, 16, 1.0), (8, 16, 1.0)),
+        # unequal ratios: element offsets pi/4 and 0, so e^{j (w_r - w_t) l} != 1
+        ((4, 4, float(np.sin(np.pi / 4))), (4, 4, 1.0))])
+    @pytest.mark.parametrize("j_order", ["matched", "first"])
+    @pytest.mark.parametrize("correction", [True, False])
+    def test_matches_per_mode_oracle(self, params100, tx_shape, rx_shape, j_order,
+                                     correction):
+        tx, rx = build_layout(*tx_shape, 1.0), build_layout(*rx_shape, 1.0)
+        for q in range(tx.n_cells):
+            got = chan.diag_approx_block(tx, rx, params100, q, j_order, correction)
+            expect = reference.diag_approx_block_loop(tx, rx, params100, q, j_order,
+                                                      correction)
+            assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
     def test_requires_square_modes(self, params100):
         a = build_layout(4, 4, 1.0, 1.0)
         b = build_layout(4, 8, 1.0, 1.0)

@@ -66,15 +66,15 @@ SCENARIOS = {"sweep_distance_8x16": GRID_8X16, "sweep_freq_8x16": GRID_8X16,
 GOLDEN = {
     'gap_criterion_10': {
         'gap.csv':
-            '7ab5c796bc1a4a46889072b8f74bb6651fb5c0bdcbddb72c29f4097b58cd6360',
+            '9684b91b393b1b727068eebaea67a874ceb7b39d8ba1a76346aa4bfaa1d37525',
     },
     'gap_default': {
         'gap.csv':
-            '5ab170cf46a44fdbbc77256d8eee1720998b069ef012a77c1b8cb74e28389695',
+            'c9ecb4d80852fcb7ca78f180eb76abf7c1849bd49f0a507c44a021475c1d1cc8',
     },
     'gap_first_uncorrected': {
         'gap.csv':
-            '4775c7e2fffd26cf57dac2e33c688b6f7086bf81156da66145e5d13291e15a51',
+            '4c779a460aa113aa0952ddc40abea8b826533140c9f459d3c91771cd5f8f2331',
     },
     'geometry': {
         'rx_layout.csv':
@@ -88,7 +88,7 @@ GOLDEN = {
         'loopback.csv':
             '731b3b1c74cb5371cced627695e2c6313913e7bb8ab838907b6d38c97870e50f',
         'modes.csv':
-            'f5633aa8dd43b337a1f5395a43dbb333b3774a5c4303c392d41916a253faef52',
+            '46f9f0e3fa1b8a7fd3364aedd88ac57d365da0636b6cf9ffc0a61d498424a988',
     },
     'loopback_bessel_first_uncorrected': {
         'channel.csv':
@@ -96,7 +96,7 @@ GOLDEN = {
         'loopback.csv':
             'f3e8c7435f9d632f9468a132dbbeeab703a21f2f42b9b2e858ee5be3f9e841a3',
         'modes.csv':
-            'd0d5ebac83dc926742bc89cbbf137e1437dfcd078cb347d3f47b2b4bf151f00a',
+            'f2116ba013b855135e139404d751aa5526d4cd09224fb7b7c8c3df06fe6b76e0',
     },
     'loopback_criterion_10': {
         'channel.csv':
@@ -159,11 +159,11 @@ STDOUT = {
         'rx: 9 physical elements, sharing [1, 2, 4, 2]\n',
     'loopback_bessel':
         'frames: 3  symbol errors: 26/48  SER: 0.5416666666666666\n'
-        'degenerate modes: 0  max interference-to-signal: 2.7706590930745727\n'
+        'degenerate modes: 0  max interference-to-signal: 2.7706590930745736\n'
         'ML near-ties: 0\n',
     'loopback_bessel_first_uncorrected':
         'frames: 3  symbol errors: 36/48  SER: 0.75\n'
-        'degenerate modes: 0  max interference-to-signal: 12.740274388453317\n'
+        'degenerate modes: 0  max interference-to-signal: 12.74027438845331\n'
         'ML near-ties: 0\n',
     'loopback_criterion_10':
         'frames: 3  symbol errors: 27/48  SER: 0.5625\n'

@@ -5,7 +5,6 @@ from scipy import special
 
 from qfuca.errors import DimensionError, DomainError
 from qfuca.linalg import bessel_j, diagonalize_row_blocks, idft_matrix
-from qfuca.linalg import _bessel_quadrature, _bessel_series
 
 from reference import circulant_from_first_row
 
@@ -157,16 +156,17 @@ class TestBessel:
             rhs = 2 * l / x * bessel_j(l, x)
             assert abs(lhs - rhs) < 1e-8
 
-    def test_series_and_quadrature_agree_at_crossover(self):
-        for l in (0, 1, 5, 20):
-            for x in (8.0, 11.5, 12.0):
-                assert abs(_bessel_series(l, x) - _bessel_quadrature(l, x)) < 1e-10
-
     @pytest.mark.parametrize("l,x", [(0, 0.5), (1, 2.0), (2, 11.9), (3, 12.1),
                                      (7, 40.0), (12, 300.0), (64, 1e4),
                                      (0, 9999.5), (33, 777.7)])
     def test_against_scipy(self, l, x):
         assert abs(bessel_j(l, x) - special.jv(l, x)) < 1e-10
+
+    @pytest.mark.parametrize("x", [0.0, 0.5, -0.5, 2.0, 8.0, 10.0, 11.9, 12.1, 50.0,
+                                   777.7, 5000.0, 9999.5, 1e4])
+    def test_every_order_against_scipy(self, x):
+        orders = np.arange(-64, 65)
+        assert np.max(np.abs(bessel_j(orders, x) - special.jv(orders, x))) < 1e-13
 
     @pytest.mark.parametrize("l,x", [(1, 3.0), (2, 7.5), (5, 100.0)])
     def test_reflections(self, l, x):
@@ -180,3 +180,9 @@ class TestBessel:
             bessel_j(0, 1.0001e4)
         with pytest.raises(DomainError):
             bessel_j(0.5, 1.0)
+        with pytest.raises(DomainError):
+            bessel_j(float("inf"), 1.0)
+        with pytest.raises(DomainError):
+            bessel_j(float("nan"), 1.0)
+        with pytest.raises(DomainError):
+            bessel_j(1e300, 1.0)
