@@ -77,6 +77,10 @@ def cmd_gap(args) -> int:
     out = Path(args.out)
     distances = _float_list(args.values) if args.values else [20.0, 50.0, 100.0, 200.0]
     elem_counts = _int_list(args.elems) if args.elems else [8, 16]
+    for label, values in (("distances", distances), ("element counts", elem_counts)):
+        repeated = sorted({x for x in values if values.count(x) > 1})
+        if repeated:
+            raise ValueError(f"repeated {label}: {repeated}")
     lines = ["D_m,K,p,epsilon"]
     for k in elem_counts:
         scen_k = replace(scenario, tx_elems=k, rx_elems=k)

@@ -87,7 +87,7 @@ def se_single_loop_uca(ring: Layout, scenario: Scenario, sigma2: float) -> float
 
     A one-cell ring has L = I (no split factor, no phase compensation and a
     unitary inner DFT, so every mode sees exactly sigma^2;
-    `txrx.noise_mode_scale(ring)` gives ones to within an ulp) and one exact
+    `txrx.noise_mode_scale(ring)` gives exactly ones) and one exact
     transform, W^H H W, of which the efficiency reads only the diagonal: the
     wrapped-diagonal sums of H and one FFT give it in O(n^2)
     (`linalg.diagonalize_row_blocks`).  H is never held whole: its gains

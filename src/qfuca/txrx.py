@@ -14,7 +14,8 @@ time, and detects them by one tie-stable argmin over the constellation.
 A link is built in two halves: `build_antenna` makes the part that depends
 on neither distance, carrier nor SNR, and `link_at` adds the propagation
 part.  `build_link` is their composition; sweeps keep the antenna and call
-`link_at` per point.
+`link_at` per point.  The noise scale is one 2-D DFT of the receive layout's
+shared-slot pairs (`noise_mode_scale`); where it is 0, Lambda is 0 too.
 
 `_nearest` makes every ML decision; `ml_detect` is it for one branch.  The
 tests hold each stage against its direct-summation form, the physical path
@@ -179,27 +180,21 @@ def ml_detect(s_tilde_p: np.ndarray, lambda_row: np.ndarray,
 
 def noise_mode_scale(rx: Layout) -> np.ndarray:
     """sigma^2_{p,l} / sigma^2: row power of the linear map taking the
-    physical element noise vector to s~_p(l) through split, compensation,
-    post-decoding, and the inner DFT.  The split's 1/L_v and the
-    post-decoding L_v cancel, since every cell shares its elements as cell 0
-    does, leaving only the coherent accumulation of each element's
-    duplicates.
-
-    The map is built one branch p at a time, a (V, n_physical) slice, so
-    the working memory does not grow with N."""
-    n_inter, v = rx.n_cells, rx.elems_per_cell
-    groups = rx.slot_group
-    m = p = np.arange(n_inter)
-    # exp(-1j * angle) keeps the bits of the scalar exp(-2j * pi * m * p / n)
-    # for every n; numpy's complex division by n rounds differently
-    phase = np.exp(-1j * (2 * np.pi * m[None, :] * p[:, None] / n_inter)) / np.sqrt(n_inter)
-    dft = dft_matrix(v)
-    out = np.empty((n_inter, v))
-    for p in range(n_inter):
-        a = np.zeros((v, rx.n_physical), dtype=complex)
-        np.add.at(a, (np.arange(v), groups), phase[p][:, None])
-        out[p] = np.sum(np.abs(dft @ a) ** 2, axis=1)
-    return out
+    physical element noise vector to s~_p(l).  The split's 1/L_v and the
+    post-decoding L_v cancel, so slot (m, v) reaches s~_p(l) with weight
+    e^{-j2pi(pm/N + lv/K)} / sqrt(NK) and the slots on one element add
+    coherently: the power is 1 plus 1/NK times the phase sum over ordered
+    pairs of distinct slots on one element.  Turning a pair by one cell
+    gives a pair, so cell 0's pairs stand for N each, and the sum is one 2-D
+    DFT of their counts by cell and slot offset.  It runs in long double and
+    is rounded before the 1 is added, so a mode whose receive row is all
+    zero gets exactly 0 (in double it misses by an ulp at 14x7)."""
+    n, k = rx.n_cells, rx.elems_per_cell
+    v, m, w = np.nonzero(rx.slot_group[0][:, None, None] == rx.slot_group[None])
+    other = (m != 0) | (v != w)
+    pairs = np.zeros((n, k), dtype=np.longdouble)
+    np.add.at(pairs, (-m[other] % n, (v - w)[other] % k), 1)
+    return 1.0 + (np.fft.fft2(pairs).real / k).astype(float)
 
 
 @dataclass(frozen=True)
@@ -262,17 +257,15 @@ class Link:
         coefficients, not the exact diagonal that the frames carry, while
         interference_power always comes from the exact transforms."""
         lam = self.lambda_coeffs
-        # hypot here and one dot product per mode row below: the rounding
-        # modes.csv is recorded with (np.abs of complex arrays rounds otherwise)
+        # hypot, not np.abs, whose rounding of complex arrays varies with
+        # numpy's SIMD level
         return np.hypot(lam.real, lam.imag) ** 2 * self.power_alloc
 
     @property
     def interference_power(self) -> np.ndarray:
         pa = self.power_alloc
-        row_gain = np.abs(self.exact_matrices) ** 2
-        coupling = np.array([[row @ pa_p for row in gain_p]
-                             for gain_p, pa_p in zip(row_gain, pa)])
-        return coupling - np.einsum("pll->pl", row_gain) * pa
+        row_gain = self.exact_matrices.real ** 2 + self.exact_matrices.imag ** 2
+        return np.sum(row_gain * pa[:, None, :], axis=-1) - np.einsum("pll->pl", row_gain) * pa
 
     @property
     def max_interference_to_signal(self) -> float:
@@ -312,10 +305,12 @@ def link_at(antenna: Antenna, scenario) -> Link:
     subchannels = chan.build_block_channel(tx, rx, params)
     exact = chan.detection_coeffs(subchannels, rx)
     if scenario.lambda_path == "exact":
-        lam = np.einsum("pll->pl", exact).copy()
+        lam = np.einsum("pll->pl", exact)
     else:
         lam = chan.bessel_diagonals(tx, rx, params, scenario.bessel_order,
                                     scenario.bessel_correction).sum(axis=1)
+    # a mode whose receive row is all zero observes nothing: degenerate
+    lam = np.where(antenna.noise_scale == 0, 0, lam)
     n, k = tx.n_cells, tx.elems_per_cell
     return Link(tx=tx, rx=rx, params=params, subchannels=subchannels,
                 exact_matrices=exact, lambda_coeffs=lam,

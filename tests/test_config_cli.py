@@ -201,6 +201,16 @@ class TestCli:
         assert err == "error: repeated systems: ['qf_uca']\n"
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--values", "50,100,50.0"], "repeated distances: [50.0]"),
+        (["--values", "50", "--elems", "4,8,4"], "repeated element counts: [4]"),
+    ], ids=["distance", "elems"])
+    def test_repeated_gap_value_exits_nonzero(self, tmp_path, capsys, flags, message):
+        # a repeated value would write duplicate gap.csv rows
+        assert main(["gap", "--out", str(tmp_path), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "gap.csv").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_noise_variance_exits_nonzero(self, tmp_path, capsys, value):
         assert main(["loopback", "--out", str(tmp_path), "--frames", "2",

@@ -88,7 +88,7 @@ GOLDEN = {
         'loopback.csv':
             '731b3b1c74cb5371cced627695e2c6313913e7bb8ab838907b6d38c97870e50f',
         'modes.csv':
-            '46f9f0e3fa1b8a7fd3364aedd88ac57d365da0636b6cf9ffc0a61d498424a988',
+            'a7f5c2ac8b5cbf60fc0a2ad2fb4a134a8ef5175b764b1c903c32817e3e0d1236',
     },
     'loopback_bessel_first_uncorrected': {
         'channel.csv':
@@ -96,7 +96,7 @@ GOLDEN = {
         'loopback.csv':
             'f3e8c7435f9d632f9468a132dbbeeab703a21f2f42b9b2e858ee5be3f9e841a3',
         'modes.csv':
-            'f2116ba013b855135e139404d751aa5526d4cd09224fb7b7c8c3df06fe6b76e0',
+            '51eeead93075e1d92299c021b550ac4a50b2d01bd98aa74adfb275635660667f',
     },
     'loopback_criterion_10': {
         'channel.csv':
@@ -104,7 +104,7 @@ GOLDEN = {
         'loopback.csv':
             '7d93e5467d234bc5436ac5ee137a47ce2f32b8c0269df800e1f3edd636721665',
         'modes.csv':
-            '956caeb6a860e2c3ab85517a3e02cd9b2101f149b4adce8de68361ea9ca7acce',
+            'dbc54cd54ef946903d767808909dde0a3407c791cd96c3dae6591a2ba1bc0e6a',
     },
     'loopback_noisy': {
         'channel.csv':
@@ -112,7 +112,7 @@ GOLDEN = {
         'loopback.csv':
             '0f51c8ef78ef6ab9da7c6e3dca9ca0efc3d8d73865139b23397b0153091b27de',
         'modes.csv':
-            '956caeb6a860e2c3ab85517a3e02cd9b2101f149b4adce8de68361ea9ca7acce',
+            'dbc54cd54ef946903d767808909dde0a3407c791cd96c3dae6591a2ba1bc0e6a',
     },
     'loopback_noisy_8x16': {
         'channel.csv':
@@ -120,19 +120,19 @@ GOLDEN = {
         'loopback.csv':
             '216cc506d52e48578d8a6ee9af16355380eb4b5f86a11e13cdfd79d5ac5ddb22',
         'modes.csv':
-            '40e85412e24db052ce760d87df015e3c5d1fc7dd217bf05f1bdd25b72e430be8',
+            'b737cdca63404196c8451bc8c8aa9ac9c6019e91c26f3b0a0c7cf6dcd4c6e548',
     },
     'sweep_distance': {
         'sweep.csv':
-            'ca603d2389e62b83bee1eb63161080ce334f139bc903b79b269bdf180338a378',
+            '01895185cca0c92eed40bca32ab919bcd25bf9bd6346db9bac39387c0be3e1aa',
     },
     'sweep_distance_16x32': {
         'sweep.csv':
-            '03ca75d52ed5c7f5a7df786ec4371ba9f66886297be711a03712dfdb9ab5a9b1',
+            '6ba35a2580f91d3d57279dc7ca841b49648096a4361669f3d78cb2c249c3ebc1',
     },
     'sweep_distance_8x16': {
         'sweep.csv':
-            '9b17779248e97eabe0f171707d5e12bc0189c2c44b1444b42485665565fd8742',
+            '84c040840b4fd932f5825e2545cc7c5a60c6734336aad8c5acb1bfadfb530adf',
     },
     'sweep_freq': {
         'sweep.csv':
@@ -140,11 +140,11 @@ GOLDEN = {
     },
     'sweep_freq_8x16': {
         'sweep.csv':
-            'bb0d4692f6435a552fc7bbf53f0ec5bf15184dd0471ae5bc520884931926a673',
+            '64d65b3cd2e2e0ff10432989c8d1c5340072c7458bc0121d0f182dd855e57022',
     },
     'sweep_snr_8x16': {
         'sweep.csv':
-            'c1b008a68b49e98cf0a15612261a035bf025a48c128995d59cd2c0cc480250a8',
+            '432f764cc366475b9250669617d7ab166b529f691cac11f30e13a8b9d325462f',
     },
     'sweep_snr_criterion_10': {
         'sweep.csv':
@@ -159,7 +159,7 @@ STDOUT = {
         'rx: 9 physical elements, sharing [1, 2, 4, 2]\n',
     'loopback_bessel':
         'frames: 3  symbol errors: 26/48  SER: 0.5416666666666666\n'
-        'degenerate modes: 0  max interference-to-signal: 2.7706590930745736\n'
+        'degenerate modes: 0  max interference-to-signal: 2.770659093074573\n'
         'ML near-ties: 0\n',
     'loopback_bessel_first_uncorrected':
         'frames: 3  symbol errors: 36/48  SER: 0.75\n'
@@ -175,7 +175,7 @@ STDOUT = {
         'ML near-ties: 0\n',
     'loopback_noisy_8x16':
         'frames: 20  symbol errors: 1588/2560  SER: 0.6203125\n'
-        'degenerate modes: 0  max interference-to-signal: 7434.257965944499\n'
+        'degenerate modes: 0  max interference-to-signal: 7434.2579659445\n'
         'ML near-ties: 0\n',
 }
 

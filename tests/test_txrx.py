@@ -11,6 +11,7 @@ from qfuca.config import Scenario
 from qfuca.errors import DimensionError
 from qfuca.geometry import build_layout, single_ring_layout
 from qfuca.linalg import dft_matrix, idft_matrix
+from qfuca.metrics import se_qf
 
 import reference
 from layouts import admissible_layouts
@@ -64,6 +65,28 @@ def noise_mode_scale_dense(rx, n_inter):
     np.add.at(a, (np.arange(n_inter)[:, None, None], np.arange(v), groups),
               phase[:, :, None] * weight)
     return np.sum(np.abs(dft_matrix(v) @ a) ** 2, axis=2)
+
+
+def noise_mode_scale_pair_sum(rx):
+    """In-test oracle: 1/NK times the phase sum over every ordered pair of
+    slots on one element, in extended precision, each phase reduced to
+    whole turns of 2pi/NK by integer arithmetic."""
+    n, k = rx.n_cells, rx.elems_per_cell
+    groups = rx.slot_group.ravel()
+    m, v = np.divmod(np.arange(n * k), k)
+    i, j = np.nonzero(groups[:, None] == groups[None])
+    turns = (np.arange(n)[:, None, None] * (m[i] - m[j]) * k
+             + np.arange(k)[None, :, None] * (v[i] - v[j]) * n) % (n * k)
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    return np.sum(np.cos(two_pi * turns / np.longdouble(n * k)), axis=-1) / (n * k)
+
+
+# The loops and dense oracles' own rounding: 3.6e-15 up to 16x32
+ORACLE_ROUNDING = 5e-15
+
+HAS_LONG_DOUBLE = np.finfo(np.longdouble).eps < np.finfo(float).eps
+needs_long_double = pytest.mark.skipif(not HAS_LONG_DOUBLE,
+                                       reason="long double is plain double here")
 
 
 def run_loopback_per_frame(link, n_frames, noise_variance=0.0):
@@ -325,8 +348,7 @@ class TestNoiseModel:
 class TestNoiseModeScale:
     def test_unshared_layout_unit_scale(self):
         lay = build_layout(4, 4, 0.5, 1.0)
-        scale = txrx.noise_mode_scale(lay)
-        assert np.max(np.abs(scale - 1.0)) < 1e-12
+        assert np.all(txrx.noise_mode_scale(lay) == 1.0)
 
     def test_against_operator_probe(self, qf9):
         # feed unit vectors through the actual receive chain and accumulate
@@ -344,27 +366,37 @@ class TestNoiseModeScale:
         scale = txrx.noise_mode_scale(lay)
         assert np.max(np.abs(scale - expect)) < 1e-12
 
-    @pytest.mark.parametrize("n, k", [(4, 4), (8, 16), (16, 32)])
-    def test_bit_identical_to_loops_at_ratio_one(self, n, k):
-        lay = build_layout(n, k, 1.0, 1.0)
-        assert np.array_equal(txrx.noise_mode_scale(lay),
-                              noise_mode_scale_loops(lay, n))
-
-    @pytest.mark.parametrize("n_elements", [1, 9, 128])
-    def test_bit_identical_to_loops_on_single_rings(self, n_elements):
-        ring = single_ring_layout(n_elements, 1.0)
-        assert np.array_equal(txrx.noise_mode_scale(ring),
-                              noise_mode_scale_loops(ring, 1))
-
-    @pytest.mark.parametrize("layout", admissible_layouts() + [(8, 16, 1.0), (16, 32, 1.0)])
-    def test_bit_identical_to_dense_form(self, layout):
+    @needs_long_double
+    @pytest.mark.parametrize("layout", admissible_layouts()
+                             + [(8, 16, 1.0), (16, 32, 1.0), (6, 12, 0.5), (14, 7, 1.0)])
+    def test_matches_extended_precision_oracle(self, layout):
         n, v, ratio = layout
         lay = build_layout(n, v, ratio, 1.0)
-        assert np.array_equal(txrx.noise_mode_scale(lay), noise_mode_scale_dense(lay, n))
+        error = np.abs(txrx.noise_mode_scale(lay) - noise_mode_scale_pair_sum(lay))
+        assert np.max(error) <= 4.4e-16
+
+    @pytest.mark.parametrize("n, k", [(4, 4), (8, 16), (16, 32)])
+    def test_matches_loops_at_ratio_one(self, n, k):
+        lay = build_layout(n, k, 1.0, 1.0)
+        error = np.abs(txrx.noise_mode_scale(lay) - noise_mode_scale_loops(lay, n))
+        assert np.max(error) <= ORACLE_ROUNDING
+
+    @pytest.mark.parametrize("n_elements", [1, 9, 128])
+    def test_matches_loops_on_single_rings(self, n_elements):
+        ring = single_ring_layout(n_elements, 1.0)
+        error = np.abs(txrx.noise_mode_scale(ring) - noise_mode_scale_loops(ring, 1))
+        assert np.max(error) <= ORACLE_ROUNDING
+
+    @pytest.mark.parametrize("layout", admissible_layouts() + [(8, 16, 1.0), (16, 32, 1.0)])
+    def test_matches_dense_form(self, layout):
+        n, v, ratio = layout
+        lay = build_layout(n, v, ratio, 1.0)
+        error = np.abs(txrx.noise_mode_scale(lay) - noise_mode_scale_dense(lay, n))
+        assert np.max(error) <= ORACLE_ROUNDING
 
     def test_peak_memory_below_one_dense_tensor(self):
-        # branch by branch, the working set stays below the one complex
-        # (N, V, n_physical) tensor the dense form fills (3.15 MB at 16x32)
+        # the working set stays below the one complex (N, V, n_physical)
+        # tensor the dense form fills (3.15 MB at 16x32)
         lay = build_layout(16, 32, 1.0, 1.0)
         dense_bytes = 16 * 32 * lay.n_physical * np.dtype(complex).itemsize
         tracemalloc.start()
@@ -377,8 +409,40 @@ class TestNoiseModeScale:
 
     def test_matches_loops_with_overlaps(self):
         lay = build_layout(6, 12, 0.5, 1.0)
-        expect = noise_mode_scale_loops(lay, 6)
-        assert np.max(np.abs(txrx.noise_mode_scale(lay) - expect) / expect) <= 1e-15
+        scale = txrx.noise_mode_scale(lay)
+        assert np.max(np.abs(scale - noise_mode_scale_loops(lay, 6))) <= ORACLE_ROUNDING
+        if HAS_LONG_DOUBLE:
+            # the loops oracle is itself 1.2e-15 relative off here
+            expect = noise_mode_scale_pair_sum(lay)
+            assert np.max(np.abs(scale - expect) / expect) <= 1e-15
+
+    @pytest.mark.parametrize("n", [6, 10, 14])
+    def test_null_receive_modes_get_exactly_zero(self, n):
+        # at ratio 1 with K = N/2 and N = 2 (mod 4), half the modes have a
+        # receive row that is identically zero: the odd p, one l each
+        lay = build_layout(n, n // 2, 1.0, 1.0)
+        scale = txrx.noise_mode_scale(lay)
+        p, _ = np.nonzero(scale == 0)
+        assert np.array_equal(p, np.arange(1, n, 2))
+        assert np.min(scale[scale != 0]) >= 1 / 3
+        rows = txrx.tod_inner_demodulate(txrx.tod_split_compensate(
+            np.eye(lay.n_physical), lay), lay)
+        assert np.max(np.abs(rows[:, scale == 0])) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.sampled_from(admissible_layouts(8, 32)),
+                     st.tuples(st.integers(min_value=3, max_value=8),
+                               st.integers(min_value=1, max_value=32),
+                               st.floats(min_value=0.05, max_value=1.0))))
+    def test_sharing_is_rotation_symmetric(self, layout):
+        # the closed form counts cell 0's shared-slot pairs once for all N
+        # cells: slots (m, v) and (m', w) share an element exactly when
+        # (m + 1, v) and (m' + 1, w) do
+        n, v, ratio = layout
+        group = build_layout(n, v, ratio, 1.0).slot_group
+        turned = np.roll(group, -1, axis=0)
+        assert np.array_equal(group[:, :, None, None] == group[None, None],
+                              turned[:, :, None, None] == turned[None, None])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=3, max_value=8),
@@ -387,20 +451,20 @@ class TestNoiseModeScale:
     def test_unit_scale_without_shared_elements(self, n, k, ratio):
         lay = build_layout(n, k, ratio, 1.0)
         assume(np.all(lay.sharing_freqs == 1))
-        assert np.max(np.abs(txrx.noise_mode_scale(lay) - 1.0)) <= 1e-14
+        assert np.all(txrx.noise_mode_scale(lay) == 1.0)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=1, max_value=64))
     def test_unit_scale_on_single_rings(self, n_elements):
         ring = single_ring_layout(n_elements, 1.0)
-        assert np.max(np.abs(txrx.noise_mode_scale(ring) - 1.0)) <= 1e-14
+        assert np.all(txrx.noise_mode_scale(ring) == 1.0)
 
     @pytest.mark.parametrize("n_elements", [1, 9, 385, 512])
     def test_ring_antenna_scale_is_exactly_one(self, n_elements):
         # one cell: no split, no compensation and a unitary inner DFT, so a
         # ring's efficiency takes sigma^2 itself as every mode's noise
         computed = txrx.noise_mode_scale(single_ring_layout(n_elements, 1.0))
-        assert np.max(np.abs(computed - np.ones((1, n_elements)))) <= 4 * np.finfo(float).eps
+        assert np.array_equal(computed, np.ones((1, n_elements)))
 
 
 class TestBuildLink:
@@ -415,6 +479,26 @@ class TestBuildLink:
             assert np.array_equal(link.noise_scale, fresh.noise_scale)
             assert link.sigma2 == fresh.sigma2
             assert link.params == fresh.params
+
+    @pytest.mark.parametrize("lambda_path", ["exact", "bessel"])
+    @pytest.mark.parametrize("n", [6, 10])
+    def test_null_receive_modes_are_degenerate(self, n, lambda_path):
+        # a mode whose receive row is identically zero observes nothing: its
+        # Lambda is exactly 0, so detection, the error count, the ISR and
+        # the efficiency all skip it
+        link = txrx.build_link(Scenario(n_cells=n, tx_elems=n // 2, rx_elems=n // 2,
+                                        lambda_path=lambda_path))
+        null = link.noise_scale == 0
+        assert np.count_nonzero(null) == n // 2
+        assert np.all(link.lambda_coeffs[null] == 0)
+        assert np.all(link.lambda_coeffs[~null] != 0)
+        report = txrx.run_loopback(link, 4, noise_variance=link.sigma2)
+        assert report.degenerate_modes == 4 * (n // 2)
+        assert not np.any(report.per_mode_errors[null])
+        signal = link.signal_power[~null]
+        assert se_qf(link.lambda_coeffs, link.power_alloc, link.noise_power) \
+            == pytest.approx(np.sum(np.log2(1 + signal / link.noise_power[~null])), rel=1e-14)
+        assert np.isfinite(link.max_interference_to_signal)
 
     def test_exact_path_builds_one_block_channel_and_no_bessel_blocks(self, count_calls):
         diag_calls = count_calls(chan, "diag_approx_block")
