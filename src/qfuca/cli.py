@@ -8,8 +8,10 @@ Subcommands:
   sweep     spectrum-efficiency sweeps over snr_db / distance_m / freq_hz
 
 All outputs are CSV files under --out, reproducible byte-for-byte from the
-same (config, seed) on one numpy build, BLAS kernel and SIMD level; other
-kernels and SIMD levels move the last bits of some values.
+same (config, seed) on one numpy build and SIMD level; other builds and SIMD
+levels move the last bits of some values.  Every DFT is an FFT, so the BLAS
+kernel moves no byte, except that loopback.csv also rests on the one BLAS
+product of the propagation.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Complex dense-matrix kernel.
 
-Unitary DFT/IDFT matrices, the O(n^2) diagonal of a matrix's DFT
-similarity transform (the eigenvalues of a circulant), and integer-order
-Bessel functions of the first kind, every order at once from one FFT of
-e^{j x sin t} (the Jacobi-Anger expansion), to about 3e-14 absolute.
+The O(n^2) diagonal of a matrix's DFT similarity transform (the eigenvalues
+of a circulant), and integer-order Bessel functions of the first kind, every
+order at once from one FFT of e^{j x sin t} (the Jacobi-Anger expansion), to
+about 3e-14 absolute.
 
 All operations are pure and deterministic and never mutate their inputs, so
 values can be shared freely between concurrent callers.
@@ -19,25 +19,10 @@ MAX_BESSEL_ORDER = 64
 MAX_BESSEL_ARG = 1.0e4
 
 
-def idft_matrix(n: int) -> np.ndarray:
-    """Unitary n-point IDFT matrix, entry (a, b) = e^{j 2 pi a b / n} / sqrt(n).
-
-    Its conjugate transpose is the (unitary) DFT matrix.
-    """
-    if n < 1:
-        raise DimensionError(f"IDFT matrix needs n >= 1, got {n}")
-    a = np.arange(n)
-    return np.exp(2j * np.pi / n * np.outer(a, a)) / np.sqrt(n)
-
-
-def dft_matrix(n: int) -> np.ndarray:
-    """Unitary n-point DFT matrix (conjugate transpose of idft_matrix)."""
-    return idft_matrix(n).conj().T
-
-
 def diagonalize_row_blocks(blocks) -> np.ndarray:
-    """The diagonal of W^H C W, W = idft_matrix(n), for a square C given as
-    its consecutive row blocks, each (rows, n), in O(n^2) time.
+    """The diagonal of W^H C W, W the unitary n-point IDFT matrix
+    (W[a, b] = e^{j 2 pi a b / n} / sqrt(n)), for a square C given as its
+    consecutive row blocks, each (rows, n), in O(n^2) time.
 
     Entry k is (1/n) sum_{a,b} C[a, b] e^{j 2 pi (b - a) k / n}, which
     depends on C only through its wrapped-diagonal sums

@@ -2,14 +2,15 @@
 propagation, two-dimension demodulation (TOD), and mode-wise ML detection.
 
 The chain is one set of stage functions, each taking a stack of frames
-(leading axes index frames): `tom_modulate` applies idft_matrix(N) @ S @
-idft_matrix(K) to the (N, K) symbol grids and sums the slots onto the shared
-elements; propagation is one product with the transposed physical gain
-matrix; `tod_split_compensate` splits each observation back to the logical
-slots and compensates by dft_matrix(N); `tod_inner_demodulate` applies L and
-dft_matrix(K) to every branch at once.  `run_loopback` builds the gain
-matrix once per run, sends its frames through the stages FRAME_BLOCK at a
-time, and detects them by one tie-stable argmin over the constellation.
+(leading axes index frames), and every DFT in it is a unitary FFT:
+`tom_modulate` takes the 2-D inverse FFT of the (N, K) symbol grids and sums
+the slots onto the shared elements; propagation is one product with the
+transposed physical gain matrix; `tod_split_compensate` splits each
+observation back to the logical slots and compensates by an N-point FFT
+across the cells; `tod_inner_demodulate` weights every branch by L and takes
+its K-point FFT.  `run_loopback` builds the gain matrix once per run, sends
+its frames through the stages FRAME_BLOCK at a time, and detects them by one
+tie-stable argmin over the constellation.
 
 A link is built in two halves: `build_antenna` makes the part that depends
 on neither distance, carrier nor SNR, and `link_at` adds the propagation
@@ -32,7 +33,6 @@ import numpy as np
 from . import channel as chan
 from .errors import DimensionError
 from .geometry import Layout, build_layout, slot_group_sum
-from .linalg import dft_matrix, idft_matrix
 
 # Frames go through the engine in blocks of this many, so its temporaries
 # (the largest is the (frames, N, K, alphabet) distance tensor) keep one size
@@ -107,10 +107,9 @@ def tom_modulate(symbols: np.ndarray, tx: Layout) -> np.ndarray:
     onto the shared elements; the last axis indexes physical elements and
     leading axes index frames."""
     sym = np.asarray(symbols, dtype=complex)
-    n, k = tx.n_cells, tx.elems_per_cell
-    if sym.shape[-2:] != (n, k):
+    if sym.shape[-2:] != (tx.n_cells, tx.elems_per_cell):
         raise DimensionError("symbol grid does not match the transmit layout")
-    return slot_group_sum(tx, idft_matrix(n) @ sym @ idft_matrix(k))
+    return slot_group_sum(tx, np.fft.ifft2(sym, norm="ortho"))
 
 
 def split_received(rx_signals: np.ndarray, rx: Layout) -> np.ndarray:
@@ -126,9 +125,10 @@ def split_received(rx_signals: np.ndarray, rx: Layout) -> np.ndarray:
 
 def tod_split_compensate(rx_signals: np.ndarray, rx: Layout) -> np.ndarray:
     """Split physical observations to logical slots, then separate the
-    inter-cell modes by the N-point phase compensation dft_matrix(N): row p
-    of the result is x~_p.  Leading axes of `rx_signals` index frames."""
-    return dft_matrix(rx.n_cells) @ split_received(rx_signals, rx)
+    inter-cell modes by the N-point phase compensation, a unitary FFT across
+    the cells: row p of the result is x~_p.  Leading axes of `rx_signals`
+    index frames."""
+    return np.fft.fft(split_received(rx_signals, rx), axis=-2, norm="ortho")
 
 
 def tod_inner_demodulate(x_tilde: np.ndarray, rx: Layout) -> np.ndarray:
@@ -136,10 +136,9 @@ def tod_inner_demodulate(x_tilde: np.ndarray, rx: Layout) -> np.ndarray:
     receive layout's sharing frequencies, applied to the branches x~_p as
     row vectors (last axis); leading axes index branches and frames."""
     x = np.asarray(x_tilde, dtype=complex)
-    v = rx.elems_per_cell
-    if x.shape[-1:] != (v,):
+    if x.shape[-1:] != (rx.elems_per_cell,):
         raise DimensionError("branch length does not match the receive cell")
-    return x @ (rx.sharing_freqs[:, None] * dft_matrix(v).T)
+    return np.fft.fft(x * rx.sharing_freqs, axis=-1, norm="ortho")
 
 
 def _nearest(s_tilde: np.ndarray, lam: np.ndarray, amplitudes: np.ndarray,

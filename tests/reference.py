@@ -18,10 +18,24 @@ from qfuca import channel as chan
 from qfuca import metrics, txrx
 from qfuca.errors import DegenerateChannelError, DimensionError, GeometryError
 from qfuca.geometry import Layout, single_ring_layout
-from qfuca.linalg import dft_matrix, idft_matrix
 
 # quarter-turn between layout azimuths and the expansion's azimuths
 _AZ_SHIFT = np.pi / 2
+
+
+def idft_matrix(n: int) -> np.ndarray:
+    """Unitary n-point IDFT matrix, entry (a, b) = e^{j 2 pi a b / n} / sqrt(n):
+    the dense form of the chain's inverse FFTs.  Its conjugate transpose is
+    the (unitary) DFT matrix."""
+    if n < 1:
+        raise DimensionError(f"IDFT matrix needs n >= 1, got {n}")
+    a = np.arange(n)
+    return np.exp(2j * np.pi / n * np.outer(a, a)) / np.sqrt(n)
+
+
+def dft_matrix(n: int) -> np.ndarray:
+    """Unitary n-point DFT matrix (conjugate transpose of idft_matrix)."""
+    return idft_matrix(n).conj().T
 
 
 def elem_azimuths(layout: Layout) -> np.ndarray:

