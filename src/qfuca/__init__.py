@@ -5,7 +5,7 @@ from .channel import (PropagationParams, approx_gap, build_block_channel,
 from .config import Scenario, parse_config, serialize_scenario
 from .geometry import (Layout, admissible_elem_counts, build_layout,
                        single_ring_layout)
-from .linalg import bessel_j, diagonalize_row_blocks
+from .linalg import bessel_j
 from .metrics import SweepSpec, run_sweep, se_qf, se_single_loop_uca, se_siso_times
 from .txrx import (Constellation, NoiseModel, build_link, ml_detect, run_loopback,
                    tod_inner_demodulate, tod_split_compensate, tom_modulate)

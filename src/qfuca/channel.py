@@ -9,7 +9,7 @@ offset q = ((n + N - m)) mod N.
 A link is three plain arrays.  The exact route (coordinate distances, exact
 sums) is the reference: the (N, V, K) sub-channels (`build_block_channel`)
 and the (N, K, K) exact transforms (`detection_coeffs`).  The Fresnel/Bessel
-closed forms mirror the analytical approximation chain: the (N, N, K)
+closed forms mirror the analytical approximation chain: the (N, K)
 diagonals (`bessel_diagonals`) behind the gap study and the approximate
 detection coefficients.  The per-entry distance, gain and equivalent-gain
 sums of both routes live with the tests (tests/reference.py), which hold the
@@ -188,16 +188,28 @@ def diag_approx_block(tx: Layout, rx: Layout, params: PropagationParams,
     rq, rt, rr = tx.qf_radius, tx.cell_radius, rx.cell_radius
     phi_q = 2 * np.pi * q / tx.n_cells
     s = np.sin(phi_q / 2)
-    b_q = 2 * np.pi * rt * np.sqrt(4 * rq**2 * s**2 + rr**2) / (lam * d)
-    z_q = 4 * np.pi * rq * rr * s / (lam * d)
+    if not lam * d > 0:
+        raise DomainError(f"distance {d!r} m is too short for the Bessel route at wavelength "
+                          f"{lam!r} m: their product, which its arguments divide by, "
+                          "underflows to 0")
+    # a quotient by lambda D past the float range is inf, and a phase's exp
+    # then nan, which the checks below reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        b_q = 2 * np.pi * rt * np.sqrt(4 * rq**2 * s**2 + rr**2) / (lam * d)
+        z_q = 4 * np.pi * rq * rr * s / (lam * d)
+        pref = params.beta * lam * kc / (4 * np.pi * d) \
+            * np.exp(-2j * np.pi * (d + rt**2 / (2 * d)) / lam) \
+            * np.exp(-1j * np.pi * (4 * rq**2 * s**2 + rr**2) / (lam * d))
     # the quadrature bracket takes z_q through exp, not through bessel_j
     arg = b_q if correction else max(b_q, abs(z_q))
     if arg > MAX_BESSEL_ARG:
         raise DomainError(f"distance {d!r} m is too short for the Bessel route: its "
                           f"Bessel argument {float(arg)!r} exceeds {MAX_BESSEL_ARG:g}")
-    pref = params.beta * lam * kc / (4 * np.pi * d) \
-        * np.exp(-2j * np.pi * (d + rt**2 / (2 * d)) / lam) \
-        * np.exp(-1j * np.pi * (4 * rq**2 * s**2 + rr**2) / (lam * d))
+    # the Fresnel phase pi (4 R_Q^2 s^2 + R_r^2) / (lambda D) is at least z_q,
+    # so this also rejects a z_q past the float range
+    if not np.isfinite(pref):
+        raise DomainError(f"distance {d!r} m is too short for the Bessel route at wavelength "
+                          f"{lam!r} m: its Fresnel phase leaves the float range")
     modes = mode_values(kc)
     jl = bessel_j(1 if j_order == "first" else modes, b_q)
     if correction:
@@ -220,25 +232,23 @@ def diag_approx_block(tx: Layout, rx: Layout, params: PropagationParams,
 
 def bessel_diagonals(tx: Layout, rx: Layout, params: PropagationParams,
                      j_order: str = "matched", correction: bool = True) -> np.ndarray:
-    """(N, N, K) Bessel-route diagonals: [p, q] approximates the q-th summand
-    of the p-th exact transform.  p enters the route only through
-    e^{j 2 pi p q / N}, so the N offsets are evaluated at p = 0 and the
-    phase is applied once."""
-    n = tx.n_cells
+    """(N, K) Bessel-route diagonals: row p approximates the diagonal of the
+    p-th exact transform, sum_q e^{j 2 pi p q / N} times the q-th summand's
+    diagonal.  p enters the route only through that phase, so the N offsets
+    are evaluated at p = 0 and summed for every p by one inverse FFT, as
+    `detection_coeffs` sums the sub-channels."""
     base = np.stack([diag_approx_block(tx, rx, params, q, j_order, correction)
-                     for q in range(n)])
-    phi = 2 * np.pi * np.arange(n) / n
-    phase = np.exp(1j * phi[None, :] * np.arange(n)[:, None])
-    return phase[:, :, None] * base[None]
+                     for q in range(tx.n_cells)])
+    return np.fft.ifft(base, axis=0, norm="forward")
 
 
 def superposition_gap(exact: np.ndarray, diagonals: np.ndarray) -> np.ndarray:
     """Per-p relative squared Frobenius gap between the exact transforms and
-    the Bessel-route diagonals summed over offsets; inf where the exact
-    transform is numerically null (see NULL_RTOL)."""
+    the (N, K) Bessel-route diagonals; inf where the exact transform is
+    numerically null (see NULL_RTOL)."""
     residual = exact.copy()
     k = np.arange(exact.shape[-1])
-    residual[:, k, k] -= diagonals.sum(axis=1)
+    residual[:, k, k] -= diagonals
     # plain sums of squares: a complex matrix norm would go through BLAS
     denom = np.sum(exact.real ** 2 + exact.imag ** 2, axis=(1, 2))
     err = np.sum(residual.real ** 2 + residual.imag ** 2, axis=(1, 2))
@@ -260,7 +270,7 @@ def approx_gap(tx: Layout, rx: Layout, params: PropagationParams,
     h0 = free_space_gain(rx.positions[0][:, None, :] - tx.positions[0][None, :, :], params)
     aligned = detection_coeffs((h0 / rx.sharing_freqs.astype(float)[:, None])[None], rx)
     diagonal = diag_approx_block(tx, rx, params, 0, j_order, correction)
-    return float(superposition_gap(aligned, diagonal[None, None])[0])
+    return float(superposition_gap(aligned, diagonal[None])[0])
 
 
 def detection_coeffs(channel: np.ndarray, rx: Layout) -> np.ndarray:

@@ -1,58 +1,21 @@
-"""Complex dense-matrix kernel.
+"""Special functions of the Bessel route.
 
-The O(n^2) diagonal of a matrix's DFT similarity transform (the eigenvalues
-of a circulant), and integer-order Bessel functions of the first kind, every
-order at once from one FFT of e^{j x sin t} (the Jacobi-Anger expansion), to
-about 3e-14 absolute.
+Integer-order Bessel functions of the first kind, every order at once from
+one FFT of e^{j x sin t} (the Jacobi-Anger expansion), to about 3e-14
+absolute.
 
-All operations are pure and deterministic and never mutate their inputs, so
-values can be shared freely between concurrent callers.
+`bessel_j` is pure and deterministic and never mutates its input, so values
+can be shared freely between concurrent callers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DomainError
 
 MAX_BESSEL_ORDER = 64
 MAX_BESSEL_ARG = 1.0e4
-
-
-def diagonalize_row_blocks(blocks) -> np.ndarray:
-    """The diagonal of W^H C W, W the unitary n-point IDFT matrix
-    (W[a, b] = e^{j 2 pi a b / n} / sqrt(n)), for a square C given as its
-    consecutive row blocks, each (rows, n), in O(n^2) time.
-
-    Entry k is (1/n) sum_{a,b} C[a, b] e^{j 2 pi (b - a) k / n}, which
-    depends on C only through its wrapped-diagonal sums
-    s_d = sum_j C[j, (j + d) mod n]: the diagonal is ifft(s).  For a
-    circulant C these are its eigenvalues; for any other C, the gains the
-    similarity transform leaves on its diagonal.
-
-    Only one block is held at a time, so `blocks` may be a generator and C
-    need never exist whole.  Each block's wrapped rows are added to the
-    running sums in one reduction whose first row is those sums; numpy adds
-    axis 0 one row at a time, so the result is bit for bit the same however
-    C is cut (adding per-block partial sums would round differently).  A
-    whole matrix C is the one-block case, `diagonalize_row_blocks([C])`.
-    """
-    acc, start = None, 0
-    for block in blocks:
-        block = np.asarray(block, dtype=complex)
-        n = acc.size if acc is not None else block.shape[1] if block.ndim == 2 else 0
-        if block.ndim != 2 or block.shape[1] != n or start + block.shape[0] > n:
-            raise DimensionError(f"row block of shape {block.shape} does not continue "
-                                 f"a square {n}-column matrix at row {start}")
-        idx = np.arange(n)
-        rows = np.arange(block.shape[0])
-        wrapped = block[rows[:, None], (start + rows[:, None] + idx) % n]
-        acc = np.add.reduce(wrapped if acc is None else np.concatenate([acc[None], wrapped]),
-                            axis=0)
-        start += block.shape[0]
-    if acc is None or start != acc.size:
-        raise DimensionError(f"row blocks cover {start} rows of a square matrix, not all")
-    return np.fft.ifft(acc)
 
 
 def bessel_j(order, x: float):

@@ -14,13 +14,13 @@ A sweep builds its antennas once (`txrx.build_antenna` for the QF-UCA pair,
 and noise scales depend on neither distance, carrier nor SNR.  Each point
 builds only what depends on it: the QF-UCA link (`txrx.link_at`) and each
 ring's gains.
-A ring's efficiency reads only the diagonal of its one exact transform,
-which the channel's wrapped-diagonal sums and one FFT give in O(n^2)
-(`linalg.diagonalize_row_blocks`).  The ring allocates no n x n array: its
-gains are computed and folded into those sums in blocks of whole rows
-holding at most RING_BLOCK_GAINS gains each (one row once n passes it), so
-a ring point's temporaries do not grow with the ring below n = 8,192;
-computing the gains is most of a ring point.
+A coaxial ring's channel is circulant, so its efficiency reads only the
+eigenvalues, one inverse FFT of the channel's wrapped-diagonal sums
+(`se_single_loop_uca`).  The ring allocates no n x n array: its gains are
+computed and folded into those sums in blocks of whole rows holding at most
+RING_BLOCK_GAINS gains each (one row once n passes it), so a ring point's
+temporaries do not grow with the ring below n = 8,192; computing the gains
+is most of a ring point.
 The SNR axis reuses one QF-UCA link for all points but recomputes the ring
 gains at every point: reusing them would bring a 30-point 8x16 SNR sweep
 below one work unit of the benchmark's host-speed calibrator, so the
@@ -39,7 +39,6 @@ from . import channel as chan
 from .config import Scenario
 from .errors import DegenerateChannelError, DomainError
 from .geometry import Layout, single_ring_layout
-from .linalg import diagonalize_row_blocks
 # build_link is imported but not called: perfbench's tracer self-test checks
 # that tracing rebinds it here as a re-exported name
 from .txrx import build_antenna, build_link, link_at, noise_variance  # noqa: F401
@@ -88,24 +87,35 @@ def se_single_loop_uca(ring: Layout, scenario: Scenario, sigma2: float) -> float
     A one-cell ring has L = I (no split factor, no phase compensation and a
     unitary inner DFT, so every mode sees exactly sigma^2;
     `txrx.noise_mode_scale(ring)` gives exactly ones) and one exact
-    transform, W^H H W, of which the efficiency reads only the diagonal: the
-    wrapped-diagonal sums of H and one FFT give it in O(n^2)
-    (`linalg.diagonalize_row_blocks`).  H is never held whole: its gains
-    are computed max(1, RING_BLOCK_GAINS // n) rows at a time, each by the
-    same per-entry expression as `channel.build_block_channel`, so the
-    gains, and the efficiency, are bit for bit those of the full channel
-    wherever the blocks cut it, and a ring point's temporaries are
-    O(max(RING_BLOCK_GAINS, n)), not O(n^2).  The gains are the exact ones,
-    whatever the scenario's lambda_path."""
+    transform, W^H H W, of which the efficiency reads only the diagonal.
+    Entry k is (1/n) sum_{a,b} H[a, b] e^{j 2 pi (b - a) k / n}, so it is
+    ifft(s)[k] with s_d = sum_a H[a, (a + d) mod n] the wrapped-diagonal
+    sums, in O(n^2).  H is never held whole: its gains are computed
+    max(1, RING_BLOCK_GAINS // n) rows at a time, each by the same per-entry
+    expression as `channel.build_block_channel`, and added to the sums in
+    one reduction per block, so the gains, and the efficiency, are bit for
+    bit those of the full channel wherever the blocks cut it, and a ring
+    point's temporaries are O(max(RING_BLOCK_GAINS, n)), not O(n^2).  The
+    gains are the exact ones, whatever the scenario's lambda_path."""
     params = chan.PropagationParams.from_frequency(
         scenario.distance_m, scenario.freq_hz, scenario.beta)
     chan.check_element_distances(ring, ring, params)
-    pos = ring.positions[0]
-    n = ring.elems_per_cell
+    pos, n = ring.positions[0], ring.elems_per_cell
     rows = max(1, RING_BLOCK_GAINS // n)
-    blocks = (chan.free_space_gain(pos[r:r + rows, None, :] - pos[None, :, :], params)
-              for r in range(0, n, rows))
-    lam = diagonalize_row_blocks(blocks)[None, :]
+    shift = np.arange(n)
+    # row 0 holds the running sums and the rows below it a block's wrapped
+    # gains: numpy reduces axis 0 one row at a time, so the sums keep every
+    # bit of the whole-matrix sums
+    buf = np.zeros((min(rows, n) + 1, n), dtype=complex)
+    for r in range(0, n, rows):
+        gains = chan.free_space_gain(pos[r:r + rows, None, :] - pos[None, :, :], params)
+        a = np.arange(gains.shape[0])[:, None]
+        block = buf[:len(a) + 1]
+        # the indices are in range: mode="wrap" only lets take write into the
+        # buffer without a temporary of the block's size
+        np.take(gains, a * n + (r + a + shift) % n, out=block[1:], mode="wrap")
+        buf[0] = np.add.reduce(block, axis=0)
+    lam = np.fft.ifft(buf[0])[None, :]
     return se_qf(lam, np.full((1, n), scenario.total_power / n), np.full((1, n), sigma2))
 
 

@@ -38,6 +38,20 @@ def dft_matrix(n: int) -> np.ndarray:
     return idft_matrix(n).conj().T
 
 
+def dft_diagonal(c) -> np.ndarray:
+    """The diagonal of W^H C W for a square C, W = idft_matrix(n): entry k
+    is ifft(s)[k], with s_d = sum_a C[a, (a + d) mod n] the wrapped-diagonal
+    sums.  For a circulant C these are its eigenvalues.  The sums are one
+    axis-0 reduction over the whole matrix: the one-block form of the
+    streamed sums in `metrics.se_single_loop_uca`."""
+    c = np.asarray(c, dtype=complex)
+    n = c.shape[0]
+    if c.ndim != 2 or c.shape[1] != n:
+        raise DimensionError(f"the DFT diagonal needs a square matrix, got {c.shape}")
+    a = np.arange(n)[:, None]
+    return np.fft.ifft(np.add.reduce(c[a, (a + np.arange(n)) % n], axis=0))
+
+
 def elem_azimuths(layout: Layout) -> np.ndarray:
     """Within-cell element azimuths, by `build_layout`'s own expression."""
     k = layout.elems_per_cell

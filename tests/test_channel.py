@@ -9,7 +9,6 @@ from qfuca import cli, txrx
 from qfuca.config import Scenario
 from qfuca.errors import DegenerateChannelError, DimensionError
 from qfuca.geometry import build_layout, single_ring_layout
-from qfuca.linalg import diagonalize_row_blocks
 
 import reference
 from layouts import admissible_layouts
@@ -242,7 +241,7 @@ class TestBlockChannel:
         lay, sharing = qf9
         bc = chan.build_block_channel(lay, lay, params100)
         lh0 = sharing[:, None] * bc[0]
-        eig = diagonalize_row_blocks([lh0])
+        eig = reference.dft_diagonal(lh0)
         exact = chan.detection_coeffs(bc, lay)[0]
         # p = 0 transform minus the q != 0 summands leaves the q = 0 block
         w = reference.idft_matrix(4)
@@ -329,7 +328,7 @@ class TestDiagApprox:
         sharing = lay.sharing_freqs
         bc = chan.build_block_channel(lay, lay, params100)
         lh0 = sharing[:, None] * bc[0]
-        eig = diagonalize_row_blocks([lh0])
+        eig = reference.dft_diagonal(lh0)
         approx = chan.diag_approx_block(lay, lay, params100, 0)
         scale = np.max(np.abs(eig))
         assert np.max(np.abs(approx - eig)) < 0.01 * scale
@@ -344,8 +343,8 @@ class TestDiagApprox:
     def test_quadrature_bracket_against_independent_quadrature(self, params100):
         # reimplement the azimuth integral with a different rule and node count
         lay = build_layout(4, 8, 1.0, 1.0)
-        q, p = 1, 1
-        entries = chan.bessel_diagonals(lay, lay, params100, correction=True)[p, q]
+        q = 1
+        entries = chan.diag_approx_block(lay, lay, params100, q, correction=True)
         rq = lay.qf_radius
         rt = rr = lay.cell_radius
         lam = params100.wavelength_m
@@ -353,7 +352,7 @@ class TestDiagApprox:
         s = np.sin(phi_q / 2)
         b_q = 2 * np.pi * rt * np.sqrt(4 * rq**2 * s**2 + rr**2) / (lam * 100.0)
         z_q = 4 * np.pi * rq * rr * s / (lam * 100.0)
-        pref = lam * 8 / (4 * np.pi * 100.0) * np.exp(1j * phi_q * p) \
+        pref = lam * 8 / (4 * np.pi * 100.0) \
             * np.exp(-2j * np.pi * (100.0 + rt**2 / 200.0) / lam) \
             * np.exp(-1j * np.pi * (4 * rq**2 * s**2 + rr**2) / (lam * 100.0))
         from scipy import special
@@ -525,7 +524,7 @@ class TestDetectionCoeffs:
         from qfuca.txrx import build_link
         lay, _ = qf9
         lam_b = build_link(Scenario(lambda_path="bessel")).lambda_coeffs
-        summed = chan.bessel_diagonals(lay, lay, params100).sum(axis=1)
+        summed = chan.bessel_diagonals(lay, lay, params100)
         assert np.max(np.abs(lam_b - summed)) == 0.0
 
 
@@ -535,29 +534,31 @@ def full_gap(lay, params):
     return chan.superposition_gap(exact, chan.bessel_diagonals(lay, lay, params))
 
 
-def direct_approx_blocks(lay, params):
-    """In-test oracle: every (p, q) diagonal evaluated by its own call, with
-    its phase e^{j 2 pi p q / N} applied there."""
+def direct_approx_diagonals(lay, params):
+    """In-test oracle: every offset's diagonal evaluated by its own call,
+    and each p's sum over q taken term by term with its phase
+    e^{j 2 pi p q / N}."""
     n = lay.n_cells
-    return np.array([[np.exp(2j * np.pi * p * q / n) * chan.diag_approx_block(lay, lay, params, q)
-                      for q in range(n)] for p in range(n)])
+    blocks = [chan.diag_approx_block(lay, lay, params, q) for q in range(n)]
+    return np.array([sum(np.exp(2j * np.pi * p * q / n) * blocks[q] for q in range(n))
+                     for p in range(n)])
 
 
 class TestLazyBesselBlocks:
     @pytest.mark.parametrize("n, k", [(4, 4), (8, 16)])
     def test_hoisted_p_matches_direct_blocks(self, n, k, params100):
         lay = build_layout(n, k, 1.0, 1.0)
-        blocks = chan.bessel_diagonals(lay, lay, params100)
-        direct = direct_approx_blocks(lay, params100)
-        assert blocks.shape == (n, n, k)
-        assert np.max(np.abs(blocks - direct)) <= 1e-12 * np.max(np.abs(direct))
+        diagonals = chan.bessel_diagonals(lay, lay, params100)
+        direct = direct_approx_diagonals(lay, params100)
+        assert diagonals.shape == (n, k)
+        assert np.max(np.abs(diagonals - direct)) <= 1e-12 * np.max(np.abs(direct))
 
     def test_bessel_link_matches_direct_evaluation(self, qf9, params100):
         from qfuca.config import Scenario
         from qfuca.txrx import build_link
         lay, _ = qf9
         link = build_link(Scenario(lambda_path="bessel"))
-        direct = direct_approx_blocks(lay, params100).sum(axis=1)
+        direct = direct_approx_diagonals(lay, params100)
         assert np.max(np.abs(link.lambda_coeffs - direct)) \
             <= 1e-12 * np.max(np.abs(direct))
         gap = chan.superposition_gap(link.exact_matrices,

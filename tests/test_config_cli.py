@@ -1,11 +1,17 @@
+import contextlib
+import csv
 import filecmp
+import io
+import math
+import tempfile
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qfuca import cli
+from qfuca import cli, metrics
 from qfuca.cli import main
 from qfuca.config import Scenario, parse_config, serialize_scenario
 from qfuca.errors import ConfigError
@@ -16,6 +22,13 @@ FLOAT_KEYS = [f.name for f in fields(Scenario) if isinstance(getattr(Scenario(),
 # span (2 (R_Q + R))^2 overflows
 FAR_AND_WIDE = "distance_m = 1.3e154\nqf_radius_m = 3e153\n"
 DISTANCE_AND_RADIUS = "distance 1.3e+154 m and antenna radius 3e+153 m are too large together"
+
+# each passes its own range check, but the wavelength times TINY_D
+# underflows to 0, and the Bessel route divides by that product
+TINY_D = 1.5274334733869842e-153
+LAMBDA_D_UNDERFLOW = "n_cells = 6\ntx_elems = 3\nrx_elems = 3\nfreq_hz = 6.642490972796287e+283\n"
+TINY_TX_CELL = "n_cells = 3\ntx_elems = 1\nrx_elems = 1\ntx_ratio = 1e-310\nfreq_hz = 3e162\n"
+FRESNEL_OVERFLOW = "distance 1e-154 m is too short for the Bessel route at wavelength"
 
 
 class TestParseConfig:
@@ -237,8 +250,24 @@ class TestCli:
         ("distance_m = 1e200\n", ["sweep", "--axis", "snr_db", "--values", "15"],
          "distance 1e+200 m is too long"),
         ("", ["gap", "--values", "1e200", "--elems", "4"], "distance 1e+200 m is too long"),
+        # lambda D underflows to 0, or to a subnormal that the Bessel
+        # argument overflows past
+        (LAMBDA_D_UNDERFLOW, ["gap", f"--values={TINY_D}", "--elems", "1"],
+         f"distance {TINY_D} m is too short for the Bessel route at wavelength"),
+        (LAMBDA_D_UNDERFLOW + f"distance_m = {TINY_D}\nlambda_path = bessel\n",
+         ["loopback", "--frames", "1"],
+         f"distance {TINY_D} m is too short for the Bessel route at wavelength"),
+        ("n_cells = 6\ntx_elems = 3\nrx_elems = 3\nfreq_hz = 3e168\n",
+         ["gap", "--values=1e-160", "--elems", "3"], "distance 1e-160 m is too short"),
+        # a transmit cell 1e-310 of the receive cell keeps the Bessel
+        # argument small while the Fresnel phase overflows
+        (TINY_TX_CELL, ["gap", "--values=1e-154", "--elems", "1"], FRESNEL_OVERFLOW),
+        (TINY_TX_CELL + "distance_m = 1e-154\nlambda_path = bessel\n",
+         ["loopback", "--frames", "1"], FRESNEL_OVERFLOW),
     ], ids=["loopback", "sweep", "gap", "loopback_bessel", "loopback_overflow",
-            "sweep_overflow", "gap_overflow"])
+            "sweep_overflow", "gap_overflow", "gap_lambda_d_zero",
+            "loopback_bessel_lambda_d_zero", "gap_lambda_d_subnormal",
+            "gap_fresnel_phase_overflow", "loopback_bessel_fresnel_phase_overflow"])
     def test_distance_the_routes_cannot_evaluate_exits_nonzero(
             self, tmp_path, capsys, config, argv, prefix):
         # a squared boresight gain or distance past the float range, or a
@@ -397,3 +426,72 @@ class TestCli:
         assert (tmp_path / "s1" / "modes.csv").read_text() \
             == (tmp_path / "s2" / "modes.csv").read_text()
         assert a.split("\n")[0] == b.split("\n")[0]
+
+
+def _key_values(key):
+    # the whole positive float range, with a band where most commands run
+    if key == "snr_db":
+        return st.floats(-3000.0, 3000.0)
+    return st.one_of(st.floats(5e-324, 1e300), st.floats(0.05, 1e4))
+
+
+def run_cli(argv):
+    """Exit code, stderr and the CSV rows that `main` leaves under a fresh
+    output directory, with every RuntimeWarning raised as an error."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        cfg = Path(tmp) / "scenario.cfg"
+        cfg.write_text(argv[0])
+        code = main([argv[1], "--config", str(cfg), "--out", str(Path(tmp) / "out"), *argv[2:]])
+        tables = {path.name: list(csv.reader(path.open())) for path in Path(tmp).rglob("*.csv")}
+    return code, err.getvalue(), tables
+
+
+class TestExitContract:
+    # 1 to 3 float keys over their whole range, every grid and route, every
+    # command: exit 0 with only finite CSV cells (but the gap's documented
+    # inf), or exit 1 with one error line and no CSV; no warning, nothing
+    # raised
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(overrides=st.lists(st.sampled_from(FLOAT_KEYS), min_size=1, max_size=3, unique=True)
+           .flatmap(lambda keys: st.fixed_dictionaries({k: _key_values(k) for k in keys})),
+           grid=st.tuples(st.integers(3, 6), st.sampled_from([1, 2, 3, 4, 6, 8])),
+           route=st.tuples(st.sampled_from(["exact", "bessel"]),
+                           st.sampled_from(["matched", "first"]), st.booleans()),
+           command=st.sampled_from(["loopback", "sweep", "gap", "geometry"]),
+           axis=st.sampled_from(metrics.SWEEP_AXES),
+           values=st.lists(st.one_of(_key_values("distance_m"), _key_values("snr_db")),
+                           min_size=1, max_size=3))
+    # lambda D underflows to 0 on the Bessel route
+    @example(overrides={"freq_hz": 6.642490972796287e+283}, grid=(6, 1),
+             route=("exact", "matched", True), command="gap", axis="snr_db",
+             values=[1.5274334733869842e-153])
+    def test_every_command_exits_0_or_1_cleanly(self, overrides, grid, route, command,
+                                                axis, values):
+        n, k = grid
+        lambda_path, order, correction = route
+        config = "".join(f"{key} = {value!r}\n" for key, value in overrides.items()) \
+            + f"n_cells = {n}\ntx_elems = {k}\nrx_elems = {k}\nlambda_path = {lambda_path}\n" \
+            f"bessel_order = {order}\nbessel_correction = {'on' if correction else 'off'}\n"
+        # a list is attached to its flag: argparse reads "-10,0" as an option
+        joined = ",".join(repr(v) for v in sorted(set(values)))
+        flags = {"geometry": [], "gap": [f"--values={joined}", f"--elems={k}"],
+                 "loopback": ["--frames", "2"],
+                 "sweep": ["--axis", axis, f"--values={joined}"]}[command]
+        code, err, tables = run_cli([config, command, *flags])
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert not tables
+            return
+        assert code == 0 and not err
+        for name, rows in tables.items():
+            for row in rows[1:]:
+                for column, cell in zip(rows[0], row):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue
+                    assert math.isfinite(value) or (name, column, value) \
+                        == ("gap.csv", "epsilon", math.inf), (name, column, cell)

@@ -110,7 +110,7 @@ GOLDEN = {
         'loopback.csv':
             '731b3b1c74cb5371cced627695e2c6313913e7bb8ab838907b6d38c97870e50f',
         'modes.csv':
-            'bf6de06d39b0dd58b8ca1986ad0c0f99a9cdc47a9ff578ff3fc1d3f98c549d49',
+            'c160dbfdd3c9be79ec7c65aa7c8e09bd9fbb9f0dcd0637451c0c95871a0adba4',
     },
     'loopback_bessel_first_uncorrected': {
         'channel.csv':
@@ -118,7 +118,7 @@ GOLDEN = {
         'loopback.csv':
             'f3e8c7435f9d632f9468a132dbbeeab703a21f2f42b9b2e858ee5be3f9e841a3',
         'modes.csv':
-            '477b22974d5cb0103e8902eb93544b2f543a75fc06f753deca3ec8431369c1ab',
+            '72300c099dc517796ada9ebc86953e987b71b8f138f96db4af9fa5ae96a718d2',
     },
     'loopback_criterion_10': {
         'channel.csv':

@@ -3,10 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
 
+from qfuca import channel as chan
+from qfuca import metrics
+from qfuca.config import Scenario
 from qfuca.errors import DimensionError, DomainError
-from qfuca.linalg import bessel_j, diagonalize_row_blocks
+from qfuca.geometry import single_ring_layout
+from qfuca.linalg import bessel_j
 
-from reference import circulant_from_first_row, idft_matrix
+from reference import circulant_from_first_row, dft_diagonal, idft_matrix
 
 
 class TestIdftMatrix:
@@ -63,13 +67,13 @@ class TestCirculant:
             circulant_from_first_row([])
 
     def test_identity_eigenvalues(self):
-        assert np.allclose(diagonalize_row_blocks([np.eye(3)]), np.ones(3), atol=1e-12)
+        assert np.allclose(dft_diagonal(np.eye(3)), np.ones(3), atol=1e-12)
 
     def test_shift_matrix_against_direct_product(self):
         c = circulant_from_first_row([0, 1, 0])
         w = idft_matrix(3)
         direct = np.diag(w.conj().T @ c @ w)
-        assert np.max(np.abs(diagonalize_row_blocks([c]) - direct)) < 1e-12
+        assert np.max(np.abs(dft_diagonal(c) - direct)) < 1e-12
 
     def test_random_8x8_against_direct_product(self):
         rng = np.random.default_rng(11)
@@ -79,7 +83,7 @@ class TestCirculant:
         product = w.conj().T @ c @ w
         offdiag = product - np.diag(np.diag(product))
         assert np.max(np.abs(offdiag)) < 1e-10 * np.linalg.norm(c)
-        assert np.max(np.abs(diagonalize_row_blocks([c]) - np.diag(product))) < 1e-10
+        assert np.max(np.abs(dft_diagonal(c) - np.diag(product))) < 1e-10
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.complex_numbers(max_magnitude=10, allow_nan=False,
@@ -91,7 +95,7 @@ class TestCirculant:
         w = idft_matrix(n)
         direct = np.diag(w.conj().T @ c @ w)
         scale = max(1.0, np.max(np.abs(direct)))
-        assert np.max(np.abs(diagonalize_row_blocks([c]) - direct)) < 1e-10 * scale
+        assert np.max(np.abs(dft_diagonal(c) - direct)) < 1e-10 * scale
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 97, 128])
     def test_any_square_matrix_against_direct_product(self, n):
@@ -101,36 +105,31 @@ class TestCirculant:
         c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         w = idft_matrix(n)
         direct = np.diag(w.conj().T @ c @ w)
-        assert np.max(np.abs(diagonalize_row_blocks([c]) - direct)) \
+        assert np.max(np.abs(dft_diagonal(c) - direct)) \
             <= 1e-12 * np.max(np.abs(c))
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
-            diagonalize_row_blocks([np.ones((2, 3))])
+            dft_diagonal(np.ones((2, 3)))
 
     @pytest.mark.parametrize("n", [1, 2, 97, 130, 512])
-    def test_row_blocks_bit_identical_to_one_block(self, n):
-        # the running sums enter each block's reduction as its first row, so
-        # the cut into blocks changes no bit; the one-block case is the
-        # full-matrix sum of the wrapped diagonals
-        rng = np.random.default_rng(n)
-        c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        idx = np.arange(n)
-        full = np.fft.ifft(c[idx[:, None], (idx[:, None] + idx) % n].sum(axis=0))
-        assert np.array_equal(diagonalize_row_blocks([c]), full)
+    def test_row_blocks_bit_identical_to_one_block(self, monkeypatch, n):
+        # a ring's channel is circulant, and se_single_loop_uca sums its
+        # wrapped diagonals in blocks of whole rows, the running sums entering
+        # each block's reduction as its first row: the cut changes no bit of
+        # the eigenvalues the full channel's one-block form gives
+        ring = single_ring_layout(n, 1.0)
+        scen = Scenario()
+        params = chan.PropagationParams.from_frequency(scen.distance_m, scen.freq_hz, scen.beta)
+        full = dft_diagonal(chan.build_block_channel(ring, ring, params)[0])
+        seen = []
+        real = metrics.se_qf
+        monkeypatch.setattr(metrics, "se_qf",
+                            lambda lam, *args: seen.append(lam[0]) or real(lam, *args))
         for rows in (1, 3, 64, n):
-            blocks = (c[r:r + rows] for r in range(0, n, rows))
-            assert np.array_equal(diagonalize_row_blocks(blocks), full)
-
-    @pytest.mark.parametrize("blocks", [
-        [],                                   # no rows
-        [np.ones((2, 4))],                    # rows missing
-        [np.ones((2, 4)), np.ones((3, 4))],   # rows past the square
-        [np.ones((2, 4)), np.ones((2, 3))],   # column count changes
-        [np.ones(4)]])                        # not a row block
-    def test_row_blocks_must_tile_a_square(self, blocks):
-        with pytest.raises(DimensionError):
-            diagonalize_row_blocks(blocks)
+            monkeypatch.setattr(metrics, "RING_BLOCK_GAINS", rows * n)
+            metrics.se_single_loop_uca(ring, scen, 1.0)
+            assert np.array_equal(seen[-1], full)
 
 
 class TestBessel:

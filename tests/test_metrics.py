@@ -14,7 +14,6 @@ from qfuca import channel as chan
 from qfuca import geometry, metrics, txrx
 from qfuca.config import Scenario
 from qfuca.errors import DegenerateChannelError, DomainError
-from qfuca.linalg import diagonalize_row_blocks
 
 import reference
 from layouts import admissible_layouts
@@ -84,24 +83,32 @@ class TestSingleLoopUca:
 
     @pytest.fixture
     def ring_gains(self, monkeypatch):
-        """The list of the gains se_single_loop_uca takes from the streamed
-        wrapped-diagonal sums, one entry per call, each with the row counts
-        of the blocks they were summed from."""
+        """The list of the gains se_single_loop_uca hands to se_qf, one entry
+        per call, each with the row counts of the gain blocks it computed on
+        the way.  The wrappers record only inside se_single_loop_uca."""
         seen = []
-        real = metrics.diagonalize_row_blocks
+        real_ring, real_gain, real_se = \
+            metrics.se_single_loop_uca, chan.free_space_gain, metrics.se_qf
 
-        def recording(blocks):
-            rows = []
+        def ring(*args):
+            seen.append([None, []])
+            monkeypatch.setattr(chan, "free_space_gain", gain)
+            monkeypatch.setattr(metrics, "se_qf", se)
+            try:
+                return real_ring(*args)
+            finally:
+                monkeypatch.setattr(chan, "free_space_gain", real_gain)
+                monkeypatch.setattr(metrics, "se_qf", real_se)
 
-            def counted():
-                for block in blocks:
-                    rows.append(block.shape[0])
-                    yield block
+        def gain(offsets, params):
+            seen[-1][1].append(offsets.shape[0])
+            return real_gain(offsets, params)
 
-            seen.append((real(counted()), rows))
-            return seen[-1][0]
+        def se(lam, *args):
+            seen[-1][0] = lam[0]
+            return real_se(lam, *args)
 
-        monkeypatch.setattr(metrics, "diagonalize_row_blocks", recording)
+        monkeypatch.setattr(metrics, "se_single_loop_uca", ring)
         return seen
 
     @pytest.mark.parametrize("n_elements", [97, 128, 385, 512])
@@ -146,7 +153,7 @@ class TestSingleLoopUca:
             h = chan.build_block_channel(ring, ring, params)[0]
             gains, rows = ring_gains[-1]
             assert len(rows) == blocks and sum(rows) == n_elements
-            assert np.array_equal(gains, diagonalize_row_blocks([h]))
+            assert np.array_equal(gains, reference.dft_diagonal(h))
 
     def test_nondecreasing_in_snr(self, scen):
         values = [reference.se_single_loop_uca(9, replace(scen, snr_db=s))

@@ -428,6 +428,14 @@ class TestNoiseModeScale:
             np.eye(lay.n_physical), lay), lay)
         assert np.max(np.abs(rows[:, scale == 0])) < 1e-12
 
+    @pytest.mark.parametrize("n", [6, 10, 14])
+    def test_null_receive_modes_exactly_zero_without_long_double(self, monkeypatch, n):
+        # where long double is plain double (Windows, Apple arm64) the null
+        # modes must still read exactly 0, or a rounding-level Lambda would
+        # count as a detectable mode
+        monkeypatch.setattr(np, "longdouble", np.float64)
+        self.test_null_receive_modes_get_exactly_zero(n)
+
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(st.sampled_from(admissible_layouts(8, 32)),
                      st.tuples(st.integers(min_value=3, max_value=8),
@@ -507,7 +515,7 @@ class TestBuildLink:
         assert len(channel_calls) == 1
         diagonals = chan.bessel_diagonals(link.tx, link.rx, link.params)
         assert chan.superposition_gap(link.exact_matrices, diagonals).shape == (link.n_inter,)
-        assert diagonals.shape == (4, 4, 4)
+        assert diagonals.shape == (4, 4)
         assert len(diag_calls) == link.n_inter
         assert sorted(args[3] for args in diag_calls) == list(range(link.n_inter))
 
