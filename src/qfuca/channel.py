@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .geometry import Layout
-from .linalg import MAX_BESSEL_ARG, bessel_j
+from .linalg import MAX_BESSEL_ARG, MAX_BESSEL_ORDER, bessel_j
 
 C_LIGHT = 299792458.0
 
@@ -183,6 +183,10 @@ def diag_approx_block(tx: Layout, rx: Layout, params: PropagationParams,
     if j_order not in ("matched", "first"):
         raise ValueError(f"unknown j_order {j_order!r}")
     kc = tx.elems_per_cell
+    if j_order == "matched" and kc // 2 > MAX_BESSEL_ORDER:
+        raise DomainError(f"{kc} elements per cell need Bessel orders up to {kc // 2}, past "
+                          f"the matched Bessel route's limit of {MAX_BESSEL_ORDER}; "
+                          "bessel_order = first has no such limit")
     lam = params.wavelength_m
     d = params.distance_m
     rq, rt, rr = tx.qf_radius, tx.cell_radius, rx.cell_radius

@@ -105,36 +105,30 @@ def _coincidence_groups(positions: np.ndarray, tol: float) -> np.ndarray:
     """Cluster slot positions closer than tol: the connected components of
     the pairs with distance d < tol, numbered in order of their first slot.
 
-    A pair with d < tol is less than tol apart in x, so the pairs are found
-    by a sweep over the slots sorted by x: the slots s places apart in that
-    order are compared for s = 1, 2, ... until none of them is within tol in
-    x.  That costs O(n log n + n r) for r the longest run of slots within
-    tol of one another in x, against O(n^2) for comparing every pair."""
-    flat = positions.reshape(-1, 2)
-    order = np.argsort(flat[:, 0], kind="stable")
-    xs = flat[order, 0]
-    pairs = []
-    for s in range(1, flat.shape[0]):
-        near = np.flatnonzero(xs[s:] - xs[:-s] < tol)
-        if near.size == 0:
-            break
-        i, j = order[near], order[near + s]
-        close = np.hypot(flat[j, 0] - flat[i, 0], flat[j, 1] - flat[i, 1]) < tol
-        pairs += zip(i[close].tolist(), j[close].tolist())
-    # union-find whose roots are each component's first slot
-    root = list(range(flat.shape[0]))
-
-    def find(a):
-        while root[a] != a:
-            a = root[a]
-        return a
-
-    for a, b in pairs:
-        low, high = sorted((find(a), find(b)))
-        root[high] = low
-    ids = {}
-    group = [ids.setdefault(find(a), len(ids)) for a in range(flat.shape[0])]
-    return np.array(group).reshape(positions.shape[:2])
+    positions[n] is cell 0 turned by n N-ths of a circle, so slots (m, k)
+    and (m + c, k') pair exactly when (0, k) and (c, k') do: cell 0's slots
+    are compared with every slot (x first, then the distance of the few
+    within tol in x), and those pairs are turned through all N cells.  With
+    one cell that compares every pair."""
+    n, k = positions.shape[:2]
+    x, y = positions[..., 0], positions[..., 1]
+    dx = x - x[0][:, None, None]  # (k, c, k'): slot k' of cell c against slot k of cell 0
+    a, c, b = np.unravel_index(np.flatnonzero(np.abs(dx) < tol), dx.shape)
+    close = np.hypot(dx[a, c, b], y[c, b] - y[0, a]) < tol
+    a, c, b = a[close], c[close], b[close]
+    cells = np.arange(n)[:, None]
+    slot, partner = (cells * k + a).ravel(), ((cells + c) % n * k + b).ravel()
+    # both ends of each pair take the lower root, since rounding can find a
+    # pair from one end only, until none moves: chains of pairs merge, and
+    # every root is its component's first slot
+    root = np.arange(n * k)
+    while True:
+        low = root.copy()
+        np.minimum.at(low, slot, root[partner])
+        np.minimum.at(low, partner, root[slot])
+        if np.array_equal(low, root):
+            return (np.cumsum(root == np.arange(n * k)) - 1)[root].reshape(n, k)
+        root = low
 
 
 def _check_offsets_square(extent: float, radius: float):

@@ -73,7 +73,8 @@ def circulant_from_first_row(row) -> np.ndarray:
 
 def coincidence_groups(positions: np.ndarray, tol: float) -> np.ndarray:
     """Union-find clustering of slot positions closer than tol, comparing
-    every pair: the oracle of the x-sorted sweep in `geometry`."""
+    every pair: the oracle of `geometry._coincidence_groups`, which compares
+    cell 0 with its N rotations."""
     flat = positions.reshape(-1, 2)
     n = flat.shape[0]
     parent = np.arange(n)

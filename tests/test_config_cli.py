@@ -239,6 +239,33 @@ class TestCli:
             "error: distance, wavelength, beta, and frequency must be finite")
         assert not (tmp_path / "gap.csv").exists()
 
+    @pytest.mark.parametrize("config, argv", [
+        ("", ["gap", "--elems", "130", "--values", "100"]),
+        ("tx_elems = 130\nrx_elems = 130\nlambda_path = bessel\n", ["loopback", "--frames", "1"]),
+    ], ids=["gap", "loopback_bessel"])
+    def test_elements_past_the_matched_bessel_orders_exit_nonzero(self, tmp_path, capsys,
+                                                                  config, argv):
+        # 130 elements per cell need J_65, one order past bessel_j's: the
+        # error names the element count, not the Bessel order alone
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        assert main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 130 elements per cell need Bessel orders up to 65")
+        assert "bessel_order = first" in err
+        assert err.count("\n") == 1
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("config, elems", [("", "129"), ("bessel_order = first\n", "130")],
+                             ids=["matched_129", "first_130"])
+    def test_elements_within_the_bessel_orders_run(self, tmp_path, config, elems):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(config)
+        assert main(["gap", "--config", str(cfg), "--out", str(tmp_path),
+                     "--elems", elems, "--values", "100"]) == 0
+        assert (tmp_path / "gap.csv").exists()
+
     @pytest.mark.parametrize("config, argv, prefix", [
         ("distance_m = 1e-300\n", ["loopback", "--frames", "1"], "distance 1e-300 m is too short"),
         ("", ["sweep", "--axis", "distance_m", "--values", "1e-300,1"],

@@ -81,17 +81,21 @@ class TestBuildLayout:
     @given(st.sampled_from(admissible_layouts()),
            st.floats(min_value=0.05, max_value=20.0))
     def test_shared_elements_match_all_pairs_oracle(self, layout, qf_radius):
-        # the x-sorted sweep finds the same pairs as comparing every pair,
-        # so the partition and the physical numbering are the same
+        # cell 0 against its N rotations finds the same pairs as comparing
+        # every pair, so the partition and the physical numbering are the same
         lay = build_layout(*layout, qf_radius)
         expect = coincidence_groups(lay.positions, COINCIDENCE_RTOL * qf_radius)
         assert np.array_equal(lay.slot_group, expect)
 
     @pytest.mark.parametrize("n, v, ratio", [(16, 32, 1.0), (16, 32, np.sin(np.pi / 16)),
-                                             (32, 64, 1.0), (64, 1, 1.0)])
+                                             (32, 64, 1.0), (64, 1, 1.0),
+                                             (16, 32, 1 - 1e-9), (8, 16, 1 - 5e-10),
+                                             (6, 12, 1 - 8e-10), (32, 64, 1 - 1.5e-9)])
     def test_shared_elements_match_all_pairs_oracle_on_large_grids(self, n, v, ratio):
-        # at ratio 1 every cell's slot at the center lies on one x: the
-        # sweep has to look N places ahead there
+        # at ratio 1 every cell's slot at the center is one element; just
+        # below 1 those slots lie on a circle smaller than the tolerance, and
+        # form one group whose ends are more than the tolerance apart: a
+        # chain of pairs, which one pass over the pairs would split
         lay = build_layout(n, v, ratio, 0.5)
         expect = coincidence_groups(lay.positions, COINCIDENCE_RTOL * 0.5)
         assert np.array_equal(lay.slot_group, expect)
