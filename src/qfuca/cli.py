@@ -25,8 +25,8 @@ from . import channel as chan
 from . import metrics
 from .config import Scenario, parse_config
 from .errors import ConfigError
-from .geometry import build_layout, layout_csv
-from .txrx import build_link, check_loopback, run_loopback
+from .geometry import layout_csv
+from .txrx import build_antenna, build_link, check_loopback, run_loopback
 
 
 def _load_scenario(args) -> Scenario:
@@ -62,13 +62,10 @@ def _int_list(raw: str) -> list[int]:
 def cmd_geometry(args) -> int:
     scenario = _load_scenario(args)
     out = Path(args.out)
-    tx = build_layout(scenario.n_cells, scenario.tx_elems, scenario.tx_ratio,
-                      scenario.qf_radius_m)
-    rx = build_layout(scenario.n_cells, scenario.rx_elems, scenario.rx_ratio,
-                      scenario.qf_radius_m)
-    _write(out, "tx_layout.csv", layout_csv(tx))
-    _write(out, "rx_layout.csv", layout_csv(rx))
-    for label, lay in (("tx", tx), ("rx", rx)):
+    antenna = build_antenna(scenario)
+    _write(out, "tx_layout.csv", layout_csv(antenna.tx))
+    _write(out, "rx_layout.csv", layout_csv(antenna.rx))
+    for label, lay in (("tx", antenna.tx), ("rx", antenna.rx)):
         freqs = [int(x) for x in lay.sharing_freqs]
         print(f"{label}: {lay.n_physical} physical elements, sharing {freqs}")
     return 0
@@ -86,13 +83,13 @@ def cmd_gap(args) -> int:
     lines = ["D_m,K,p,epsilon"]
     for k in elem_counts:
         scen_k = replace(scenario, tx_elems=k, rx_elems=k)
-        tx = build_layout(scen_k.n_cells, k, scen_k.tx_ratio, scen_k.qf_radius_m)
-        rx = build_layout(scen_k.n_cells, k, scen_k.rx_ratio, scen_k.qf_radius_m)
+        antenna = build_antenna(scen_k)
         for d in distances:
             params = chan.PropagationParams.from_frequency(d, scen_k.freq_hz,
                                                            scen_k.beta)
             # the aligned-pair gap does not depend on p: one per (K, D)
-            eps = chan.approx_gap(tx, rx, params, j_order=scen_k.bessel_order,
+            eps = chan.approx_gap(antenna.tx, antenna.rx, params,
+                                  j_order=scen_k.bessel_order,
                                   correction=scen_k.bessel_correction)
             for p_mode in chan.mode_values(scen_k.n_cells):
                 lines.append(f"{float(d)!r},{k},{int(p_mode)},{float(eps)!r}")

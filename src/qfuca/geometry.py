@@ -9,7 +9,6 @@ frequencies, the slot-to-element superposition, and admissibility conditions.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from math import gcd
 
@@ -54,51 +53,41 @@ class Layout:
         every cell by the N-fold symmetry."""
         return self.element_sharing[self.slot_group[0]]
 
+    @property
+    def first_slots(self) -> np.ndarray:
+        """Per-physical-element flat index (n K + k) of its first slot, the
+        slot its id is numbered by and where the element sits."""
+        first = np.full(self.n_physical, self.slot_group.size)
+        np.minimum.at(first, self.slot_group.reshape(-1), np.arange(self.slot_group.size))
+        return first
+
     def group_positions(self) -> np.ndarray:
-        """Physical element coordinates indexed by physical id."""
-        out = np.zeros((self.n_physical, 2))
-        out[self.slot_group.reshape(-1)] = self.positions.reshape(-1, 2)
-        return out
-
-
-def _intersection_azimuths(n_cells: int, ratio: float) -> list[float]:
-    """Azimuths, seen from cell 0's center, where cell 0's circle meets the
-    circle of any other cell (tangency yields a single azimuth)."""
-    out = []
-    for j in range(1, n_cells):
-        separation = 2.0 * np.sin(np.pi * j / n_cells)  # |center_j - center_0| / R_Q
-        if separation > 2.0 * ratio + 1e-12:
-            continue
-        toward = np.pi / 2 + np.pi * j / n_cells  # direction of center_j from center_0
-        if abs(separation - 2.0 * ratio) <= 1e-12:
-            out.append(toward % (2 * np.pi))
-            continue
-        half_aperture = np.arccos(min(1.0, separation / (2.0 * ratio)))
-        out.append((toward - half_aperture) % (2 * np.pi))
-        out.append((toward + half_aperture) % (2 * np.pi))
-    return out
+        """Physical element coordinates indexed by physical id: each element
+        at its first slot, as layout.csv writes it."""
+        return self.positions.reshape(-1, 2)[self.first_slots]
 
 
 def _aligning_offset(n_cells: int, elems_per_cell: int, ratio: float) -> float:
     """Element-grid rotation that lands elements on as many inter-cell
-    intersection points as possible.  Zero when nothing can align (or when
-    zero already aligns; near-ties resolve to the smallest offset)."""
-    gammas = _intersection_azimuths(n_cells, ratio)
-    if not gammas:
+    intersection points as possible: the azimuths, seen from cell 0's
+    center, where its circle meets another cell's (tangency yields one).
+    Zero when nothing can align (or when zero already aligns; near-ties
+    resolve to the smallest offset)."""
+    j = np.arange(1, n_cells)
+    separation = 2.0 * np.sin(np.pi * j / n_cells)  # |center_j - center_0| / R_Q
+    toward = np.pi / 2 + np.pi * j / n_cells  # direction of center_j from center_0
+    tangent = np.abs(separation - 2.0 * ratio) <= 1e-12
+    cross = (separation <= 2.0 * ratio + 1e-12) & ~tangent
+    half_aperture = np.arccos(np.minimum(1.0, separation[cross] / (2.0 * ratio)))
+    gammas = np.concatenate([toward[tangent], toward[cross] - half_aperture,
+                             toward[cross] + half_aperture]) % (2 * np.pi)
+    if not gammas.size:
         return 0.0
     step = 2 * np.pi / elems_per_cell
-
-    def aligned(offset):
-        return sum(1 for g in gammas
-                   if min((g - offset) % step, step - (g - offset) % step) < 1e-9)
-
-    candidates = sorted({0.0} | {g % step for g in gammas})
-    best, best_score = 0.0, -1
-    for cand in candidates:
-        score = aligned(cand)
-        if score > best_score:
-            best, best_score = cand, score
-    return best
+    candidates = np.sort(np.append(0.0, gammas % step))
+    apart = (gammas - candidates[:, None]) % step
+    aligned = np.count_nonzero(np.minimum(apart, step - apart) < 1e-9, axis=1)
+    return float(candidates[np.argmax(aligned)])
 
 
 def _coincidence_groups(positions: np.ndarray, tol: float) -> np.ndarray:
@@ -251,7 +240,7 @@ def slot_group_sum(layout: Layout, logical: np.ndarray) -> np.ndarray:
     stack of (N, K) grids; the result has one row of n_physical per frame."""
     x = np.asarray(logical, dtype=complex)
     n_slots = layout.n_cells * layout.elems_per_cell
-    flat = x.reshape(x.shape[:-2] + (-1,)) if x.ndim > 2 else x.reshape(-1)
+    flat = x.reshape(x.shape[:-2] + (-1,))
     if flat.shape[-1] != n_slots:
         raise DimensionError("logical vector does not match layout slot count")
     out = np.zeros(flat.shape[:-1] + (layout.n_physical,), dtype=complex)
@@ -263,15 +252,8 @@ def layout_csv(layout: Layout) -> str:
     """CSV of the layout: cell_index, elem_index, x_m, y_m, physical_id,
     sharing_freq.  One row per physical element; cell_index/elem_index name
     its first logical slot."""
-    counts = layout.element_sharing
-    first_slot = {}
-    for n in range(layout.n_cells):
-        for k in range(layout.elems_per_cell):
-            first_slot.setdefault(int(layout.slot_group[n, k]), (n, k))
-    buf = io.StringIO()
-    buf.write("cell_index,elem_index,x_m,y_m,physical_id,sharing_freq\n")
-    for g in range(layout.n_physical):
-        n, k = first_slot[g]
-        x, y = layout.positions[n, k]
-        buf.write(f"{n},{k},{float(x)!r},{float(y)!r},{g},{counts[g]}\n")
-    return buf.getvalue()
+    cells, elems = np.divmod(layout.first_slots, layout.elems_per_cell)
+    rows = zip(cells.tolist(), elems.tolist(), layout.group_positions().tolist(),
+               layout.element_sharing.tolist())
+    return "cell_index,elem_index,x_m,y_m,physical_id,sharing_freq\n" + "".join(
+        f"{n},{k},{x!r},{y!r},{g},{count}\n" for g, (n, k, (x, y), count) in enumerate(rows))

@@ -100,6 +100,39 @@ def coincidence_groups(positions: np.ndarray, tol: float) -> np.ndarray:
     return group.reshape(positions.shape[:2])
 
 
+def aligning_offset(n_cells: int, elems_per_cell: int, ratio: float) -> float:
+    """Element-grid rotation that lands elements on as many inter-cell
+    intersection points as possible, one cell and one candidate at a time:
+    the oracle of `geometry._aligning_offset`, which does it in arrays.
+    Near-ties resolve to the smallest offset."""
+    gammas = []  # where cell 0's circle meets cell j's, seen from its center
+    for j in range(1, n_cells):
+        separation = 2.0 * np.sin(np.pi * j / n_cells)  # |center_j - center_0| / R_Q
+        if separation > 2.0 * ratio + 1e-12:
+            continue
+        toward = np.pi / 2 + np.pi * j / n_cells  # direction of center_j from center_0
+        if abs(separation - 2.0 * ratio) <= 1e-12:
+            gammas.append(toward % (2 * np.pi))
+            continue
+        half_aperture = np.arccos(min(1.0, separation / (2.0 * ratio)))
+        gammas.append((toward - half_aperture) % (2 * np.pi))
+        gammas.append((toward + half_aperture) % (2 * np.pi))
+    if not gammas:
+        return 0.0
+    step = 2 * np.pi / elems_per_cell
+
+    def aligned(offset):
+        return sum(1 for g in gammas
+                   if min((g - offset) % step, step - (g - offset) % step) < 1e-9)
+
+    best, best_score = 0.0, -1
+    for cand in sorted({0.0} | {g % step for g in gammas}):
+        score = aligned(cand)
+        if score > best_score:
+            best, best_score = cand, score
+    return best
+
+
 def superpose_operators(layout: Layout) -> tuple[np.ndarray, np.ndarray]:
     """Transmit and receive superpose operators over the N*K logical slots,
     as dense matrices.

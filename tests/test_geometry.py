@@ -8,10 +8,10 @@ from qfuca.errors import GeometryError
 from qfuca.geometry import (COINCIDENCE_RTOL, admissible_elem_counts, build_layout,
                             layout_csv, overlapped_ratios, single_ring_layout,
                             slot_group_sum)
-from qfuca.geometry import _coincidence_groups
+from qfuca.geometry import _aligning_offset, _coincidence_groups
 
 from layouts import admissible_layouts
-from reference import coincidence_groups, superpose_operators
+from reference import aligning_offset, coincidence_groups, superpose_operators
 
 
 def circulant_shift_equal(a, b):
@@ -108,6 +108,34 @@ class TestBuildLayout:
         positions = 0.45 * np.array(points, dtype=float).reshape(1, -1, 2)
         assert np.array_equal(_coincidence_groups(positions, 1.0),
                               coincidence_groups(positions, 1.0))
+
+    def test_aligning_offset_matches_loop_oracle(self):
+        # the array search picks the very offset of the one-candidate-at-a-
+        # time loop, bit for bit; at ratio 1e-310 no circles cross, and the
+        # arccos argument of the cells that do not would overflow
+        cases = [(n, k, ratio) for n in range(3, 33)
+                 for k in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64)
+                 for ratio in (1.0, np.sin(np.pi / n), 0.5, 0.7, 1 - 1e-9)]
+        rng = np.random.default_rng(28)
+        cases += [(int(rng.integers(3, 65)), int(rng.integers(1, 129)),
+                   10 ** rng.uniform(-6, 0)) for _ in range(3000)]
+        cases += [(3, 1, 1e-310), (64, 128, 1e-310)]
+        for n, k, ratio in cases:
+            assert _aligning_offset(n, k, ratio) == aligning_offset(n, k, ratio), (n, k, ratio)
+
+    @pytest.mark.parametrize("n, v, ratio", admissible_layouts() + [(16, 32, 1.0),
+                                                                    (32, 64, 1.0)])
+    def test_shared_element_sits_at_its_first_slot(self, n, v, ratio):
+        # the physical channel and layout.csv place a shared element at one
+        # slot, its first, bit for bit: its other slots sit up to 1.6e-15
+        # R_Q away at ratio 1
+        lay = build_layout(n, v, ratio, 1.0)
+        first = np.unique(lay.slot_group, return_index=True)[1]
+        at_first = lay.positions.reshape(-1, 2)[first]
+        assert np.array_equal(lay.group_positions(), at_first)
+        rows = [line.split(",") for line in layout_csv(lay).splitlines()[1:]]
+        written = np.array([[float(row[2]), float(row[3])] for row in rows])
+        assert np.array_equal(written, at_first)
 
     def test_counting_identity_exact(self):
         # N_t = N * sum_v 1/L_v as an exact rational identity
@@ -283,10 +311,14 @@ class TestSuperpose:
         lay = build_layout(4, 4, 1.0, 1.0)
         t_t, _ = superpose_operators(lay)
         rng = np.random.default_rng(4)
-        x = rng.normal(size=16) + 1j * rng.normal(size=16)
-        physical = slot_group_sum(lay, x)
-        replicated = t_t @ x
-        assert np.max(np.abs(replicated - physical[lay.slot_group.reshape(-1)])) < 1e-12
+        # a flat frame, one (N, K) grid and a stack of grids
+        for shape in ((16,), (4, 4), (3, 4, 4)):
+            x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            physical = slot_group_sum(lay, x)
+            assert physical.shape == shape[:-2] + (lay.n_physical,)
+            replicated = x.reshape(-1, 16) @ t_t.T
+            got = physical[..., lay.slot_group.reshape(-1)].reshape(-1, 16)
+            assert np.max(np.abs(replicated - got)) < 1e-12
 
 
 class TestExportsAndRings:
