@@ -51,12 +51,12 @@ def _write(out_dir: Path, name: str, text: str):
         fh.write(text)
 
 
-def _float_list(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.split(",") if tok.strip()]
-
-
-def _int_list(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.split(",") if tok.strip()]
+def _values(raw: str, kind, flag: str) -> list:
+    """The values of a comma-separated list flag, which must name one."""
+    values = [kind(tok) for tok in raw.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"--{flag} {raw!r} names no value")
+    return values
 
 
 def cmd_geometry(args) -> int:
@@ -74,25 +74,23 @@ def cmd_geometry(args) -> int:
 def cmd_gap(args) -> int:
     scenario = _load_scenario(args)
     out = Path(args.out)
-    distances = _float_list(args.values) if args.values else [20.0, 50.0, 100.0, 200.0]
-    elem_counts = _int_list(args.elems) if args.elems else [8, 16]
+    distances = _values(args.values, float, "values")
+    elem_counts = _values(args.elems, int, "elems")
     for label, values in (("distances", distances), ("element counts", elem_counts)):
         repeated = sorted({x for x in values if values.count(x) > 1})
         if repeated:
             raise ValueError(f"repeated {label}: {repeated}")
-    lines = ["D_m,K,p,epsilon"]
+    lines = ["D_m,K,epsilon"]
     for k in elem_counts:
         scen_k = replace(scenario, tx_elems=k, rx_elems=k)
         antenna = build_antenna(scen_k)
         for d in distances:
             params = chan.PropagationParams.from_frequency(d, scen_k.freq_hz,
                                                            scen_k.beta)
-            # the aligned-pair gap does not depend on p: one per (K, D)
             eps = chan.approx_gap(antenna.tx, antenna.rx, params,
                                   j_order=scen_k.bessel_order,
                                   correction=scen_k.bessel_correction)
-            for p_mode in chan.mode_values(scen_k.n_cells):
-                lines.append(f"{float(d)!r},{k},{int(p_mode)},{float(eps)!r}")
+            lines.append(f"{float(d)!r},{k},{float(eps)!r}")
     _write(out, "gap.csv", "\n".join(lines) + "\n")
     print(f"wrote {out / 'gap.csv'}")
     return 0
@@ -107,18 +105,18 @@ def cmd_loopback(args) -> int:
     report = run_loopback(link, args.frames, noise_variance=args.noise_variance)
 
     frame_lines = ["frame,symbol_errors,symbols"]
-    per_frame_symbols = link.n_inter * link.n_inner
+    n, k = link.tx.n_cells, link.tx.elems_per_cell
     for i, err in enumerate(report.per_frame_errors):
-        frame_lines.append(f"{i},{err},{per_frame_symbols}")
+        frame_lines.append(f"{i},{err},{n * k}")
     _write(out, "loopback.csv", "\n".join(frame_lines) + "\n")
 
     mode_lines = ["p,l,lambda_re,lambda_im,sigma2,signal_power,interference_power,noise_power"]
-    p_modes = chan.mode_values(link.n_inter)
-    l_modes = chan.mode_values(link.n_inner)
+    p_modes = chan.mode_values(n)
+    l_modes = chan.mode_values(k)
     signal, interference, noise_power = \
         link.signal_power, link.interference_power, link.noise_power
-    for pi in range(link.n_inter):
-        for li in range(link.n_inner):
+    for pi in range(n):
+        for li in range(k):
             lam = link.lambda_coeffs[pi, li]
             noise = float(noise_power[pi, li])
             mode_lines.append(
@@ -140,7 +138,7 @@ def cmd_loopback(args) -> int:
 def cmd_sweep(args) -> int:
     scenario = _load_scenario(args)
     out = Path(args.out)
-    values = _float_list(args.values) if args.values else []
+    values = _values(args.values, float, "values") if args.values is not None else []
     systems = tuple(tok.strip() for tok in args.systems.split(",") if tok.strip()) \
         if args.systems is not None else metrics.SYSTEMS
     spec = metrics.SweepSpec(axis=args.axis, axis_values=tuple(values),
@@ -168,8 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gap = sub.add_parser("gap", help="diagonal-approximation gap study")
     common(p_gap)
-    p_gap.add_argument("--values", help="comma-separated distance grid in meters")
-    p_gap.add_argument("--elems", help="comma-separated per-cell element counts")
+    p_gap.add_argument("--values", default="20,50,100,200",
+                       help="comma-separated distance grid in meters")
+    p_gap.add_argument("--elems", default="8,16",
+                       help="comma-separated per-cell element counts")
     p_gap.set_defaults(func=cmd_gap)
 
     p_loop = sub.add_parser("loopback", help="end-to-end frame transmission")

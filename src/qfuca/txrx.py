@@ -241,14 +241,6 @@ class Link:
     seed: int = 0
 
     @property
-    def n_inter(self) -> int:
-        return self.tx.n_cells
-
-    @property
-    def n_inner(self) -> int:
-        return self.tx.elems_per_cell
-
-    @property
     def noise_power(self) -> np.ndarray:
         return self.sigma2 * self.noise_scale
 
@@ -362,7 +354,7 @@ def run_loopback(link: Link, n_frames: int, noise_variance: float = 0.0) -> Loop
     NoiseModel(noise_variance, seed) at frame f.  Zero frames are a valid
     (empty) run; a negative count is rejected (`check_loopback`)."""
     check_loopback(n_frames, noise_variance)
-    n, k = link.n_inter, link.n_inner
+    n, k = link.tx.n_cells, link.tx.elems_per_cell
     noise = NoiseModel(element_variance=noise_variance, seed=link.seed)
     sym_rng = np.random.default_rng(np.random.SeedSequence((link.seed, 0xA11CE)))
     points = link.constellation.points

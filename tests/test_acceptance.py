@@ -162,7 +162,7 @@ def test_criterion_5_noiseless_loopback():
     elapsed = time.perf_counter() - start
     isr_ok = link.max_interference_to_signal <= ISR_THRESHOLD
 
-    n, k = link.n_inter, link.n_inner
+    n, k = link.tx.n_cells, link.tx.elems_per_cell
     gmats = link.exact_matrices
     tol = 1e-10 * np.max(np.abs(gmats))
     ranks = [int(np.linalg.matrix_rank(g, tol=tol)) for g in gmats]

@@ -138,23 +138,30 @@ class TestCli:
 
     def test_gap_csv(self, tmp_path):
         assert main(["gap", "--out", str(tmp_path), "--values", "50,100",
-                     "--elems", "4"]) == 0
+                     "--elems", "4,8"]) == 0
         lines = (tmp_path / "gap.csv").read_text().strip().split("\n")
-        assert lines[0] == "D_m,K,p,epsilon"
-        assert len(lines) == 1 + 2 * 4
+        assert lines[0] == "D_m,K,epsilon"
+        assert [line.split(",")[:2] for line in lines[1:]] \
+            == [["50.0", "4"], ["100.0", "4"], ["50.0", "8"], ["100.0", "8"]]
 
-    def test_gap_computed_once_per_elems_and_distance(self, tmp_path, count_calls):
+    def test_gap_computed_once_per_elems_and_distance(self, tmp_path, monkeypatch):
         # the aligned-pair gap does not depend on p: each (K, D) is computed
-        # once and written on its N rows
-        calls = count_calls(cli.chan, "approx_gap")
+        # once and written on one row, in call order
+        calls = []
+        real = cli.chan.approx_gap
+
+        def recorded(tx, rx, params, **kwargs):
+            eps = real(tx, rx, params, **kwargs)
+            calls.append([repr(params.distance_m), str(tx.elems_per_cell), repr(float(eps))])
+            return eps
+
+        monkeypatch.setattr(cli.chan, "approx_gap", recorded)
         assert main(["gap", "--out", str(tmp_path), "--values", "50,100,200",
                      "--elems", "4,8"]) == 0
-        assert len(calls) == 2 * 3
         rows = [line.split(",") for line in
                 (tmp_path / "gap.csv").read_text().strip().split("\n")[1:]]
-        assert len(rows) == 2 * 3 * 4
-        for i in range(0, len(rows), 4):
-            assert len({(r[0], r[1], r[3]) for r in rows[i:i + 4]}) == 1
+        assert len(calls) == 2 * 3
+        assert rows == calls
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -206,6 +213,19 @@ class TestCli:
         assert err.startswith("error: no systems: name at least one of")
         assert err.count("\n") == 1
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gap", "--values=,"], "--values ',' names no value"),
+        (["gap", "--values", ""], "--values '' names no value"),
+        (["gap", "--elems=,"], "--elems ',' names no value"),
+        (["sweep", "--axis", "snr_db", "--values=,"], "--values ',' names no value"),
+    ], ids=["gap_values_comma", "gap_values_empty", "gap_elems_comma", "sweep_values_comma"])
+    def test_empty_value_list_exits_nonzero(self, tmp_path, capsys, argv, message):
+        # a list flag that names no value would write a header-only CSV, or
+        # (gap --values "") run the default grid
+        assert main([argv[0], "--out", str(tmp_path), *argv[1:]]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.rglob("*.csv"))
 
     def test_repeated_system_exits_nonzero(self, tmp_path, capsys):
         assert main(["sweep", "--out", str(tmp_path), "--axis", "snr_db",

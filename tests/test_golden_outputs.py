@@ -88,15 +88,15 @@ FINGERPRINT = {
 GOLDEN = {
     'gap_criterion_10': {
         'gap.csv':
-            'b6e724b818c4590d8d2a16d0a59e520d4454960326f520e2141c47e51bc8d738',
+            '16915b41fe4859d645070adee9799e7ddb824935cae95ff4d734a6fd4a659b09',
     },
     'gap_default': {
         'gap.csv':
-            '2facf502ed3639b989ee272ed6febbcfbe8bda3addc92d253f7dce645da967da',
+            '533bbd4dcb6316d446fec11dffd825445f6c33766397c3bfc1cdcd41d0afaa54',
     },
     'gap_first_uncorrected': {
         'gap.csv':
-            '4c779a460aa113aa0952ddc40abea8b826533140c9f459d3c91771cd5f8f2331',
+            '13d9f0d2dcb2fa8b2725dcedbc9cc0596e316f357173c32bece3e28e3d20932e',
     },
     'geometry': {
         'rx_layout.csv':

@@ -93,7 +93,7 @@ def run_loopback_per_frame(link, n_frames, noise_variance=0.0):
     time through the stage functions, detected branch by branch with
     ml_detect, with the interference table recomputed from the exact
     transforms.  Returns (per-frame errors, per-mode errors, max ISR)."""
-    n, k = link.n_inter, link.n_inner
+    n, k = link.tx.n_cells, link.tx.elems_per_cell
     noise = txrx.NoiseModel(noise_variance, seed=link.seed)
     sym_rng = np.random.default_rng(np.random.SeedSequence((link.seed, 0xA11CE)))
     amp = link.amplitudes()
@@ -514,10 +514,10 @@ class TestBuildLink:
         assert len(diag_calls) == 0
         assert len(channel_calls) == 1
         diagonals = chan.bessel_diagonals(link.tx, link.rx, link.params)
-        assert chan.superposition_gap(link.exact_matrices, diagonals).shape == (link.n_inter,)
+        assert chan.superposition_gap(link.exact_matrices, diagonals).shape == (link.tx.n_cells,)
         assert diagonals.shape == (4, 4)
-        assert len(diag_calls) == link.n_inter
-        assert sorted(args[3] for args in diag_calls) == list(range(link.n_inter))
+        assert len(diag_calls) == link.tx.n_cells
+        assert sorted(args[3] for args in diag_calls) == list(range(link.tx.n_cells))
 
 
 class TestEndToEnd:
