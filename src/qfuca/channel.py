@@ -3,7 +3,7 @@
 The element-to-element channel is free-space propagation between the planar
 layouts of the two antennas, separated by the boresight distance D.  Because
 both antennas have the same cell count and N-fold rotational symmetry, the
-logical channel is block-circulant: sub-channel H_q depends only on the cell
+logical channel is block-circulant: sub-channel G_q depends only on the cell
 offset q = ((n + N - m)) mod N.
 
 A link is three plain arrays.  The exact route (coordinate distances, exact
@@ -139,21 +139,15 @@ def check_element_distances(tx: Layout, rx: Layout, params: PropagationParams):
 
 def build_block_channel(tx: Layout, rx: Layout,
                         params: PropagationParams) -> np.ndarray:
-    """The (N, V, K) sub-channels H_q of the block-circulant logical channel,
-    from exact element gains: block (m, n) of the assembled channel is
-    H_{((n + N - m)) mod N}.
-
-    The superpose/split operators act at the pipeline level; the sub-channels
-    here carry only the 1/L_v split factor of the gain definition, with
-    cell 0's L_v standing for every receive cell's.
-    """
+    """The (N, V, K) sub-channel gains G_q of the block-circulant logical
+    channel, from exact element gains: block (m, n) of the assembled channel
+    is G_{((n + N - m)) mod N}.  The receive chain never applies the 1/L_v
+    split of the paper's H_q = G_q / L_v, so only `channel_csv` forms H_q."""
     if tx.n_cells != rx.n_cells:
         raise ValueError("unsupported configuration: cell counts must match")
     check_element_distances(tx, rx, params)
-    lv = rx.sharing_freqs.astype(float)
-    h = free_space_gain(rx.positions[0][None, :, None, :] - tx.positions[:, None, :, :],
-                        params)
-    return h / lv[:, None]
+    return free_space_gain(rx.positions[0][None, :, None, :] - tx.positions[:, None, :, :],
+                           params)
 
 
 def _alpha_of_azimuth(tx: Layout, rx: Layout, q: int, phi: np.ndarray) -> np.ndarray:
@@ -263,39 +257,41 @@ def superposition_gap(exact: np.ndarray, diagonals: np.ndarray) -> np.ndarray:
 def approx_gap(tx: Layout, rx: Layout, params: PropagationParams,
                j_order: str = "matched", correction: bool = True) -> float:
     """Relative squared Frobenius gap between the aligned (q = 0) summand of
-    the exact transforms, W^H L H_0 W, and its diagonal Bessel
+    the exact transforms, W^H G_0 W, and its diagonal Bessel
     approximation: `superposition_gap` over the one offset q = 0.  Both
     phase factors e^{j 2 pi p q / N} are 1 at q = 0, so the gap is the same
-    for every branch p.  A null summand has gap inf.  Only H_0 is built:
+    for every branch p.  A null summand has gap inf.  Only G_0 is built:
     receive cell 0 against transmit cell 0, by `build_block_channel`'s
     expression, so it is bit for bit that function's block 0.
     """
     check_element_distances(tx, rx, params)
     h0 = free_space_gain(rx.positions[0][:, None, :] - tx.positions[0][None, :, :], params)
-    aligned = detection_coeffs((h0 / rx.sharing_freqs.astype(float)[:, None])[None], rx)
+    aligned = detection_coeffs(h0[None])
     diagonal = diag_approx_block(tx, rx, params, 0, j_order, correction)
     return float(superposition_gap(aligned, diagonal[None])[0])
 
 
-def detection_coeffs(channel: np.ndarray, rx: Layout) -> np.ndarray:
-    """The (N, K, K) exact per-p transforms of the sub-channels,
-    W^H L (sum_q e^{j 2 pi p q / N} H_q) W for every p at once, with W the
-    unitary K-point IDFT matrix; their diagonals are the exact per-mode
-    gains.  The sum over q is an inverse FFT across the offsets, and W^H and
-    W are unitary FFTs down the columns and along the rows."""
+def detection_coeffs(channel: np.ndarray) -> np.ndarray:
+    """The (N, K, K) exact per-p transforms W^H (sum_q e^{j 2 pi p q / N} G_q) W
+    of the sub-channel gains for every p at once, with W the unitary K-point
+    IDFT matrix: the paper's W^H L (sum_q ... H_q) W, whose L cancels the
+    1/L_v of H_q.  The sum over q is an inverse FFT across the offsets, and
+    W^H and W are unitary FFTs down the columns and along the rows."""
     _, v, k = channel.shape
     if v != k:
         raise DimensionError("mode transform requires V = K")
     hp = np.fft.ifft(channel, axis=0, norm="forward")
-    lh = np.fft.fft(rx.sharing_freqs[:, None] * hp, axis=-2, norm="ortho")
-    return np.fft.ifft(lh, axis=-1, norm="ortho")
+    return np.fft.ifft(np.fft.fft(hp, axis=-2, norm="ortho"), axis=-1, norm="ortho")
 
 
-def channel_csv(h: np.ndarray, fh: TextIO) -> None:
-    """Write the CSV of the block channel assembled from its (N, V, K)
-    sub-channels to the text stream `fh`: m, n, v, k, re, im per entry.
-    One (m, n) block is formatted at a time, so the export holds one
-    block's text, not the table's."""
+def channel_csv(h: np.ndarray, rx: Layout, fh: TextIO) -> None:
+    """Write the CSV of the paper's block channel to the text stream `fh`:
+    m, n, v, k, re, im per entry.  Its sub-channels are H_q = G_q / L_v, the
+    (N, V, K) gains `h` over the receive layout's sharing frequencies, with
+    cell 0's L_v standing for every receive cell's.  One (m, n) block is
+    formatted at a time, so the export holds one block's text, not the
+    table's."""
+    h = h / rx.sharing_freqs.astype(float)[:, None]
     fh.write("m,n,v,k,re,im\n")
     n = h.shape[0]
     for m in range(n):

@@ -53,7 +53,13 @@ def _write(out_dir: Path, name: str, text: str):
 
 def _values(raw: str, kind, flag: str) -> list:
     """The values of a comma-separated list flag, which must name one."""
-    values = [kind(tok) for tok in raw.split(",") if tok.strip()]
+    values = []
+    for tok in filter(str.strip, raw.split(",")):
+        try:
+            values.append(kind(tok))
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"--{flag} names {tok.strip()!r}, which is not {noun}") from None
     if not values:
         raise ValueError(f"--{flag} {raw!r} names no value")
     return values
@@ -76,6 +82,8 @@ def cmd_gap(args) -> int:
     out = Path(args.out)
     distances = _values(args.values, float, "values")
     elem_counts = _values(args.elems, int, "elems")
+    if min(elem_counts) < 1:
+        raise ValueError(f"--elems names {min(elem_counts)}, but element counts must be >= 1")
     for label, values in (("distances", distances), ("element counts", elem_counts)):
         repeated = sorted({x for x in values if values.count(x) > 1})
         if repeated:
@@ -125,7 +133,7 @@ def cmd_loopback(args) -> int:
                 f"{float(interference[pi, li])!r},{noise!r}")
     _write(out, "modes.csv", "\n".join(mode_lines) + "\n")
     with _open_output(out, "channel.csv") as fh:
-        chan.channel_csv(link.subchannels, fh)
+        chan.channel_csv(link.subchannels, link.rx, fh)
 
     print(f"frames: {report.frames}  symbol errors: {report.symbol_errors}"
           f"/{report.symbols_counted}  SER: {report.ser!r}")

@@ -84,8 +84,8 @@ def se_single_loop_uca(ring: Layout, scenario: Scenario, sigma2: float) -> float
     identical ring at the scenario's distance and carrier, the single-cell
     reduction of the QF efficiency.
 
-    A one-cell ring has L = I (no split factor, no phase compensation and a
-    unitary inner DFT, so every mode sees exactly sigma^2;
+    A one-cell ring has no phase compensation and a unitary inner DFT, so
+    every mode sees exactly sigma^2 (no element is shared;
     `txrx.noise_mode_scale(ring)` gives exactly ones) and one exact
     transform, W^H H W, of which the efficiency reads only the diagonal.
     Entry k is (1/n) sum_{a,b} H[a, b] e^{j 2 pi (b - a) k / n}, so it is

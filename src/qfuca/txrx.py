@@ -5,12 +5,13 @@ The chain is one set of stage functions, each taking a stack of frames
 (leading axes index frames), and every DFT in it is a unitary FFT:
 `tom_modulate` takes the 2-D inverse FFT of the (N, K) symbol grids and sums
 the slots onto the shared elements; propagation is one product with the
-transposed physical gain matrix; `tod_split_compensate` splits each
-observation back to the logical slots and compensates by an N-point FFT
-across the cells; `tod_inner_demodulate` weights every branch by L and takes
-its K-point FFT.  `run_loopback` builds the gain matrix once per run, sends
-its frames through the stages FRAME_BLOCK at a time, and detects them by one
-tie-stable argmin over the constellation.
+transposed physical gain matrix; `tod_split_compensate` reads each
+observation at every slot on its element and takes an N-point FFT across the
+cells; `tod_inner_demodulate` takes every branch's K-point FFT.  The paper's
+1/L_v split of a shared element and its L after the inner DFT cancel, so
+neither is applied.  `run_loopback` builds the gain matrix once per run,
+sends its frames through the stages FRAME_BLOCK at a time, and detects them
+by one tie-stable argmin over the constellation.
 
 A link is built in two halves: `build_antenna` makes the part that depends
 on neither distance, carrier nor SNR, and `link_at` adds the propagation
@@ -112,33 +113,24 @@ def tom_modulate(symbols: np.ndarray, tx: Layout) -> np.ndarray:
     return slot_group_sum(tx, np.fft.ifft2(sym, norm="ortho"))
 
 
-def split_received(rx_signals: np.ndarray, rx: Layout) -> np.ndarray:
-    """Split each physical element's observation into its logical slots: the
-    shared element's value is divided equally among the co-using cells (the
-    1/L_v of the gain definition), which the inner demodulation's L undoes.
-    Leading axes of `rx_signals` index frames."""
-    y = np.asarray(rx_signals, dtype=complex)
-    if y.shape[-1:] != (rx.n_physical,):
-        raise DimensionError("receive vector does not match the physical element count")
-    return (y / rx.element_sharing)[..., rx.slot_group]
-
-
 def tod_split_compensate(rx_signals: np.ndarray, rx: Layout) -> np.ndarray:
-    """Split physical observations to logical slots, then separate the
+    """Read each physical observation at every logical slot on its element,
+    the adjoint of `tom_modulate`'s superposition, then separate the
     inter-cell modes by the N-point phase compensation, a unitary FFT across
-    the cells: row p of the result is x~_p.  Leading axes of `rx_signals`
-    index frames."""
-    return np.fft.fft(split_received(rx_signals, rx), axis=-2, norm="ortho")
+    the cells: row p of the result is the paper's L x~_p.  Leading axes of
+    `rx_signals` index frames."""
+    y = np.asarray(rx_signals, dtype=complex)
+    return np.fft.fft(y[..., rx.slot_group], axis=-2, norm="ortho")
 
 
 def tod_inner_demodulate(x_tilde: np.ndarray, rx: Layout) -> np.ndarray:
-    """Inner demodulation of every branch: s~_p = W^H L x~_p, with L the
-    receive layout's sharing frequencies, applied to the branches x~_p as
-    row vectors (last axis); leading axes index branches and frames."""
+    """Inner demodulation of every branch, the unitary K-point FFT of each
+    compensated branch (last axis): s~_p = W^H L x~_p, with the L already in
+    the branch.  Leading axes index branches and frames."""
     x = np.asarray(x_tilde, dtype=complex)
     if x.shape[-1:] != (rx.elems_per_cell,):
         raise DimensionError("branch length does not match the receive cell")
-    return np.fft.fft(x * rx.sharing_freqs, axis=-1, norm="ortho")
+    return np.fft.fft(x, axis=-1, norm="ortho")
 
 
 def _nearest(s_tilde: np.ndarray, lam: np.ndarray, amplitudes: np.ndarray,
@@ -179,8 +171,8 @@ def ml_detect(s_tilde_p: np.ndarray, lambda_row: np.ndarray,
 
 def noise_mode_scale(rx: Layout) -> np.ndarray:
     """sigma^2_{p,l} / sigma^2: row power of the linear map taking the
-    physical element noise vector to s~_p(l).  The split's 1/L_v and the
-    post-decoding L_v cancel, so slot (m, v) reaches s~_p(l) with weight
+    physical element noise vector to s~_p(l).  Every slot reads its
+    element's whole observation, so slot (m, v) reaches s~_p(l) with weight
     e^{-j2pi(pm/N + lv/K)} / sqrt(NK) and the slots on one element add
     coherently: the power is 1 plus 1/NK times the phase sum over ordered
     pairs of distinct slots on one element.  Turning a pair by one cell
@@ -222,7 +214,8 @@ def build_antenna(scenario) -> Antenna:
 @dataclass(frozen=True)
 class Link:
     """Everything derived from a scenario that the pipeline needs:
-    subchannels are the (N, V, K) block-circulant sub-channels H_q,
+    subchannels are the (N, V, K) block-circulant sub-channel gains G_q
+    (the paper's H_q times L, see `chan.build_block_channel`),
     exact_matrices the (N, K, K) exact transforms and lambda_coeffs the
     (N, K) detection coefficients.  The per-mode powers under the power
     allocation are (N, K) properties in DFT-index order; they do not depend
@@ -297,7 +290,7 @@ def link_at(antenna: Antenna, scenario) -> Link:
     params = chan.PropagationParams.from_frequency(
         scenario.distance_m, scenario.freq_hz, scenario.beta)
     subchannels = chan.build_block_channel(tx, rx, params)
-    exact = chan.detection_coeffs(subchannels, rx)
+    exact = chan.detection_coeffs(subchannels)
     if scenario.lambda_path == "exact":
         lam = np.einsum("pll->pl", exact)
     else:
@@ -346,8 +339,8 @@ def check_loopback(n_frames: int, noise_variance: float):
 
 def run_loopback(link: Link, n_frames: int, noise_variance: float = 0.0) -> LoopbackReport:
     """Transmit n_frames random constellation grids through the link's
-    chain, FRAME_BLOCK frames at a time: modulate, propagate, split and
-    compensate, inner-demodulate, detect.  Counts symbol errors in total, per
+    chain, FRAME_BLOCK frames at a time: modulate, propagate, compensate,
+    inner-demodulate, detect.  Counts symbol errors in total, per
     frame and per mode (an (N, K) count), and ML near-ties, all over the
     non-degenerate modes.  Deterministic from the link seed: frame f takes
     the next grid of the seed's symbol stream and the noise of

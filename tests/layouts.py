@@ -20,3 +20,16 @@ def admissible_layouts(max_cells: int = 6, max_elems: int = 12) -> list:
                     ratios = geometry.overlapped_ratios(n, v)
                 out += [(n, v, r) for r in ratios]
     return out
+
+
+# The grids of the golden outputs and the benchmark, and layouts whose
+# sharing frequencies are not all powers of two (L_v of 3, 5 or 6).
+NAMED_LAYOUTS = [(4, 4, 1.0), (4, 8, 1.0), (4, 16, 1.0), (8, 16, 1.0), (16, 32, 1.0),
+                 (3, 6, 1.0), (5, 10, 1.0), (6, 3, 1.0), (6, 6, 1.0)]
+
+
+def power_of_two_sharing(layout) -> bool:
+    """Whether every sharing frequency of the layout is a power of two, so
+    that dividing and multiplying by it are exact."""
+    f = layout.element_sharing
+    return bool(np.all(f & (f - 1) == 0))

@@ -314,12 +314,11 @@ def superposed_subchannel(channel: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def exact_transform(channel: np.ndarray, sharing: np.ndarray, p: int) -> np.ndarray:
-    """The exact p-th transform W^H L (sum_q e^{j 2 pi p q / N} H_q) W for
-    one p: the oracle of `channel.detection_coeffs`."""
+def exact_transform(channel: np.ndarray, p: int) -> np.ndarray:
+    """The exact p-th transform W^H (sum_q e^{j 2 pi p q / N} G_q) W of the
+    sub-channel gains for one p: the oracle of `channel.detection_coeffs`."""
     k = channel.shape[2]
-    hp = sharing[:, None] * superposed_subchannel(channel, p)
-    return dft_matrix(k) @ hp @ idft_matrix(k)
+    return dft_matrix(k) @ superposed_subchannel(channel, p) @ idft_matrix(k)
 
 
 def full_superposition_gap(tx: Layout, rx: Layout, params: chan.PropagationParams,
@@ -333,15 +332,13 @@ def full_superposition_gap(tx: Layout, rx: Layout, params: chan.PropagationParam
     if channel is None:
         channel = chan.build_block_channel(tx, rx, params)
     n, kc = tx.n_cells, tx.elems_per_cell
-    lv = rx.sharing_freqs[:, None]
-    exact = chan.detection_coeffs(channel, rx)[p]
+    exact = chan.detection_coeffs(channel)[p]
     approx = np.zeros((kc, kc), dtype=complex)
     for q in range(n):
         approx += np.exp(2j * np.pi * p * q / n) \
             * np.diag(chan.diag_approx_block(tx, rx, params, q, j_order, correction))
     # the mean squared norm of the N transforms, by Parseval over q
-    floor = chan.NULL_RTOL ** 2 * sum(np.linalg.norm(lv * h, "fro") ** 2
-                                      for h in channel)
+    floor = chan.NULL_RTOL ** 2 * sum(np.linalg.norm(h, "fro") ** 2 for h in channel)
     denom = np.linalg.norm(exact, "fro") ** 2
     if denom <= floor:
         raise DegenerateChannelError("null channel has no relative gap")
@@ -351,12 +348,12 @@ def full_superposition_gap(tx: Layout, rx: Layout, params: chan.PropagationParam
 def aligned_gap(tx: Layout, rx: Layout, params: chan.PropagationParams,
                 j_order: str = "matched", correction: bool = True) -> float:
     """Relative squared Frobenius gap between the aligned (q = 0) summand
-    W^H L H_0 W, built directly, and its diagonal Bessel approximation: the
+    W^H G_0 W, built directly, and its diagonal Bessel approximation: the
     oracle of `channel.approx_gap`.  A null summand raises
     DegenerateChannelError."""
     channel = chan.build_block_channel(tx, rx, params)
     w = idft_matrix(tx.elems_per_cell)
-    exact = w.conj().T @ (rx.sharing_freqs[:, None] * channel[0]) @ w
+    exact = w.conj().T @ channel[0] @ w
     approx = np.diag(chan.diag_approx_block(tx, rx, params, 0, j_order, correction))
     denom = np.linalg.norm(exact, "fro") ** 2
     if denom <= 0.0:
@@ -417,14 +414,52 @@ def propagate_logical(symbols: np.ndarray, channel: np.ndarray) -> np.ndarray:
 
 def tod_split_compensate_loops(rx_signals: np.ndarray, rx: Layout) -> np.ndarray:
     """Direct-summation form of `txrx.tod_split_compensate`:
-    x~_{p,v} = (1/sqrt(N)) sum_m r_{m,v} e^{-j Theta_m p}."""
-    r = txrx.split_received(rx_signals, rx)
-    n, v = r.shape
+    (1/sqrt(N)) sum_m y_{g(m, v)} e^{-j Theta_m p} at (p, v), with g(m, v)
+    the physical element of slot (m, v)."""
+    y = np.asarray(rx_signals, dtype=complex)
+    n, v = rx.slot_group.shape
     out = np.zeros((n, v), dtype=complex)
     for p in range(n):
         for m in range(n):
-            out[p] += r[m] * np.exp(-2j * np.pi * m * p / n)
+            out[p] += y[rx.slot_group[m]] * np.exp(-2j * np.pi * m * p / n)
     return out / np.sqrt(n)
+
+
+# The paper's form of the receive chain and the mode transforms.  It splits
+# each shared element's observation by 1/L_v and multiplies by L = diag(L_v)
+# after the inner DFT, and its sub-channels are H_q = G_q / L_v.  The package
+# applies neither factor, since they cancel; these oracles apply both, by the
+# expressions the package used while it applied them, so a test can hold the
+# two forms together.
+
+def split_received(rx_signals: np.ndarray, rx: Layout) -> np.ndarray:
+    """The paper's split: each physical element's observation divided
+    equally among the co-using cells' slots.  Leading axes of `rx_signals`
+    index frames."""
+    y = np.asarray(rx_signals, dtype=complex)
+    if y.shape[-1:] != (rx.n_physical,):
+        raise DimensionError("receive vector does not match the physical element count")
+    return (y / rx.element_sharing)[..., rx.slot_group]
+
+
+def paper_demodulate(rx_signals: np.ndarray, rx: Layout) -> np.ndarray:
+    """s~ by the paper's TOD: split, the N-point phase compensation across
+    the cells, L, then the K-point inner DFT of every branch."""
+    x_tilde = np.fft.fft(split_received(rx_signals, rx), axis=-2, norm="ortho")
+    return np.fft.fft(x_tilde * rx.sharing_freqs, axis=-1, norm="ortho")
+
+
+def paper_subchannels(gains: np.ndarray, rx: Layout) -> np.ndarray:
+    """The paper's sub-channels H_q = G_q / L_v of the (N, V, K) gains."""
+    return gains / rx.sharing_freqs.astype(float)[:, None]
+
+
+def paper_detection_coeffs(subchannels: np.ndarray, rx: Layout) -> np.ndarray:
+    """The (N, K, K) transforms W^H L (sum_q e^{j 2 pi p q / N} H_q) W of
+    the paper's sub-channels, by the FFTs of `channel.detection_coeffs`."""
+    hp = np.fft.ifft(subchannels, axis=0, norm="forward")
+    lh = np.fft.fft(rx.sharing_freqs[:, None] * hp, axis=-2, norm="ortho")
+    return np.fft.ifft(lh, axis=-1, norm="ortho")
 
 
 def se_qf_scenario(scenario, distance_m: float | None = None) -> float:

@@ -96,8 +96,8 @@ def test_criterion_2_sharing_matrices():
 def test_criterion_3_circulant_machinery():
     lay = build_layout(4, 4, 1.0, 1.0)
     params = chan.PropagationParams.from_frequency(100.0, FREQ, 1.0)
-    bc = chan.build_block_channel(lay, lay, params)
-    lh0 = lay.sharing_freqs[:, None] * bc[0]
+    # the post-decoded aligned block L H_0 is the gain block G_0
+    lh0 = chan.build_block_channel(lay, lay, params)[0]
     w = reference.idft_matrix(4)
     product = w.conj().T @ lh0 @ w
     total = np.linalg.norm(product, "fro") ** 2
@@ -152,7 +152,7 @@ def test_criterion_5_noiseless_loopback():
     max|c|, stays below |Lambda_{p,l}| a_{p,l} d_min / 2; the safe set must be
     non-empty and its modes error-free.  The other modes' ML decisions sit on
     exact ties, so their error counts are not asserted.  The whole chain
-    (modulate, propagate, split/compensate, inner demodulate) must equal
+    (modulate, propagate, compensate, inner demodulate) must equal
     G_p @ s_p on all modes to 1e-12 relative.  The interference threshold
     holds at its frozen bound.
     """
@@ -313,16 +313,19 @@ def test_criterion_8_dual_path_identities():
                             - reference.tod_split_compensate_loops(y, lay))) \
         / np.max(np.abs(y))
 
+    # every slot reads its element's whole observation: the paper's split
+    # identity, r = H s, times L row by row
     bc = chan.build_block_channel(lay, lay, params)
-    r_phys = txrx.split_received(y, lay)
+    r_phys = y[lay.slot_group]
     r_log = reference.propagate_logical(sym, bc)
     prop_dev = np.max(np.abs(r_phys - r_log)) / np.max(np.abs(r_log))
 
     buf = io.StringIO()
-    chan.channel_csv(bc, buf)
+    chan.channel_csv(bc, lay, buf)
     blocks = reference.channel_csv_blocks(buf.getvalue())
+    h = reference.paper_subchannels(bc, lay)
     block_exact = all(
-        np.array_equal(blocks[m, n], bc[(n + 4 - m) % 4])
+        np.array_equal(blocks[m, n], h[(n + 4 - m) % 4])
         for m in range(4) for n in range(4))
 
     ok = mod_dev < 1e-12 and dem_dev < 1e-12 and prop_dev < 1e-12 and block_exact

@@ -11,7 +11,7 @@ from qfuca.errors import DegenerateChannelError, DimensionError
 from qfuca.geometry import build_layout, single_ring_layout
 
 import reference
-from layouts import admissible_layouts
+from layouts import NAMED_LAYOUTS, admissible_layouts, power_of_two_sharing
 
 FREQ = 5.8e9
 LAM = 299792458.0 / FREQ
@@ -194,19 +194,21 @@ class TestBlockChannel:
         lay, _ = qf9
         bc = chan.build_block_channel(lay, lay, params100)
         buf = io.StringIO()
-        chan.channel_csv(bc, buf)
+        chan.channel_csv(bc, lay, buf)
         blocks = reference.channel_csv_blocks(buf.getvalue())
+        h = reference.paper_subchannels(bc, lay)
         for m in range(4):
             for n in range(4):
-                assert np.array_equal(blocks[m, n], bc[(n + 4 - m) % 4])
+                assert np.array_equal(blocks[m, n], h[(n + 4 - m) % 4])
 
     def test_blocks_match_raw_index_recomputation(self, qf9, params100):
-        # no q shortcut: entry (m, v), (n, k) from raw coordinates; the
-        # tolerance carries the unavoidable phase roundoff of 2 pi d / lambda
+        # no q shortcut: entry (m, v), (n, k) of the paper's H from raw
+        # coordinates; the tolerance carries the unavoidable phase roundoff
+        # of 2 pi d / lambda
         lay, sharing = qf9
         bc = chan.build_block_channel(lay, lay, params100)
         buf = io.StringIO()
-        chan.channel_csv(bc, buf)
+        chan.channel_csv(bc, lay, buf)
         blocks = reference.channel_csv_blocks(buf.getvalue())
         lam = params100.wavelength_m
         eps = np.finfo(float).eps
@@ -229,10 +231,11 @@ class TestBlockChannel:
             chan.build_block_channel(a, b, params100)
 
     def test_aligned_block_is_circulant_after_post_decoding(self, qf9, params100):
-        # W^H (L H_0) W diagonal to 1e-10 of total energy; first-row symmetry
-        lay, sharing = qf9
+        # G_0 = L H_0 is the post-decoded aligned block: W^H G_0 W diagonal
+        # to 1e-10 of total energy; first-row symmetry
+        lay, _ = qf9
         bc = chan.build_block_channel(lay, lay, params100)
-        lh0 = sharing[:, None] * bc[0]
+        lh0 = bc[0]
         w = reference.idft_matrix(4)
         product = w.conj().T @ lh0 @ w
         total = np.linalg.norm(product, "fro") ** 2
@@ -244,11 +247,11 @@ class TestBlockChannel:
             assert abs(row[k1] - row[k2]) < 1e-10 * abs(row[k1])
 
     def test_aligned_eigenvalues_match_closed_form(self, qf9, params100):
-        lay, sharing = qf9
+        lay, _ = qf9
         bc = chan.build_block_channel(lay, lay, params100)
-        lh0 = sharing[:, None] * bc[0]
+        lh0 = bc[0]
         eig = reference.dft_diagonal(lh0)
-        exact = chan.detection_coeffs(bc, lay)[0]
+        exact = chan.detection_coeffs(bc)[0]
         # p = 0 transform minus the q != 0 summands leaves the q = 0 block
         w = reference.idft_matrix(4)
         q0 = reference.dft_matrix(4) @ lh0 @ w
@@ -265,9 +268,9 @@ class TestEquivalentGains:
             assert a == pytest.approx(b, rel=1e-12)
 
     def test_pipeline_probe_identity(self, qf9, params100):
-        # unit symbol on one mode pair: the split received signal at (m, v)
-        # is exactly the equivalent gain
-        from qfuca.txrx import split_received, tom_modulate
+        # unit symbol on one mode pair: the paper's split received signal at
+        # (m, v) is exactly the equivalent gain
+        from qfuca.txrx import tom_modulate
         lay, sharing = qf9
         gain = chan.physical_gain_matrix(lay, lay, params100)
         scale = params100.reference_gain
@@ -275,7 +278,7 @@ class TestEquivalentGains:
         for (p, l) in [(0, 0), (1, -1), (2, 2)]:
             sym = np.zeros((4, 4), dtype=complex)
             sym[p % 4, l % 4] = 1.0
-            r = split_received(gain @ tom_modulate(sym, lay), lay)
+            r = reference.split_received(gain @ tom_modulate(sym, lay), lay)
             for m in range(4):
                 for v in range(4):
                     h = reference.equivalent_mode_gain(lay, lay, params100, sharing,
@@ -331,9 +334,8 @@ class TestDiagApprox:
         # q=0: the closed form approximates the exact circulant eigenvalues
         # (K=8, where the edge-mode aliasing is already below one percent)
         lay = build_layout(4, 8, 1.0, 1.0)
-        sharing = lay.sharing_freqs
         bc = chan.build_block_channel(lay, lay, params100)
-        lh0 = sharing[:, None] * bc[0]
+        lh0 = bc[0]
         eig = reference.dft_diagonal(lh0)
         approx = chan.diag_approx_block(lay, lay, params100, 0)
         scale = np.max(np.abs(eig))
@@ -487,24 +489,41 @@ class TestExactModeMatrix:
     def test_bit_identical_to_dft_form(self, params100, n, k):
         lay = single_ring_layout(k, 1.0) if n == 1 else build_layout(n, k, 1.0, 1.0)
         bc = chan.build_block_channel(lay, lay, params100)
-        exact = chan.detection_coeffs(bc, lay)
+        exact = chan.detection_coeffs(bc)
         for p in range(n):
-            expect = reference.exact_transform(bc, lay.sharing_freqs, p)
+            expect = reference.exact_transform(bc, p)
             assert np.max(np.abs(exact[p] - expect)) <= 5e-13 * np.max(np.abs(expect))
 
     def test_unequal_element_counts_rejected(self, params100):
         tx, rx = build_layout(4, 4, 1.0, 1.0), build_layout(4, 8, 1.0, 1.0)
         with pytest.raises(DimensionError):
-            chan.detection_coeffs(chan.build_block_channel(tx, rx, params100), rx)
+            chan.detection_coeffs(chan.build_block_channel(tx, rx, params100))
 
 
 class TestDetectionCoeffs:
+    def test_transforms_equal_paper_form(self, params100):
+        # W^H (sum G_q) W against the paper's W^H L (sum H_q) W with
+        # H_q = G_q / L_v: exact where every L_v is a power of two, within
+        # rounding of the dropped factors elsewhere
+        layouts = admissible_layouts(16, 32)
+        assert set(NAMED_LAYOUTS) <= set(layouts)
+        for layout in layouts:
+            lay = build_layout(*layout, 1.0)
+            gains = chan.build_block_channel(lay, lay, params100)
+            got = chan.detection_coeffs(gains)
+            expect = reference.paper_detection_coeffs(reference.paper_subchannels(gains, lay),
+                                                      lay)
+            if power_of_two_sharing(lay):
+                assert np.array_equal(got, expect), layout
+            else:
+                assert np.max(np.abs(got - expect)) <= 1e-15 * np.max(np.abs(expect)), layout
+
     def test_single_cell_lambda_is_exact_diagonal(self):
         ring = single_ring_layout(6, 1.0)
         params = chan.PropagationParams.from_frequency(100.0, FREQ)
         bc = chan.build_block_channel(ring, ring, params)
-        lam = np.diag(chan.detection_coeffs(bc, ring)[0])
-        exact = reference.exact_transform(bc, ring.sharing_freqs, 0)
+        lam = np.diag(chan.detection_coeffs(bc)[0])
+        exact = reference.exact_transform(bc, 0)
         assert np.max(np.abs(lam - np.diag(exact))) < 1e-15
 
     def test_exact_lambda_matches_pipeline_probe(self, qf9, params100):
@@ -536,7 +555,7 @@ class TestDetectionCoeffs:
 
 def full_gap(lay, params):
     """Per-p full-superposition gap of a layout facing itself."""
-    exact = chan.detection_coeffs(chan.build_block_channel(lay, lay, params), lay)
+    exact = chan.detection_coeffs(chan.build_block_channel(lay, lay, params))
     return chan.superposition_gap(exact, chan.bessel_diagonals(lay, lay, params))
 
 
@@ -578,7 +597,7 @@ def test_channel_csv_header(qf9, params100):
     lay, _ = qf9
     bc = chan.build_block_channel(lay, lay, params100)
     buf = io.StringIO()
-    chan.channel_csv(bc, buf)
+    chan.channel_csv(bc, lay, buf)
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "m,n,v,k,re,im"
     assert len(lines) == 1 + 4 * 4 * 4 * 4
@@ -591,7 +610,7 @@ def test_channel_csv_streams_in_constant_memory(tmp_path):
     with cli._open_output(tmp_path, "channel.csv") as fh:
         tracemalloc.start()
         try:
-            chan.channel_csv(link.subchannels, fh)
+            chan.channel_csv(link.subchannels, link.rx, fh)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -219,10 +219,21 @@ class TestCli:
         (["gap", "--values", ""], "--values '' names no value"),
         (["gap", "--elems=,"], "--elems ',' names no value"),
         (["sweep", "--axis", "snr_db", "--values=,"], "--values ',' names no value"),
-    ], ids=["gap_values_comma", "gap_values_empty", "gap_elems_comma", "sweep_values_comma"])
+        (["gap", "--values", "abc"], "--values names 'abc', which is not a number"),
+        (["gap", "--elems", "4.0"], "--elems names '4.0', which is not an integer"),
+        (["gap", "--elems", "0"], "--elems names 0, but element counts must be >= 1"),
+        (["gap", "--elems", "-4"], "--elems names -4, but element counts must be >= 1"),
+        (["gap", "--elems", "4, 8,0"], "--elems names 0, but element counts must be >= 1"),
+        (["sweep", "--axis", "snr_db", "--values", "0, x"],
+         "--values names 'x', which is not a number"),
+    ], ids=["gap_values_comma", "gap_values_empty", "gap_elems_comma", "sweep_values_comma",
+            "gap_values_word", "gap_elems_float", "gap_elems_zero", "gap_elems_negative",
+            "gap_elems_zero_in_list", "sweep_values_word"])
     def test_empty_value_list_exits_nonzero(self, tmp_path, capsys, argv, message):
         # a list flag that names no value would write a header-only CSV, or
-        # (gap --values "") run the default grid
+        # (gap --values "") run the default grid; a token the flag cannot
+        # use is named with its flag, not by a Python conversion error or a
+        # config key the command line never set
         assert main([argv[0], "--out", str(tmp_path), *argv[1:]]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.rglob("*.csv"))

@@ -205,8 +205,8 @@ class TestSharingMatrix:
 
 def assert_cells_share_as_cell_0(lay):
     """Every cell's slots see the sharing frequencies of cell 0's slots, the
-    symmetry build_block_channel relies on when it divides every receive
-    cell by cell 0's L."""
+    symmetry channel_csv relies on when it divides every receive cell by
+    cell 0's L."""
     per_slot = lay.element_sharing[lay.slot_group]
     assert (per_slot == lay.sharing_freqs).all(), per_slot
 

@@ -73,7 +73,7 @@ class TestSingleLoopUca:
         from qfuca.txrx import noise_mode_scale
         params = chan.PropagationParams.from_frequency(100.0, scen.freq_hz, scen.beta)
         ring = single_ring_layout(9, scen.qf_radius_m)
-        exact = chan.detection_coeffs(chan.build_block_channel(ring, ring, params), ring)[0]
+        exact = chan.detection_coeffs(chan.build_block_channel(ring, ring, params))[0]
         lam = np.diag(exact)[None, :]
         sigma2 = scen.total_power * params.reference_gain ** 2 / scen.snr_linear
         manual = metrics.se_qf(lam, np.full((1, 9), 1 / 9),
@@ -251,7 +251,7 @@ class TestSweeps:
         metrics.run_sweep(spec)
         assert all(args[0].tx.n_cells == scen.n_cells for args in calls)
         assert len(calls) == builds
-        assert all(args[1].n_cells == scen.n_cells for args in exact_calls)
+        assert all(len(args[0]) == scen.n_cells for args in exact_calls)
         assert len(exact_calls) == builds
         assert all(args[0].n_cells == scen.n_cells for args in channel_calls)
         assert len(channel_calls) == builds

@@ -13,7 +13,7 @@ from qfuca.geometry import build_layout, single_ring_layout
 from qfuca.metrics import se_qf
 
 import reference
-from layouts import admissible_layouts
+from layouts import NAMED_LAYOUTS, admissible_layouts, power_of_two_sharing
 
 FREQ = 5.8e9
 LAM = 299792458.0 / FREQ
@@ -216,7 +216,7 @@ class TestPropagation:
         rng = np.random.default_rng(3)
         g = random_grid(rng, 4, 4)
         y = chan.physical_gain_matrix(lay, lay, params100) @ txrx.tom_modulate(g, lay)
-        r_phys = txrx.split_received(y, lay)
+        r_phys = y[lay.slot_group]
         bc = chan.build_block_channel(lay, lay, params100)
         r_log = reference.propagate_logical(g, bc)
         scale = np.max(np.abs(r_log))
@@ -228,18 +228,36 @@ class TestPropagation:
     def test_physical_path_equals_logical_path_on_admissible_layouts(
             self, params100, layout, seed):
         # shared elements superpose on the physical path; the logical path
-        # carries them as separate slots with the 1/L_v split factor.  Both
-        # see the same element distances: a 1-ulp change of one distance
-        # would move its phase by 2 pi D eps / lambda, about 3e-12 here
+        # carries them as separate slots, each reading its element's whole
+        # observation.  Both see the same element distances: a 1-ulp change
+        # of one distance would move its phase by 2 pi D eps / lambda, about
+        # 3e-12 here
         lay = build_layout(*layout, 1.0)
         g = random_grid(np.random.default_rng(seed), lay.n_cells, lay.elems_per_cell)
         feed = txrx.tom_modulate(g, lay)
         y = chan.physical_gain_matrix(lay, lay, params100) @ feed
-        r_phys = txrx.split_received(y, lay)
+        r_phys = y[lay.slot_group]
         r_log = reference.propagate_logical(g, chan.build_block_channel(lay, lay, params100))
         assert np.max(np.abs(r_phys - r_log)) <= 1e-12 * np.max(np.abs(r_log))
 
 class TestDemodulation:
+    def test_chain_equals_paper_form(self):
+        # the paper splits by 1/L_v and multiplies by L after the inner DFT;
+        # the chain does neither.  Exact where every L_v is a power of two,
+        # within rounding of the dropped factors elsewhere
+        layouts = admissible_layouts(16, 32)
+        assert set(NAMED_LAYOUTS) <= set(layouts)
+        rng = np.random.default_rng(21)
+        for layout in layouts:
+            lay = build_layout(*layout, 1.0)
+            y = rng.normal(size=(2, lay.n_physical)) + 1j * rng.normal(size=(2, lay.n_physical))
+            got = txrx.tod_inner_demodulate(txrx.tod_split_compensate(y, lay), lay)
+            expect = reference.paper_demodulate(y, lay)
+            if power_of_two_sharing(lay):
+                assert np.array_equal(got, expect), layout
+            else:
+                assert np.max(np.abs(got - expect)) <= 1e-15 * np.max(np.abs(expect)), layout
+
     def test_single_cell_compensation_is_identity(self):
         ring = single_ring_layout(5, 1.0)
         y = np.arange(5) + 1j
@@ -562,7 +580,7 @@ class TestEndToEnd:
         ring = single_ring_layout(9, 1.0)
         params = chan.PropagationParams.from_frequency(100.0, FREQ, 1.0)
         bc = chan.build_block_channel(ring, ring, params)
-        exact = chan.detection_coeffs(bc, ring)
+        exact = chan.detection_coeffs(bc)
         link = txrx.Link(tx=ring, rx=ring, params=params, subchannels=bc,
                          exact_matrices=exact, lambda_coeffs=np.einsum("pll->pl", exact),
                          constellation=txrx.Constellation.from_name("qpsk"),
