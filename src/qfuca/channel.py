@@ -113,15 +113,6 @@ def free_space_gain(offsets: np.ndarray, params: PropagationParams) -> np.ndarra
     return (params.beta * lam / (4 * np.pi)) * np.exp(-2j * np.pi * d / lam) / d
 
 
-def physical_gain_matrix(tx: Layout, rx: Layout,
-                         params: PropagationParams) -> np.ndarray:
-    """Free-space gain matrix between physical elements (N_r x N_t), without
-    any sharing factors; this is what actually propagates."""
-    tp = tx.group_positions()
-    rp = rx.group_positions()
-    return free_space_gain(rp[:, None, :] - tp[None, :, :], params)
-
-
 def check_element_distances(tx: Layout, rx: Layout, params: PropagationParams):
     """Reject antennas whose element distances the channel cannot square:
     elements reach R_Q + R from the axis (a ring's R_Q is 0), so in plane

@@ -4,7 +4,7 @@ A QF-UCA antenna is N uniform circular cells of radius R placed on a circle
 of radius R_Q; cells may physically share array elements wherever their
 circles intersect on the element grid.  This module builds layouts, detects
 shared elements by coordinate coincidence, and derives the sharing
-frequencies, the slot-to-element superposition, and admissibility conditions.
+frequencies, the slot-to-element map, and admissibility conditions.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import DimensionError, GeometryError
+from .errors import GeometryError
 
 # Coincidence tolerance for shared-element detection, relative to R_Q.
 COINCIDENCE_RTOL = 1e-9
@@ -231,21 +231,6 @@ def overlapped_ratios(n_cells: int, elems_per_cell: int) -> tuple[float, ...]:
         if np.sum(freqs == 2) == 4 and np.sum(freqs == 1) == v - 4:
             out.append(float(ratio))
     return tuple(sorted(set(out)))
-
-
-def slot_group_sum(layout: Layout, logical: np.ndarray) -> np.ndarray:
-    """Collapse per-slot values to per-physical-element sums (transmit feed).
-
-    `logical` is one frame (a flat N*K vector or the (N, K) slot grid) or a
-    stack of (N, K) grids; the result has one row of n_physical per frame."""
-    x = np.asarray(logical, dtype=complex)
-    n_slots = layout.n_cells * layout.elems_per_cell
-    flat = x.reshape(x.shape[:-2] + (-1,))
-    if flat.shape[-1] != n_slots:
-        raise DimensionError("logical vector does not match layout slot count")
-    out = np.zeros(flat.shape[:-1] + (layout.n_physical,), dtype=complex)
-    np.add.at(out, (..., layout.slot_group.reshape(-1)), flat)
-    return out
 
 
 def layout_csv(layout: Layout) -> str:

@@ -1,17 +1,19 @@
-"""Transceiver chain: two-dimension OAM modulation (TOM), physical
-propagation, two-dimension demodulation (TOD), and mode-wise ML detection.
+"""Transceiver chain: OAM frames over a QF-UCA link, two-dimension
+demodulation (TOD) and mode-wise ML detection.
 
-The chain is one set of stage functions, each taking a stack of frames
-(leading axes index frames), and every DFT in it is a unitary FFT:
-`tom_modulate` takes the 2-D inverse FFT of the (N, K) symbol grids and sums
-the slots onto the shared elements; propagation is one product with the
-transposed physical gain matrix; `tod_split_compensate` reads each
-observation at every slot on its element and takes an N-point FFT across the
-cells; `tod_inner_demodulate` takes every branch's K-point FFT.  The paper's
-1/L_v split of a shared element and its L after the inner DFT cancel, so
-neither is applied.  `run_loopback` builds the gain matrix once per run,
-sends its frames through the stages FRAME_BLOCK at a time, and detects them
-by one tie-stable argmin over the constellation.
+Two-dimension OAM modulation (TOM), the physical channel and TOD
+block-diagonalise the link: branch p of TOD after the channel after TOM is
+the K x K exact transform T_p, which the link holds as
+`Link.exact_matrices`.  So `run_loopback` sends its frames to the receiver
+as s~_p = T_p s_p, one batched product, and only the element noise takes the
+receive stages, each of which takes a stack of frames (leading axes index
+frames) and whose every DFT is a unitary FFT:
+`tod_split_compensate` reads each observation at every slot on its element
+and takes an N-point FFT across the cells; `tod_inner_demodulate` takes
+every branch's K-point FFT.  The paper's 1/L_v split of a shared element and
+its L after the inner DFT cancel, so neither is applied.  `run_loopback`
+takes its frames FRAME_BLOCK at a time and detects them by one tie-stable
+argmin over the constellation.
 
 A link is built in two halves: `build_antenna` makes the part that depends
 on neither distance, carrier nor SNR, and `link_at` adds the propagation
@@ -20,9 +22,11 @@ part.  `build_link` is their composition; sweeps keep the antenna and call
 shared-slot pairs (`noise_mode_scale`); where it is 0, Lambda is 0 too.
 
 `_nearest` makes every ML decision; `ml_detect` is it for one branch.  The
-tests hold each stage against its direct-summation form, the physical path
-against the logical block-circulant path, and `run_loopback` against a
-frame-by-frame loop over the stages and `ml_detect`.
+tests hold each stage against its direct-summation form, the transforms
+against the physical path (TOM, the dense element gain matrix and TOD, in
+tests/reference.py), that path against the logical block-circulant path,
+and `run_loopback` against a frame-by-frame loop over the physical path and
+`ml_detect`.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from . import channel as chan
 from .errors import DimensionError
-from .geometry import Layout, build_layout, slot_group_sum
+from .geometry import Layout, build_layout
 
 # Frames go through the engine in blocks of this many, so its temporaries
 # (the largest is the (frames, N, K, alphabet) distance tensor) keep one size
@@ -102,24 +106,16 @@ class NoiseModel:
         return g.normal(scale=scale, size=n) + 1j * g.normal(scale=scale, size=n)
 
 
-def tom_modulate(symbols: np.ndarray, tx: Layout) -> np.ndarray:
-    """Physical transmit feed: the two-dimension IDFT of each (N, K) symbol
-    grid, (1/sqrt(NK)) sum_{p,l} s e^{j2pi kl/K} e^{j2pi np/N}, superposed
-    onto the shared elements; the last axis indexes physical elements and
-    leading axes index frames."""
-    sym = np.asarray(symbols, dtype=complex)
-    if sym.shape[-2:] != (tx.n_cells, tx.elems_per_cell):
-        raise DimensionError("symbol grid does not match the transmit layout")
-    return slot_group_sum(tx, np.fft.ifft2(sym, norm="ortho"))
-
-
 def tod_split_compensate(rx_signals: np.ndarray, rx: Layout) -> np.ndarray:
     """Read each physical observation at every logical slot on its element,
-    the adjoint of `tom_modulate`'s superposition, then separate the
-    inter-cell modes by the N-point phase compensation, a unitary FFT across
-    the cells: row p of the result is the paper's L x~_p.  Leading axes of
-    `rx_signals` index frames."""
+    the adjoint of the transmit side's superposition of shared slots, then
+    separate the inter-cell modes by the N-point phase compensation, a
+    unitary FFT across the cells: row p of the result is the paper's L x~_p.
+    The last axis of `rx_signals` indexes physical elements and leading axes
+    index frames."""
     y = np.asarray(rx_signals, dtype=complex)
+    if y.shape[-1:] != (rx.n_physical,):
+        raise DimensionError("receive vector does not match the physical element count")
     return np.fft.fft(y[..., rx.slot_group], axis=-2, norm="ortho")
 
 
@@ -338,21 +334,22 @@ def check_loopback(n_frames: int, noise_variance: float):
 
 
 def run_loopback(link: Link, n_frames: int, noise_variance: float = 0.0) -> LoopbackReport:
-    """Transmit n_frames random constellation grids through the link's
-    chain, FRAME_BLOCK frames at a time: modulate, propagate, compensate,
-    inner-demodulate, detect.  Counts symbol errors in total, per
-    frame and per mode (an (N, K) count), and ML near-ties, all over the
-    non-degenerate modes.  Deterministic from the link seed: frame f takes
-    the next grid of the seed's symbol stream and the noise of
-    NoiseModel(noise_variance, seed) at frame f.  Zero frames are a valid
-    (empty) run; a negative count is rejected (`check_loopback`)."""
+    """Transmit n_frames random constellation grids over the link,
+    FRAME_BLOCK frames at a time: each branch reaches the receiver through
+    its exact transform, s~_p = T_p s_p, plus the element noise taken
+    through TOD (compensate, inner-demodulate); then detect.  Counts symbol
+    errors in total, per frame and per mode (an (N, K) count), and ML
+    near-ties, all over the non-degenerate modes.  Deterministic from the
+    link seed: frame f takes the next grid of the seed's symbol stream and
+    the noise of NoiseModel(noise_variance, seed) at frame f.  Zero frames
+    are a valid (empty) run; a negative count is rejected
+    (`check_loopback`)."""
     check_loopback(n_frames, noise_variance)
     n, k = link.tx.n_cells, link.tx.elems_per_cell
     noise = NoiseModel(element_variance=noise_variance, seed=link.seed)
     sym_rng = np.random.default_rng(np.random.SeedSequence((link.seed, 0xA11CE)))
     points = link.constellation.points
     amplitudes = link.amplitudes()
-    gain_t = chan.physical_gain_matrix(link.tx, link.rx, link.params).T
     per_frame = []
     per_mode = np.zeros((n, k), dtype=int)
     near_ties = degenerate_modes = 0
@@ -360,9 +357,9 @@ def run_loopback(link: Link, n_frames: int, noise_variance: float = 0.0) -> Loop
         frames = range(start, min(start + FRAME_BLOCK, n_frames))
         idx = np.stack([sym_rng.integers(0, points.size, size=(n, k)) for _ in frames])
         symbols = amplitudes * points[idx]
-        received = tom_modulate(symbols, link.tx) @ gain_t \
-            + np.stack([noise.sample(link.rx.n_physical, f) for f in frames])
-        s_tilde = tod_inner_demodulate(tod_split_compensate(received, link.rx), link.rx)
+        element_noise = np.stack([noise.sample(link.rx.n_physical, f) for f in frames])
+        s_tilde = (link.exact_matrices @ symbols[..., None])[..., 0] \
+            + tod_inner_demodulate(tod_split_compensate(element_noise, link.rx), link.rx)
         detected, _, degenerate, ties = _nearest(s_tilde, link.lambda_coeffs,
                                                  amplitudes, points)
         errors = (detected != symbols) & ~degenerate

@@ -361,6 +361,47 @@ def aligned_gap(tx: Layout, rx: Layout, params: chan.PropagationParams,
     return float(np.linalg.norm(exact - approx, "fro") ** 2 / denom)
 
 
+# The physical path: TOM superposes each frame's slots onto the shared
+# elements, the dense element gain matrix propagates the feed, and TOD
+# (`txrx.tod_split_compensate`, `txrx.tod_inner_demodulate`) reads it back.
+# Branch p of it is the exact transform T_p that `txrx.run_loopback` sends
+# its frames through; the tests hold the two together.
+
+def physical_gain_matrix(tx: Layout, rx: Layout,
+                         params: chan.PropagationParams) -> np.ndarray:
+    """Free-space gain matrix between physical elements (N_r x N_t), without
+    any sharing factors; this is what actually propagates."""
+    tp = tx.group_positions()
+    rp = rx.group_positions()
+    return chan.free_space_gain(rp[:, None, :] - tp[None, :, :], params)
+
+
+def slot_group_sum(layout: Layout, logical: np.ndarray) -> np.ndarray:
+    """Collapse per-slot values to per-physical-element sums (transmit feed).
+
+    `logical` is one frame (a flat N*K vector or the (N, K) slot grid) or a
+    stack of (N, K) grids; the result has one row of n_physical per frame."""
+    x = np.asarray(logical, dtype=complex)
+    n_slots = layout.n_cells * layout.elems_per_cell
+    flat = x.reshape(x.shape[:-2] + (-1,))
+    if flat.shape[-1] != n_slots:
+        raise DimensionError("logical vector does not match layout slot count")
+    out = np.zeros(flat.shape[:-1] + (layout.n_physical,), dtype=complex)
+    np.add.at(out, (..., layout.slot_group.reshape(-1)), flat)
+    return out
+
+
+def tom_modulate(symbols: np.ndarray, tx: Layout) -> np.ndarray:
+    """Physical transmit feed: the two-dimension IDFT of each (N, K) symbol
+    grid, (1/sqrt(NK)) sum_{p,l} s e^{j2pi kl/K} e^{j2pi np/N}, superposed
+    onto the shared elements; the last axis indexes physical elements and
+    leading axes index frames."""
+    sym = np.asarray(symbols, dtype=complex)
+    if sym.shape[-2:] != (tx.n_cells, tx.elems_per_cell):
+        raise DimensionError("symbol grid does not match the transmit layout")
+    return slot_group_sum(tx, np.fft.ifft2(sym, norm="ortho"))
+
+
 def tom_modulate_loops(symbols: np.ndarray, tx: Layout) -> np.ndarray:
     """Physical transmit feed of one (N, K) symbol grid by direct double
     summation and explicit per-element superposition of shared slots."""

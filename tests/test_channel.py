@@ -270,15 +270,14 @@ class TestEquivalentGains:
     def test_pipeline_probe_identity(self, qf9, params100):
         # unit symbol on one mode pair: the paper's split received signal at
         # (m, v) is exactly the equivalent gain
-        from qfuca.txrx import tom_modulate
         lay, sharing = qf9
-        gain = chan.physical_gain_matrix(lay, lay, params100)
+        gain = reference.physical_gain_matrix(lay, lay, params100)
         scale = params100.reference_gain
         tol = 1e-12 + 8 * np.finfo(float).eps * 2 * np.pi * 100.0 / LAM
         for (p, l) in [(0, 0), (1, -1), (2, 2)]:
             sym = np.zeros((4, 4), dtype=complex)
             sym[p % 4, l % 4] = 1.0
-            r = reference.split_received(gain @ tom_modulate(sym, lay), lay)
+            r = reference.split_received(gain @ reference.tom_modulate(sym, lay), lay)
             for m in range(4):
                 for v in range(4):
                     h = reference.equivalent_mode_gain(lay, lay, params100, sharing,
@@ -529,16 +528,15 @@ class TestDetectionCoeffs:
     def test_exact_lambda_matches_pipeline_probe(self, qf9, params100):
         # probing the full pipeline with a unit symbol reproduces Lambda
         from qfuca.config import Scenario
-        from qfuca.txrx import build_link, tod_inner_demodulate, tod_split_compensate, \
-            tom_modulate
+        from qfuca.txrx import build_link, tod_inner_demodulate, tod_split_compensate
         lay, _ = qf9
         lam = build_link(Scenario()).lambda_coeffs
-        gain = chan.physical_gain_matrix(lay, lay, params100)
+        gain = reference.physical_gain_matrix(lay, lay, params100)
         scale = params100.reference_gain
         for (p, l) in [(0, 0), (1, 1), (2, -1)]:
             sym = np.zeros((4, 4), dtype=complex)
             sym[p % 4, l % 4] = 1.0
-            y = gain @ tom_modulate(sym, lay)
+            y = gain @ reference.tom_modulate(sym, lay)
             x_tilde = tod_split_compensate(y, lay)
             s_tilde = tod_inner_demodulate(x_tilde[p % 4], lay)
             assert abs(s_tilde[l % 4] - lam[p % 4, l % 4]) \

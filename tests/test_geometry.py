@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from qfuca.errors import GeometryError
 from qfuca.geometry import (COINCIDENCE_RTOL, admissible_elem_counts, build_layout,
-                            layout_csv, overlapped_ratios, single_ring_layout,
-                            slot_group_sum)
+                            layout_csv, overlapped_ratios, single_ring_layout)
 from qfuca.geometry import _aligning_offset, _coincidence_groups
 
 from layouts import admissible_layouts
-from reference import aligning_offset, coincidence_groups, superpose_operators
+from reference import (aligning_offset, coincidence_groups, slot_group_sum,
+                       superpose_operators)
 
 
 def circulant_shift_equal(a, b):

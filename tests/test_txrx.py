@@ -98,11 +98,11 @@ def run_loopback_per_frame(link, n_frames, noise_variance=0.0):
     sym_rng = np.random.default_rng(np.random.SeedSequence((link.seed, 0xA11CE)))
     amp = link.amplitudes()
     points = link.constellation.points
-    gain = chan.physical_gain_matrix(link.tx, link.rx, link.params)
+    gain = reference.physical_gain_matrix(link.tx, link.rx, link.params)
     per_frame, per_mode = [], np.zeros((n, k), dtype=int)
     for frame in range(n_frames):
         symbols = amp * points[sym_rng.integers(0, points.size, size=(n, k))]
-        received = gain @ txrx.tom_modulate(symbols, link.tx) \
+        received = gain @ reference.tom_modulate(symbols, link.tx) \
             + noise.sample(link.rx.n_physical, frame)
         x_tilde = txrx.tod_split_compensate(received, link.rx)
         errors = np.zeros((n, k), dtype=bool)
@@ -147,27 +147,27 @@ class TestSymbolGrid:
     def test_shape_mismatch(self, qf9):
         lay, _ = qf9
         with pytest.raises(DimensionError):
-            txrx.tom_modulate(np.zeros((2, 3)), lay)
+            reference.tom_modulate(np.zeros((2, 3)), lay)
 
 
 class TestModulation:
     def test_zero_grid(self, qf9):
         lay, _ = qf9
-        assert np.all(txrx.tom_modulate(np.zeros((4, 4)), lay) == 0)
+        assert np.all(reference.tom_modulate(np.zeros((4, 4)), lay) == 0)
 
     def test_dc_symbol_without_sharing(self):
         # s_{0,0} = sqrt(NK): every logical slot carries 1
         lay = build_layout(4, 4, 0.5, 1.0)
         sym = np.zeros((4, 4), dtype=complex)
         sym[0, 0] = 4.0
-        feed = txrx.tom_modulate(sym, lay)
+        feed = reference.tom_modulate(sym, lay)
         assert np.max(np.abs(feed - 1.0)) < 1e-12
 
     def test_dc_symbol_shared_element_superposes(self, qf9):
         lay, _ = qf9
         sym = np.zeros((4, 4), dtype=complex)
         sym[0, 0] = 4.0
-        feed = txrx.tom_modulate(sym, lay)
+        feed = reference.tom_modulate(sym, lay)
         counts = np.bincount(lay.slot_group.ravel())
         assert np.max(np.abs(feed - counts)) < 1e-12
 
@@ -175,7 +175,7 @@ class TestModulation:
         lay, _ = qf9
         rng = np.random.default_rng(1)
         g = random_grid(rng, 4, 4)
-        a = txrx.tom_modulate(g, lay)
+        a = reference.tom_modulate(g, lay)
         b = reference.tom_modulate_loops(g, lay)
         assert np.max(np.abs(a - b)) < 1e-12 * max(1.0, np.max(np.abs(a)))
 
@@ -185,21 +185,21 @@ class TestModulation:
         lay = build_layout(4, 4, 0.5, 1.0)
         rng = np.random.default_rng(2)
         g = random_grid(rng, 4, 4)
-        logical = txrx.tom_modulate(g, lay)
+        logical = reference.tom_modulate(g, lay)
         assert abs(np.sum(np.abs(logical) ** 2)
                    - np.sum(np.abs(g) ** 2)) < 1e-12 * np.sum(np.abs(g) ** 2)
 
     def test_layout_mismatch(self, qf9):
         lay, _ = qf9
         with pytest.raises(ValueError):
-            txrx.tom_modulate(np.zeros((4, 8)), lay)
+            reference.tom_modulate(np.zeros((4, 8)), lay)
 
 
 class TestPropagation:
     def test_zero_in_zero_noise(self, qf9, params100):
         lay, _ = qf9
         noise = txrx.NoiseModel(0.0, 0)
-        y = chan.physical_gain_matrix(lay, lay, params100) @ np.zeros(9, dtype=complex) \
+        y = reference.physical_gain_matrix(lay, lay, params100) @ np.zeros(9, dtype=complex) \
             + noise.sample(9)
         assert np.all(y == 0)
 
@@ -215,7 +215,8 @@ class TestPropagation:
         lay, _ = qf9
         rng = np.random.default_rng(3)
         g = random_grid(rng, 4, 4)
-        y = chan.physical_gain_matrix(lay, lay, params100) @ txrx.tom_modulate(g, lay)
+        y = reference.physical_gain_matrix(lay, lay, params100) \
+            @ reference.tom_modulate(g, lay)
         r_phys = y[lay.slot_group]
         bc = chan.build_block_channel(lay, lay, params100)
         r_log = reference.propagate_logical(g, bc)
@@ -234,13 +235,39 @@ class TestPropagation:
         # 3e-12 here
         lay = build_layout(*layout, 1.0)
         g = random_grid(np.random.default_rng(seed), lay.n_cells, lay.elems_per_cell)
-        feed = txrx.tom_modulate(g, lay)
-        y = chan.physical_gain_matrix(lay, lay, params100) @ feed
+        feed = reference.tom_modulate(g, lay)
+        y = reference.physical_gain_matrix(lay, lay, params100) @ feed
         r_phys = y[lay.slot_group]
         r_log = reference.propagate_logical(g, chan.build_block_channel(lay, lay, params100))
         assert np.max(np.abs(r_phys - r_log)) <= 1e-12 * np.max(np.abs(r_log))
 
+    def test_transforms_equal_physical_path_on_admissible_and_named_layouts(self):
+        # branch p of TOD after the physical channel after TOM is the exact
+        # transform T_p: the identity that run_loopback sends its frames
+        # through, on every grid up to 8x16 and on the named ones
+        layouts = sorted(set(admissible_layouts(8, 16)) | set(NAMED_LAYOUTS))
+        rng = np.random.default_rng(31)
+        for n, v, ratio in layouts:
+            link = txrx.build_link(Scenario(n_cells=n, tx_elems=v, rx_elems=v,
+                                            tx_ratio=ratio, rx_ratio=ratio))
+            symbols = rng.normal(size=(3, n, v)) + 1j * rng.normal(size=(3, n, v))
+            got = (link.exact_matrices @ symbols[..., None])[..., 0]
+            received = reference.tom_modulate(symbols, link.tx) \
+                @ reference.physical_gain_matrix(link.tx, link.rx, link.params).T
+            expect = txrx.tod_inner_demodulate(txrx.tod_split_compensate(received, link.rx),
+                                               link.rx)
+            assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect)), \
+                (n, v, ratio)
+
 class TestDemodulation:
+    @pytest.mark.parametrize("length", [8, 10])
+    def test_receive_length_must_match_the_antenna(self, qf9, length):
+        # the default antenna has 9 physical elements
+        lay, _ = qf9
+        for shape in ((length,), (3, length)):
+            with pytest.raises(DimensionError):
+                txrx.tod_split_compensate(np.zeros(shape, dtype=complex), lay)
+
     def test_chain_equals_paper_form(self):
         # the paper splits by 1/L_v and multiplies by L after the inner DFT;
         # the chain does neither.  Exact where every L_v is a power of two,
@@ -610,6 +637,17 @@ class TestBatchedEngine:
         assert link.max_interference_to_signal == pytest.approx(max_isr, rel=1e-12)
         assert report.near_ties == 0
 
+    def test_unequal_ratios_match_per_frame_reference(self):
+        # with one layout at both ends every exact transform is symmetric,
+        # so only unequal antennas tell T_p from its transpose
+        link = txrx.build_link(Scenario(n_cells=8, tx_elems=16, rx_elems=16,
+                                        rx_ratio=0.5, seed=3))
+        assert not np.allclose(link.exact_matrices, link.exact_matrices.swapaxes(-1, -2))
+        report = txrx.run_loopback(link, 40, noise_variance=link.sigma2)
+        per_frame, per_mode, _ = run_loopback_per_frame(link, 40, link.sigma2)
+        assert report.per_frame_errors == per_frame
+        assert np.array_equal(report.per_mode_errors, per_mode)
+
     def test_block_boundaries_keep_frame_prefixes(self, link9):
         sizes = (0, 1, txrx.FRAME_BLOCK - 1, txrx.FRAME_BLOCK, txrx.FRAME_BLOCK + 1,
                  2 * txrx.FRAME_BLOCK + 1)
@@ -635,10 +673,27 @@ class TestBatchedEngine:
         assert np.array_equal(report.per_mode_errors, per_mode)
         assert report.per_mode_errors[1, 2] == report.per_mode_errors[3, 0] == 0
 
-    def test_gain_matrix_built_once_per_run(self, link9, count_calls):
-        calls = count_calls(chan, "physical_gain_matrix")
+    def test_run_evaluates_no_element_gain(self, link9, count_calls):
+        # the frames go through the link's transforms, so a run builds no
+        # channel and evaluates no element-to-element gain
+        gains = count_calls(chan, "free_space_gain")
+        blocks = count_calls(chan, "build_block_channel")
         txrx.run_loopback(link9, 2 * txrx.FRAME_BLOCK + 1, noise_variance=link9.sigma2)
-        assert len(calls) == 1
+        assert len(gains) == len(blocks) == 0
+
+    def test_peak_memory_below_half_a_dense_gain_matrix(self):
+        # the working set of a noisy 100-frame run at 32x64 stays below half
+        # of one complex n_physical x n_physical matrix (18.9 MB), the gain
+        # matrix that the physical path multiplies every frame by
+        link = txrx.build_link(Scenario(n_cells=32, tx_elems=64, rx_elems=64, seed=7))
+        dense_bytes = link.rx.n_physical * link.tx.n_physical * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            txrx.run_loopback(link, 100, noise_variance=link.sigma2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 2
 
     def test_noiseless_ties_are_counted(self, link9):
         # the default link's rank-deficient branches put noiseless ML
@@ -651,9 +706,9 @@ class TestBatchedEngine:
         lay = build_layout(n, k, 1.0, 1.0)
         rng = np.random.default_rng(8)
         frames = [random_grid(rng, n, k) for _ in range(5)]
-        feed = txrx.tom_modulate(np.stack(frames), lay)
+        feed = reference.tom_modulate(np.stack(frames), lay)
         assert feed.shape == (5, lay.n_physical)
-        assert np.array_equal(feed, np.stack([txrx.tom_modulate(s, lay) for s in frames]))
+        assert np.array_equal(feed, np.stack([reference.tom_modulate(s, lay) for s in frames]))
         x_tilde = np.stack([random_grid(rng, n, k) for _ in range(5)])
         s_tilde = txrx.tod_inner_demodulate(x_tilde, lay)
         assert s_tilde.shape == (5, n, k)
