@@ -82,28 +82,15 @@ class Constellation:
         return cls(points=table[name])
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Circular complex white noise per physical receive element."""
-
-    element_variance: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not np.isfinite(self.element_variance):
-            raise ValueError(f"noise variance must be finite, got {self.element_variance!r}")
-        if self.element_variance < 0:
-            raise ValueError("noise variance must be nonnegative")
-
-    def rng(self, frame: int = 0) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence((self.seed, frame)))
-
-    def sample(self, n: int, frame: int = 0) -> np.ndarray:
-        if self.element_variance == 0:
-            return np.zeros(n, dtype=complex)
-        scale = np.sqrt(self.element_variance / 2)
-        g = self.rng(frame)
-        return g.normal(scale=scale, size=n) + 1j * g.normal(scale=scale, size=n)
+def element_noise(n: int, variance: float, seed: int, frame: int) -> np.ndarray:
+    """Circular complex white noise of the given variance on n physical
+    receive elements at one frame: the real parts, then the imaginary
+    parts, drawn from (seed, frame); zeros at variance 0."""
+    if variance == 0:
+        return np.zeros(n, dtype=complex)
+    scale = np.sqrt(variance / 2)
+    g = np.random.default_rng(np.random.SeedSequence((seed, frame)))
+    return g.normal(scale=scale, size=n) + 1j * g.normal(scale=scale, size=n)
 
 
 def tod_split_compensate(rx_signals: np.ndarray, rx: Layout) -> np.ndarray:
@@ -134,12 +121,12 @@ def _nearest(s_tilde: np.ndarray, lam: np.ndarray, amplitudes: np.ndarray,
     """Tie-stable ML decision for every mode of s~ (extra leading axes index
     frames) over its alphabet, Lambda times the amplitude-scaled points: the
     lowest index within TIE_RTOL of the nearest distance wins.  Returns the
-    detected values and indices, the degenerate flags (Lambda exactly zero)
-    and the near-tie flags (more than one candidate within TIE_RTOL)."""
+    detected values and indices and the near-tie flags (more than one
+    candidate within TIE_RTOL)."""
     dist = np.abs(s_tilde[..., None] - lam[..., None] * (amplitudes[..., None] * points))
     within = dist <= dist.min(axis=-1, keepdims=True) * (1 + TIE_RTOL)
     indices = np.argmax(within, axis=-1)
-    return (amplitudes * points[indices], indices, lam == 0,
+    return (amplitudes * points[indices], indices,
             np.count_nonzero(within, axis=-1) > 1)
 
 
@@ -162,7 +149,8 @@ def ml_detect(s_tilde_p: np.ndarray, lambda_row: np.ndarray,
     if not np.all(np.isfinite(lam.view(float))):
         raise ValueError("detection coefficients must be finite")
     amplitudes = np.ones(s_tilde.size) if amplitudes is None else np.asarray(amplitudes)
-    return _nearest(s_tilde, lam, amplitudes, constellation.points)[:3]
+    detected, indices, _ = _nearest(s_tilde, lam, amplitudes, constellation.points)
+    return detected, indices, lam == 0
 
 
 def noise_mode_scale(rx: Layout) -> np.ndarray:
@@ -326,11 +314,14 @@ class LoopbackReport:
 
 
 def check_loopback(n_frames: int, noise_variance: float):
-    """Reject a negative frame count, or a noise variance NoiseModel
-    rejects, without building a link."""
+    """Reject a negative frame count, or a noise variance that is not finite
+    and nonnegative, without building a link."""
     if n_frames < 0:
         raise ValueError(f"frame count must be nonnegative, got {n_frames}")
-    NoiseModel(element_variance=noise_variance)
+    if not np.isfinite(noise_variance):
+        raise ValueError(f"noise variance must be finite, got {noise_variance!r}")
+    if noise_variance < 0:
+        raise ValueError("noise variance must be nonnegative")
 
 
 def run_loopback(link: Link, n_frames: int, noise_variance: float = 0.0) -> LoopbackReport:
@@ -339,36 +330,35 @@ def run_loopback(link: Link, n_frames: int, noise_variance: float = 0.0) -> Loop
     its exact transform, s~_p = T_p s_p, plus the element noise taken
     through TOD (compensate, inner-demodulate); then detect.  Counts symbol
     errors in total, per frame and per mode (an (N, K) count), and ML
-    near-ties, all over the non-degenerate modes.  Deterministic from the
+    near-ties, all over the modes that are not degenerate (Lambda exactly
+    zero; the report counts them once per link).  Deterministic from the
     link seed: frame f takes the next grid of the seed's symbol stream and
-    the noise of NoiseModel(noise_variance, seed) at frame f.  Zero frames
-    are a valid (empty) run; a negative count is rejected
-    (`check_loopback`)."""
+    `element_noise` at (seed, f).  Zero frames are a valid (empty) run; a
+    negative count is rejected (`check_loopback`)."""
     check_loopback(n_frames, noise_variance)
     n, k = link.tx.n_cells, link.tx.elems_per_cell
-    noise = NoiseModel(element_variance=noise_variance, seed=link.seed)
     sym_rng = np.random.default_rng(np.random.SeedSequence((link.seed, 0xA11CE)))
     points = link.constellation.points
     amplitudes = link.amplitudes()
+    degenerate = link.lambda_coeffs == 0
     per_frame = []
     per_mode = np.zeros((n, k), dtype=int)
-    near_ties = degenerate_modes = 0
+    near_ties = 0
     for start in range(0, n_frames, FRAME_BLOCK):
         frames = range(start, min(start + FRAME_BLOCK, n_frames))
         idx = np.stack([sym_rng.integers(0, points.size, size=(n, k)) for _ in frames])
         symbols = amplitudes * points[idx]
-        element_noise = np.stack([noise.sample(link.rx.n_physical, f) for f in frames])
+        noise = np.stack([element_noise(link.rx.n_physical, noise_variance, link.seed, f)
+                          for f in frames])
         s_tilde = (link.exact_matrices @ symbols[..., None])[..., 0] \
-            + tod_inner_demodulate(tod_split_compensate(element_noise, link.rx), link.rx)
-        detected, _, degenerate, ties = _nearest(s_tilde, link.lambda_coeffs,
-                                                 amplitudes, points)
+            + tod_inner_demodulate(tod_split_compensate(noise, link.rx), link.rx)
+        detected, _, ties = _nearest(s_tilde, link.lambda_coeffs, amplitudes, points)
         errors = (detected != symbols) & ~degenerate
         per_frame += errors.sum(axis=(1, 2)).tolist()
         per_mode += errors.sum(axis=0)
         near_ties += int(np.count_nonzero(ties & ~degenerate))
-        degenerate_modes += len(frames) * int(np.count_nonzero(degenerate))
     return LoopbackReport(frames=n_frames, symbol_errors=int(per_mode.sum()),
-                          symbols_counted=n_frames * n * k - degenerate_modes,
-                          degenerate_modes=degenerate_modes,
+                          symbols_counted=n_frames * int(np.count_nonzero(~degenerate)),
+                          degenerate_modes=int(np.count_nonzero(degenerate)),
                           near_ties=near_ties, per_mode_errors=per_mode,
                           per_frame_errors=per_frame)

@@ -181,6 +181,26 @@ class TestElementGain:
             exact = reference.element_gain(lay, lay, params100, sharing, q, v, k)
             assert abs(g - exact) < 2e-3 * abs(exact)
 
+    def test_singular_value_profile_is_scale_invariant(self):
+        # R_Q -> s R_Q and D -> s^2 D keep the Fresnel parameter
+        # c = k a_t a_r / D, so the 8x16 physical gain matrix keeps its
+        # normalized singular values up to the terms past the paraxial
+        # expansion: they moved by at most 1.27e-3 (s = 0.5) above 1e-3
+        thresholds = np.array([1e-1, 1e-2, 1e-3, 1e-6])
+        profiles = {}
+        for s in (1.0, 0.5, 2.0, 4.0):
+            lay = build_layout(8, 16, 1.0, s)
+            params = chan.PropagationParams.from_frequency(100.0 * s * s, FREQ, 1.0)
+            sv = np.linalg.svd(reference.physical_gain_matrix(lay, lay, params),
+                               compute_uv=False)
+            profiles[s] = sv / sv[0]
+            counts = np.count_nonzero(profiles[s] > thresholds[:, None], axis=1)
+            assert counts.tolist() == [17, 26, 38, 69], s
+        base = profiles[1.0]
+        strong = base > 1e-3
+        for s, sv in profiles.items():
+            assert np.max(np.abs(sv[strong] - base[strong])) < 2e-3, s
+
 
 class TestBlockChannel:
     def test_single_cell_degenerate(self):

@@ -459,6 +459,17 @@ class TestCli:
         assert (tmp_path / "loopback.csv").read_text() == "frame,symbol_errors,symbols\n"
         assert "symbol errors: 0/0  SER: 0.0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("frames", [0, 5])
+    def test_degenerate_count_is_the_link_mode_count(self, tmp_path, capsys, frames):
+        # 6x3 has N/2 = 3 null receive modes of its 18, however many frames run
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("n_cells = 6\ntx_elems = 3\nrx_elems = 3\n")
+        assert main(["loopback", "--config", str(cfg), "--out", str(tmp_path),
+                     "--frames", str(frames)]) == 0
+        out = capsys.readouterr().out
+        assert "degenerate modes: 3  " in out
+        assert f"/{frames * 15}  SER" in out
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text("snr_db = 12\nseed = 7\n")
