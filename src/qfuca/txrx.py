@@ -5,12 +5,10 @@ Two-dimension OAM modulation (TOM), the physical channel and TOD
 block-diagonalise the link: branch p of TOD after the channel after TOM is
 the K x K exact transform T_p, which the link holds as
 `Link.exact_matrices`.  So `run_loopback` sends its frames to the receiver
-as s~_p = T_p s_p, one batched product, and only the element noise takes the
-receive stages, each of which takes a stack of frames (leading axes index
-frames) and whose every DFT is a unitary FFT:
-`tod_split_compensate` reads each observation at every slot on its element
-and takes an N-point FFT across the cells; `tod_inner_demodulate` takes
-every branch's K-point FFT.  The paper's 1/L_v split of a shared element and
+as s~_p = T_p s_p, one batched product, and only the element noise, on a
+noisy run, takes TOD.  `tod` reads each observation at every slot on its
+element and takes one unitary 2-D FFT over (cell, slot), the adjoint of TOM;
+leading axes index frames.  The paper's 1/L_v split of a shared element and
 its L after the inner DFT cancel, so neither is applied.  `run_loopback`
 takes its frames FRAME_BLOCK at a time and detects them by one tie-stable
 argmin over the constellation.
@@ -22,11 +20,11 @@ part.  `build_link` is their composition; sweeps keep the antenna and call
 shared-slot pairs (`noise_mode_scale`); where it is 0, Lambda is 0 too.
 
 `_nearest` makes every ML decision; `ml_detect` is it for one branch.  The
-tests hold each stage against its direct-summation form, the transforms
-against the physical path (TOM, the dense element gain matrix and TOD, in
-tests/reference.py), that path against the logical block-circulant path,
-and `run_loopback` against a frame-by-frame loop over the physical path and
-`ml_detect`.
+tests hold `tod` against its direct-summation form and as TOM's adjoint,
+the transforms against the physical path (TOM and the dense element gain
+matrix, in tests/reference.py, then `tod`), that path against the logical
+block-circulant path, and `run_loopback` against a frame-by-frame loop over
+the physical path and `ml_detect`.
 """
 
 from __future__ import annotations
@@ -85,35 +83,24 @@ class Constellation:
 def element_noise(n: int, variance: float, seed: int, frame: int) -> np.ndarray:
     """Circular complex white noise of the given variance on n physical
     receive elements at one frame: the real parts, then the imaginary
-    parts, drawn from (seed, frame); zeros at variance 0."""
-    if variance == 0:
-        return np.zeros(n, dtype=complex)
+    parts, drawn from (seed, frame)."""
     scale = np.sqrt(variance / 2)
     g = np.random.default_rng(np.random.SeedSequence((seed, frame)))
     return g.normal(scale=scale, size=n) + 1j * g.normal(scale=scale, size=n)
 
 
-def tod_split_compensate(rx_signals: np.ndarray, rx: Layout) -> np.ndarray:
-    """Read each physical observation at every logical slot on its element,
-    the adjoint of the transmit side's superposition of shared slots, then
-    separate the inter-cell modes by the N-point phase compensation, a
-    unitary FFT across the cells: row p of the result is the paper's L x~_p.
-    The last axis of `rx_signals` indexes physical elements and leading axes
-    index frames."""
-    y = np.asarray(rx_signals, dtype=complex)
+def tod(observations: np.ndarray, rx: Layout) -> np.ndarray:
+    """Two-dimension OAM demodulation: read each physical observation at
+    every logical slot on its element, then take the unitary 2-D FFT over
+    (cell, slot), the N-point phase compensation across the cells and then
+    every branch's K-point inner DFT.  Entry (p, l) is the paper's s~_p(l);
+    the map is the adjoint of TOM.  The last axis of `observations` indexes
+    physical elements and leading axes index frames."""
+    y = np.asarray(observations, dtype=complex)
     if y.shape[-1:] != (rx.n_physical,):
         raise DimensionError("receive vector does not match the physical element count")
-    return np.fft.fft(y[..., rx.slot_group], axis=-2, norm="ortho")
-
-
-def tod_inner_demodulate(x_tilde: np.ndarray, rx: Layout) -> np.ndarray:
-    """Inner demodulation of every branch, the unitary K-point FFT of each
-    compensated branch (last axis): s~_p = W^H L x~_p, with the L already in
-    the branch.  Leading axes index branches and frames."""
-    x = np.asarray(x_tilde, dtype=complex)
-    if x.shape[-1:] != (rx.elems_per_cell,):
-        raise DimensionError("branch length does not match the receive cell")
-    return np.fft.fft(x, axis=-1, norm="ortho")
+    # numpy transforms the listed axes last-first: the cells, then the slots
+    return np.fft.fftn(y[..., rx.slot_group], axes=(-1, -2), norm="ortho")
 
 
 def _nearest(s_tilde: np.ndarray, lam: np.ndarray, amplitudes: np.ndarray,
@@ -154,14 +141,14 @@ def ml_detect(s_tilde_p: np.ndarray, lambda_row: np.ndarray,
 
 
 def noise_mode_scale(rx: Layout) -> np.ndarray:
-    """sigma^2_{p,l} / sigma^2: row power of the linear map taking the
-    physical element noise vector to s~_p(l).  Every slot reads its
-    element's whole observation, so slot (m, v) reaches s~_p(l) with weight
-    e^{-j2pi(pm/N + lv/K)} / sqrt(NK) and the slots on one element add
-    coherently: the power is 1 plus 1/NK times the phase sum over ordered
-    pairs of distinct slots on one element.  Turning a pair by one cell
-    gives a pair, so cell 0's pairs stand for N each, and the sum is one 2-D
-    DFT of their counts by cell and slot offset.  A mode whose receive row
+    """sigma^2_{p,l} / sigma^2: the power of row (p, l) of `tod`, the
+    linear map taking the physical element noise vector to s~.  Every slot
+    reads its element's whole observation, so slot (m, v) reaches s~_p(l)
+    with weight e^{-j2pi(pm/N + lv/K)} / sqrt(NK) and the slots on one
+    element add coherently: the power is 1 plus 1/NK times the phase sum
+    over ordered pairs of distinct slots on one element.  Turning a pair by
+    one cell gives a pair, so cell 0's pairs stand for N each, and the sum
+    is one 2-D DFT of their counts by cell and slot offset.  A mode whose receive row
     is all zero comes out within rounding of 0 (3.3e-16 over every layout up
     to 64x128), and every other mode at 0.2 or more, so every scale at or
     below chan.NULL_RTOL is set to exactly 0."""
@@ -327,14 +314,15 @@ def check_loopback(n_frames: int, noise_variance: float):
 def run_loopback(link: Link, n_frames: int, noise_variance: float = 0.0) -> LoopbackReport:
     """Transmit n_frames random constellation grids over the link,
     FRAME_BLOCK frames at a time: each branch reaches the receiver through
-    its exact transform, s~_p = T_p s_p, plus the element noise taken
-    through TOD (compensate, inner-demodulate); then detect.  Counts symbol
-    errors in total, per frame and per mode (an (N, K) count), and ML
+    its exact transform, s~_p = T_p s_p, plus, at a positive noise
+    variance, the element noise taken through `tod`; then detect.  Counts
+    symbol errors in total, per frame and per mode (an (N, K) count), and ML
     near-ties, all over the modes that are not degenerate (Lambda exactly
     zero; the report counts them once per link).  Deterministic from the
     link seed: frame f takes the next grid of the seed's symbol stream and
-    `element_noise` at (seed, f).  Zero frames are a valid (empty) run; a
-    negative count is rejected (`check_loopback`)."""
+    `element_noise` at (seed, f); a noiseless run draws none.  Zero frames
+    are a valid (empty) run; a negative count is rejected
+    (`check_loopback`)."""
     check_loopback(n_frames, noise_variance)
     n, k = link.tx.n_cells, link.tx.elems_per_cell
     sym_rng = np.random.default_rng(np.random.SeedSequence((link.seed, 0xA11CE)))
@@ -348,10 +336,11 @@ def run_loopback(link: Link, n_frames: int, noise_variance: float = 0.0) -> Loop
         frames = range(start, min(start + FRAME_BLOCK, n_frames))
         idx = np.stack([sym_rng.integers(0, points.size, size=(n, k)) for _ in frames])
         symbols = amplitudes * points[idx]
-        noise = np.stack([element_noise(link.rx.n_physical, noise_variance, link.seed, f)
-                          for f in frames])
-        s_tilde = (link.exact_matrices @ symbols[..., None])[..., 0] \
-            + tod_inner_demodulate(tod_split_compensate(noise, link.rx), link.rx)
+        s_tilde = (link.exact_matrices @ symbols[..., None])[..., 0]
+        if noise_variance > 0:
+            noise = np.stack([element_noise(link.rx.n_physical, noise_variance, link.seed, f)
+                              for f in frames])
+            s_tilde += tod(noise, link.rx)
         detected, _, ties = _nearest(s_tilde, link.lambda_coeffs, amplitudes, points)
         errors = (detected != symbols) & ~degenerate
         per_frame += errors.sum(axis=(1, 2)).tolist()

@@ -363,9 +363,9 @@ def aligned_gap(tx: Layout, rx: Layout, params: chan.PropagationParams,
 
 # The physical path: TOM superposes each frame's slots onto the shared
 # elements, the dense element gain matrix propagates the feed, and TOD
-# (`txrx.tod_split_compensate`, `txrx.tod_inner_demodulate`) reads it back.
-# Branch p of it is the exact transform T_p that `txrx.run_loopback` sends
-# its frames through; the tests hold the two together.
+# (`txrx.tod`, TOM's adjoint) reads it back.  Branch p of it is the exact
+# transform T_p that `txrx.run_loopback` sends its frames through; the tests
+# hold the two together.
 
 def physical_gain_matrix(tx: Layout, rx: Layout,
                          params: chan.PropagationParams) -> np.ndarray:
@@ -454,9 +454,10 @@ def propagate_logical(symbols: np.ndarray, channel: np.ndarray) -> np.ndarray:
 
 
 def tod_split_compensate_loops(rx_signals: np.ndarray, rx: Layout) -> np.ndarray:
-    """Direct-summation form of `txrx.tod_split_compensate`:
-    (1/sqrt(N)) sum_m y_{g(m, v)} e^{-j Theta_m p} at (p, v), with g(m, v)
-    the physical element of slot (m, v)."""
+    """Direct-summation form of TOD's first stage, the compensation across
+    the cells: (1/sqrt(N)) sum_m y_{g(m, v)} e^{-j Theta_m p} at (p, v),
+    with g(m, v) the physical element of slot (m, v).  The K-point inner
+    DFT of every branch, `dft_matrix(K)`, completes `txrx.tod`."""
     y = np.asarray(rx_signals, dtype=complex)
     n, v = rx.slot_group.shape
     out = np.zeros((n, v), dtype=complex)

@@ -548,7 +548,7 @@ class TestDetectionCoeffs:
     def test_exact_lambda_matches_pipeline_probe(self, qf9, params100):
         # probing the full pipeline with a unit symbol reproduces Lambda
         from qfuca.config import Scenario
-        from qfuca.txrx import build_link, tod_inner_demodulate, tod_split_compensate
+        from qfuca.txrx import build_link, tod
         lay, _ = qf9
         lam = build_link(Scenario()).lambda_coeffs
         gain = reference.physical_gain_matrix(lay, lay, params100)
@@ -557,9 +557,8 @@ class TestDetectionCoeffs:
             sym = np.zeros((4, 4), dtype=complex)
             sym[p % 4, l % 4] = 1.0
             y = gain @ reference.tom_modulate(sym, lay)
-            x_tilde = tod_split_compensate(y, lay)
-            s_tilde = tod_inner_demodulate(x_tilde[p % 4], lay)
-            assert abs(s_tilde[l % 4] - lam[p % 4, l % 4]) \
+            s_tilde = tod(y, lay)
+            assert abs(s_tilde[p % 4, l % 4] - lam[p % 4, l % 4]) \
                 < 1e-12 * scale
 
     def test_bessel_lambda_sums_blocks(self, qf9, params100):

@@ -1,4 +1,6 @@
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,7 @@ import qfuca
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 SWEEP_DIFF = TOOLS / "sweep_diff.py"
 CMD_PROBE = TOOLS / "cmd_probe.py"
+SPAN_UNITS = TOOLS / "span_units.py"
 
 OLD = """axis,system,se_bps_hz,aux
 0.0,qf_uca,2.0,
@@ -66,3 +69,49 @@ def test_cmd_probe_reports_one_command(tmp_path):
     assert int(figures["minflt"]) >= 0
     assert figures["exit"] == "0"
     assert (tmp_path / "tx_layout.csv").is_file()
+
+
+def synthetic_run(run_dir: Path, spans: list):
+    """A perfbench run directory whose operation i read the calibrator at
+    (10, 2) and (10 + units, 3) around a span of `cpu` CPU seconds, beside
+    the files the tool must skip: a trace, a set-up report and an output
+    folder."""
+    run_dir.mkdir(parents=True)
+    for i, (units, cpu) in enumerate(spans):
+        report = {"calibrator_start": [10.0, 2.0], "calibrator_done": [10.0 + units, 3.0],
+                  "start_cpu": 0.5, "done_cpu": 0.5 + cpu}
+        (run_dir / f"op{i}.json").write_text(json.dumps(report), encoding="utf-8")
+    (run_dir / "op1.json.spans.json").write_text("[]", encoding="utf-8")
+    (run_dir / "setup0.json").write_text(json.dumps({"ready_cpu": 0.2}), encoding="utf-8")
+    (run_dir / "op0").mkdir()
+
+
+class TestSpanUnits:
+    HEADER = "run,ops,min_units,median_units,zero_unit_ops,median_cpu_s"
+
+    def test_reports_units_per_operation_span(self, tmp_path):
+        run = tmp_path / "loopback_8x16-seed1-trace0"
+        synthetic_run(run, [(2, 0.1), (0, 0.12), (1, 0.3), (3, 0.2)])
+        out = subprocess.run([sys.executable, str(SPAN_UNITS), str(run)],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [self.HEADER,
+                                           "loopback_8x16-seed1-trace0,4,0,1.5,1,0.16"]
+
+    def test_reads_every_run_of_the_checkout_by_default(self, tmp_path):
+        # a copy of the tool reads the runs of the checkout it sits in
+        (tmp_path / "tools").mkdir()
+        tool = shutil.copy(SPAN_UNITS, tmp_path / "tools")
+        synthetic_run(tmp_path / ".perfbench_runs" / "b", [(5, 1.0)])
+        synthetic_run(tmp_path / ".perfbench_runs" / "a", [(1, 0.5), (2, 0.5)])
+        out = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [self.HEADER, "a,2,1,1.5,0,0.5", "b,1,5,5,0,1"]
+
+    def test_run_without_operation_reports_exits_1(self, tmp_path):
+        (tmp_path / "setup0.json").write_text("{}", encoding="utf-8")
+        out = subprocess.run([sys.executable, str(SPAN_UNITS), str(tmp_path)],
+                             capture_output=True, text=True)
+        assert out.returncode == 1
+        assert "no operation reports" in out.stderr
+        assert out.stdout == ""

@@ -91,7 +91,7 @@ needs_long_double = pytest.mark.skipif(not HAS_LONG_DOUBLE,
 
 def run_loopback_per_frame(link, n_frames, noise_variance=0.0):
     """In-test reference for the batched engine: the loopback one frame at a
-    time through the stage functions, detected branch by branch with
+    time through the physical path and `tod`, detected branch by branch with
     ml_detect, with the interference table recomputed from the exact
     transforms.  Returns (per-frame errors, per-mode errors, max ISR)."""
     n, k = link.tx.n_cells, link.tx.elems_per_cell
@@ -104,12 +104,11 @@ def run_loopback_per_frame(link, n_frames, noise_variance=0.0):
         symbols = amp * points[sym_rng.integers(0, points.size, size=(n, k))]
         received = gain @ reference.tom_modulate(symbols, link.tx) \
             + txrx.element_noise(link.rx.n_physical, noise_variance, link.seed, frame)
-        x_tilde = txrx.tod_split_compensate(received, link.rx)
+        s_tilde = txrx.tod(received, link.rx)
         errors = np.zeros((n, k), dtype=bool)
         for p in range(n):
-            s_tilde = txrx.tod_inner_demodulate(x_tilde[p], link.rx)
             detected, _, degenerate = txrx.ml_detect(
-                s_tilde, link.lambda_coeffs[p], link.constellation, amp[p])
+                s_tilde[p], link.lambda_coeffs[p], link.constellation, amp[p])
             errors[p] = (detected != symbols[p]) & ~degenerate
         per_frame.append(int(errors.sum()))
         per_mode += errors
@@ -252,8 +251,7 @@ class TestPropagation:
             got = (link.exact_matrices @ symbols[..., None])[..., 0]
             received = reference.tom_modulate(symbols, link.tx) \
                 @ reference.physical_gain_matrix(link.tx, link.rx, link.params).T
-            expect = txrx.tod_inner_demodulate(txrx.tod_split_compensate(received, link.rx),
-                                               link.rx)
+            expect = txrx.tod(received, link.rx)
             assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect)), \
                 (n, v, ratio)
 
@@ -264,7 +262,7 @@ class TestDemodulation:
         lay, _ = qf9
         for shape in ((length,), (3, length)):
             with pytest.raises(DimensionError):
-                txrx.tod_split_compensate(np.zeros(shape, dtype=complex), lay)
+                txrx.tod(np.zeros(shape, dtype=complex), lay)
 
     def test_chain_equals_paper_form(self):
         # the paper splits by 1/L_v and multiplies by L after the inner DFT;
@@ -276,7 +274,7 @@ class TestDemodulation:
         for layout in layouts:
             lay = build_layout(*layout, 1.0)
             y = rng.normal(size=(2, lay.n_physical)) + 1j * rng.normal(size=(2, lay.n_physical))
-            got = txrx.tod_inner_demodulate(txrx.tod_split_compensate(y, lay), lay)
+            got = txrx.tod(y, lay)
             expect = reference.paper_demodulate(y, lay)
             if power_of_two_sharing(lay):
                 assert np.array_equal(got, expect), layout
@@ -284,23 +282,25 @@ class TestDemodulation:
                 assert np.max(np.abs(got - expect)) <= 1e-15 * np.max(np.abs(expect)), layout
 
     def test_single_cell_compensation_is_identity(self):
+        # one cell: the compensation across the cells leaves the ring's
+        # observations as they are, and tod is the inner DFT alone
         ring = single_ring_layout(5, 1.0)
         y = np.arange(5) + 1j
-        xt = txrx.tod_split_compensate(y, ring)
-        assert xt.shape == (1, 5)
-        assert np.max(np.abs(xt[0] - y)) < 1e-12
+        s = txrx.tod(y, ring)
+        assert s.shape == (1, 5)
+        assert np.max(np.abs(s[0] - reference.dft_matrix(5) @ y)) < 1e-12
 
     def test_zero_in_zero_out(self, qf9):
         lay, _ = qf9
-        xt = txrx.tod_split_compensate(np.zeros(9, dtype=complex), lay)
-        assert np.all(xt == 0)
+        s = txrx.tod(np.zeros(9, dtype=complex), lay)
+        assert np.all(s == 0)
 
     def test_matrix_and_loop_paths_agree(self, qf9):
         lay, _ = qf9
         rng = np.random.default_rng(4)
         y = rng.normal(size=9) + 1j * rng.normal(size=9)
-        a = txrx.tod_split_compensate(y, lay)
-        b = reference.tod_split_compensate_loops(y, lay)
+        a = txrx.tod(y, lay)
+        b = reference.tod_split_compensate_loops(y, lay) @ reference.dft_matrix(4).T
         assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(a))
 
     def test_inner_demodulation_recovers_idft_column(self):
@@ -308,19 +308,29 @@ class TestDemodulation:
         ring = single_ring_layout(6, 1.0)
         w = reference.idft_matrix(6)
         for l in (0, 2, 5):
-            s = txrx.tod_inner_demodulate(3.5 * w[:, l], ring)
-            expect = np.zeros(6, dtype=complex)
-            expect[l] = 3.5
+            s = txrx.tod(3.5 * w[:, l], ring)
+            expect = np.zeros((1, 6), dtype=complex)
+            expect[0, l] = 3.5
             assert np.max(np.abs(s - expect)) < 1e-12
 
     def test_inner_demodulation_zero(self, qf9):
         lay, _ = qf9
-        assert np.all(txrx.tod_inner_demodulate(np.zeros(4), lay) == 0)
+        s = txrx.tod(np.zeros((3, 9)), lay)
+        assert s.shape == (3, 4, 4)
+        assert np.all(s == 0)
 
-    def test_inner_demodulation_length_mismatch(self, qf9):
-        lay, _ = qf9
-        with pytest.raises(DimensionError):
-            txrx.tod_inner_demodulate(np.zeros(5), lay)
+    def test_tod_is_the_adjoint_of_tom(self):
+        # <s, tod(y)> = <tom(s), y> for every grid s and observation y: the
+        # orientation of the one map that reads the receive antenna back
+        layouts = sorted(set(admissible_layouts(16, 32)) | set(NAMED_LAYOUTS))
+        rng = np.random.default_rng(33)
+        for layout in layouts:
+            lay = build_layout(*layout, 1.0)
+            y = rng.normal(size=lay.n_physical) + 1j * rng.normal(size=lay.n_physical)
+            s = random_grid(rng, lay.n_cells, lay.elems_per_cell)
+            lhs = np.vdot(s, txrx.tod(y, lay))
+            rhs = np.vdot(reference.tom_modulate(s, lay), y)
+            assert abs(lhs - rhs) <= 1e-14 * np.linalg.norm(y) * np.linalg.norm(s), layout
 
 
 class TestMlDetect:
@@ -398,15 +408,8 @@ class TestNoiseModeScale:
         # feed unit vectors through the actual receive chain and accumulate
         # the row powers; must match the closed-form scale exactly
         lay, _ = qf9
-        probe = np.zeros((4, 4, 9))
-        for j in range(9):
-            e = np.zeros(9, dtype=complex)
-            e[j] = 1.0
-            xt = txrx.tod_split_compensate(e, lay)
-            for p in range(4):
-                s = txrx.tod_inner_demodulate(xt[p], lay)
-                probe[p, :, j] = np.abs(s) ** 2
-        expect = probe.sum(axis=2)
+        rows = txrx.tod(np.eye(9), lay)
+        expect = np.sum(np.abs(rows) ** 2, axis=0)
         scale = txrx.noise_mode_scale(lay)
         assert np.max(np.abs(scale - expect)) < 1e-12
 
@@ -469,8 +472,7 @@ class TestNoiseModeScale:
         p, _ = np.nonzero(scale == 0)
         assert np.array_equal(p, np.arange(1, n, 2))
         assert np.min(scale[scale != 0]) >= 1 / 3
-        rows = txrx.tod_inner_demodulate(txrx.tod_split_compensate(
-            np.eye(lay.n_physical), lay), lay)
+        rows = txrx.tod(np.eye(lay.n_physical), lay)
         assert np.max(np.abs(rows[:, scale == 0])) < 1e-12
 
     @pytest.mark.parametrize("n", [6, 10, 14])
@@ -720,6 +722,13 @@ class TestBatchedEngine:
             tracemalloc.stop()
         assert peak < dense_bytes / 2
 
+    def test_noiseless_run_draws_no_noise(self, link9, count_calls):
+        # a noiseless run sends its frames through the transforms alone
+        draws = count_calls(txrx, "element_noise")
+        demodulations = count_calls(txrx, "tod")
+        txrx.run_loopback(link9, 2 * txrx.FRAME_BLOCK + 1)
+        assert len(draws) == len(demodulations) == 0
+
     def test_noiseless_ties_are_counted(self, link9):
         # the default link's rank-deficient branches put noiseless ML
         # decisions on exact ties; noise moves them off
@@ -734,8 +743,7 @@ class TestBatchedEngine:
         feed = reference.tom_modulate(np.stack(frames), lay)
         assert feed.shape == (5, lay.n_physical)
         assert np.array_equal(feed, np.stack([reference.tom_modulate(s, lay) for s in frames]))
-        x_tilde = np.stack([random_grid(rng, n, k) for _ in range(5)])
-        s_tilde = txrx.tod_inner_demodulate(x_tilde, lay)
+        y = rng.normal(size=(5, lay.n_physical)) + 1j * rng.normal(size=(5, lay.n_physical))
+        s_tilde = txrx.tod(y, lay)
         assert s_tilde.shape == (5, n, k)
-        assert np.array_equal(s_tilde,
-                              np.stack([txrx.tod_inner_demodulate(x, lay) for x in x_tilde]))
+        assert np.array_equal(s_tilde, np.stack([txrx.tod(frame, lay) for frame in y]))
