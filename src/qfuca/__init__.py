@@ -7,6 +7,6 @@ from .geometry import (Layout, admissible_elem_counts, build_layout,
                        single_ring_layout)
 from .linalg import bessel_j
 from .metrics import SweepSpec, run_sweep, se_qf, se_single_loop_uca, se_siso_times
-from .txrx import Constellation, build_link, element_noise, ml_detect, run_loopback, tod
+from .txrx import ALPHABETS, build_link, element_noise, ml_detect, run_loopback, tod
 
 __version__ = "0.1.0"

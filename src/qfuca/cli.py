@@ -24,7 +24,6 @@ from pathlib import Path
 from . import channel as chan
 from . import metrics
 from .config import Scenario, parse_config
-from .errors import ConfigError
 from .geometry import layout_csv
 from .txrx import build_antenna, build_link, check_loopback, run_loopback
 
@@ -200,7 +199,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,7 @@ element and takes one unitary 2-D FFT over (cell, slot), the adjoint of TOM;
 leading axes index frames.  The paper's 1/L_v split of a shared element and
 its L after the inner DFT cancel, so neither is applied.  `run_loopback`
 takes its frames FRAME_BLOCK at a time and detects them by one tie-stable
-argmin over the constellation.
+argmin over the link's alphabet, its read-only point array from ALPHABETS.
 
 A link is built in two halves: `build_antenna` makes the part that depends
 on neither distance, carrier nor SNR, and `link_at` adds the propagation
@@ -42,9 +42,6 @@ from .geometry import Layout, build_layout
 # however many frames a run sends.
 FRAME_BLOCK = 32
 
-_QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2)
-_BPSK = np.array([1 + 0j, -1 + 0j])
-
 # ML candidates within this relative distance of the nearest one are ties and
 # resolve to the lowest constellation index.  Ties in the noiseless default
 # chain sit at or below 1e-14 relative; noisy decision margins of the 8x16
@@ -58,26 +55,14 @@ def _qam16_points() -> np.ndarray:
     return pts / np.sqrt(np.mean(np.abs(pts) ** 2))
 
 
-@dataclass(frozen=True)
-class Constellation:
-    """Finite symbol alphabet with unit average energy."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=complex)
-        if pts.ndim != 1 or pts.size == 0:
-            raise ValueError("constellation needs a non-empty 1-D point set")
-        if abs(np.mean(np.abs(pts) ** 2) - 1.0) > 1e-12:
-            raise ValueError("constellation points must have unit average energy")
-        object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def from_name(cls, name: str) -> "Constellation":
-        table = {"qpsk": _QPSK, "bpsk": _BPSK, "16qam": _qam16_points()}
-        if name not in table:
-            raise ValueError(f"unknown constellation {name!r}, expected one of {sorted(table)}")
-        return cls(points=table[name])
+# Each constellation's unit-energy points in index order: the loopback maps
+# its drawn indices through them and near-ties resolve to the lowest index.
+# Every link shares these arrays, so they are read-only.
+ALPHABETS = {"qpsk": np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2),
+             "bpsk": np.array([1 + 0j, -1 + 0j]),
+             "16qam": _qam16_points()}
+for _points in ALPHABETS.values():
+    _points.flags.writeable = False
 
 
 def element_noise(n: int, variance: float, seed: int, frame: int) -> np.ndarray:
@@ -118,14 +103,14 @@ def _nearest(s_tilde: np.ndarray, lam: np.ndarray, amplitudes: np.ndarray,
 
 
 def ml_detect(s_tilde_p: np.ndarray, lambda_row: np.ndarray,
-              constellation: Constellation,
+              points: np.ndarray,
               amplitudes: np.ndarray | None = None):
     """Mode-wise ML detection of one branch.
 
     Per inner mode l independently, picks argmin over the (amplitude-scaled)
-    alphabet of |s~_p(l) - Lambda_{p,l} s| by `_nearest`.  Modes with Lambda
-    exactly zero are undetectable and flagged; they return the tie-break
-    symbol.
+    alphabet `points` of |s~_p(l) - Lambda_{p,l} s| by `_nearest`.  Modes
+    with Lambda exactly zero are undetectable and flagged; they return the
+    tie-break symbol.
 
     Returns (detected values, detected indices, degenerate flags).
     """
@@ -136,7 +121,7 @@ def ml_detect(s_tilde_p: np.ndarray, lambda_row: np.ndarray,
     if not np.all(np.isfinite(lam.view(float))):
         raise ValueError("detection coefficients must be finite")
     amplitudes = np.ones(s_tilde.size) if amplitudes is None else np.asarray(amplitudes)
-    detected, indices, _ = _nearest(s_tilde, lam, amplitudes, constellation.points)
+    detected, indices, _ = _nearest(s_tilde, lam, amplitudes, points)
     return detected, indices, lam == 0
 
 
@@ -187,8 +172,9 @@ class Link:
     """Everything derived from a scenario that the pipeline needs:
     subchannels are the (N, V, K) block-circulant sub-channel gains G_q
     (the paper's H_q times L, see `chan.build_block_channel`),
-    exact_matrices the (N, K, K) exact transforms and lambda_coeffs the
-    (N, K) detection coefficients.  The per-mode powers under the power
+    exact_matrices the (N, K, K) exact transforms, lambda_coeffs the
+    (N, K) detection coefficients and points the constellation's read-only
+    point array from ALPHABETS.  The per-mode powers under the power
     allocation are (N, K) properties in DFT-index order; they do not depend
     on the frame, so one table serves every frame and modes.csv."""
 
@@ -198,7 +184,7 @@ class Link:
     subchannels: np.ndarray
     exact_matrices: np.ndarray
     lambda_coeffs: np.ndarray
-    constellation: Constellation
+    points: np.ndarray
     power_alloc: np.ndarray
     sigma2: float
     noise_scale: np.ndarray
@@ -272,7 +258,7 @@ def link_at(antenna: Antenna, scenario) -> Link:
     n, k = tx.n_cells, tx.elems_per_cell
     return Link(tx=tx, rx=rx, params=params, subchannels=subchannels,
                 exact_matrices=exact, lambda_coeffs=lam,
-                constellation=Constellation.from_name(scenario.constellation),
+                points=ALPHABETS[scenario.constellation],
                 power_alloc=np.full((n, k), scenario.total_power / (n * k)),
                 sigma2=noise_variance(scenario),
                 noise_scale=antenna.noise_scale, seed=scenario.seed)
@@ -326,7 +312,7 @@ def run_loopback(link: Link, n_frames: int, noise_variance: float = 0.0) -> Loop
     check_loopback(n_frames, noise_variance)
     n, k = link.tx.n_cells, link.tx.elems_per_cell
     sym_rng = np.random.default_rng(np.random.SeedSequence((link.seed, 0xA11CE)))
-    points = link.constellation.points
+    points = link.points
     amplitudes = link.amplitudes()
     degenerate = link.lambda_coeffs == 0
     per_frame = []

@@ -173,7 +173,7 @@ def test_criterion_5_noiseless_loopback():
     lam = np.einsum("pll->pl", gmats)
     lam_ok = np.array_equal(link.lambda_coeffs, lam)
     amp = link.amplitudes()
-    pts = link.constellation.points
+    pts = link.points
     d_min = np.min(np.abs(pts[:, None] - pts[None, :])[~np.eye(pts.size, dtype=bool)])
     worst_interference = (np.sum(np.abs(gmats) * amp[:, None, :], axis=2)
                           - np.abs(lam) * amp) * np.max(np.abs(pts))

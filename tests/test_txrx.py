@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qfuca import channel as chan
 from qfuca import txrx
-from qfuca.config import Scenario
+from qfuca.config import _CONSTELLATIONS, Scenario
 from qfuca.errors import DimensionError
 from qfuca.geometry import build_layout, single_ring_layout
 from qfuca.metrics import se_qf
@@ -97,7 +97,7 @@ def run_loopback_per_frame(link, n_frames, noise_variance=0.0):
     n, k = link.tx.n_cells, link.tx.elems_per_cell
     sym_rng = np.random.default_rng(np.random.SeedSequence((link.seed, 0xA11CE)))
     amp = link.amplitudes()
-    points = link.constellation.points
+    points = link.points
     gain = reference.physical_gain_matrix(link.tx, link.rx, link.params)
     per_frame, per_mode = [], np.zeros((n, k), dtype=int)
     for frame in range(n_frames):
@@ -108,7 +108,7 @@ def run_loopback_per_frame(link, n_frames, noise_variance=0.0):
         errors = np.zeros((n, k), dtype=bool)
         for p in range(n):
             detected, _, degenerate = txrx.ml_detect(
-                s_tilde[p], link.lambda_coeffs[p], link.constellation, amp[p])
+                s_tilde[p], link.lambda_coeffs[p], points, amp[p])
             errors[p] = (detected != symbols[p]) & ~degenerate
         per_frame.append(int(errors.sum()))
         per_mode += errors
@@ -122,19 +122,41 @@ def random_grid(rng, n, k):
     return rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
 
 
+# Each alphabet in index order: the loopback maps its drawn indices through
+# these arrays, so reordering one moves every loopback byte.
+PINNED_ALPHABETS = {
+    "qpsk": np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2),
+    "bpsk": np.array([1 + 0j, -1 + 0j]),
+    "16qam": np.array([complex(re, im) for im in (-3, -1, 1, 3)
+                       for re in (-3, -1, 1, 3)]) / np.sqrt(10),
+}
+
+
 class TestConstellation:
-    @pytest.mark.parametrize("name", ["qpsk", "bpsk", "16qam"])
+    @pytest.mark.parametrize("name", list(txrx.ALPHABETS))
     def test_unit_energy(self, name):
-        c = txrx.Constellation.from_name(name)
-        assert abs(np.mean(np.abs(c.points) ** 2) - 1.0) < 1e-12
+        points = txrx.ALPHABETS[name]
+        assert abs(np.mean(np.abs(points) ** 2) - 1.0) < 1e-12
 
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            txrx.Constellation.from_name("256apsk")
+    @pytest.mark.parametrize("name", list(PINNED_ALPHABETS))
+    def test_index_order_is_pinned(self, name):
+        points = txrx.ALPHABETS[name]
+        assert points.dtype == complex
+        assert np.array_equal(points, PINNED_ALPHABETS[name])
 
-    def test_non_unit_energy_rejected(self):
+    def test_names_match_config(self):
+        assert set(txrx.ALPHABETS) == set(_CONSTELLATIONS)
+
+    @pytest.mark.parametrize("name", list(txrx.ALPHABETS))
+    def test_table_arrays_are_read_only(self, name):
         with pytest.raises(ValueError):
-            txrx.Constellation(points=np.array([2.0 + 0j]))
+            txrx.ALPHABETS[name][0] = 0
+
+    def test_write_into_link_points_raises_and_next_link_is_intact(self):
+        link = txrx.build_link(Scenario())
+        with pytest.raises(ValueError):
+            link.points[0] = 0
+        assert np.array_equal(txrx.build_link(Scenario()).points, PINNED_ALPHABETS["qpsk"])
 
 
 class TestSymbolGrid:
@@ -335,45 +357,45 @@ class TestDemodulation:
 
 class TestMlDetect:
     def test_noiseless_exact_recovery(self):
-        c = txrx.Constellation.from_name("qpsk")
+        points = txrx.ALPHABETS["qpsk"]
         rng = np.random.default_rng(5)
         lam = rng.normal(size=4) + 1j * rng.normal(size=4)
         idx = rng.integers(0, 4, size=4)
-        s = c.points[idx]
-        detected, got_idx, degenerate = txrx.ml_detect(lam * s, lam, c)
+        s = points[idx]
+        detected, got_idx, degenerate = txrx.ml_detect(lam * s, lam, points)
         assert np.array_equal(got_idx, idx)
         assert not degenerate.any()
 
     def test_perturbation_inside_decision_radius(self):
         # unit-energy QPSK: minimum distance sqrt(2), radius |Lambda| sqrt(2)/2
-        c = txrx.Constellation.from_name("qpsk")
+        points = txrx.ALPHABETS["qpsk"]
         lam = np.array([0.5 * np.exp(1j * np.pi / 4)])
         s = np.array([(1 + 1j) / np.sqrt(2)])
         radius = abs(lam[0]) * np.sqrt(2) / 2
         for angle in np.linspace(0, 2 * np.pi, 9):
             bump = 0.95 * radius * np.exp(1j * angle)
-            detected, idx, _ = txrx.ml_detect(lam * s + bump, lam, c)
+            detected, idx, _ = txrx.ml_detect(lam * s + bump, lam, points)
             assert detected[0] == s[0]
 
     def test_zero_coefficient_flagged(self):
-        c = txrx.Constellation.from_name("qpsk")
+        points = txrx.ALPHABETS["qpsk"]
         detected, idx, degenerate = txrx.ml_detect(
-            np.array([1.0 + 0j]), np.array([0.0 + 0j]), c)
+            np.array([1.0 + 0j]), np.array([0.0 + 0j]), points)
         assert degenerate[0]
         assert idx[0] == 0  # tie-break: lowest constellation index
 
     def test_exact_tie_breaks_to_lowest_index(self):
-        c = txrx.Constellation.from_name("bpsk")
-        detected, idx, _ = txrx.ml_detect(np.array([0j]), np.array([1.0 + 0j]), c)
+        points = txrx.ALPHABETS["bpsk"]
+        detected, idx, _ = txrx.ml_detect(np.array([0j]), np.array([1.0 + 0j]), points)
         assert idx[0] == 0
 
     def test_near_tie_resolves_to_lowest_index(self):
         # -1e-14 is nearer to -1 (index 1), but the two distances differ by
         # 2e-14 relative, inside TIE_RTOL; -1e-9 is outside it
-        c = txrx.Constellation.from_name("bpsk")
+        points = txrx.ALPHABETS["bpsk"]
         lam = np.array([1.0 + 0j])
-        _, near, _ = txrx.ml_detect(np.array([-1e-14 + 0j]), lam, c)
-        _, far, _ = txrx.ml_detect(np.array([-1e-9 + 0j]), lam, c)
+        _, near, _ = txrx.ml_detect(np.array([-1e-14 + 0j]), lam, points)
+        _, far, _ = txrx.ml_detect(np.array([-1e-9 + 0j]), lam, points)
         assert near[0] == 0
         assert far[0] == 1
 
@@ -613,7 +635,7 @@ class TestEndToEnd:
         exact = chan.detection_coeffs(bc)
         link = txrx.Link(tx=ring, rx=ring, params=params, subchannels=bc,
                          exact_matrices=exact, lambda_coeffs=np.einsum("pll->pl", exact),
-                         constellation=txrx.Constellation.from_name("qpsk"),
+                         points=txrx.ALPHABETS["qpsk"],
                          power_alloc=np.full((1, 9), 1 / 9), sigma2=1e-12,
                          noise_scale=txrx.noise_mode_scale(ring), seed=3)
         report = txrx.run_loopback(link, 20)
