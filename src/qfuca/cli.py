@@ -113,8 +113,10 @@ def cmd_loopback(args) -> int:
 
     frame_lines = ["frame,symbol_errors,symbols"]
     n, k = link.tx.n_cells, link.tx.elems_per_cell
+    # a frame's errors count over its modes that are not degenerate
+    counted = n * k - report.degenerate_modes
     for i, err in enumerate(report.per_frame_errors):
-        frame_lines.append(f"{i},{err},{n * k}")
+        frame_lines.append(f"{i},{err},{counted}")
     _write(out, "loopback.csv", "\n".join(frame_lines) + "\n")
 
     mode_lines = ["p,l,lambda_re,lambda_im,sigma2,signal_power,interference_power,noise_power"]

@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .channel import BESSEL_ORDERS
 from .errors import ConfigError
+from .txrx import ALPHABETS
 
-_CONSTELLATIONS = ("qpsk", "bpsk", "16qam")
 _LAMBDA_PATHS = ("exact", "bessel")
-_BESSEL_ORDERS = ("matched", "first")
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,12 @@ class Scenario:
         for name in ("tx_ratio", "rx_ratio"):
             if getattr(self, name) > 1:
                 raise ConfigError(f"{name} must be <= 1")
-        if self.constellation not in _CONSTELLATIONS:
-            raise ConfigError(f"constellation must be one of {_CONSTELLATIONS}")
+        if self.constellation not in ALPHABETS:
+            raise ConfigError(f"constellation must be one of {tuple(ALPHABETS)}")
         if self.lambda_path not in _LAMBDA_PATHS:
             raise ConfigError(f"lambda_path must be one of {_LAMBDA_PATHS}")
-        if self.bessel_order not in _BESSEL_ORDERS:
-            raise ConfigError(f"bessel_order must be one of {_BESSEL_ORDERS}")
+        if self.bessel_order not in BESSEL_ORDERS:
+            raise ConfigError(f"bessel_order must be one of {BESSEL_ORDERS}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         try:

@@ -20,10 +20,10 @@ import pytest
 
 from qfuca import channel as chan
 from qfuca import metrics, txrx
+from qfuca.channel import bessel_j
 from qfuca.cli import main as cli_main
 from qfuca.config import Scenario
 from qfuca.geometry import admissible_elem_counts, build_layout, overlapped_ratios
-from qfuca.linalg import bessel_j
 
 import reference
 

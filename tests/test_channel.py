@@ -401,13 +401,12 @@ class TestDiagApprox:
         lay, _ = qf9
         matched = chan.diag_approx_block(lay, lay, params100, 1)
         first = chan.diag_approx_block(lay, lay, params100, 1, j_order="first")
-        from qfuca.linalg import bessel_j
         phi_q = np.pi / 2
         s = np.sin(phi_q / 2)
         b_q = 2 * np.pi * np.sqrt(4 * s**2 + 1) / (params100.wavelength_m * 100.0)
         modes = chan.mode_values(4)
         for idx, l in enumerate(modes):
-            jl, j1 = bessel_j(int(l), b_q), bessel_j(1, b_q)
+            jl, j1 = chan.bessel_j(int(l), b_q), chan.bessel_j(1, b_q)
             if jl != 0:
                 assert first[idx] == pytest.approx(matched[idx] * j1 / jl, rel=1e-10)
 

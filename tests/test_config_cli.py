@@ -470,6 +470,21 @@ class TestCli:
         assert "degenerate modes: 3  " in out
         assert f"/{frames * 15}  SER" in out
 
+    @pytest.mark.parametrize("layout, frames", [((6, 3), 3), ((3, 1), 2)])
+    def test_frame_rows_sum_to_the_printed_symbols(self, tmp_path, capsys, layout, frames):
+        # both layouts have degenerate modes, which no frame row counts
+        n, k = layout
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(f"n_cells = {n}\ntx_elems = {k}\nrx_elems = {k}\n")
+        assert main(["loopback", "--config", str(cfg), "--out", str(tmp_path),
+                     "--frames", str(frames)]) == 0
+        printed = capsys.readouterr().out.split("symbol errors: ")[1].split()[0]
+        with open(tmp_path / "loopback.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == frames
+        errors = sum(int(row["symbol_errors"]) for row in rows)
+        assert printed == f"{errors}/{sum(int(row['symbols']) for row in rows)}"
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text("snr_db = 12\nseed = 7\n")

@@ -10,12 +10,13 @@ one QF-UCA link and recomputes the ring gains at each point), a noisy loopback
 at the 8x16 grid, whose modes.csv holds the gains of all 8 exact transforms,
 a one-point distance sweep at the 16x32 grid, whose 385- and 512-element
 rings are streamed in 19 and 32 row blocks, a loopback on the Bessel-route
-detection coefficients (lambda_path = bessel), and a gap study and a
+detection coefficients (lambda_path = bessel), a gap study and a
 Bessel-route loopback with the first-order, uncorrected closed form
-(bessel_order = first, bessel_correction = off).  The stdout of the commands
-whose printout names no path (the loopbacks and `geometry`) is pinned as
-text.  A change that alters any output byte on purpose must say so in
-CHANGES.md and re-record the hashes and printouts with
+(bessel_order = first, bessel_correction = off), and a noisy loopback at the
+6x3 grid, whose 3 degenerate modes no frame row counts.  The stdout of the
+commands whose printout names no path (the loopbacks and `geometry`) is
+pinned as text.  A change that alters any output byte on purpose must say
+so in CHANGES.md and re-record the hashes and printouts with
 `python tests/test_golden_outputs.py`, which also prints the FINGERPRINT of
 the numpy build they were recorded on.
 
@@ -50,6 +51,7 @@ GRID_8X16 = SCENARIO + "n_cells = 8\ntx_elems = 16\nrx_elems = 16\n"
 GRID_16X32 = SCENARIO + "n_cells = 16\ntx_elems = 32\nrx_elems = 32\n"
 BESSEL = SCENARIO + "lambda_path = bessel\n"
 FIRST_UNCORRECTED = SCENARIO + "bessel_order = first\nbessel_correction = off\n"
+GRID_6X3 = SCENARIO + "n_cells = 6\ntx_elems = 3\nrx_elems = 3\n"
 
 COMMANDS = {
     "geometry": ("geometry",),
@@ -68,6 +70,7 @@ COMMANDS = {
     "loopback_bessel": ("loopback", "--frames", "3"),
     "gap_first_uncorrected": ("gap", "--values", "50,100", "--elems", "4,8"),
     "loopback_bessel_first_uncorrected": ("loopback", "--frames", "3"),
+    "loopback_degenerate_6x3": ("loopback", "--frames", "3", "--noise-variance", "1e-12"),
 }
 
 # commands run on another scenario than SCENARIO
@@ -76,7 +79,7 @@ SCENARIOS = {"sweep_distance_8x16": GRID_8X16, "sweep_freq_8x16": GRID_8X16,
              "loopback_noisy_8x16": GRID_8X16, "sweep_distance_16x32": GRID_16X32,
              "loopback_bessel": BESSEL, "gap_first_uncorrected": FIRST_UNCORRECTED,
              "loopback_bessel_first_uncorrected": FIRST_UNCORRECTED
-             + "lambda_path = bessel\n"}
+             + "lambda_path = bessel\n", "loopback_degenerate_6x3": GRID_6X3}
 
 # the numpy build the hashes and printouts were recorded on (`fingerprint`)
 FINGERPRINT = {
@@ -127,6 +130,14 @@ GOLDEN = {
             '7d93e5467d234bc5436ac5ee137a47ce2f32b8c0269df800e1f3edd636721665',
         'modes.csv':
             '3aaa3c54b6620d9a4c6095173317c03181f5c9a3982ce973116012c7a6f47fdc',
+    },
+    'loopback_degenerate_6x3': {
+        'channel.csv':
+            '844a01e5af75595e1a1f7be836399e3b19f2121c5308fdeb637970939f1c1cc4',
+        'loopback.csv':
+            '3b3803114d4954207c9a0c542a571140e44d6182fcbe85cb88244bcde8129a58',
+        'modes.csv':
+            '11e94fd00afc43c54e84a1a2a60293e08ee4fe20e00669e1e5e4fe1032e14317',
     },
     'loopback_noisy': {
         'channel.csv':
@@ -191,6 +202,10 @@ STDOUT = {
         'frames: 3  symbol errors: 27/48  SER: 0.5625\n'
         'degenerate modes: 0  max interference-to-signal: 2.999999999999999\n'
         'ML near-ties: 4\n',
+    'loopback_degenerate_6x3':
+        'frames: 3  symbol errors: 22/45  SER: 0.4888888888888889\n'
+        'degenerate modes: 3  max interference-to-signal: 5.0\n'
+        'ML near-ties: 0\n',
     'loopback_noisy':
         'frames: 20  symbol errors: 136/320  SER: 0.425\n'
         'degenerate modes: 0  max interference-to-signal: 2.999999999999999\n'

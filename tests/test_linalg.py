@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
 
+import qfuca
 from qfuca import channel as chan
 from qfuca import metrics
+from qfuca.channel import bessel_j
 from qfuca.config import Scenario
 from qfuca.errors import DimensionError, DomainError
 from qfuca.geometry import single_ring_layout
-from qfuca.linalg import bessel_j
 
 from reference import circulant_from_first_row, dft_diagonal, idft_matrix
 
@@ -133,6 +134,9 @@ class TestCirculant:
 
 
 class TestBessel:
+    def test_package_exports_the_channel_function(self):
+        assert qfuca.bessel_j is chan.bessel_j
+
     def test_j0_at_zero(self):
         assert bessel_j(0, 0.0) == 1.0
 

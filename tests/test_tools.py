@@ -87,7 +87,7 @@ def synthetic_run(run_dir: Path, spans: list):
 
 
 class TestSpanUnits:
-    HEADER = "run,ops,min_units,median_units,zero_unit_ops,median_cpu_s"
+    HEADER = "run,ops,min_units,median_units,mean_units,zero_unit_ops,median_cpu_s"
 
     def test_reports_units_per_operation_span(self, tmp_path):
         run = tmp_path / "loopback_8x16-seed1-trace0"
@@ -96,7 +96,17 @@ class TestSpanUnits:
                              capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines() == [self.HEADER,
-                                           "loopback_8x16-seed1-trace0,4,0,1.5,1,0.16"]
+                                           "loopback_8x16-seed1-trace0,4,0,1.5,1.5,1,0.16"]
+
+    def test_mean_units_are_the_units_a_span_completes(self, tmp_path):
+        # one long span pulls the mean above the median
+        run = tmp_path / "snr_sweep_8x16-seed7-trace0"
+        synthetic_run(run, [(1, 0.1), (1, 0.1), (2, 0.2), (7, 0.4)])
+        out = subprocess.run([sys.executable, str(SPAN_UNITS), str(run)],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [self.HEADER,
+                                           "snr_sweep_8x16-seed7-trace0,4,1,1.5,2.75,0,0.15"]
 
     def test_reads_every_run_of_the_checkout_by_default(self, tmp_path):
         # a copy of the tool reads the runs of the checkout it sits in
@@ -106,7 +116,8 @@ class TestSpanUnits:
         synthetic_run(tmp_path / ".perfbench_runs" / "a", [(1, 0.5), (2, 0.5)])
         out = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines() == [self.HEADER, "a,2,1,1.5,0,0.5", "b,1,5,5,0,1"]
+        assert out.stdout.splitlines() == [self.HEADER, "a,2,1,1.5,1.5,0,0.5",
+                                           "b,1,5,5,5,0,1"]
 
     def test_run_without_operation_reports_exits_1(self, tmp_path):
         (tmp_path / "setup0.json").write_text("{}", encoding="utf-8")

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qfuca import channel as chan
 from qfuca import txrx
-from qfuca.config import _CONSTELLATIONS, Scenario
+from qfuca.config import Scenario
 from qfuca.errors import DimensionError
 from qfuca.geometry import build_layout, single_ring_layout
 from qfuca.metrics import se_qf
@@ -143,9 +143,6 @@ class TestConstellation:
         points = txrx.ALPHABETS[name]
         assert points.dtype == complex
         assert np.array_equal(points, PINNED_ALPHABETS[name])
-
-    def test_names_match_config(self):
-        assert set(txrx.ALPHABETS) == set(_CONSTELLATIONS)
 
     @pytest.mark.parametrize("name", list(txrx.ALPHABETS))
     def test_table_arrays_are_read_only(self, name):

@@ -10,9 +10,11 @@ shows how close a run came to that floor.
 
 Reads the operation reports op<i>.json of each run directory, not the traces
 (op<i>.json.spans.json) nor the set-up reports (setup<i>.json), and prints
-one CSV row per run: the operation reports read, the minimum and median
-calibrator units per operation span, the number of spans with 0 units, and
-the median CPU seconds of the spans.  Free of simulator imports.
+one CSV row per run: the operation reports read, the minimum, median and
+mean calibrator units per operation span, the number of spans with 0 units,
+and the median CPU seconds of the spans.  The mean estimates the units L
+that a span completes: a speedup s leaves about L / s units per span, and
+operations start to fail as that nears 1.  Free of simulator imports.
 
 Usage: span_units.py [RUN_DIR ...]
   With no argument, every run under .perfbench_runs/ in the checkout.
@@ -29,9 +31,9 @@ OP_REPORT = re.compile(r"op\d+\.json")
 
 
 def span_figures(run_dir: Path) -> tuple:
-    """(operations, min units, median units, spans with 0 units, median
-    span CPU seconds) of the operation reports in run_dir.  Raises
-    ValueError when it has none."""
+    """(operations, min units, median units, mean units, spans with 0
+    units, median span CPU seconds) of the operation reports in run_dir.
+    Raises ValueError when it has none."""
     units, cpu = [], []
     for path in sorted(run_dir.iterdir()):
         if not OP_REPORT.fullmatch(path.name):
@@ -41,7 +43,7 @@ def span_figures(run_dir: Path) -> tuple:
         cpu.append(report["done_cpu"] - report["start_cpu"])
     if not units:
         raise ValueError(f"{run_dir}: no operation reports")
-    return (len(units), min(units), statistics.median(units),
+    return (len(units), min(units), statistics.median(units), statistics.mean(units),
             sum(u <= 0 for u in units), statistics.median(cpu))
 
 
@@ -55,9 +57,9 @@ def main(argv):
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print("run,ops,min_units,median_units,zero_unit_ops,median_cpu_s")
-    for name, ops, low, median, zero, cpu in rows:
-        print(f"{name},{ops},{low:g},{median:g},{zero},{cpu:.4g}")
+    print("run,ops,min_units,median_units,mean_units,zero_unit_ops,median_cpu_s")
+    for name, ops, low, median, mean, zero, cpu in rows:
+        print(f"{name},{ops},{low:g},{median:g},{mean:.3g},{zero},{cpu:.4g}")
     return 0
 
 
