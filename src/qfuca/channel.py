@@ -7,8 +7,10 @@ logical channel is block-circulant: sub-channel G_q depends only on the cell
 offset q = ((n + N - m)) mod N.
 
 A link is three plain arrays.  The exact route (coordinate distances, exact
-sums) is the reference: the (N, V, K) sub-channels (`build_block_channel`)
-and the (N, K, K) exact transforms (`detection_coeffs`).  The Fresnel/Bessel
+sums) is the reference: the (N, V, K) sub-channels (`build_block_channel`,
+filled one transmit cell at a time) and the (N, K, K) exact transforms
+(`detection_coeffs`, whose two mode FFTs run in place), so a link build
+peaks at about the arrays it keeps.  The Fresnel/Bessel
 closed forms mirror the analytical approximation chain: the (N, K)
 diagonals (`bessel_diagonals`) behind the gap study and the approximate
 detection coefficients.  Their Bessel functions are `bessel_j`'s: every
@@ -137,17 +139,30 @@ def check_element_distances(tx: Layout, rx: Layout, params: PropagationParams):
                          "element distances leaves the float range")
 
 
+def _cell_gains(tx: Layout, rx: Layout, params: PropagationParams, q: int) -> np.ndarray:
+    """The (V, K) exact gains from transmit cell q to receive cell 0: the
+    sub-channel G_q."""
+    return free_space_gain(rx.positions[0][:, None, :] - tx.positions[q][None, :, :], params)
+
+
 def build_block_channel(tx: Layout, rx: Layout,
                         params: PropagationParams) -> np.ndarray:
     """The (N, V, K) sub-channel gains G_q of the block-circulant logical
     channel, from exact element gains: block (m, n) of the assembled channel
     is G_{((n + N - m)) mod N}.  The receive chain never applies the 1/L_v
-    split of the paper's H_q = G_q / L_v, so only `channel_csv` forms H_q."""
+    split of the paper's H_q = G_q / L_v, so only `channel_csv` forms H_q.
+
+    The gains are filled in one transmit cell at a time, so the build holds
+    the result and one cell's temporaries, never an (N, V, K, 2) offset
+    tensor; each gain is an entrywise expression, so its bits are those of
+    one whole-array call."""
     if tx.n_cells != rx.n_cells:
         raise ValueError("unsupported configuration: cell counts must match")
     check_element_distances(tx, rx, params)
-    return free_space_gain(rx.positions[0][None, :, None, :] - tx.positions[:, None, :, :],
-                           params)
+    out = np.empty((tx.n_cells, rx.elems_per_cell, tx.elems_per_cell), dtype=complex)
+    for q in range(tx.n_cells):
+        out[q] = _cell_gains(tx, rx, params, q)
+    return out
 
 
 def _alpha_of_azimuth(tx: Layout, rx: Layout, q: int, phi: np.ndarray) -> np.ndarray:
@@ -287,13 +302,12 @@ def approx_gap(tx: Layout, rx: Layout, params: PropagationParams,
     the exact transforms, W^H G_0 W, and its diagonal Bessel
     approximation: `superposition_gap` over the one offset q = 0.  Both
     phase factors e^{j 2 pi p q / N} are 1 at q = 0, so the gap is the same
-    for every branch p.  A null summand has gap inf.  Only G_0 is built:
-    receive cell 0 against transmit cell 0, by `build_block_channel`'s
-    expression, so it is bit for bit that function's block 0.
+    for every branch p.  A null summand has gap inf.  Only G_0 is built,
+    by `_cell_gains`, which fills every block of `build_block_channel`, so
+    it is bit for bit that function's block 0.
     """
     check_element_distances(tx, rx, params)
-    h0 = free_space_gain(rx.positions[0][:, None, :] - tx.positions[0][None, :, :], params)
-    aligned = detection_coeffs(h0[None])
+    aligned = detection_coeffs(_cell_gains(tx, rx, params, 0)[None])
     diagonal = diag_approx_block(tx, rx, params, 0, j_order, correction)
     return float(superposition_gap(aligned, diagonal[None])[0])
 
@@ -303,12 +317,15 @@ def detection_coeffs(channel: np.ndarray) -> np.ndarray:
     of the sub-channel gains for every p at once, with W the unitary K-point
     IDFT matrix: the paper's W^H L (sum_q ... H_q) W, whose L cancels the
     1/L_v of H_q.  The sum over q is an inverse FFT across the offsets, and
-    W^H and W are unitary FFTs down the columns and along the rows."""
+    W^H and W are unitary FFTs down the columns and along the rows, both run
+    in place in the array returned, so the transform holds its input and
+    output only."""
     _, v, k = channel.shape
     if v != k:
         raise DimensionError("mode transform requires V = K")
     hp = np.fft.ifft(channel, axis=0, norm="forward")
-    return np.fft.ifft(np.fft.fft(hp, axis=-2, norm="ortho"), axis=-1, norm="ortho")
+    np.fft.fft(hp, axis=-2, norm="ortho", out=hp)
+    return np.fft.ifft(hp, axis=-1, norm="ortho", out=hp)
 
 
 def channel_csv(h: np.ndarray, rx: Layout, fh: TextIO) -> None:

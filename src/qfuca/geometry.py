@@ -98,12 +98,15 @@ def _coincidence_groups(positions: np.ndarray, tol: float) -> np.ndarray:
     and (m + c, k') pair exactly when (0, k) and (c, k') do: cell 0's slots
     are compared with every slot (x first, then the distance of the few
     within tol in x), and those pairs are turned through all N cells.  With
-    one cell that compares every pair."""
+    one cell that compares every pair.  The x search holds one (K, N, K)
+    array, |dx| taken in place; the few pairs within tol recompute dx by the
+    same subtraction."""
     n, k = positions.shape[:2]
     x, y = positions[..., 0], positions[..., 1]
-    dx = x - x[0][:, None, None]  # (k, c, k'): slot k' of cell c against slot k of cell 0
-    a, c, b = np.unravel_index(np.flatnonzero(np.abs(dx) < tol), dx.shape)
-    close = np.hypot(dx[a, c, b], y[c, b] - y[0, a]) < tol
+    adx = x - x[0][:, None, None]  # (k, c, k'): slot k' of cell c against slot k of cell 0
+    np.abs(adx, out=adx)
+    a, c, b = np.unravel_index(np.flatnonzero(adx < tol), adx.shape)
+    close = np.hypot(x[c, b] - x[0, a], y[c, b] - y[0, a]) < tol
     a, c, b = a[close], c[close], b[close]
     cells = np.arange(n)[:, None]
     slot, partner = (cells * k + a).ravel(), ((cells + c) % n * k + b).ravel()

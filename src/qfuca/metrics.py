@@ -12,8 +12,8 @@ chooses sigma^2; each system's efficiency takes it as an argument
 A sweep builds its antennas once (`txrx.build_antenna` for the QF-UCA pair,
 `geometry.single_ring_layout` for the two single-loop baselines): layouts
 and noise scales depend on neither distance, carrier nor SNR.  Each point
-builds only what depends on it: the QF-UCA link (`txrx.link_at`) and each
-ring's gains.
+builds only what depends on it: the QF-UCA link (`txrx.link_at`), of which
+it keeps only `se_qf`'s inputs, and each ring's gains.
 A coaxial ring's channel is circulant, so its efficiency reads only the
 eigenvalues, one inverse FFT of the channel's wrapped-diagonal sums
 (`se_single_loop_uca`).  The ring allocates no n x n array: its gains are
@@ -171,7 +171,10 @@ def run_sweep(spec: SweepSpec) -> tuple:
 
     The QF antenna and the two ring layouts are built once; each point
     builds only the links at its distance and carrier, and the SNR axis
-    reuses one QF-UCA link for all points."""
+    reuses one QF-UCA link for all points.  Of a QF-UCA link the sweep keeps
+    only `se_qf`'s three (N, K) inputs: the link's sub-channels and exact
+    transforms are freed before the rings are evaluated and before the next
+    point's link is built."""
     base = spec.fixed
     systems = sorted(spec.systems)
     # uca_n and siso_xN take their element count from the QF antenna
@@ -185,17 +188,21 @@ def run_sweep(spec: SweepSpec) -> tuple:
                                                  base.qf_radius_m)
     rows = []
     anchor_sigma2 = noise_variance(base)
-    qf_link = None
+    qf_inputs = None
     for value in spec.axis_values:
         scen = replace(base, **{spec.axis: value})
         s2 = anchor_sigma2 if spec.axis == "distance_m" else noise_variance(scen)
         for system in systems:
             if system == "qf_uca":
                 # SNR enters only through s2, so one link serves the SNR axis
-                if qf_link is None or spec.axis != "snr_db":
-                    qf_link = link_at(qf, scen)
-                se = se_qf(qf_link.lambda_coeffs, qf_link.power_alloc,
-                           s2 * qf_link.noise_scale)
+                if qf_inputs is None or spec.axis != "snr_db":
+                    link = link_at(qf, scen)
+                    # se_qf's (N, K) inputs are none of them views of the
+                    # link's (N, K, K) arrays, which go here
+                    qf_inputs = link.lambda_coeffs, link.power_alloc, link.noise_scale
+                    del link
+                lam, power, scale = qf_inputs
+                se = se_qf(lam, power, s2 * scale)
             elif system == "siso_xN":
                 se = se_siso_times(n_elements, scen, s2)
             else:

@@ -619,6 +619,23 @@ def test_channel_csv_header(qf9, params100):
     assert len(lines) == 1 + 4 * 4 * 4 * 4
 
 
+@pytest.mark.parametrize("n,k", [(16, 32), (32, 64)])
+def test_link_build_peaks_at_the_arrays_it_keeps(n, k):
+    # the sub-channels are filled one transmit cell at a time and the mode
+    # FFTs run in place, so a link build holds little beyond its (N, K, K)
+    # sub-channels and exact transforms: no (N, K, K, 2) offset tensor, no
+    # full-size FFT intermediates
+    scen = Scenario(n_cells=n, tx_elems=k, rx_elems=k)
+    antenna = txrx.build_antenna(scen)
+    tracemalloc.start()
+    try:
+        link = txrx.link_at(antenna, scen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * (link.subchannels.nbytes + link.exact_matrices.nbytes)
+
+
 def test_channel_csv_streams_in_constant_memory(tmp_path):
     # the 8x16 table is 16,384 rows (890 KB); formatted one (m, n) block at
     # a time, the export holds one 256-row block's text, never the table's

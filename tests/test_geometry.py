@@ -1,4 +1,5 @@
 from fractions import Fraction
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,19 @@ class TestBuildLayout:
         positions = 0.45 * np.array(points, dtype=float).reshape(1, -1, 2)
         assert np.array_equal(_coincidence_groups(positions, 1.0),
                               coincidence_groups(positions, 1.0))
+
+    def test_peak_memory_is_about_one_x_search_array(self):
+        # the coincidence search takes |dx| in place, so building a 32x64
+        # layout holds one (K, N, K) float array of x offsets (1 MB) at a
+        # time, not the offsets and their absolute values side by side
+        search_bytes = 64 * 32 * 64 * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            build_layout(32, 64, 1.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * search_bytes
 
     def test_aligning_offset_matches_loop_oracle(self):
         # the array search picks the very offset of the one-candidate-at-a-

@@ -315,10 +315,16 @@ class TestSweepReuse:
             [str(Path(qfuca.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run([sys.executable, "-c", MEMORY_PROBE], env=env,
                              capture_output=True, text=True, check=True).stdout
-        return dict(zip(("sweep", "ring", "link", "ring_2048"), map(int, out.split())))
+        return dict(zip(("sweep", "ring", "link", "ring_2048", "antenna"),
+                        map(int, out.split())))
 
     def test_peak_memory_of_costliest_point(self, traced_peaks):
         assert traced_peaks["sweep"] <= 1.10 * (traced_peaks["ring"] + traced_peaks["link"])
+
+    def test_sweep_holds_no_link_through_the_rings(self, traced_peaks):
+        # the sweep keeps only se_qf's (N, K) inputs of a QF-UCA link, so its
+        # peak is a ring point's on top of the antenna it holds throughout
+        assert traced_peaks["sweep"] <= 1.10 * (traced_peaks["ring"] + traced_peaks["antenna"])
 
     def test_ring_point_peak_memory_below_one_channel(self, traced_peaks):
         # a ring point holds one block of at most RING_BLOCK_GAINS gains at a
@@ -330,9 +336,10 @@ class TestSweepReuse:
 
 
 # tracemalloc peaks of a 4-point distance sweep at the 16x32 grid and of its
-# costliest point alone: the 512-element ring, and the QF-UCA link that the
-# sweep holds while it evaluates the rings; then of one 2,048-element ring
-# point, the uca_bigger ring of the 32x64 grid
+# costliest point alone: the 512-element ring, and the QF-UCA link, which the
+# sweep frees before it evaluates the rings; then of one 2,048-element ring
+# point, the uca_bigger ring of the 32x64 grid; then of the QF-UCA antenna
+# build, whose result the sweep holds throughout
 MEMORY_PROBE = """
 import tracemalloc
 from qfuca import metrics, txrx
@@ -358,7 +365,8 @@ qf = txrx.build_antenna(base)
 link = traced_peak(lambda: txrx.link_at(qf, base))
 ring_2048 = traced_peak(lambda: metrics.se_single_loop_uca(
     single_ring_layout(2048, base.qf_radius_m), base, txrx.noise_variance(base)))
-print(sweep, ring, link, ring_2048)
+antenna = traced_peak(lambda: txrx.build_antenna(base))
+print(sweep, ring, link, ring_2048, antenna)
 """
 
 
