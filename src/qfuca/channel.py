@@ -119,7 +119,21 @@ def free_space_gain(offsets: np.ndarray, params: PropagationParams) -> np.ndarra
     elements whose in-plane offsets (receive minus transmit position, last
     axis x, y) are `offsets`, with d the 3-D distance across the boresight
     gap D.  The one per-entry expression behind every exact channel."""
-    d = np.sqrt(params.distance_m**2 + np.sum(offsets**2, axis=-1))
+    return gain_from_squared_offsets(squared_offsets(offsets), params)
+
+
+def squared_offsets(offsets: np.ndarray) -> np.ndarray:
+    """The squared in-plane element distances of `offsets` (last axis x,
+    y): the part of `free_space_gain` that depends on neither distance nor
+    carrier."""
+    return np.sum(offsets**2, axis=-1)
+
+
+def gain_from_squared_offsets(squared: np.ndarray,
+                              params: PropagationParams) -> np.ndarray:
+    """`free_space_gain` of the offsets whose `squared_offsets` are
+    `squared`, entry by entry, with the same bits."""
+    d = np.sqrt(params.distance_m**2 + squared)
     lam = params.wavelength_m
     return (params.beta * lam / (4 * np.pi)) * np.exp(-2j * np.pi * d / lam) / d
 

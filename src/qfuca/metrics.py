@@ -6,8 +6,8 @@ distance sweeps the noise variance is anchored once at the scenario's base
 distance, so every system's efficiency falls with distance; SNR-axis sweeps
 recompute the variance per point.  `run_sweep` is the one place that
 chooses sigma^2; each system's efficiency takes it as an argument
-(`se_qf` on a link's arrays, `se_single_loop_uca` on a ring layout,
-`se_siso_times` on an element count).
+(`se_qf` on a link's arrays, `se_single_loop_uca` on a ring layout or
+`se_qf` on a ring's eigenvalues, `se_siso_times` on an element count).
 
 A sweep builds its antennas once (`txrx.build_antenna` for the QF-UCA pair,
 `geometry.single_ring_layout` for the two single-loop baselines): layouts
@@ -16,15 +16,20 @@ builds only what depends on it: the QF-UCA link (`txrx.link_at`), of which
 it keeps only `se_qf`'s inputs, and each ring's gains.
 A coaxial ring's channel is circulant, so its efficiency reads only the
 eigenvalues, one inverse FFT of the channel's wrapped-diagonal sums
-(`se_single_loop_uca`).  The ring allocates no n x n array: its gains are
+(`ring_eigenvalues`).  The ring allocates no n x n array: its gains are
 computed and folded into those sums in blocks of whole rows holding at most
-RING_BLOCK_GAINS gains each (one row once n passes it), so a ring point's
+RING_BLOCK_GAINS gains each (one row once n passes it), so a ring's
 temporaries do not grow with the ring below n = 8,192; computing the gains
-is most of a ring point.
+is most of a ring point.  About half of a block's work, its squared
+in-plane offsets and wrap indices, depends on neither distance nor carrier,
+so a distance or carrier sweep evaluates each ring at all its points in one
+pass over the row blocks; it holds the points' (P, n) eigenvalues on top of
+one point's temporaries.
 The SNR axis reuses one QF-UCA link for all points but recomputes the ring
-gains at every point: reusing them would bring a 30-point 8x16 SNR sweep
-below one work unit of the benchmark's host-speed calibrator, so the
-benchmark could no longer time it (ROADMAP item 2).
+gains at every point, one `se_single_loop_uca` call each: reusing them would
+bring a 30-point 8x16 SNR sweep below one work unit of the benchmark's
+host-speed calibrator, so the benchmark could no longer time it (ROADMAP
+item 2).
 """
 
 from __future__ import annotations
@@ -79,6 +84,60 @@ def se_qf(lambda_coeffs: np.ndarray, power_alloc: np.ndarray,
     return se
 
 
+def ring_eigenvalues(ring: Layout, points: list) -> np.ndarray:
+    """The (P, n) eigenvalues of a coaxial ring's channel to an identical
+    ring at each of the P propagation points (`channel.PropagationParams`),
+    from one pass over the channel's row blocks.
+
+    The channel is circulant, so its eigenvalues are ifft(s), with s_d =
+    sum_a H[a, (a + d) mod n] the wrapped-diagonal sums.  H is never held
+    whole: its entries are taken max(1, RING_BLOCK_GAINS // n) rows at a
+    time.  A block's squared offsets, in wrapped order, are computed once for
+    all points, since they depend on neither distance nor carrier; each
+    point's gains then go through one shared block buffer, whose first row is
+    that point's running sums, and are added to them in one reduction.  numpy
+    reduces axis 0 one row at a time, so the sums, and the eigenvalues, are
+    bit for bit those of the full channel wherever the blocks cut it, and
+    whatever the other points.  Beyond the (P, n) result, the pass holds
+    O(max(RING_BLOCK_GAINS, n)) temporaries, not O(n^2), nor a block per
+    point.  The gains are the exact ones (`channel.gain_from_squared_offsets`)."""
+    pos, n = ring.positions[0], ring.elems_per_cell
+    rows = max(1, RING_BLOCK_GAINS // n)
+    shift = np.arange(n)
+    sums = np.zeros((len(points), n), dtype=complex)
+    buf = np.empty((min(rows, n) + 1, n), dtype=complex)
+    for r in range(0, n, rows):
+        a = np.arange(min(rows, n - r))[:, None]
+        # row a of the block is row r + a of H, wrapped to start at its diagonal
+        squared = np.take(chan.squared_offsets(pos[r:r + rows, None, :] - pos[None, :, :]),
+                          a * n + (r + a + shift) % n)
+        block = buf[:len(a) + 1]
+        for sums_p, params in zip(sums, points):
+            block[0] = sums_p
+            block[1:] = chan.gain_from_squared_offsets(squared, params)
+            np.add.reduce(block, axis=0, out=sums_p)
+    for sums_p in sums:
+        sums_p[:] = np.fft.ifft(sums_p)
+    return sums
+
+
+def _ring_se(lam: np.ndarray, scenario: Scenario, sigma2: float) -> float:
+    """A ring's efficiency from its n eigenvalues: every mode gets power
+    total_power / n and sees exactly sigma^2."""
+    n = lam.size
+    return se_qf(lam[None, :], np.full((1, n), scenario.total_power / n),
+                 np.full((1, n), sigma2))
+
+
+def _ring_point(ring: Layout, scenario: Scenario) -> chan.PropagationParams:
+    """The propagation point of a ring at the scenario's distance and
+    carrier; raises ValueError when its channel cannot be evaluated."""
+    params = chan.PropagationParams.from_frequency(
+        scenario.distance_m, scenario.freq_hz, scenario.beta)
+    chan.check_element_distances(ring, ring, params)
+    return params
+
+
 def se_single_loop_uca(ring: Layout, scenario: Scenario, sigma2: float) -> float:
     """Single-loop UCA baseline: the efficiency of a ring facing an
     identical ring at the scenario's distance and carrier, the single-cell
@@ -87,36 +146,12 @@ def se_single_loop_uca(ring: Layout, scenario: Scenario, sigma2: float) -> float
     A one-cell ring has no phase compensation and a unitary inner DFT, so
     every mode sees exactly sigma^2 (no element is shared;
     `txrx.noise_mode_scale(ring)` gives exactly ones) and one exact
-    transform, W^H H W, of which the efficiency reads only the diagonal.
-    Entry k is (1/n) sum_{a,b} H[a, b] e^{j 2 pi (b - a) k / n}, so it is
-    ifft(s)[k] with s_d = sum_a H[a, (a + d) mod n] the wrapped-diagonal
-    sums, in O(n^2).  H is never held whole: its gains are computed
-    max(1, RING_BLOCK_GAINS // n) rows at a time, each by the same per-entry
-    expression as `channel.build_block_channel`, and added to the sums in
-    one reduction per block, so the gains, and the efficiency, are bit for
-    bit those of the full channel wherever the blocks cut it, and a ring
-    point's temporaries are O(max(RING_BLOCK_GAINS, n)), not O(n^2).  The
-    gains are the exact ones, whatever the scenario's lambda_path."""
-    params = chan.PropagationParams.from_frequency(
-        scenario.distance_m, scenario.freq_hz, scenario.beta)
-    chan.check_element_distances(ring, ring, params)
-    pos, n = ring.positions[0], ring.elems_per_cell
-    rows = max(1, RING_BLOCK_GAINS // n)
-    shift = np.arange(n)
-    # row 0 holds the running sums and the rows below it a block's wrapped
-    # gains: numpy reduces axis 0 one row at a time, so the sums keep every
-    # bit of the whole-matrix sums
-    buf = np.zeros((min(rows, n) + 1, n), dtype=complex)
-    for r in range(0, n, rows):
-        gains = chan.free_space_gain(pos[r:r + rows, None, :] - pos[None, :, :], params)
-        a = np.arange(gains.shape[0])[:, None]
-        block = buf[:len(a) + 1]
-        # the indices are in range: mode="wrap" only lets take write into the
-        # buffer without a temporary of the block's size
-        np.take(gains, a * n + (r + a + shift) % n, out=block[1:], mode="wrap")
-        buf[0] = np.add.reduce(block, axis=0)
-    lam = np.fft.ifft(buf[0])[None, :]
-    return se_qf(lam, np.full((1, n), scenario.total_power / n), np.full((1, n), sigma2))
+    transform, W^H H W, of which the efficiency reads only the diagonal: the
+    eigenvalues of the circulant H, from `ring_eigenvalues` at this one
+    point in O(n^2) time and O(max(RING_BLOCK_GAINS, n)) memory.  The gains
+    are the exact ones, whatever the scenario's lambda_path."""
+    lam = ring_eigenvalues(ring, [_ring_point(ring, scenario)])[0]
+    return _ring_se(lam, scenario, sigma2)
 
 
 def se_siso_times(n: int, scenario: Scenario, sigma2: float) -> float:
@@ -173,8 +208,13 @@ def run_sweep(spec: SweepSpec) -> tuple:
     builds only the links at its distance and carrier, and the SNR axis
     reuses one QF-UCA link for all points.  Of a QF-UCA link the sweep keeps
     only `se_qf`'s three (N, K) inputs: the link's sub-channels and exact
-    transforms are freed before the rings are evaluated and before the next
-    point's link is built."""
+    transforms are freed before the next point's link is built.  On the
+    distance and carrier axes each ring's eigenvalues at every point come
+    first, from one `ring_eigenvalues` pass, and only for the leading points
+    whose ring channel can be evaluated; the efficiencies then follow point
+    by point, so a sweep stops at its first failing point with the error a
+    point-by-point evaluation gives.  The SNR axis evaluates each ring per
+    point."""
     base = spec.fixed
     systems = sorted(spec.systems)
     # uca_n and siso_xN take their element count from the QF antenna
@@ -186,10 +226,24 @@ def run_sweep(spec: SweepSpec) -> tuple:
     if "uca_bigger" in systems:
         rings["uca_bigger"] = single_ring_layout(base.n_cells * base.tx_elems,
                                                  base.qf_radius_m)
+    # each distance or carrier point needs every ring gain anew: one pass over
+    # a ring's row blocks gives its eigenvalues at the leading points it can
+    # evaluate, and the loop below raises at the first it cannot, in order
+    ring_lams = {}
+    if spec.axis != "snr_db":
+        for system, ring in rings.items():
+            points = []
+            for value in spec.axis_values:
+                try:
+                    points.append(_ring_point(ring, replace(base, **{spec.axis: value})))
+                except ValueError:
+                    break
+            if points:
+                ring_lams[system] = ring_eigenvalues(ring, points)
     rows = []
     anchor_sigma2 = noise_variance(base)
     qf_inputs = None
-    for value in spec.axis_values:
+    for i, value in enumerate(spec.axis_values):
         scen = replace(base, **{spec.axis: value})
         s2 = anchor_sigma2 if spec.axis == "distance_m" else noise_variance(scen)
         for system in systems:
@@ -205,6 +259,8 @@ def run_sweep(spec: SweepSpec) -> tuple:
                 se = se_qf(lam, power, s2 * scale)
             elif system == "siso_xN":
                 se = se_siso_times(n_elements, scen, s2)
+            elif system in ring_lams and i < len(ring_lams[system]):
+                se = _ring_se(ring_lams[system][i], scen, s2)
             else:
                 se = se_single_loop_uca(rings[system], scen, s2)
             rows.append((value, system, se, ""))

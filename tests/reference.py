@@ -43,7 +43,7 @@ def dft_diagonal(c) -> np.ndarray:
     is ifft(s)[k], with s_d = sum_a C[a, (a + d) mod n] the wrapped-diagonal
     sums.  For a circulant C these are its eigenvalues.  The sums are one
     axis-0 reduction over the whole matrix: the one-block form of the
-    streamed sums in `metrics.se_single_loop_uca`."""
+    streamed sums in `metrics.ring_eigenvalues`."""
     c = np.asarray(c, dtype=complex)
     n = c.shape[0]
     if c.ndim != 2 or c.shape[1] != n:

@@ -389,8 +389,19 @@ class TestCli:
         ("distance_m = 1e100\n", ["sweep", "--axis", "distance_m", "--values", "1e-100,1.0",
                                    "--systems", "siso_xN"],
          "spectrum efficiency overflows: the SNR at distance 1e-100 m with noise variance"),
+        # the first point's error comes first, though the next point's
+        # distance is too long for any channel
+        ("distance_m = 1e100\n", ["sweep", "--axis", "distance_m", "--values", "1e-100,1e200"],
+         "spectrum efficiency overflows: a mode's SNR |Lambda|^2 P / sigma^2 leaves the float "
+         "range at noise power 1.3375366757071309e-207\n"),
+        ("distance_m = 1e100\n", ["sweep", "--axis", "distance_m", "--values", "1e-100,1e200",
+                                   "--systems", "uca_bigger"],
+         "spectrum efficiency overflows: a mode's SNR |Lambda|^2 P / sigma^2 leaves the float "
+         "range at noise power 5.3501467028285236e-207\n"),
         # a finite linear SNR whose ring array gain overflows a mode's SNR
         ("", ["sweep", "--axis", "snr_db", "--values", "3080"],
+         "spectrum efficiency overflows: a mode's SNR |Lambda|^2 P / sigma^2 leaves"),
+        ("", ["sweep", "--axis", "snr_db", "--values", "3080,4000"],
          "spectrum efficiency overflows: a mode's SNR |Lambda|^2 P / sigma^2 leaves"),
     ], ids=["loopback_snr_overflow", "sweep_snr_overflow", "loopback_snr_underflow",
             "sweep_snr_underflow", "loopback_radius", "sweep_radius",
@@ -402,7 +413,9 @@ class TestCli:
             "gap_beta_gain_underflow", "loopback_beta_gain_overflow",
             "sweep_sigma2_underflow", "loopback_sigma2_underflow",
             "distance_sweep_snr_overflow", "distance_sweep_siso_snr_overflow",
-            "snr_sweep_ring_snr_overflow"])
+            "distance_sweep_snr_overflow_before_a_bad_point",
+            "distance_sweep_ring_snr_overflow_before_a_bad_point",
+            "snr_sweep_ring_snr_overflow", "snr_sweep_ring_snr_overflow_before_a_bad_point"])
     def test_value_past_the_float_range_exits_nonzero(
             self, tmp_path, capsys, config, argv, prefix):
         # a linear SNR, a squared element offset, element distance or

@@ -82,48 +82,57 @@ class TestSingleLoopUca:
             == pytest.approx(manual, rel=1e-12)
 
     @pytest.fixture
-    def ring_gains(self, monkeypatch):
-        """The list of the gains se_single_loop_uca hands to se_qf, one entry
-        per call, each with the row counts of the gain blocks it computed on
-        the way.  The wrappers record only inside se_single_loop_uca."""
+    def ring_blocks(self, monkeypatch):
+        """The row counts of the blocks that ring_eigenvalues works through,
+        one (squared, gains) entry per call: `squared` lists the blocks whose
+        squared offsets it computed, `gains` per point the blocks whose gains
+        it computed at that point.  The wrappers record only inside
+        ring_eigenvalues."""
         seen = []
-        real_ring, real_gain, real_se = \
-            metrics.se_single_loop_uca, chan.free_space_gain, metrics.se_qf
+        real_batch, real_squared, real_gain = \
+            metrics.ring_eigenvalues, chan.squared_offsets, chan.gain_from_squared_offsets
 
-        def ring(*args):
-            seen.append([None, []])
-            monkeypatch.setattr(chan, "free_space_gain", gain)
-            monkeypatch.setattr(metrics, "se_qf", se)
+        def batch(ring, points):
+            squared_rows, gain_calls = [], []
+
+            def squared(offsets):
+                squared_rows.append(offsets.shape[0])
+                return real_squared(offsets)
+
+            def gain(sq, params):
+                gain_calls.append((params, sq.shape[0]))
+                return real_gain(sq, params)
+
+            monkeypatch.setattr(chan, "squared_offsets", squared)
+            monkeypatch.setattr(chan, "gain_from_squared_offsets", gain)
             try:
-                return real_ring(*args)
+                return real_batch(ring, points)
             finally:
-                monkeypatch.setattr(chan, "free_space_gain", real_gain)
-                monkeypatch.setattr(metrics, "se_qf", real_se)
+                monkeypatch.setattr(chan, "squared_offsets", real_squared)
+                monkeypatch.setattr(chan, "gain_from_squared_offsets", real_gain)
+                seen.append((squared_rows, [[rows for q, rows in gain_calls if q is p]
+                                            for p in points]))
 
-        def gain(offsets, params):
-            seen[-1][1].append(offsets.shape[0])
-            return real_gain(offsets, params)
-
-        def se(lam, *args):
-            seen[-1][0] = lam[0]
-            return real_se(lam, *args)
-
-        monkeypatch.setattr(metrics, "se_single_loop_uca", ring)
+        monkeypatch.setattr(metrics, "ring_eigenvalues", batch)
         return seen
 
     @pytest.mark.parametrize("n_elements", [97, 128, 385, 512])
-    def test_ring_gains_match_link_oracle(self, scen, ring_gains, n_elements):
+    def test_ring_gains_match_link_oracle(self, scen, n_elements):
         # link_at on the ring antenna, with its full exact transform, is the
-        # oracle for the streamed gains
+        # oracle for the streamed gains of a two-point batch and for the
+        # efficiency of each point alone
         ring = geometry.single_ring_layout(n_elements, scen.qf_radius_m)
         antenna = txrx.Antenna(tx=ring, rx=ring, noise_scale=txrx.noise_mode_scale(ring))
         sigma2 = txrx.noise_variance(scen)
-        for d in (25.0, 400.0):
-            work = replace(scen, distance_m=d)
+        works = [replace(scen, distance_m=d) for d in (25.0, 400.0)]
+        batch = metrics.ring_eigenvalues(ring, [
+            chan.PropagationParams.from_frequency(w.distance_m, w.freq_hz, w.beta)
+            for w in works])
+        for work, streamed in zip(works, batch):
             se = metrics.se_single_loop_uca(ring, work, sigma2)
             link = txrx.link_at(antenna, work)  # scen takes the exact path
             lam = link.lambda_coeffs[0]
-            assert np.max(np.abs(ring_gains[-1][0] - lam)) <= 1e-14 * np.max(np.abs(lam))
+            assert np.max(np.abs(streamed - lam)) <= 1e-14 * np.max(np.abs(lam))
             assert se == pytest.approx(metrics.se_qf(link.lambda_coeffs, link.power_alloc,
                                                      sigma2 * link.noise_scale), rel=1e-14)
 
@@ -140,20 +149,24 @@ class TestSingleLoopUca:
         # the whole channel in one block
         *(pytest.param(n, 128 * 128, 1, id=f"{n}-one-block") for n in (97, 128))])
     def test_streamed_ring_gains_bit_identical_to_full_channel(
-            self, scen, ring_gains, monkeypatch, n_elements, budget, blocks):
-        # wherever the gain budget cuts the ring's channel, its row blocks
-        # give the very bits of the full channel's one-block diagonalization
+            self, scen, ring_blocks, monkeypatch, n_elements, budget, blocks):
+        # wherever the gain budget cuts the ring's channel, one pass over its
+        # row blocks gives, at every point of a batch, the very bits of that
+        # point's full-channel one-block diagonalization
         if budget is not None:
             monkeypatch.setattr(metrics, "RING_BLOCK_GAINS", budget)
         ring = geometry.single_ring_layout(n_elements, scen.qf_radius_m)
-        for d in (25.0, 400.0):
-            work = replace(scen, distance_m=d)
-            metrics.se_single_loop_uca(ring, work, txrx.noise_variance(scen))
-            params = chan.PropagationParams.from_frequency(d, work.freq_hz, work.beta)
+        points = [chan.PropagationParams.from_frequency(d, f, scen.beta)
+                  for d, f in ((25.0, scen.freq_hz), (400.0, scen.freq_hz), (100.0, 2.4e9))]
+        batch = metrics.ring_eigenvalues(ring, points)
+        squared_rows, gain_rows = ring_blocks[-1]
+        # each block's offsets are squared once, and its gains computed once
+        # per point
+        assert len(squared_rows) == blocks and sum(squared_rows) == n_elements
+        assert gain_rows == [squared_rows] * len(points)
+        for params, streamed in zip(points, batch):
             h = chan.build_block_channel(ring, ring, params)[0]
-            gains, rows = ring_gains[-1]
-            assert len(rows) == blocks and sum(rows) == n_elements
-            assert np.array_equal(gains, reference.dft_diagonal(h))
+            assert np.array_equal(streamed, reference.dft_diagonal(h))
 
     def test_nondecreasing_in_snr(self, scen):
         values = [reference.se_single_loop_uca(9, replace(scen, snr_db=s))
@@ -240,13 +253,16 @@ class TestSweeps:
         ("distance_m", (50.0, 100.0, 200.0), 3),
         ("freq_hz", (2.4e9, 5.8e9), 2)])
     def test_qf_link_builds_per_axis(self, scen, count_calls, axis, values, builds):
-        # only QF-UCA links come from link_at and build block channels; each
-        # ring streams its gains once per point, SNR points included, and
-        # builds no block channel and no exact transform
+        # only QF-UCA links come from link_at and build block channels; the
+        # rings build no block channel and no exact transform.  On the
+        # distance and carrier axes each ring streams its gains at every
+        # point in one pass over its row blocks; on the SNR axis it streams
+        # them anew at each point
         calls = count_calls(metrics, "link_at")
         exact_calls = count_calls(chan, "detection_coeffs")
         channel_calls = count_calls(chan, "build_block_channel")
         ring_calls = count_calls(metrics, "se_single_loop_uca")
+        ring_passes = count_calls(metrics, "ring_eigenvalues")
         spec = metrics.SweepSpec(axis=axis, axis_values=values, fixed=scen)
         metrics.run_sweep(spec)
         assert all(args[0].tx.n_cells == scen.n_cells for args in calls)
@@ -255,7 +271,12 @@ class TestSweeps:
         assert len(exact_calls) == builds
         assert all(args[0].n_cells == scen.n_cells for args in channel_calls)
         assert len(channel_calls) == builds
-        assert len(ring_calls) == 2 * len(values)
+        if axis == "snr_db":
+            assert len(ring_calls) == 2 * len(values)
+            assert [len(args[1]) for args in ring_passes] == [1] * (2 * len(values))
+        else:
+            assert ring_calls == []
+            assert [len(args[1]) for args in ring_passes] == [len(values)] * 2
 
     def test_snr_sweep_matches_per_point_links(self, scen):
         values = (0.0, 10.0, 20.0)
@@ -315,8 +336,8 @@ class TestSweepReuse:
             [str(Path(qfuca.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run([sys.executable, "-c", MEMORY_PROBE], env=env,
                              capture_output=True, text=True, check=True).stdout
-        return dict(zip(("sweep", "ring", "link", "ring_2048", "antenna"),
-                        map(int, out.split())))
+        return dict(zip(("sweep", "ring", "link", "ring_2048", "antenna", "batch",
+                         "batch_2048"), map(int, out.split())))
 
     def test_peak_memory_of_costliest_point(self, traced_peaks):
         assert traced_peaks["sweep"] <= 1.10 * (traced_peaks["ring"] + traced_peaks["link"])
@@ -334,15 +355,25 @@ class TestSweepReuse:
         assert traced_peaks["ring"] < 1.5 * 2 ** 20
         assert traced_peaks["ring_2048"] < 1.5 * 2 ** 20
 
+    @pytest.mark.parametrize("n, ring, batch", [(512, "ring", "batch"),
+                                                (2048, "ring_2048", "batch_2048")])
+    def test_ring_batch_shares_one_block_buffer(self, traced_peaks, n, ring, batch):
+        # a 4-point batch holds a ring point's working set, one block buffer
+        # shared by all points, plus the 4 rows of sums it returns (16 B per
+        # entry); a block buffer per point would add about 0.41 MB at 512
+        # elements and 0.46 MB at 2,048
+        assert traced_peaks[batch] <= traced_peaks[ring] + 4 * n * 16 + 2 ** 14
+
 
 # tracemalloc peaks of a 4-point distance sweep at the 16x32 grid and of its
 # costliest point alone: the 512-element ring, and the QF-UCA link, which the
 # sweep frees before it evaluates the rings; then of one 2,048-element ring
 # point, the uca_bigger ring of the 32x64 grid; then of the QF-UCA antenna
-# build, whose result the sweep holds throughout
+# build, whose result the sweep holds throughout; then of the 4-point ring
+# batches that a distance sweep makes at 512 and 2,048 elements
 MEMORY_PROBE = """
 import tracemalloc
-from qfuca import metrics, txrx
+from qfuca import channel, metrics, txrx
 from qfuca.config import Scenario
 from qfuca.geometry import single_ring_layout
 
@@ -366,7 +397,11 @@ link = traced_peak(lambda: txrx.link_at(qf, base))
 ring_2048 = traced_peak(lambda: metrics.se_single_loop_uca(
     single_ring_layout(2048, base.qf_radius_m), base, txrx.noise_variance(base)))
 antenna = traced_peak(lambda: txrx.build_antenna(base))
-print(sweep, ring, link, ring_2048, antenna)
+points = [channel.PropagationParams.from_frequency(d, base.freq_hz, base.beta)
+          for d in spec.axis_values]
+batch, batch_2048 = (traced_peak(lambda: metrics.ring_eigenvalues(
+    single_ring_layout(n, base.qf_radius_m), points)) for n in (512, 2048))
+print(sweep, ring, link, ring_2048, antenna, batch, batch_2048)
 """
 
 

@@ -73,13 +73,14 @@ def test_cmd_probe_reports_one_command(tmp_path):
 
 def synthetic_run(run_dir: Path, spans: list):
     """A perfbench run directory whose operation i read the calibrator at
-    (10, 2) and (10 + units, 3) around a span of `cpu` CPU seconds, beside
-    the files the tool must skip: a trace, a set-up report and an output
-    folder."""
+    (10, 2) and (10 + units, 3) around a span of `cpu` CPU seconds and, when
+    the span gives one, `wall` wall seconds (else `cpu`), beside the files
+    the tool must skip: a trace, a set-up report and an output folder."""
     run_dir.mkdir(parents=True)
-    for i, (units, cpu) in enumerate(spans):
+    for i, (units, cpu, *wall) in enumerate(spans):
         report = {"calibrator_start": [10.0, 2.0], "calibrator_done": [10.0 + units, 3.0],
-                  "start_cpu": 0.5, "done_cpu": 0.5 + cpu}
+                  "start_cpu": 0.5, "done_cpu": 0.5 + cpu,
+                  "start": 4.0, "done": 4.0 + (wall[0] if wall else cpu)}
         (run_dir / f"op{i}.json").write_text(json.dumps(report), encoding="utf-8")
     (run_dir / "op1.json.spans.json").write_text("[]", encoding="utf-8")
     (run_dir / "setup0.json").write_text(json.dumps({"ready_cpu": 0.2}), encoding="utf-8")
@@ -87,7 +88,8 @@ def synthetic_run(run_dir: Path, spans: list):
 
 
 class TestSpanUnits:
-    HEADER = "run,ops,min_units,median_units,mean_units,zero_unit_ops,median_cpu_s"
+    HEADER = ("run,ops,min_units,median_units,mean_units,zero_unit_ops,median_cpu_s,"
+              "min_periods,max_speedup")
 
     def test_reports_units_per_operation_span(self, tmp_path):
         run = tmp_path / "loopback_8x16-seed1-trace0"
@@ -96,17 +98,19 @@ class TestSpanUnits:
                              capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines() == [self.HEADER,
-                                           "loopback_8x16-seed1-trace0,4,0,1.5,1.5,1,0.16"]
+                                           "loopback_8x16-seed1-trace0,4,0,1.5,1.5,1,0.16,"
+                                           "0.833,0.833"]
 
     def test_mean_units_are_the_units_a_span_completes(self, tmp_path):
         # one long span pulls the mean above the median
         run = tmp_path / "snr_sweep_8x16-seed7-trace0"
-        synthetic_run(run, [(1, 0.1), (1, 0.1), (2, 0.2), (7, 0.4)])
+        synthetic_run(run, [(1, 0.1), (1, 0.1), (2, 0.2), (7, 0.5)])
         out = subprocess.run([sys.executable, str(SPAN_UNITS), str(run)],
                              capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines() == [self.HEADER,
-                                           "snr_sweep_8x16-seed7-trace0,4,1,1.5,2.75,0,0.15"]
+                                           "snr_sweep_8x16-seed7-trace0,4,1,1.5,2.75,0,0.15,"
+                                           "1.22,1.22"]
 
     def test_reads_every_run_of_the_checkout_by_default(self, tmp_path):
         # a copy of the tool reads the runs of the checkout it sits in
@@ -116,8 +120,23 @@ class TestSpanUnits:
         synthetic_run(tmp_path / ".perfbench_runs" / "a", [(1, 0.5), (2, 0.5)])
         out = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines() == [self.HEADER, "a,2,1,1.5,1.5,0,0.5",
-                                           "b,1,5,5,5,0,1"]
+        assert out.stdout.splitlines() == [self.HEADER, "a,2,1,1.5,1.5,0,0.5,1.5,1.5",
+                                           "b,1,5,5,5,0,1,5,5"]
+
+    def test_periods_are_the_run_wall_time_per_unit(self, tmp_path):
+        # 6 units in 0.7 s of spans: the 0.15 s span lasts 1.29 periods,
+        # where the CPU time per unit would give 1.5; a run that completed
+        # no unit in any span has spans of 0 periods
+        slow = tmp_path / "distance_sweep_16x32-seed1-trace0"
+        synthetic_run(slow, [(2, 0.1, 0.2), (1, 0.1, 0.15), (3, 0.2, 0.35)])
+        stalled = tmp_path / "snr_sweep_8x16-seed1-trace0"
+        synthetic_run(stalled, [(0, 0.1)])
+        out = subprocess.run([sys.executable, str(SPAN_UNITS), str(slow), str(stalled)],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            self.HEADER, "distance_sweep_16x32-seed1-trace0,3,1,2,2,0,0.1,1.29,1.29",
+            "snr_sweep_8x16-seed1-trace0,1,0,0,0,1,0.1,0,0"]
 
     def test_run_without_operation_reports_exits_1(self, tmp_path):
         (tmp_path / "setup0.json").write_text("{}", encoding="utf-8")
