@@ -11,7 +11,10 @@ element and takes one unitary 2-D FFT over (cell, slot), the adjoint of TOM;
 leading axes index frames.  The paper's 1/L_v split of a shared element and
 its L after the inner DFT cancel, so neither is applied.  `run_loopback`
 takes its frames FRAME_BLOCK at a time and detects them by one tie-stable
-argmin over the link's alphabet, its read-only point array from ALPHABETS.
+ML rule over the link's alphabet, its read-only point array from
+ALPHABETS.  Every alphabet is a grid of real and imaginary levels, so the
+rule is a slicer: each axis of s~ / (Lambda a) rounds to its nearest level,
+and only decisions near a tie measure their distance to every point.
 
 A link is built in two halves: `build_antenna` makes the part that depends
 on neither distance, carrier nor SNR, and `link_at` adds the propagation
@@ -24,7 +27,8 @@ tests hold `tod` against its direct-summation form and as TOM's adjoint,
 the transforms against the physical path (TOM and the dense element gain
 matrix, in tests/reference.py, then `tod`), that path against the logical
 block-circulant path, and `run_loopback` against a frame-by-frame loop over
-the physical path and `ml_detect`.
+the physical path and the alphabet search of tests/reference.py, the
+detector's oracle.
 """
 
 from __future__ import annotations
@@ -38,14 +42,19 @@ from .errors import DimensionError
 from .geometry import Layout, build_layout
 
 # Frames go through the engine in blocks of this many, so its temporaries
-# (the largest is the (frames, N, K, alphabet) distance tensor) keep one size
-# however many frames a run sends.
+# keep one size however many frames a run sends: the element noise, (frames,
+# N, K) arrays of symbols, observations and the slicer's per-axis terms,
+# whatever the alphabet, and a (decisions, alphabet) distance array for the
+# decisions near a tie alone.
 FRAME_BLOCK = 32
 
 # ML candidates within this relative distance of the nearest one are ties and
-# resolve to the lowest constellation index.  Ties in the noiseless default
-# chain sit at or below 1e-14 relative; noisy decision margins of the 8x16
-# perfbench loopback are 9e-9 and above.
+# resolve to the lowest constellation index.  The slicer measures it in
+# z = s~ / (Lambda a), where every distance scales by 1 / |Lambda a|, and
+# sends each decision with a candidate within twice it to the distance search
+# that applies it.  Ties in the noiseless default chain sit at or below 1e-14
+# relative; noisy decision margins of the 8x16 perfbench loopback are 9e-9
+# and above.
 TIE_RTOL = 1e-12
 
 
@@ -88,18 +97,106 @@ def tod(observations: np.ndarray, rx: Layout) -> np.ndarray:
     return np.fft.fftn(y[..., rx.slot_group], axes=(-1, -2), norm="ortho")
 
 
+def _lattice(points: np.ndarray):
+    """The per-axis levels of a grid alphabet: the sorted real levels, the
+    sorted imaginary levels and grid[i, j], the index of point
+    re[j] + 1j im[i].  The slicer is exact only on a full grid, so any other
+    alphabet raises ValueError."""
+    # sorted sets, not np.unique, which imports numpy.ma into the process
+    re = np.array(sorted(set(points.real.tolist())))
+    im = np.array(sorted(set(points.imag.tolist())))
+    grid = np.full((im.size, re.size), -1)
+    grid[np.searchsorted(im, points.imag), np.searchsorted(re, points.real)] \
+        = np.arange(points.size)
+    if grid.size == 0 or grid.size != points.size or np.any(grid < 0) \
+            or not np.all(np.isfinite(points)):
+        raise ValueError("ML detection slices each axis, so its alphabet must be a "
+                         f"full grid of real and imaginary levels, got {points}")
+    return re, im, grid
+
+
+def _slice_axis(x, levels):
+    """The index of the level nearest each coordinate x, (x - near)^2, and
+    how much farther in squared distance the nearer of its two neighbouring
+    levels is, (x - other)^2 - (x - near)^2 = 2 |other - near| |x - midpoint|
+    (inf where it has none): no other level on this axis is nearer."""
+    mids = (levels[1:] + levels[:-1]) / 2
+    k = np.zeros(x.shape, dtype=np.intp)
+    for m in mids:
+        k += x > m
+    # the midpoints and twice the steps, padded by an infinitely far level at
+    # each end: level k's neighbours are entries k and k + 1
+    mid = np.concatenate(([-np.inf], mids, [np.inf]))
+    width = np.concatenate(([np.inf], 2 * np.diff(levels), [np.inf]))
+    second = np.abs(x - mid[k])
+    second *= width[k]
+    above = np.abs(x - mid[k + 1])
+    above *= width[k + 1]
+    np.minimum(second, above, out=second)
+    offset = x - levels[k]
+    offset *= offset
+    return k, offset, second
+
+
+def _slice(s_tilde: np.ndarray, scale: np.ndarray, lattice: tuple):
+    """The grid index of the nearest point of every decision in
+    z = s~ / scale, and whether the decision is close (`_nearest`)."""
+    re, im, grid = lattice
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.divide(s_tilde, scale, out=np.full(s_tilde.shape, np.inf, dtype=complex),
+                      where=scale != 0)
+    close = ~np.isfinite(z)
+    # close already; a finite stand-in keeps inf out of the slice
+    z[close] = 0
+    r = 2 * TIE_RTOL
+    with np.errstate(over="ignore"):
+        kx, slack, second_x = _slice_axis(z.real, re)
+        ky, offset, second_y = _slice_axis(z.imag, im)
+        # (2 r + r^2) |z - c*|^2
+        slack += offset
+        slack *= r * (2 + r)
+    close |= (second_x <= slack) | (second_y <= slack)
+    return grid[ky, kx], close
+
+
 def _nearest(s_tilde: np.ndarray, lam: np.ndarray, amplitudes: np.ndarray,
-             points: np.ndarray):
+             points: np.ndarray, lattice: tuple):
     """Tie-stable ML decision for every mode of s~ (extra leading axes index
-    frames) over its alphabet, Lambda times the amplitude-scaled points: the
-    lowest index within TIE_RTOL of the nearest distance wins.  Returns the
-    detected values and indices and the near-tie flags (more than one
-    candidate within TIE_RTOL)."""
-    dist = np.abs(s_tilde[..., None] - lam[..., None] * (amplitudes[..., None] * points))
-    within = dist <= dist.min(axis=-1, keepdims=True) * (1 + TIE_RTOL)
-    indices = np.argmax(within, axis=-1)
-    return (amplitudes * points[indices], indices,
-            np.count_nonzero(within, axis=-1) > 1)
+    frames) over its alphabet, Lambda times the amplitude-scaled points:
+    the lowest index within TIE_RTOL of the nearest distance wins.  Returns
+    the detected values and indices and the near-tie flags (more than one
+    candidate within TIE_RTOL).
+
+    The alphabet is a grid of real and imaginary levels (`lattice` is
+    `_lattice(points)`), so the nearest point is a slice: each axis of
+    z = s~ / (Lambda a) rounds to its nearest level.  Candidate c lies within
+    a relative tolerance r of the nearest c* iff |z - c|^2 - |z - c*|^2, the
+    sum of the two axes' excesses (`_slice_axis`), is at most
+    (2 r + r^2) |z - c*|^2, so a decision has a candidate within r iff the
+    nearer neighbour on some axis does.  Decisions with one within twice
+    TIE_RTOL, and those where Lambda a is 0 or z overflows, are close: they
+    take the distance to every candidate, |s~ - Lambda a c|, and the
+    rounding of those distances, on which the recorded outputs rest,
+    decides a tie at TIE_RTOL.  Every other decision is its slice, which no
+    rounding of those distances can move.  The slice takes complex division
+    and real arithmetic, which round alike at every SIMD level that numpy
+    dispatches to."""
+    indices, close = _slice(s_tilde, lam * amplitudes, lattice)
+    ties = np.zeros(indices.shape, dtype=bool)
+    flat = np.flatnonzero(close)
+    if flat.size:
+        # each close decision's distances to its mode's candidates
+        # Lambda a c, by the alphabet search's own expressions, one row per
+        # point so that every reduction runs along the decisions
+        candidates = lam[..., None] * (amplitudes[..., None] * points)
+        per_point = candidates.reshape(-1, points.size).T
+        dist = np.take(per_point, flat % per_point.shape[1], axis=1)
+        np.subtract(np.take(s_tilde, flat), dist, out=dist)
+        dist = np.abs(dist)
+        within = dist <= dist.min(axis=0) * (1 + TIE_RTOL)
+        np.put(indices, flat, np.argmax(within, axis=0))
+        np.put(ties, flat, np.count_nonzero(within, axis=0) > 1)
+    return amplitudes * points[indices], indices, ties
 
 
 def ml_detect(s_tilde_p: np.ndarray, lambda_row: np.ndarray,
@@ -108,9 +205,11 @@ def ml_detect(s_tilde_p: np.ndarray, lambda_row: np.ndarray,
     """Mode-wise ML detection of one branch.
 
     Per inner mode l independently, picks argmin over the (amplitude-scaled)
-    alphabet `points` of |s~_p(l) - Lambda_{p,l} s| by `_nearest`.  Modes
-    with Lambda exactly zero are undetectable and flagged; they return the
-    tie-break symbol.
+    alphabet `points` of |s~_p(l) - Lambda_{p,l} s| by `_nearest`, the
+    slicer that `run_loopback` detects with.  Modes with Lambda exactly zero
+    are undetectable and flagged; they return the tie-break symbol, index
+    0.  `points` must be a full grid of real and imaginary levels, as every
+    alphabet of ALPHABETS is; any other raises ValueError.
 
     Returns (detected values, detected indices, degenerate flags).
     """
@@ -121,7 +220,8 @@ def ml_detect(s_tilde_p: np.ndarray, lambda_row: np.ndarray,
     if not np.all(np.isfinite(lam.view(float))):
         raise ValueError("detection coefficients must be finite")
     amplitudes = np.ones(s_tilde.size) if amplitudes is None else np.asarray(amplitudes)
-    detected, indices, _ = _nearest(s_tilde, lam, amplitudes, points)
+    points = np.asarray(points, dtype=complex)
+    detected, indices, _ = _nearest(s_tilde, lam, amplitudes, points, _lattice(points))
     return detected, indices, lam == 0
 
 
@@ -313,6 +413,7 @@ def run_loopback(link: Link, n_frames: int, noise_variance: float = 0.0) -> Loop
     n, k = link.tx.n_cells, link.tx.elems_per_cell
     sym_rng = np.random.default_rng(np.random.SeedSequence((link.seed, 0xA11CE)))
     points = link.points
+    lattice = _lattice(points)
     amplitudes = link.amplitudes()
     degenerate = link.lambda_coeffs == 0
     per_frame = []
@@ -327,7 +428,7 @@ def run_loopback(link: Link, n_frames: int, noise_variance: float = 0.0) -> Loop
             noise = np.stack([element_noise(link.rx.n_physical, noise_variance, link.seed, f)
                               for f in frames])
             s_tilde += tod(noise, link.rx)
-        detected, _, ties = _nearest(s_tilde, link.lambda_coeffs, amplitudes, points)
+        detected, _, ties = _nearest(s_tilde, link.lambda_coeffs, amplitudes, points, lattice)
         errors = (detected != symbols) & ~degenerate
         per_frame += errors.sum(axis=(1, 2)).tolist()
         per_mode += errors.sum(axis=0)

@@ -504,6 +504,24 @@ def paper_detection_coeffs(subchannels: np.ndarray, rx: Layout) -> np.ndarray:
     return np.fft.ifft(lh, axis=-1, norm="ortho")
 
 
+# The ML detector before the lattice slicer: the distance from every mode to
+# every point of its alphabet.  `txrx._nearest` is held to it decision by
+# decision, and the per-frame loopback reference detects with it.
+
+def alphabet_search(s_tilde: np.ndarray, lam: np.ndarray, amplitudes: np.ndarray,
+                    points: np.ndarray):
+    """Tie-stable ML decision for every mode of s~ (extra leading axes index
+    frames) over its alphabet, Lambda times the amplitude-scaled points: the
+    lowest index within TIE_RTOL of the nearest distance wins.  Returns the
+    detected values and indices and the near-tie flags (more than one
+    candidate within TIE_RTOL)."""
+    dist = np.abs(s_tilde[..., None] - lam[..., None] * (amplitudes[..., None] * points))
+    within = dist <= dist.min(axis=-1, keepdims=True) * (1 + txrx.TIE_RTOL)
+    indices = np.argmax(within, axis=-1)
+    return (amplitudes * points[indices], indices,
+            np.count_nonzero(within, axis=-1) > 1)
+
+
 def se_qf_scenario(scenario, distance_m: float | None = None) -> float:
     """QF-UCA spectrum efficiency for a scenario from a fresh link,
     optionally at an overridden distance with the noise variance anchored

@@ -12,8 +12,11 @@ a one-point distance sweep at the 16x32 grid, whose 385- and 512-element
 rings are streamed in 19 and 32 row blocks, a loopback on the Bessel-route
 detection coefficients (lambda_path = bessel), a gap study and a
 Bessel-route loopback with the first-order, uncorrected closed form
-(bessel_order = first, bessel_correction = off), and a noisy loopback at the
-6x3 grid, whose 3 degenerate modes no frame row counts.  The stdout of the
+(bessel_order = first, bessel_correction = off), a noisy loopback at the
+6x3 grid, whose 3 degenerate modes no frame row counts, and loopbacks on the
+other two alphabets: noisy 8x16 ones with 16-QAM and with BPSK, and a
+noiseless 16-QAM one on the criterion-10 scenario, whose rank-deficient
+branches put decisions on exact ties (36 near-ties).  The stdout of the
 commands whose printout names no path (the loopbacks and `geometry`) is
 pinned as text.  A change that alters any output byte on purpose must say
 so in CHANGES.md and re-record the hashes and printouts with
@@ -52,6 +55,7 @@ GRID_16X32 = SCENARIO + "n_cells = 16\ntx_elems = 32\nrx_elems = 32\n"
 BESSEL = SCENARIO + "lambda_path = bessel\n"
 FIRST_UNCORRECTED = SCENARIO + "bessel_order = first\nbessel_correction = off\n"
 GRID_6X3 = SCENARIO + "n_cells = 6\ntx_elems = 3\nrx_elems = 3\n"
+QAM16 = SCENARIO + "constellation = 16qam\n"
 
 COMMANDS = {
     "geometry": ("geometry",),
@@ -71,6 +75,9 @@ COMMANDS = {
     "gap_first_uncorrected": ("gap", "--values", "50,100", "--elems", "4,8"),
     "loopback_bessel_first_uncorrected": ("loopback", "--frames", "3"),
     "loopback_degenerate_6x3": ("loopback", "--frames", "3", "--noise-variance", "1e-12"),
+    "loopback_noisy_8x16_16qam": ("loopback", "--frames", "20", "--noise-variance", "1e-12"),
+    "loopback_noisy_8x16_bpsk": ("loopback", "--frames", "20", "--noise-variance", "1e-12"),
+    "loopback_16qam": ("loopback", "--frames", "20"),
 }
 
 # commands run on another scenario than SCENARIO
@@ -79,7 +86,10 @@ SCENARIOS = {"sweep_distance_8x16": GRID_8X16, "sweep_freq_8x16": GRID_8X16,
              "loopback_noisy_8x16": GRID_8X16, "sweep_distance_16x32": GRID_16X32,
              "loopback_bessel": BESSEL, "gap_first_uncorrected": FIRST_UNCORRECTED,
              "loopback_bessel_first_uncorrected": FIRST_UNCORRECTED
-             + "lambda_path = bessel\n", "loopback_degenerate_6x3": GRID_6X3}
+             + "lambda_path = bessel\n", "loopback_degenerate_6x3": GRID_6X3,
+             "loopback_noisy_8x16_16qam": GRID_8X16 + "constellation = 16qam\n",
+             "loopback_noisy_8x16_bpsk": GRID_8X16 + "constellation = bpsk\n",
+             "loopback_16qam": QAM16}
 
 # the numpy build the hashes and printouts were recorded on (`fingerprint`)
 FINGERPRINT = {
@@ -106,6 +116,14 @@ GOLDEN = {
             '1279bf87d7895480290d4543cbff04bcfbd1a25cf8ab440338acc02b0fd8cb63',
         'tx_layout.csv':
             '1279bf87d7895480290d4543cbff04bcfbd1a25cf8ab440338acc02b0fd8cb63',
+    },
+    'loopback_16qam': {
+        'channel.csv':
+            'c75a9af55340b72fa0911bc450517d200155b460bcd9fce447f9303c08d447a3',
+        'loopback.csv':
+            '352c58480a6a5d92dbb24cb4b06818417a65162c1a5cc61057e19c849b56a3f4',
+        'modes.csv':
+            '3aaa3c54b6620d9a4c6095173317c03181f5c9a3982ce973116012c7a6f47fdc',
     },
     'loopback_bessel': {
         'channel.csv':
@@ -155,6 +173,22 @@ GOLDEN = {
         'modes.csv':
             'a7c39b72fec7f46074feaf49b23e004fd733940d3807de708c3d8613b0664ec3',
     },
+    'loopback_noisy_8x16_16qam': {
+        'channel.csv':
+            '6984e37a537a6d848af9e7963f1e869a4764382b80666c671326248e9f0b37a5',
+        'loopback.csv':
+            'f2ec5c9ea7b094dca4a7dd3008513994d33960ebad488cde998f744484593c00',
+        'modes.csv':
+            'a7c39b72fec7f46074feaf49b23e004fd733940d3807de708c3d8613b0664ec3',
+    },
+    'loopback_noisy_8x16_bpsk': {
+        'channel.csv':
+            '6984e37a537a6d848af9e7963f1e869a4764382b80666c671326248e9f0b37a5',
+        'loopback.csv':
+            '8a0b76680dfb89f59fe6758dc820cbf8f7aed86d37f6e753890d0b2e735fa90c',
+        'modes.csv':
+            'a7c39b72fec7f46074feaf49b23e004fd733940d3807de708c3d8613b0664ec3',
+    },
     'sweep_distance': {
         'sweep.csv':
             'aaa1f1e0b8ac0c1dad96ed2460841971718a620c555b690d72c94e072f4a394e',
@@ -190,6 +224,10 @@ STDOUT = {
     'geometry':
         'tx: 9 physical elements, sharing [1, 2, 4, 2]\n'
         'rx: 9 physical elements, sharing [1, 2, 4, 2]\n',
+    'loopback_16qam':
+        'frames: 20  symbol errors: 250/320  SER: 0.78125\n'
+        'degenerate modes: 0  max interference-to-signal: 2.999999999999999\n'
+        'ML near-ties: 36\n',
     'loopback_bessel':
         'frames: 3  symbol errors: 26/48  SER: 0.5416666666666666\n'
         'degenerate modes: 0  max interference-to-signal: 2.7706590930745727\n'
@@ -212,6 +250,14 @@ STDOUT = {
         'ML near-ties: 0\n',
     'loopback_noisy_8x16':
         'frames: 20  symbol errors: 1588/2560  SER: 0.6203125\n'
+        'degenerate modes: 0  max interference-to-signal: 7434.257965952569\n'
+        'ML near-ties: 0\n',
+    'loopback_noisy_8x16_16qam':
+        'frames: 20  symbol errors: 2269/2560  SER: 0.886328125\n'
+        'degenerate modes: 0  max interference-to-signal: 7434.257965952569\n'
+        'ML near-ties: 0\n',
+    'loopback_noisy_8x16_bpsk':
+        'frames: 20  symbol errors: 940/2560  SER: 0.3671875\n'
         'degenerate modes: 0  max interference-to-signal: 7434.257965952569\n'
         'ML near-ties: 0\n',
 }

@@ -91,9 +91,10 @@ needs_long_double = pytest.mark.skipif(not HAS_LONG_DOUBLE,
 
 def run_loopback_per_frame(link, n_frames, noise_variance=0.0):
     """In-test reference for the batched engine: the loopback one frame at a
-    time through the physical path and `tod`, detected branch by branch with
-    ml_detect, with the interference table recomputed from the exact
-    transforms.  Returns (per-frame errors, per-mode errors, max ISR)."""
+    time through the physical path and `tod`, detected branch by branch by
+    the alphabet search of tests/reference.py, not the engine's slicer, with
+    the interference table recomputed from the exact transforms.  Returns
+    (per-frame errors, per-mode errors, max ISR)."""
     n, k = link.tx.n_cells, link.tx.elems_per_cell
     sym_rng = np.random.default_rng(np.random.SeedSequence((link.seed, 0xA11CE)))
     amp = link.amplitudes()
@@ -107,9 +108,9 @@ def run_loopback_per_frame(link, n_frames, noise_variance=0.0):
         s_tilde = txrx.tod(received, link.rx)
         errors = np.zeros((n, k), dtype=bool)
         for p in range(n):
-            detected, _, degenerate = txrx.ml_detect(
-                s_tilde[p], link.lambda_coeffs[p], points, amp[p])
-            errors[p] = (detected != symbols[p]) & ~degenerate
+            detected, _, _ = reference.alphabet_search(
+                s_tilde[p], link.lambda_coeffs[p], amp[p], points)
+            errors[p] = (detected != symbols[p]) & (link.lambda_coeffs[p] != 0)
         per_frame.append(int(errors.sum()))
         per_mode += errors
     signal = np.abs(link.lambda_coeffs) ** 2 * link.power_alloc
@@ -395,6 +396,128 @@ class TestMlDetect:
         _, far, _ = txrx.ml_detect(np.array([-1e-9 + 0j]), lam, points)
         assert near[0] == 0
         assert far[0] == 1
+
+
+def same_decisions(s_tilde, lam, amplitudes, points):
+    """The engine's decisions on these inputs, after asserting that its
+    values, indices and near-tie flags equal the alphabet search's."""
+    got = txrx._nearest(s_tilde, lam, amplitudes, points, txrx._lattice(points))
+    want = reference.alphabet_search(s_tilde, lam, amplitudes, points)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    return got
+
+
+def neighbour_squares(points):
+    """Every square of four neighbouring points of a grid alphabet as a
+    2 x 2 index array, [[lower-left, lower-right], [upper-left,
+    upper-right]] in (imaginary, real) level order."""
+    _, _, grid = txrx._lattice(points)
+    return [grid[i:i + 2, j:j + 2] for i in range(grid.shape[0] - 1)
+            for j in range(grid.shape[1] - 1)]
+
+
+class TestSlicer:
+    """`_nearest` slices each axis of its grid alphabet; the alphabet search
+    in tests/reference.py is its oracle on every decision."""
+
+    @pytest.mark.parametrize("name", list(PINNED_ALPHABETS))
+    def test_exact_midpoints_resolve_to_the_lowest_index(self, name):
+        # the midpoint of every two points one level step apart, and the
+        # centre of every square of four, ties them all
+        points = txrx.ALPHABETS[name]
+        _, _, grid = txrx._lattice(points)
+        groups = [grid[i, j:j + 2] for i in range(grid.shape[0])
+                  for j in range(grid.shape[1] - 1)]
+        groups += [grid[i:i + 2, j] for i in range(grid.shape[0] - 1)
+                   for j in range(grid.shape[1])]
+        groups += [square.ravel() for square in neighbour_squares(points)]
+        z = np.array([points[g].mean() for g in groups])
+        rng = np.random.default_rng(17)
+        lam = rng.normal(size=z.size) + 1j * rng.normal(size=z.size)
+        amplitudes = rng.uniform(0.5, 2.0, size=z.size)
+        _, indices, ties = same_decisions(lam * amplitudes * z, lam, amplitudes, points)
+        assert indices.tolist() == [int(g.min()) for g in groups]
+        assert ties.all()
+
+    @pytest.mark.parametrize("name", ["qpsk", "16qam"])
+    @pytest.mark.parametrize("fractions, within", [
+        ((0.3, 0.3), {(0, 0), (0, 1), (1, 0), (1, 1)}),
+        ((0.7, 0.7), {(0, 0), (0, 1), (1, 0)}),
+        ((0.7, 3.0), {(0, 0), (0, 1)}),
+        ((3.0, 0.7), {(0, 0), (1, 0)}),
+        ((3.0, 3.0), {(0, 0)})])
+    def test_double_near_ties(self, name, fractions, within):
+        # z sits off the centre of a square of four points, toward one
+        # corner c*, by a fraction f of the offset at which a neighbour's
+        # distance leaves TIE_RTOL on each axis: the neighbour across an axis
+        # is within iff that axis's f <= 1, the diagonal one iff the two f
+        # add up to at most 1; the lowest index within wins
+        points = txrx.ALPHABETS[name]
+        rng = np.random.default_rng(23)
+        r = txrx.TIE_RTOL
+        cases, expect = [], []
+        for square in neighbour_squares(points):
+            corners = points[square]
+            step = corners[1, 1] - corners[0, 0]
+            centre = corners.mean()
+            for ci, cj in np.ndindex(2, 2):
+                toward = (1 if cj else -1, 1 if ci else -1)
+                offset = complex(toward[0] * fractions[0] * r * step.real / 2,
+                                 toward[1] * fractions[1] * r * step.imag / 2)
+                cases.append(centre + offset)
+                # (across imaginary, across real) steps from c*
+                expect.append(min(square[ci ^ di, cj ^ dj] for di, dj in within))
+        z = np.array(cases)
+        lam = rng.normal(size=z.size) + 1j * rng.normal(size=z.size)
+        amplitudes = np.full(z.size, np.sqrt(0.5))
+        _, indices, ties = same_decisions(lam * amplitudes * z, lam, amplitudes, points)
+        assert indices.tolist() == expect
+        assert np.all(ties == (len(within) > 1))
+
+    @pytest.mark.parametrize("fraction, tie", [(0.7, True), (3.0, False)])
+    def test_bpsk_near_tie_on_its_one_axis(self, fraction, tie):
+        # BPSK's imaginary axis has one level, so only its real axis ties:
+        # at z = x + 0.3j, with |x| << 1, the far point leaves TIE_RTOL at
+        # |x| = TIE_RTOL |z - c*|^2 / 2, |z - c*|^2 = 1.09
+        points = txrx.ALPHABETS["bpsk"]
+        x = fraction * txrx.TIE_RTOL * 1.09 / 2
+        z = np.array([x + 0.3j, -x + 0.3j])
+        lam = np.array([0.8 - 0.6j, -2.0 + 1.0j])
+        _, indices, ties = same_decisions(lam * z, lam, np.ones(2), points)
+        assert indices.tolist() == ([0, 0] if tie else [0, 1])
+        assert np.all(ties == tie)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(admissible_layouts(8, 16)), st.sampled_from(sorted(PINNED_ALPHABETS)),
+           st.booleans(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_slicer_equals_alphabet_search(self, layout, name, noisy, seed):
+        # noiseless frames on rank-deficient branches put decisions on exact
+        # ties; some modes get Lambda = 0 and some no power
+        n, k, ratio = layout
+        link = txrx.build_link(Scenario(n_cells=n, tx_elems=k, rx_elems=k, tx_ratio=ratio,
+                                        rx_ratio=ratio, constellation=name))
+        rng = np.random.default_rng(seed)
+        lam = np.where(rng.random((n, k)) < 0.1, 0, link.lambda_coeffs)
+        amplitudes = np.where(rng.random((n, k)) < 0.1, 0, link.amplitudes())
+        symbols = amplitudes * link.points[rng.integers(0, link.points.size, size=(6, n, k))]
+        s_tilde = (link.exact_matrices @ symbols[..., None])[..., 0]
+        if noisy:
+            noise = np.stack([txrx.element_noise(link.rx.n_physical, link.sigma2, seed, f)
+                              for f in range(6)])
+            s_tilde += txrx.tod(noise, link.rx)
+        same_decisions(s_tilde, lam, amplitudes, link.points)
+
+    def test_non_grid_alphabet_rejected(self):
+        # the slicer is exact only on a full grid of per-axis levels
+        psk8 = np.exp(2j * np.pi * np.arange(8) / 8)
+        with pytest.raises(ValueError, match="full grid") as info:
+            txrx.ml_detect(np.array([1 + 0j]), np.array([1 + 0j]), psk8)
+        assert str(psk8) in str(info.value)
+        qpsk = txrx.ALPHABETS["qpsk"]
+        for points in (qpsk[:3], np.concatenate([qpsk, qpsk[:1]])):
+            with pytest.raises(ValueError, match="full grid"):
+                txrx.ml_detect(np.array([1 + 0j]), np.array([1 + 0j]), points)
 
 
 class TestNoiseModel:
@@ -740,6 +863,25 @@ class TestBatchedEngine:
         finally:
             tracemalloc.stop()
         assert peak < dense_bytes / 2
+
+    def test_16qam_peak_memory_within_64_kib_of_qpsk(self):
+        # the detector slices each axis, so its temporaries are (frames, N,
+        # K) arrays whatever the alphabet; a (frames, N, K, alphabet)
+        # distance tensor and its magnitude would add about 1.2 MB per
+        # block for 16-QAM's 16 points over QPSK's 4
+        peaks = {}
+        for name in ("qpsk", "16qam"):
+            link = txrx.build_link(Scenario(n_cells=8, tx_elems=16, rx_elems=16,
+                                            constellation=name, seed=7))
+            # a first run imports what numpy loads lazily (numpy.random)
+            txrx.run_loopback(link, 1, noise_variance=link.sigma2)
+            tracemalloc.start()
+            try:
+                txrx.run_loopback(link, 64, noise_variance=link.sigma2)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["16qam"] <= peaks["qpsk"] + 64 * 1024, peaks
 
     def test_noiseless_run_draws_no_noise(self, link9, count_calls):
         # a noiseless run sends its frames through the transforms alone
