@@ -347,14 +347,14 @@ def channel_csv(h: np.ndarray, rx: Layout, fh: TextIO) -> None:
     m, n, v, k, re, im per entry.  Its sub-channels are H_q = G_q / L_v, the
     (N, V, K) gains `h` over the receive layout's sharing frequencies, with
     cell 0's L_v standing for every receive cell's.  One (m, n) block is
-    formatted at a time, so the export holds one block's text, not the
-    table's."""
-    h = h / rx.sharing_freqs.astype(float)[:, None]
+    divided and formatted at a time, so the export holds one block's H_q and
+    text, not a copy of the sub-channels or the table's text."""
+    sharing = rx.sharing_freqs.astype(float)[:, None]
     fh.write("m,n,v,k,re,im\n")
     n = h.shape[0]
     for m in range(n):
         for nn in range(n):
-            blk = h[(nn + n - m) % n]
+            blk = h[(nn + n - m) % n] / sharing
             fh.write("".join(
                 f"{m},{nn},{v},{k},{float(blk[v, k].real)!r},{float(blk[v, k].imag)!r}\n"
                 for v in range(blk.shape[0]) for k in range(blk.shape[1])))

@@ -10,11 +10,12 @@ noisy run, takes TOD.  `tod` reads each observation at every slot on its
 element and takes one unitary 2-D FFT over (cell, slot), the adjoint of TOM;
 leading axes index frames.  The paper's 1/L_v split of a shared element and
 its L after the inner DFT cancel, so neither is applied.  `run_loopback`
-takes its frames FRAME_BLOCK at a time and detects them by one tie-stable
-ML rule over the link's alphabet, its read-only point array from
-ALPHABETS.  Every alphabet is a grid of real and imaginary levels, so the
-rule is a slicer: each axis of s~ / (Lambda a) rounds to its nearest level,
-and only decisions near a tie measure their distance to every point.
+takes its frames in blocks of BLOCK_DECISIONS decisions and detects them by
+one tie-stable ML rule over the link's alphabet, its read-only point array
+from ALPHABETS, with tables built once per run (`_detector`).  Every
+alphabet is a grid of real and imaginary levels, so the rule is a slicer:
+each axis of s~ / (Lambda a) rounds to its nearest level, and only
+decisions near a tie measure their distance to every point.
 
 A link is built in two halves: `build_antenna` makes the part that depends
 on neither distance, carrier nor SNR, and `link_at` adds the propagation
@@ -41,12 +42,13 @@ from . import channel as chan
 from .errors import DimensionError
 from .geometry import Layout, build_layout
 
-# Frames go through the engine in blocks of this many, so its temporaries
-# keep one size however many frames a run sends: the element noise, (frames,
-# N, K) arrays of symbols, observations and the slicer's per-axis terms,
-# whatever the alphabet, and a (decisions, alphabet) distance array for the
-# decisions near a tie alone.
-FRAME_BLOCK = 32
+# Frames go through the engine in blocks of this many ML decisions, N K per
+# frame and at least one frame (`Link.block_frames`), so its temporaries keep
+# one size however many frames a run sends and however many modes the link
+# has: the element noise, (frames, N, K) arrays of symbols, observations and
+# the slicer's per-axis terms, whatever the alphabet, and an (alphabet,
+# decisions) distance array for the decisions near a tie alone.
+BLOCK_DECISIONS = 2048
 
 # ML candidates within this relative distance of the nearest one are ties and
 # resolve to the lowest constellation index.  The slicer measures it in
@@ -98,9 +100,11 @@ def tod(observations: np.ndarray, rx: Layout) -> np.ndarray:
 
 
 def _lattice(points: np.ndarray):
-    """The per-axis levels of a grid alphabet: the sorted real levels, the
-    sorted imaginary levels and grid[i, j], the index of point
-    re[j] + 1j im[i].  The slicer is exact only on a full grid, so any other
+    """The per-axis tables of a grid alphabet, real and imaginary, and
+    grid[i, j], the index of point re[j] + 1j im[i].  An axis table holds the
+    sorted levels and their midpoints and twice their steps, both padded by
+    an infinitely far level at each end: level k's neighbours are entries k
+    and k + 1.  The slicer is exact only on a full grid, so any other
     alphabet raises ValueError."""
     # sorted sets, not np.unique, which imports numpy.ma into the process
     re = np.array(sorted(set(points.real.tolist())))
@@ -112,22 +116,32 @@ def _lattice(points: np.ndarray):
             or not np.all(np.isfinite(points)):
         raise ValueError("ML detection slices each axis, so its alphabet must be a "
                          f"full grid of real and imaginary levels, got {points}")
-    return re, im, grid
+    axes = []
+    for levels in (re, im):
+        mid = np.concatenate(([-np.inf], (levels[1:] + levels[:-1]) / 2, [np.inf]))
+        axes.append((levels, mid, np.concatenate(([np.inf], 2 * np.diff(levels), [np.inf]))))
+    return (*axes, grid)
 
 
-def _slice_axis(x, levels):
+def _detector(lam: np.ndarray, amplitudes: np.ndarray, points: np.ndarray):
+    """Every table `_nearest` derives from a link alone, built once per run:
+    the alphabet's `_lattice`, each mode's scale Lambda a, its candidates
+    Lambda a c laid out one row per point, the amplitudes and the points."""
+    candidates = lam[..., None] * (amplitudes[..., None] * points)
+    return (_lattice(points), lam * amplitudes, candidates.reshape(-1, points.size).T,
+            amplitudes, points)
+
+
+def _slice_axis(x, axis):
     """The index of the level nearest each coordinate x, (x - near)^2, and
     how much farther in squared distance the nearer of its two neighbouring
     levels is, (x - other)^2 - (x - near)^2 = 2 |other - near| |x - midpoint|
-    (inf where it has none): no other level on this axis is nearer."""
-    mids = (levels[1:] + levels[:-1]) / 2
+    (inf where it has none): no other level on this axis is nearer.  `axis`
+    is one axis table of `_lattice`."""
+    levels, mid, width = axis
     k = np.zeros(x.shape, dtype=np.intp)
-    for m in mids:
+    for m in mid[1:-1]:
         k += x > m
-    # the midpoints and twice the steps, padded by an infinitely far level at
-    # each end: level k's neighbours are entries k and k + 1
-    mid = np.concatenate(([-np.inf], mids, [np.inf]))
-    width = np.concatenate(([np.inf], 2 * np.diff(levels), [np.inf]))
     second = np.abs(x - mid[k])
     second *= width[k]
     above = np.abs(x - mid[k + 1])
@@ -159,16 +173,15 @@ def _slice(s_tilde: np.ndarray, scale: np.ndarray, lattice: tuple):
     return grid[ky, kx], close
 
 
-def _nearest(s_tilde: np.ndarray, lam: np.ndarray, amplitudes: np.ndarray,
-             points: np.ndarray, lattice: tuple):
+def _nearest(s_tilde: np.ndarray, detector: tuple):
     """Tie-stable ML decision for every mode of s~ (extra leading axes index
     frames) over its alphabet, Lambda times the amplitude-scaled points:
     the lowest index within TIE_RTOL of the nearest distance wins.  Returns
     the detected values and indices and the near-tie flags (more than one
     candidate within TIE_RTOL).
 
-    The alphabet is a grid of real and imaginary levels (`lattice` is
-    `_lattice(points)`), so the nearest point is a slice: each axis of
+    The alphabet is a grid of real and imaginary levels, and `detector` holds
+    its `_detector` tables, so the nearest point is a slice: each axis of
     z = s~ / (Lambda a) rounds to its nearest level.  Candidate c lies within
     a relative tolerance r of the nearest c* iff |z - c|^2 - |z - c*|^2, the
     sum of the two axes' excesses (`_slice_axis`), is at most
@@ -181,15 +194,14 @@ def _nearest(s_tilde: np.ndarray, lam: np.ndarray, amplitudes: np.ndarray,
     rounding of those distances can move.  The slice takes complex division
     and real arithmetic, which round alike at every SIMD level that numpy
     dispatches to."""
-    indices, close = _slice(s_tilde, lam * amplitudes, lattice)
+    lattice, scale, per_point, amplitudes, points = detector
+    indices, close = _slice(s_tilde, scale, lattice)
     ties = np.zeros(indices.shape, dtype=bool)
     flat = np.flatnonzero(close)
     if flat.size:
         # each close decision's distances to its mode's candidates
         # Lambda a c, by the alphabet search's own expressions, one row per
         # point so that every reduction runs along the decisions
-        candidates = lam[..., None] * (amplitudes[..., None] * points)
-        per_point = candidates.reshape(-1, points.size).T
         dist = np.take(per_point, flat % per_point.shape[1], axis=1)
         np.subtract(np.take(s_tilde, flat), dist, out=dist)
         dist = np.abs(dist)
@@ -221,7 +233,7 @@ def ml_detect(s_tilde_p: np.ndarray, lambda_row: np.ndarray,
         raise ValueError("detection coefficients must be finite")
     amplitudes = np.ones(s_tilde.size) if amplitudes is None else np.asarray(amplitudes)
     points = np.asarray(points, dtype=complex)
-    detected, indices, _ = _nearest(s_tilde, lam, amplitudes, points, _lattice(points))
+    detected, indices, _ = _nearest(s_tilde, _detector(lam, amplitudes, points))
     return detected, indices, lam == 0
 
 
@@ -307,9 +319,15 @@ class Link:
 
     @property
     def interference_power(self) -> np.ndarray:
-        pa = self.power_alloc
-        row_gain = self.exact_matrices.real ** 2 + self.exact_matrices.imag ** 2
-        return np.sum(row_gain * pa[:, None, :], axis=-1) - np.einsum("pll->pl", row_gain) * pa
+        """Per mode, the power the rest of its branch puts on it, by branch."""
+        gains = (t.real ** 2 + t.imag ** 2 for t in self.exact_matrices)
+        return np.array([np.sum(g * pa, axis=-1) - np.einsum("ll->l", g) * pa
+                         for g, pa in zip(gains, self.power_alloc)])
+
+    @property
+    def block_frames(self) -> int:
+        """`run_loopback`'s frames per block: at least 1, of N K decisions."""
+        return max(1, BLOCK_DECISIONS // self.lambda_coeffs.size)
 
     @property
     def max_interference_to_signal(self) -> float:
@@ -399,28 +417,28 @@ def check_loopback(n_frames: int, noise_variance: float):
 
 def run_loopback(link: Link, n_frames: int, noise_variance: float = 0.0) -> LoopbackReport:
     """Transmit n_frames random constellation grids over the link,
-    FRAME_BLOCK frames at a time: each branch reaches the receiver through
-    its exact transform, s~_p = T_p s_p, plus, at a positive noise
-    variance, the element noise taken through `tod`; then detect.  Counts
-    symbol errors in total, per frame and per mode (an (N, K) count), and ML
-    near-ties, all over the modes that are not degenerate (Lambda exactly
-    zero; the report counts them once per link).  Deterministic from the
-    link seed: frame f takes the next grid of the seed's symbol stream and
-    `element_noise` at (seed, f); a noiseless run draws none.  Zero frames
-    are a valid (empty) run; a negative count is rejected
+    `link.block_frames` frames at a time: each branch reaches the receiver
+    through its exact transform, s~_p = T_p s_p, plus, at a positive noise
+    variance, the element noise taken through `tod`; then detect, with the
+    detector's tables built once.  Counts symbol errors in total, per frame
+    and per mode (an (N, K) count), and ML near-ties, all over the modes
+    that are not degenerate (Lambda exactly zero; the report counts them
+    once per link).  Deterministic from the link seed: frame f takes the
+    next grid of the seed's symbol stream and `element_noise` at (seed, f),
+    and a noiseless run draws none, so no output depends on the block size.
+    Zero frames are a valid (empty) run; a negative count is rejected
     (`check_loopback`)."""
     check_loopback(n_frames, noise_variance)
     n, k = link.tx.n_cells, link.tx.elems_per_cell
     sym_rng = np.random.default_rng(np.random.SeedSequence((link.seed, 0xA11CE)))
-    points = link.points
-    lattice = _lattice(points)
-    amplitudes = link.amplitudes()
+    points, amplitudes, block = link.points, link.amplitudes(), link.block_frames
+    detector = _detector(link.lambda_coeffs, amplitudes, points)
     degenerate = link.lambda_coeffs == 0
     per_frame = []
     per_mode = np.zeros((n, k), dtype=int)
     near_ties = 0
-    for start in range(0, n_frames, FRAME_BLOCK):
-        frames = range(start, min(start + FRAME_BLOCK, n_frames))
+    for start in range(0, n_frames, block):
+        frames = range(start, min(start + block, n_frames))
         idx = np.stack([sym_rng.integers(0, points.size, size=(n, k)) for _ in frames])
         symbols = amplitudes * points[idx]
         s_tilde = (link.exact_matrices @ symbols[..., None])[..., 0]
@@ -428,7 +446,7 @@ def run_loopback(link: Link, n_frames: int, noise_variance: float = 0.0) -> Loop
             noise = np.stack([element_noise(link.rx.n_physical, noise_variance, link.seed, f)
                               for f in frames])
             s_tilde += tod(noise, link.rx)
-        detected, _, ties = _nearest(s_tilde, link.lambda_coeffs, amplitudes, points, lattice)
+        detected, _, ties = _nearest(s_tilde, detector)
         errors = (detected != symbols) & ~degenerate
         per_frame += errors.sum(axis=(1, 2)).tolist()
         per_mode += errors.sum(axis=0)

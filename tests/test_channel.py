@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfuca import channel as chan
 from qfuca import cli, txrx
@@ -15,6 +16,12 @@ from layouts import NAMED_LAYOUTS, admissible_layouts, power_of_two_sharing
 
 FREQ = 5.8e9
 LAM = 299792458.0 / FREQ
+
+
+# (N, K) -> the ratio of each geometric case at which K is admissible
+GRID_RATIOS = {}
+for _n, _k, _ratio in admissible_layouts(8, 16):
+    GRID_RATIOS.setdefault((_n, _k), []).append(_ratio)
 
 
 @pytest.fixture(scope="module")
@@ -536,6 +543,33 @@ class TestDetectionCoeffs:
             else:
                 assert np.max(np.abs(got - expect)) <= 1e-15 * np.max(np.abs(expect)), layout
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(GRID_RATIOS)).flatmap(
+        lambda grid: st.tuples(st.just(grid), st.sampled_from(GRID_RATIOS[grid]),
+                               st.sampled_from(GRID_RATIOS[grid]))))
+    def test_swapping_the_antennas_mirrors_the_transforms(self, case):
+        # free space is reciprocal, G_BA = G_AB^T, so link B, which swaps
+        # link A's transmit and receive ratios, has T^B_p = J (T^A_-p)^T J,
+        # where J takes mode l to -l mod K; the plain transpose (T^A_p)^T is
+        # off by 0.18 to 1.3 of max|T| on unequal antennas.  Transposing
+        # every link, or relabelling p or l alike on both sides, keeps the
+        # identity, so it pins how the two ends are treated against each
+        # other: a receive DFT of the wrong sign breaks it.  Element
+        # positions round to about eps R_Q, which turns a gain's phase by up
+        # to 2 pi eps R_Q / lambda (2.7e-14 at R_Q = 1 m); the two sides
+        # differ by up to 1.5e-14 of max|T| (7x14 and 8x16 with shared
+        # elements) and by ~1e-16 elsewhere
+        (n, k), tx_ratio, rx_ratio = case
+        a = txrx.build_link(Scenario(n_cells=n, tx_elems=k, rx_elems=k,
+                                     tx_ratio=tx_ratio, rx_ratio=rx_ratio))
+        b = txrx.build_link(Scenario(n_cells=n, tx_elems=k, rx_elems=k,
+                                     tx_ratio=rx_ratio, rx_ratio=tx_ratio))
+        neg_p, neg_l = -np.arange(n) % n, -np.arange(k) % k
+        mirrored = a.exact_matrices[neg_p].swapaxes(-1, -2)[:, neg_l][:, :, neg_l]
+        rounding = np.finfo(float).eps * 2 * np.pi * a.tx.qf_radius / LAM
+        assert np.max(np.abs(b.exact_matrices - mirrored)) \
+            <= rounding * np.max(np.abs(a.exact_matrices))
+
     def test_single_cell_lambda_is_exact_diagonal(self):
         ring = single_ring_layout(6, 1.0)
         params = chan.PropagationParams.from_frequency(100.0, FREQ)
@@ -617,6 +651,26 @@ def test_channel_csv_header(qf9, params100):
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "m,n,v,k,re,im"
     assert len(lines) == 1 + 4 * 4 * 4 * 4
+
+
+def test_channel_csv_peaks_below_one_copy_of_the_sub_channels(params100):
+    # each block is divided by L_v as it is formatted, so the export holds
+    # one block's H_q and text (4.2 kB at 32x4), not a divided copy of all N
+    # sub-channels (18.3 kB with it); at 64x128 that copy is 16 MiB
+    lay = build_layout(32, 4, 1.0, 1.0)
+    bc = chan.build_block_channel(lay, lay, params100)
+
+    class Discard:
+        def write(self, text):
+            pass
+
+    tracemalloc.start()
+    try:
+        chan.channel_csv(bc, lay, Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bc.nbytes, peak
 
 
 @pytest.mark.parametrize("n,k", [(16, 32), (32, 64)])

@@ -14,9 +14,13 @@ detection coefficients (lambda_path = bessel), a gap study and a
 Bessel-route loopback with the first-order, uncorrected closed form
 (bessel_order = first, bessel_correction = off), a noisy loopback at the
 6x3 grid, whose 3 degenerate modes no frame row counts, and loopbacks on the
-other two alphabets: noisy 8x16 ones with 16-QAM and with BPSK, and a
+other two alphabets: noisy 8x16 ones with 16-QAM and with BPSK, a
 noiseless 16-QAM one on the criterion-10 scenario, whose rank-deficient
-branches put decisions on exact ties (36 near-ties).  The stdout of the
+branches put decisions on exact ties (36 near-ties), and a noisy 70-frame
+loopback at the 8x16 grid with unequal antennas (rx_ratio = 0.5: 97
+transmit and 128 receive elements), the one golden whose frames span
+several of the engine's blocks and whose exact transforms are not
+symmetric.  The stdout of the
 commands whose printout names no path (the loopbacks and `geometry`) is
 pinned as text.  A change that alters any output byte on purpose must say
 so in CHANGES.md and re-record the hashes and printouts with
@@ -78,6 +82,7 @@ COMMANDS = {
     "loopback_noisy_8x16_16qam": ("loopback", "--frames", "20", "--noise-variance", "1e-12"),
     "loopback_noisy_8x16_bpsk": ("loopback", "--frames", "20", "--noise-variance", "1e-12"),
     "loopback_16qam": ("loopback", "--frames", "20"),
+    "loopback_unequal_8x16": ("loopback", "--frames", "70", "--noise-variance", "1e-12"),
 }
 
 # commands run on another scenario than SCENARIO
@@ -89,7 +94,8 @@ SCENARIOS = {"sweep_distance_8x16": GRID_8X16, "sweep_freq_8x16": GRID_8X16,
              + "lambda_path = bessel\n", "loopback_degenerate_6x3": GRID_6X3,
              "loopback_noisy_8x16_16qam": GRID_8X16 + "constellation = 16qam\n",
              "loopback_noisy_8x16_bpsk": GRID_8X16 + "constellation = bpsk\n",
-             "loopback_16qam": QAM16}
+             "loopback_16qam": QAM16,
+             "loopback_unequal_8x16": GRID_8X16 + "rx_ratio = 0.5\n"}
 
 # the numpy build the hashes and printouts were recorded on (`fingerprint`)
 FINGERPRINT = {
@@ -189,6 +195,14 @@ GOLDEN = {
         'modes.csv':
             'a7c39b72fec7f46074feaf49b23e004fd733940d3807de708c3d8613b0664ec3',
     },
+    'loopback_unequal_8x16': {
+        'channel.csv':
+            '005a42dbb73fb83abf7f9d695a9d3aebfc0e0e4e5a34ec8d25628455f1d4215c',
+        'loopback.csv':
+            '138405c03e41e39643502bddf476213a620f9e04e2ffcb5fb4ada7358e61ea4e',
+        'modes.csv':
+            '39e6fb1c3a0af3e783c5a6d4b9de8f003e74196ab553f8b077db74a630fc0ce4',
+    },
     'sweep_distance': {
         'sweep.csv':
             'aaa1f1e0b8ac0c1dad96ed2460841971718a620c555b690d72c94e072f4a394e',
@@ -259,6 +273,10 @@ STDOUT = {
     'loopback_noisy_8x16_bpsk':
         'frames: 20  symbol errors: 940/2560  SER: 0.3671875\n'
         'degenerate modes: 0  max interference-to-signal: 7434.257965952569\n'
+        'ML near-ties: 0\n',
+    'loopback_unequal_8x16':
+        'frames: 70  symbol errors: 5822/8960  SER: 0.6497767857142858\n'
+        'degenerate modes: 0  max interference-to-signal: 13567.403729363261\n'
         'ML near-ties: 0\n',
 }
 

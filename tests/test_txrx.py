@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -34,6 +35,25 @@ def params100():
 @pytest.fixture(scope="module")
 def link9():
     return txrx.build_link(Scenario())
+
+
+@pytest.fixture(scope="module")
+def link_32x64():
+    return txrx.build_link(Scenario(n_cells=32, tx_elems=64, rx_elems=64, seed=7))
+
+
+# Links whose frames the engine cuts differently at every decision budget:
+# 16 decisions a frame with rank-deficient branches (noiseless ties), 18 with
+# 3 degenerate modes, and 128 with unequal antennas
+BLOCK_SCENARIOS = {"4x4": Scenario(),
+                   "6x3": Scenario(n_cells=6, tx_elems=3, rx_elems=3),
+                   "8x16_unequal": Scenario(n_cells=8, tx_elems=16, rx_elems=16,
+                                            rx_ratio=0.5)}
+
+
+@functools.lru_cache(maxsize=None)
+def block_link(name, constellation):
+    return txrx.build_link(replace(BLOCK_SCENARIOS[name], constellation=constellation))
 
 
 def noise_mode_scale_loops(rx, n_inter):
@@ -401,7 +421,7 @@ class TestMlDetect:
 def same_decisions(s_tilde, lam, amplitudes, points):
     """The engine's decisions on these inputs, after asserting that its
     values, indices and near-tie flags equal the alphabet search's."""
-    got = txrx._nearest(s_tilde, lam, amplitudes, points, txrx._lattice(points))
+    got = txrx._nearest(s_tilde, txrx._detector(lam, amplitudes, points))
     want = reference.alphabet_search(s_tilde, lam, amplitudes, points)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -741,6 +761,18 @@ class TestEndToEnd:
         assert report.per_mode_errors.sum() == report.symbol_errors \
             == sum(report.per_frame_errors)
 
+    def test_interference_power_peaks_below_a_quarter_of_the_transforms(self, link_32x64):
+        # one (K, K) branch at a time, not three (N, K, K) temporaries, which
+        # peaked at 1.03 times the transforms' bytes
+        link = link_32x64
+        tracemalloc.start()
+        try:
+            link.interference_power
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < link.exact_matrices.nbytes / 4, peak
+
     def test_interference_threshold_frozen(self, link9):
         # frozen by the pre-build pipeline probe: max ratio 3.0 at the
         # 9-element scenario (the rank-deficient mode rows)
@@ -818,8 +850,8 @@ class TestBatchedEngine:
         assert np.array_equal(report.per_mode_errors, per_mode)
 
     def test_block_boundaries_keep_frame_prefixes(self, link9):
-        sizes = (0, 1, txrx.FRAME_BLOCK - 1, txrx.FRAME_BLOCK, txrx.FRAME_BLOCK + 1,
-                 2 * txrx.FRAME_BLOCK + 1)
+        block = link9.block_frames
+        sizes = (0, 1, block - 1, block, block + 1, 2 * block + 1)
         reports = {f: txrx.run_loopback(link9, f, noise_variance=link9.sigma2)
                    for f in sizes}
         longest = reports[sizes[-1]].per_frame_errors
@@ -828,6 +860,28 @@ class TestBatchedEngine:
             assert report.per_frame_errors == longest[:f]
             assert report.symbol_errors == sum(longest[:f])
             assert report.symbols_counted == 16 * f
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(BLOCK_SCENARIOS)), st.sampled_from(sorted(PINNED_ALPHABETS)),
+           st.booleans(), st.integers(min_value=0, max_value=40),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_outputs_do_not_depend_on_the_block_size(self, name, alphabet, noisy, frames,
+                                                     seed):
+        # each frame draws its own symbols and noise and every decision is
+        # made on its own, so one frame a block, a few, and the whole run in
+        # one block all count the same errors and near-ties
+        link = replace(block_link(name, alphabet), seed=seed)
+        variance = link.sigma2 if noisy else 0.0
+        reports = []
+        for budget in (16, 48, 2048, 10**6):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(txrx, "BLOCK_DECISIONS", budget)
+                reports.append(txrx.run_loopback(link, frames, noise_variance=variance))
+        first = reports[0]
+        for report in reports[1:]:
+            assert report.per_frame_errors == first.per_frame_errors
+            assert np.array_equal(report.per_mode_errors, first.per_mode_errors)
+            assert report.near_ties == first.near_ties
 
     def test_degenerate_modes_are_flagged_and_not_counted(self, link9):
         lam = link9.lambda_coeffs.copy()
@@ -847,7 +901,7 @@ class TestBatchedEngine:
         # channel and evaluates no element-to-element gain
         gains = count_calls(chan, "free_space_gain")
         blocks = count_calls(chan, "build_block_channel")
-        txrx.run_loopback(link9, 2 * txrx.FRAME_BLOCK + 1, noise_variance=link9.sigma2)
+        txrx.run_loopback(link9, 2 * link9.block_frames + 1, noise_variance=link9.sigma2)
         assert len(gains) == len(blocks) == 0
 
     def test_peak_memory_below_half_a_dense_gain_matrix(self):
@@ -863,6 +917,23 @@ class TestBatchedEngine:
         finally:
             tracemalloc.stop()
         assert peak < dense_bytes / 2
+
+    def test_32x64_run_peaks_below_one_mib(self, link_32x64):
+        # a block holds BLOCK_DECISIONS decisions, one 32x64 frame, and the
+        # detector's tables are built once per run, so the working set of a
+        # noisy 100-frame run stays below 1 MiB (10.0 MiB with 32-frame
+        # blocks)
+        link = link_32x64
+        assert link.block_frames == 1
+        # a first run imports what numpy loads lazily (numpy.random)
+        txrx.run_loopback(link, 1, noise_variance=link.sigma2)
+        tracemalloc.start()
+        try:
+            txrx.run_loopback(link, 100, noise_variance=link.sigma2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
     def test_16qam_peak_memory_within_64_kib_of_qpsk(self):
         # the detector slices each axis, so its temporaries are (frames, N,
@@ -887,7 +958,7 @@ class TestBatchedEngine:
         # a noiseless run sends its frames through the transforms alone
         draws = count_calls(txrx, "element_noise")
         demodulations = count_calls(txrx, "tod")
-        txrx.run_loopback(link9, 2 * txrx.FRAME_BLOCK + 1)
+        txrx.run_loopback(link9, 2 * link9.block_frames + 1)
         assert len(draws) == len(demodulations) == 0
 
     def test_noiseless_ties_are_counted(self, link9):
